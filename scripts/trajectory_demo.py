@@ -28,7 +28,7 @@ def main() -> int:
     schedule = task.schedule(T=args.T)
     config = SteeringConfig(
         method=args.method, alpha=args.alpha,
-        dps_norm_mode="l2_matched", seed=args.seed,
+        dps_norm_mode="l2_matched",
     )
     reward = None if args.method == "none" else task.reward
     res = run_steered(

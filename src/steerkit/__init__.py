@@ -11,6 +11,7 @@ from .models import (
     Embedding,
     GaussianPriorModel,
     MixturePriorModel,
+    NonFiniteStateError,
     make_gaussian_model,
     make_mixture_model,
     score_from_denoiser,
@@ -31,7 +32,6 @@ from .samplers import (
     TrajectoryRecord,
     af3_noise_inflate,
     euler_step,
-    sample_unguided,
 )
 from .schedules import (
     NoiseSchedule,
@@ -45,8 +45,6 @@ from .steering import (
     dps_step,
     embedopt_step,
     rms_normalize,
-    run_dps,
-    run_embedopt,
     run_steered,
     taylor_predicted_step,
 )
@@ -73,6 +71,7 @@ __all__ = [
     "Embedding",
     "GaussianPriorModel",
     "MixturePriorModel",
+    "NonFiniteStateError",
     "make_gaussian_model",
     "make_mixture_model",
     "score_from_denoiser",
@@ -89,7 +88,6 @@ __all__ = [
     "TrajectoryRecord",
     "af3_noise_inflate",
     "euler_step",
-    "sample_unguided",
     "NoiseSchedule",
     "build_linear_schedule",
     "build_power_schedule",
@@ -99,8 +97,6 @@ __all__ = [
     "dps_step",
     "embedopt_step",
     "rms_normalize",
-    "run_dps",
-    "run_embedopt",
     "run_steered",
     "taylor_predicted_step",
     "SyntheticTask",

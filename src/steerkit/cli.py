@@ -3,8 +3,10 @@
 Subcommands: run/sweep/scale/fig1 each take a JSON config file (the kind-
 specific subcommands assert the config's experiment kind matches); verify
 runs the self-check suite and prints a pass/fail table. Errors exit with a
-distinct code per failure class (2 parse, 3 validation, 4 IO) and a
-machine-readable JSON error record on stderr.
+distinct code per failure class (2 parse; 3 validation, or a non-finite,
+overflowing or degenerate result; 4 IO) and one machine-readable JSON error
+record on stderr. Numpy's floating-point warnings are silenced during a run,
+since any NaN or inf that reaches a result is reported by that record.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import argparse
 import json
 import sys
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .harness import (
     EXIT_IO,
@@ -24,6 +28,8 @@ from .harness import (
     load_config,
     run_from_config,
 )
+from .models import NonFiniteStateError
+from .rewards import DegenerateMapError
 from .verification import run_verification_suite
 
 _KIND_BY_COMMAND = {
@@ -83,12 +89,16 @@ def _run_config_command(args) -> int:
             seeds=None if args.seeds is None else _parse_seeds(args.seeds),
             jobs=args.jobs,
         )
-        manifest = run_from_config(cfg)
+        with np.errstate(all="ignore"):
+            manifest = run_from_config(cfg)
     except ConfigParseError as e:
         _error_record("parse", str(e))
         return EXIT_PARSE
     except ConfigValidationError as e:
         _error_record("validation", str(e))
+        return EXIT_VALIDATION
+    except (NonFiniteStateError, DegenerateMapError, OverflowError) as e:
+        _error_record("numeric", f"{type(e).__name__}: {e}")
         return EXIT_VALIDATION
     except OSError as e:
         _error_record("io", str(e))

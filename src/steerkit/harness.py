@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .models import NonFiniteStateError
 from .rewards import GaussianMeasurementReward
 from .samplers import Af3SamplerParams
 from .schedules import build_linear_schedule
@@ -143,7 +144,13 @@ def _json_default(obj):
 
 
 def write_manifest(out_dir: Path, manifest: dict) -> None:
-    text = json.dumps(manifest, indent=2, sort_keys=True, default=_json_default)
+    """Write manifest.json as strict JSON; a NaN or inf in it is an error."""
+    try:
+        text = json.dumps(
+            manifest, indent=2, sort_keys=True, default=_json_default, allow_nan=False
+        )
+    except ValueError as e:
+        raise NonFiniteStateError(f"manifest holds a non-finite number: {e}") from e
     atomic_write_text(Path(out_dir) / "manifest.json", text + "\n")
 
 
@@ -219,16 +226,29 @@ class ExperimentConfig:
         if out_dir is not None:
             kw["out_dir"] = out_dir
         if seeds is not None:
-            kw["seeds"] = tuple(int(s) for s in seeds)
+            kw["seeds"] = _check_seeds(self.experiment, tuple(int(s) for s in seeds))
         if jobs is not None:
+            if int(jobs) < 1:
+                raise ConfigValidationError("jobs must be at least 1")
             kw["jobs"] = int(jobs)
         return dataclasses.replace(self, **kw) if kw else self
 
 
-_TOP_LEVEL_KEYS = {
-    "experiment", "out_dir", "seeds", "n_seeds", "bins", "task", "alphas",
-    "methods", "T_values", "schedule", "steering", "reward_w",
-    "dps_norm_mode", "jobs",
+# the top-level keys each experiment reads besides experiment and out_dir; any
+# other key, unknown or just unread by the chosen experiment, is rejected
+# rather than ignored
+_READ_KEYS = {
+    "synthetic_fig1": {"seeds", "n_seeds", "bins", "schedule"},
+    "lr_sweep": {
+        "seeds", "n_seeds", "task", "alphas", "methods", "schedule",
+        "dps_norm_mode", "jobs",
+    },
+    "step_scaling": {
+        "seeds", "n_seeds", "task", "methods", "T_values", "schedule",
+        "dps_norm_mode", "jobs",
+    },
+    "single_run": {"seeds", "n_seeds", "task", "schedule", "steering", "reward_w"},
+    "verify": set(),
 }
 
 
@@ -276,6 +296,14 @@ def _default_seeds(experiment: str) -> tuple:
     return (0,)
 
 
+def _check_seeds(experiment: str, seeds: tuple) -> tuple:
+    if not seeds:
+        raise ConfigValidationError("at least one seed is required")
+    if experiment == "synthetic_fig1" and len(seeds) < 2:
+        raise ConfigValidationError("synthetic_fig1 needs at least two seeds")
+    return seeds
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from parsed JSON.
 
@@ -288,13 +316,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     experiment = _require(raw, "experiment", str)
     out_dir = _require(raw, "out_dir", str)
 
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigValidationError(f"unknown config keys: {sorted(unknown)}")
     if experiment not in _EXPERIMENTS:
         raise ConfigValidationError(
             f"unknown experiment {experiment!r}; expected one of {_EXPERIMENTS}"
         )
+    unread = set(raw) - _READ_KEYS[experiment] - {"experiment", "out_dir"}
+    if unread:
+        raise ConfigValidationError(f"{experiment} does not read keys {sorted(unread)}")
 
     if "seeds" in raw and "n_seeds" in raw:
         raise ConfigValidationError("give either seeds or n_seeds, not both")
@@ -307,10 +335,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         seeds = tuple(range(n))
     else:
         seeds = _default_seeds(experiment)
-    if not seeds:
-        raise ConfigValidationError("at least one seed is required")
-    if experiment == "synthetic_fig1" and len(seeds) < 2:
-        raise ConfigValidationError("synthetic_fig1 needs at least two seeds")
+    _check_seeds(experiment, seeds)
 
     bins = _optional(raw, "bins", int, 60)
     if bins < 1:
@@ -325,6 +350,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigValidationError(f"unknown task kind {task_kind!r}")
     if experiment in ("lr_sweep", "step_scaling") and task_kind == "synthetic":
         raise ConfigValidationError(f"{experiment} needs a toy task (distance or map)")
+    if experiment == "single_run" and task_kind != "synthetic" and "reward_w" in raw:
+        raise ConfigValidationError(f"the {task_kind} task does not read reward_w")
 
     alphas = _float_list(raw, "alphas") if "alphas" in raw else DEFAULT_ALPHA_GRID
     if experiment == "lr_sweep":
@@ -359,6 +386,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigValidationError(
             f"unknown schedule keys: {sorted(set(schedule) - {'kind', 'T', 'sigma_max'})}"
         )
+    if experiment == "step_scaling" and "T" in schedule:
+        raise ConfigValidationError("step_scaling takes its step counts from T_values")
     sched_kind = _optional(schedule, "kind", str, "linear")
     if sched_kind != "linear":
         raise ConfigValidationError("config schedules support kind 'linear' only")
@@ -380,10 +409,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigValidationError(f"unknown dps_norm_mode {dps_norm_mode!r}")
     # exact_likelihood needs a closed-form posterior variance, which only the
     # synthetic task (Gaussian prior, Gaussian measurement reward) has; the
-    # toy tasks pair a mixture prior with a distance or map reward. Of the
-    # experiments that read the mode, only single_run can run the synthetic task
-    reads_mode = experiment in ("lr_sweep", "step_scaling", "single_run")
-    if reads_mode and task_kind != "synthetic" and "exact_likelihood" in (
+    # toy tasks pair a mixture prior with a distance or map reward
+    if task_kind != "synthetic" and "exact_likelihood" in (
         dps_norm_mode, steering.get("dps_norm_mode")
     ):
         raise ConfigValidationError(
@@ -414,7 +441,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     # any compute or writes
     if experiment == "single_run":
         try:
-            _steering_config(cfg, seed=int(seeds[0]))
+            _steering_config(cfg)
         except (TypeError, ValueError) as e:
             raise ConfigValidationError(f"invalid steering settings: {e}") from e
     return cfg
@@ -430,12 +457,11 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def _steering_config(cfg: ExperimentConfig, seed: int) -> SteeringConfig:
+def _steering_config(cfg: ExperimentConfig) -> SteeringConfig:
     kw = dict(cfg.steering)
     af3 = kw.pop("af3", None)
     if af3 is not None:
         kw["af3"] = Af3SamplerParams(**af3)
-    kw["seed"] = seed
     return SteeringConfig(**kw)
 
 
@@ -538,7 +564,7 @@ def fig1_engine_endpoint(
     schedule = task.schedule(T=T, sigma_max=sigma_max)
     config = SteeringConfig(
         method=spec["method"], alpha=spec["alpha"],
-        dps_norm_mode=spec.get("norm", "sigma2w"), seed=seed,
+        dps_norm_mode=spec.get("norm", "sigma2w"),
     )
     res = run_steered(
         task.model, task.reward(w=spec["w"]), task.c_init, schedule,
@@ -559,6 +585,8 @@ def run_synthetic_fig1(cfg: ExperimentConfig) -> dict:
     panels = {}
     for panel in FIG1_PANEL_SPECS:
         samples = fig1_panel_samples(panel, cfg.seeds, T=T, sigma_max=sigma_max)
+        if not np.isfinite(samples).all():
+            raise NonFiniteStateError(f"panel {panel!r} has non-finite endpoints")
         summary = summarize_samples(samples, bins=cfg.bins)
         ref_mean, ref_std = FIG1_REFERENCES[panel]
         entry = {
@@ -598,16 +626,16 @@ def _toy_row(desc: dict) -> dict:
     method = desc["method"]
     seed = desc["seed"]
     if method == "unguided":
-        config = SteeringConfig(method="none", seed=seed)
+        config = SteeringConfig(method="none")
         reward = None
     elif method == "dps":
         config = SteeringConfig(
             method="dps", alpha=desc["alpha"],
-            dps_norm_mode=desc["dps_norm_mode"], seed=seed,
+            dps_norm_mode=desc["dps_norm_mode"],
         )
         reward = task.reward
     elif method == "embedopt":
-        config = SteeringConfig(method="embedopt", alpha=desc["alpha"], seed=seed)
+        config = SteeringConfig(method="embedopt", alpha=desc["alpha"])
         reward = task.reward
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -633,12 +661,22 @@ def _toy_row(desc: dict) -> dict:
     }
 
 
+def _pool_size(jobs: int, rows: int, cpus: int) -> int:
+    """Worker count for a row pool: at most one per row and one per CPU.
+
+    The pool starts all its workers at the first submit, so an uncapped
+    jobs value would start that many processes.
+    """
+    return max(1, min(jobs, rows, cpus))
+
+
 def _run_rows(descs: List[dict], jobs: int) -> List[dict]:
     """Evaluate rows, optionally on a process pool; output order is the
     descriptor order either way, so parallelism cannot change any artifact."""
-    if jobs <= 1 or len(descs) <= 1:
+    workers = _pool_size(jobs, len(descs), os.cpu_count() or 1)
+    if workers == 1:
         return [_toy_row(d) for d in descs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_toy_row, descs))
 
 
@@ -811,10 +849,10 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
         T, sigma_max = _toy_schedule_params(cfg)
         metric = task.metric
     schedule = build_linear_schedule(T, sigma_max)
+    config = _steering_config(cfg)
 
     runs = {}
     for seed in cfg.seeds:
-        config = _steering_config(cfg, seed=int(seed))
         res = run_steered(
             task.model, reward, task.c_init, schedule, config,
             np.random.default_rng(int(seed)),
@@ -835,7 +873,7 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
 
     manifest = _base_manifest(cfg, t0)
     manifest["schedule"] = schedule.to_manifest()
-    manifest["steering"] = _steering_config(cfg, seed=int(cfg.seeds[0])).to_manifest()
+    manifest["steering"] = config.to_manifest()
     manifest["runs"] = runs
     write_manifest(out, manifest)
     return manifest

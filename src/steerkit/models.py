@@ -21,6 +21,7 @@ from typing import Dict
 import numpy as np
 
 __all__ = [
+    "NonFiniteStateError",
     "Embedding",
     "GaussianPriorModel",
     "MixturePriorModel",
@@ -28,6 +29,11 @@ __all__ = [
     "make_gaussian_model",
     "make_mixture_model",
 ]
+
+
+class NonFiniteStateError(ValueError):
+    """A computed value is NaN or inf: a noise grid, an embedding, or a
+    trajectory's endpoint or logged values."""
 
 
 class Embedding:
@@ -45,7 +51,7 @@ class Embedding:
         }
         for name, v in self.components.items():
             if not np.all(np.isfinite(v)):
-                raise ValueError(f"non-finite entries in component {name!r}")
+                raise NonFiniteStateError(f"non-finite entries in component {name!r}")
 
     @property
     def names(self):

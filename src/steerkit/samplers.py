@@ -1,7 +1,7 @@
-"""Unguided diffusion sampling over a noise schedule.
+"""Sampler primitives: the Euler update, noise inflation and the step log.
 
-Two modes share the same Euler coordinate update x_{t-1} = x_t + eta_t *
-(xhat - x_t):
+Two sampler modes share the same Euler coordinate update x_{t-1} = x_t +
+eta_t * (xhat - x_t):
 
 * deterministic: straight probability-flow integration from x_T ~ N(0,
   sigma_T^2 I) down the schedule.
@@ -10,26 +10,25 @@ Two modes share the same Euler coordinate update x_{t-1} = x_t + eta_t *
   fraction is then scaled by eta_scale. With gamma = 0 and eta_scale = 1 the
   mode reduces exactly (bit-for-bit) to the deterministic sampler.
 
-The per-step trajectory log records noise level, surrogate reward (when a
-reward is attached), gradient norms and embedding drift, with optional
-thinned coordinate snapshots.
+The one integration loop over a schedule is steering.run_steered; its
+method "none" is the unguided sampler. The per-step trajectory log records
+noise level, surrogate reward (when a reward is attached), gradient norms and
+embedding drift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .schedules import NoiseSchedule, step_fraction
+from .schedules import step_fraction
 
 __all__ = [
     "Af3SamplerParams",
     "TrajectoryRecord",
     "euler_step",
     "af3_noise_inflate",
-    "sample_unguided",
 ]
 
 
@@ -41,22 +40,16 @@ class Af3SamplerParams:
     gamma_min: gate floor; amplification applies only when sigma_{t-1} > gamma_min.
     rho_noise: scale on the injected noise standard deviation.
     eta_scale: multiplier on the Euler step fraction.
-    coord_denoise_at: noise level for the coordinate-step denoiser call,
-        "inflated" (default; keeps the gamma=0 reduction exact) or "previous"
-        (evaluate at sigma_{t-1}, an alternative reading kept switchable).
     """
 
     gamma: float = 0.8
     gamma_min: float = 1.0
     rho_noise: float = 1.003
     eta_scale: float = 1.5
-    coord_denoise_at: str = "inflated"
 
     def __post_init__(self):
         if self.gamma < 0 or self.rho_noise <= 0 or self.eta_scale <= 0:
             raise ValueError("invalid sampler parameters")
-        if self.coord_denoise_at not in ("inflated", "previous"):
-            raise ValueError("coord_denoise_at must be 'inflated' or 'previous'")
 
     def to_manifest(self) -> dict:
         return {
@@ -64,7 +57,6 @@ class Af3SamplerParams:
             "gamma_min": self.gamma_min,
             "rho_noise": self.rho_noise,
             "eta_scale": self.eta_scale,
-            "coord_denoise_at": self.coord_denoise_at,
         }
 
 
@@ -77,17 +69,14 @@ class TrajectoryRecord:
     F: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
     embed_drifts: list = field(default_factory=list)
-    snapshots: dict = field(default_factory=dict)
     skip_counts: dict = field(default_factory=dict)
 
-    def log(self, t, sigma, F=None, grad_norm=0.0, embed_drift=0.0, snapshot=None):
+    def log(self, t, sigma, F=None, grad_norm=0.0, embed_drift=0.0):
         self.steps.append(int(t))
         self.sigmas.append(float(sigma))
         self.F.append(None if F is None else float(F))
         self.grad_norms.append(float(grad_norm))
         self.embed_drifts.append(float(embed_drift))
-        if snapshot is not None:
-            self.snapshots[int(t)] = np.array(snapshot, copy=True)
 
     def bump_skip(self, name: str):
         self.skip_counts[name] = self.skip_counts.get(name, 0) + 1
@@ -111,11 +100,10 @@ def euler_step(
     x_hat: np.ndarray,
     sigma_t: float,
     sigma_prev: float,
-    denominator_mode: str = "current",
     eta_scale: float = 1.0,
 ) -> np.ndarray:
     """x_{t-1} = x_t + eta_t (xhat - x_t), the probability-flow Euler update."""
-    eta = step_fraction(sigma_t, sigma_prev, denominator_mode) * eta_scale
+    eta = step_fraction(sigma_t, sigma_prev) * eta_scale
     return x_t + eta * (x_hat - x_t)
 
 
@@ -139,52 +127,3 @@ def af3_noise_inflate(
     x = x_t + noise_std * rng.standard_normal(np.shape(x_t))
     return x, (g + 1.0) * sigma_t
 
-
-def sample_unguided(
-    model,
-    c,
-    schedule: NoiseSchedule,
-    rng: np.random.Generator,
-    mode: str = "deterministic",
-    params: Optional[Af3SamplerParams] = None,
-    reward=None,
-    denominator_mode: str = "current",
-    snapshot_every: Optional[int] = None,
-):
-    """Integrate the sampler from x_T ~ N(0, sigma_T^2 I) down to x_0.
-
-    Returns (x_0, TrajectoryRecord). When a reward is supplied its value at
-    the denoised prediction is logged each step as the surrogate F_t.
-    """
-    if mode not in ("deterministic", "af3"):
-        raise ValueError(f"unknown sampler mode: {mode!r}")
-    params = params or Af3SamplerParams()
-    sig = schedule.sigma_values
-    T = schedule.num_steps
-    thin = snapshot_every if snapshot_every is not None else max(1, T // 100)
-    x = sig[-1] * rng.standard_normal(model.D)
-    record = TrajectoryRecord()
-    for t in range(T, 0, -1):
-        sigma_t, sigma_prev = float(sig[t]), float(sig[t - 1])
-        eta_scale = 1.0
-        if mode == "af3":
-            if sigma_prev > params.gamma_min:
-                x, sigma_hat = af3_noise_inflate(x, sigma_t, params, rng)
-            else:
-                sigma_hat = sigma_t
-            eta_scale = params.eta_scale
-        else:
-            sigma_hat = sigma_t
-        coord_sigma = (
-            sigma_prev
-            if mode == "af3" and params.coord_denoise_at == "previous"
-            else sigma_hat
-        )
-        x_hat = model.denoise(x, c, coord_sigma)
-        F = None if reward is None else reward.value(x_hat)
-        record.log(
-            t, sigma_hat, F=F,
-            snapshot=x if (t % thin == 0 or t == T) else None,
-        )
-        x = euler_step(x, x_hat, sigma_hat, sigma_prev, denominator_mode, eta_scale)
-    return x, record

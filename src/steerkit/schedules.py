@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .models import NonFiniteStateError
+
 __all__ = [
     "NoiseSchedule",
     "build_linear_schedule",
@@ -38,7 +40,7 @@ class NoiseSchedule:
         if sig.ndim != 1 or len(sig) < 2:
             raise ValueError("schedule needs at least two sigma values")
         if not np.all(np.isfinite(sig)):
-            raise ValueError("schedule contains non-finite sigma")
+            raise NonFiniteStateError("schedule contains non-finite sigma")
         if sig[0] < 0:
             raise ValueError("sigma_0 must be non-negative")
         if not np.all(np.diff(sig) > 0):
@@ -91,20 +93,8 @@ def build_power_schedule(
     return NoiseSchedule(kind="power", sigma_values=sig)
 
 
-def step_fraction(
-    sigma_t: float, sigma_prev: float, denominator_mode: str = "current"
-) -> float:
-    """Euler fraction eta_t for the step sigma_t -> sigma_prev.
-
-    mode="current" divides by sigma_t; mode="previous" divides by sigma_{t-1}
-    (an alternative integrator variant, kept switchable rather than resolved).
-    """
+def step_fraction(sigma_t: float, sigma_prev: float) -> float:
+    """Euler fraction eta_t = (sigma_t - sigma_{t-1}) / sigma_t for one step."""
     if sigma_prev >= sigma_t:
         raise ValueError("sigma_prev must be strictly below sigma_t")
-    if denominator_mode == "current":
-        return (sigma_t - sigma_prev) / sigma_t
-    if denominator_mode == "previous":
-        if sigma_prev == 0.0:
-            raise ZeroDivisionError("previous-mode eta undefined at sigma_prev=0")
-        return (sigma_t - sigma_prev) / sigma_prev
-    raise ValueError(f"unknown denominator_mode: {denominator_mode!r}")
+    return (sigma_t - sigma_prev) / sigma_t

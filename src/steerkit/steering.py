@@ -22,7 +22,8 @@ gradient is applied:
   identity; its target is the w-reweighted posterior, as in PiGDM and TMPD.
 
 Zero or near-zero gradients (component RMS or guidance norm below 1e-12) are
-skipped with a logged flag rather than normalized into NaN.
+skipped with a logged flag rather than normalized into NaN. A trajectory that
+ends with a non-finite endpoint or log entry raises NonFiniteStateError.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .models import Embedding
+from .models import Embedding, NonFiniteStateError
 from .rewards import GaussianMeasurementReward
 from .samplers import Af3SamplerParams, TrajectoryRecord, af3_noise_inflate, euler_step
 from .schedules import NoiseSchedule, step_fraction
@@ -44,8 +45,6 @@ __all__ = [
     "embedopt_step",
     "dps_step",
     "taylor_predicted_step",
-    "run_embedopt",
-    "run_dps",
     "run_steered",
 ]
 
@@ -66,9 +65,6 @@ class SteeringConfig:
     dps_norm_mode: str = "sigma2w"
     embed_norm_mode: str = "rms_per_component"
     sampler_mode: str = "deterministic"
-    denominator_mode: str = "current"
-    seed: int = 0
-    single_eval: bool = False
     af3: Af3SamplerParams = field(default_factory=Af3SamplerParams)
 
     def __post_init__(self):
@@ -90,9 +86,6 @@ class SteeringConfig:
             "dps_norm_mode": self.dps_norm_mode,
             "embed_norm_mode": self.embed_norm_mode,
             "sampler_mode": self.sampler_mode,
-            "denominator_mode": self.denominator_mode,
-            "seed": self.seed,
-            "single_eval": self.single_eval,
             "af3": self.af3.to_manifest(),
         }
 
@@ -149,17 +142,13 @@ def embedopt_step(
     sigma_prev: float,
     alpha: float,
     norm_mode: str = "rms_per_component",
-    denominator_mode: str = "current",
     eta_scale: float = 1.0,
-    coord_sigma: Optional[float] = None,
-    single_eval: bool = False,
 ):
     """One embedding-ascent step followed by the coordinate Euler step.
 
     The surrogate gradient is pulled back through the denoiser at (x_t, c_t,
     sigma_t); the coordinate step re-evaluates the denoiser at the updated
-    embedding (at coord_sigma if given, else sigma_t) unless single_eval
-    reuses the pre-update prediction. Returns (x_prev, c_prev, info) where
+    embedding and the same sigma_t. Returns (x_prev, c_prev, info) where
     info records the pre-update surrogate value F, the embedding gradient
     grad_c F and its norm, the denoiser output x_hat_step that the
     coordinate step used, and the skipped components.
@@ -169,12 +158,8 @@ def embedopt_step(
     g = model.vjp_c(x_t, c_t, sigma_t, grad_R)
     direction, skipped = _embed_update_direction(g, norm_mode)
     c_prev = c_t.add(direction, alpha) if alpha != 0.0 else c_t
-    eval_sigma = sigma_t if coord_sigma is None else coord_sigma
-    if single_eval and eval_sigma == sigma_t:
-        x_hat_step = x_hat
-    else:
-        x_hat_step = model.denoise(x_t, c_prev, eval_sigma)
-    x_prev = euler_step(x_t, x_hat_step, sigma_t, sigma_prev, denominator_mode, eta_scale)
+    x_hat_step = model.denoise(x_t, c_prev, sigma_t)
+    x_prev = euler_step(x_t, x_hat_step, sigma_t, sigma_prev, eta_scale)
     info = {
         "F": F,
         "grad": g,
@@ -194,7 +179,6 @@ def dps_step(
     sigma_prev: float,
     alpha: float,
     norm_mode: str = "sigma2w",
-    denominator_mode: str = "current",
     eta_scale: float = 1.0,
 ):
     """One coordinate-guidance step; the embedding is never touched.
@@ -234,7 +218,7 @@ def dps_step(
         guidance = scale * g
     else:
         raise ValueError(f"unknown dps_norm_mode {norm_mode!r}")
-    eta = step_fraction(sigma_t, sigma_prev, denominator_mode) * eta_scale
+    eta = step_fraction(sigma_t, sigma_prev) * eta_scale
     x_prev = x_t + eta * (x_hat - x_t + guidance)
     info = {"F": F, "grad_norm": gnorm, "skipped": skipped}
     return x_prev, info
@@ -249,7 +233,6 @@ def taylor_predicted_step(
     sigma_prev: float,
     alpha: float,
     norm_mode: str = "rms_per_component",
-    denominator_mode: str = "current",
 ) -> np.ndarray:
     """First-order prediction of the embedding-ascent coordinate step.
 
@@ -270,7 +253,7 @@ def taylor_predicted_step(
         {n: alpha * v for n, v in direction.components.items()}
     )
     correction = model.jvp_c(x_t, c_t, sigma_t, delta)
-    eta = step_fraction(sigma_t, sigma_prev, denominator_mode)
+    eta = step_fraction(sigma_t, sigma_prev)
     return x_t + eta * (x_hat - x_t + correction)
 
 
@@ -281,21 +264,22 @@ def run_steered(
     schedule: NoiseSchedule,
     config: SteeringConfig,
     rng: np.random.Generator,
-    snapshot_every: Optional[int] = None,
     on_update: Optional[Callable] = None,
 ) -> SteeringResult:
     """Integrate one steered trajectory from x_T ~ N(0, sigma_T^2 I).
 
-    Dispatches on config.method ("none" runs the plain sampler with surrogate
-    logging). The af3 sampler mode wraps every method identically: gate on
+    The one step loop of the package. Dispatches on config.method ("none"
+    runs the unguided sampler, logging the surrogate when a reward is given).
+    The af3 sampler mode wraps every method identically: gate on
     sigma_{t-1}, inflate, then step with the scaled fraction. For embedopt,
     on_update(x_t, c_t, sigma_t, c_prev, info) is called after every
     embedding update with the point where it was taken and embedopt_step's
-    info; audits use it to evaluate the surrogate there.
+    info; audits use it to evaluate the surrogate there. Raises
+    NonFiniteStateError, after the last step, when x_0 or any logged value
+    is NaN or inf.
     """
     sig = schedule.sigma_values
     T = schedule.num_steps
-    thin = snapshot_every if snapshot_every is not None else max(1, T // 100)
     x = sig[-1] * rng.standard_normal(model.D)
     c = c_init.copy()
     record = TrajectoryRecord()
@@ -308,19 +292,12 @@ def run_steered(
             if sigma_prev > af3.gamma_min:
                 x, sigma_hat = af3_noise_inflate(x, sigma_t, af3, rng)
             eta_scale = af3.eta_scale
-        coord_sigma = (
-            sigma_prev
-            if config.sampler_mode == "af3" and af3.coord_denoise_at == "previous"
-            else sigma_hat
-        )
-        snapshot = x if (t % thin == 0 or t == T) else None
         if config.method == "embedopt":
             drift = c.add(c_init, -1.0).norm()  # ||c_t - c_T|| before this update
             x_t, c_t = x, c
             x, c, info = embedopt_step(
                 model, reward, x, c, sigma_hat, sigma_prev,
-                config.alpha, config.embed_norm_mode, config.denominator_mode,
-                eta_scale, coord_sigma, config.single_eval,
+                config.alpha, config.embed_norm_mode, eta_scale,
             )
             if on_update is not None:
                 on_update(x_t, c_t, sigma_hat, c, info)
@@ -328,36 +305,32 @@ def run_steered(
                 record.bump_skip(f"embed:{name}")
             record.log(
                 t, sigma_hat, F=info["F"], grad_norm=info["grad_norm"],
-                embed_drift=drift, snapshot=snapshot,
+                embed_drift=drift,
             )
         elif config.method == "dps":
             x, info = dps_step(
                 model, reward, x, c, sigma_hat, sigma_prev,
-                config.alpha, config.dps_norm_mode, config.denominator_mode,
-                eta_scale,
+                config.alpha, config.dps_norm_mode, eta_scale,
             )
             if info["skipped"]:
                 record.bump_skip("dps:guidance")
-            record.log(
-                t, sigma_hat, F=info["F"], grad_norm=info["grad_norm"],
-                snapshot=snapshot,
-            )
+            record.log(t, sigma_hat, F=info["F"], grad_norm=info["grad_norm"])
         else:
-            x_hat = model.denoise(x, c, coord_sigma)
+            x_hat = model.denoise(x, c, sigma_hat)
             F = None if reward is None else reward.value(x_hat)
-            record.log(t, sigma_hat, F=F, snapshot=snapshot)
-            x = euler_step(x, x_hat, sigma_hat, sigma_prev,
-                           config.denominator_mode, eta_scale)
+            record.log(t, sigma_hat, F=F)
+            x = euler_step(x, x_hat, sigma_hat, sigma_prev, eta_scale)
+    _check_finite(x, record)
     return SteeringResult(x0=x, c_final=c, record=record)
 
 
-def run_embedopt(model, reward, c_init, schedule, config, rng, **kw):
-    if config.method != "embedopt":
-        raise ValueError("config.method must be 'embedopt'")
-    return run_steered(model, reward, c_init, schedule, config, rng, **kw)
-
-
-def run_dps(model, reward, c, schedule, config, rng, **kw):
-    if config.method != "dps":
-        raise ValueError("config.method must be 'dps'")
-    return run_steered(model, reward, c, schedule, config, rng, **kw)
+def _check_finite(x0: np.ndarray, record: TrajectoryRecord) -> None:
+    """One end-of-run check, so no non-finite value reaches an artifact."""
+    logged = [f for f in record.F if f is not None]
+    if not (
+        np.isfinite(x0).all()
+        and np.isfinite(logged).all()
+        and np.isfinite(record.grad_norms).all()
+        and np.isfinite(record.embed_drifts).all()
+    ):
+        raise NonFiniteStateError("trajectory produced a non-finite endpoint or log entry")

@@ -5,12 +5,19 @@ produce identical CSV bodies whether run twice in a row or fanned out over a
 process pool, with everything wall-clock flavored confined to the manifest.
 """
 
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from steerkit import NonFiniteStateError
 from steerkit.cli import main as cli_main
 from steerkit.harness import (
     EXIT_IO,
@@ -29,8 +36,9 @@ from steerkit.harness import (
     run_from_config,
     run_lr_sweep,
     write_csv,
+    write_manifest,
 )
-from steerkit.harness import config_from_dict
+from steerkit.harness import _pool_size, config_from_dict
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -131,7 +139,7 @@ def test_structural_problems_are_parse_errors(payload):
         {"experiment": "lr_sweep", "out_dir": "x", "schedule": {"sigma_max": -2}},
         {"experiment": "lr_sweep", "out_dir": "x", "dps_norm_mode": "l1"},
         {"experiment": "lr_sweep", "out_dir": "x", "jobs": 0},
-        {"experiment": "lr_sweep", "out_dir": "x", "reward_w": -1},
+        {"experiment": "single_run", "out_dir": "x", "reward_w": -1},
         {"experiment": "single_run", "out_dir": "x", "steering": {"method": "bogus"}},
         {"experiment": "single_run", "out_dir": "x", "steering": {"alpha": -1}},
     ],
@@ -139,6 +147,53 @@ def test_structural_problems_are_parse_errors(payload):
 def test_semantic_problems_are_validation_errors(payload):
     with pytest.raises(ConfigValidationError):
         config_from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"experiment": "synthetic_fig1", key: value}
+        for key, value in (
+            ("dps_norm_mode", "sigma2w"), ("steering", {}), ("reward_w", 2.0),
+            ("methods", ["dps"]), ("alphas", [0.1]), ("T_values", [20]),
+            ("task", {"kind": "distance"}), ("jobs", 2),
+        )
+    ] + [
+        {"experiment": "lr_sweep", "reward_w": 2.0},
+        {"experiment": "lr_sweep", "bins": 10},
+        {"experiment": "step_scaling", "alphas": [0.1]},
+        {"experiment": "step_scaling", "schedule": {"T": 40}},
+        {"experiment": "single_run", "dps_norm_mode": "sigma2w"},
+        {"experiment": "single_run", "task": {"kind": "distance"}, "reward_w": 2.0},
+        {"experiment": "verify", "seeds": [0]},
+    ],
+)
+def test_unread_keys_are_rejected(tmp_path, capsys, payload):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(payload, out_dir=str(out)))
+    assert cli_main(["run", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "steering",
+    [
+        {"method": "embedopt", "denominator_mode": "previous"},
+        {"method": "embedopt", "denominator_mode": "current"},
+        {"method": "embedopt", "single_eval": True},
+        {"method": "embedopt", "seed": 3},
+        {"method": "dps", "sampler_mode": "af3", "af3": {"coord_denoise_at": "previous"}},
+    ],
+)
+def test_removed_steering_keys_are_rejected(tmp_path, capsys, steering):
+    out = tmp_path / "out"
+    payload = {"experiment": "single_run", "out_dir": str(out), "steering": steering}
+    assert cli_main(["run", str(write_config(tmp_path, payload))]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
+    assert not out.exists()
 
 
 def test_config_defaults_fill_in():
@@ -157,6 +212,21 @@ def test_config_n_seeds_expansion_and_overrides():
     over = cfg.with_overrides(out_dir="y", seeds=[5, 6], jobs=2)
     assert (over.out_dir, over.seeds, over.jobs) == ("y", (5, 6), 2)
     assert cfg.with_overrides() is cfg
+    for jobs in (0, -3):
+        with pytest.raises(ConfigValidationError):
+            cfg.with_overrides(jobs=jobs)
+    with pytest.raises(ConfigValidationError):
+        cfg.with_overrides(seeds=[])
+    fig = config_from_dict({"experiment": "synthetic_fig1", "out_dir": "x"})
+    with pytest.raises(ConfigValidationError):
+        fig.with_overrides(seeds=[3])
+
+
+def test_pool_size_is_capped_by_rows_and_cpus():
+    assert _pool_size(100_000, rows=12, cpus=2) == 2
+    assert _pool_size(100_000, rows=1, cpus=64) == 1
+    assert _pool_size(3, rows=12, cpus=64) == 3
+    assert _pool_size(1, rows=0, cpus=4) == 1
 
 
 def test_load_config_bad_json(tmp_path):
@@ -214,6 +284,15 @@ def test_cli_kind_guard(tmp_path, capsys):
 def test_cli_bad_seeds_flag(tmp_path, capsys):
     path = write_config(tmp_path, sweep_payload(tmp_path / "out"))
     assert cli_main(["sweep", str(path), "--seeds", "0,x"]) == EXIT_VALIDATION
+
+
+def test_cli_rejects_jobs_below_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, sweep_payload(out))
+    assert cli_main(["sweep", str(path), "--jobs", "0"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
+    assert not out.exists()
 
 
 def test_cli_run_and_overrides(tmp_path, capsys):
@@ -452,3 +531,134 @@ def test_single_run_toy_defaults_to_synthetic_kind():
     cfg = config_from_dict({"experiment": "single_run", "out_dir": "x"})
     assert cfg.task_kind == "synthetic"
     assert cfg.seeds == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the config-to-artifact contract: finite artifacts, or exit 2/3/4 with one
+# JSON line on stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def assert_artifacts_finite(out: Path):
+    """Every numeric CSV cell is finite and every manifest is strict JSON."""
+    for csv_path in out.glob("*.csv"):
+        for line in csv_path.read_text(encoding="utf-8").splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # text or empty cell
+                assert math.isfinite(value), f"{csv_path.name}: {cell}"
+    for json_path in out.glob("*.json"):
+        json.loads(json_path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("method", ["none", "dps", "embedopt"])
+def test_overflowing_reward_exits_3_and_writes_nothing(tmp_path, capsys, method):
+    out = tmp_path / "out"
+    payload = {
+        "experiment": "single_run", "out_dir": str(out), "reward_w": 1e308,
+        "schedule": {"T": 5}, "steering": {"method": method, "alpha": 0.1},
+    }
+    assert cli_main(["run", str(write_config(tmp_path, payload))]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "numeric"
+    assert not out.exists()
+
+
+def test_manifest_rejects_non_finite_numbers(tmp_path):
+    with pytest.raises(NonFiniteStateError):
+        write_manifest(tmp_path, {"final_reward": float("nan")})
+    assert not (tmp_path / "manifest.json").exists()
+
+
+_RUN_KEYS = ("seeds", "bins", "task", "alphas", "methods", "T_values", "schedule",
+             "steering", "reward_w", "dps_norm_mode", "jobs")
+
+
+@st.composite
+def experiment_payloads(draw):
+    """Cheap configs (T <= 5, at most four seeds, jobs 1), with overflowing
+    weights, removed steering keys and keys the experiment does not read
+    mixed in. The verify experiment is left out: it takes no settings and
+    runs for seconds."""
+    experiment = draw(st.sampled_from(["synthetic_fig1", "lr_sweep", "step_scaling", "single_run"]))
+    T = draw(st.integers(min_value=1, max_value=5))
+    schedule = {"T": T}
+    if draw(st.booleans()):
+        schedule["sigma_max"] = draw(st.sampled_from([0.5, 1e150, 1e306, 1e308]))
+    toy_task = {"kind": draw(st.sampled_from(["distance", "map"])), "seed": draw(st.integers(0, 3))}
+    methods = draw(st.lists(st.sampled_from(["embedopt", "dps"]), min_size=1, max_size=2, unique=True))
+    payload = {"experiment": experiment}
+    if experiment == "synthetic_fig1":
+        payload.update(seeds=list(range(draw(st.integers(2, 4)))), schedule=schedule)
+    elif experiment == "lr_sweep":
+        payload.update(
+            seeds=[0], task=toy_task, methods=methods, schedule=schedule,
+            alphas=draw(st.lists(st.sampled_from([0.0, 0.1, 1.0]), min_size=1, max_size=2)),
+        )
+    elif experiment == "step_scaling":
+        payload.update(
+            seeds=[0], task=toy_task, methods=methods,
+            T_values=draw(st.lists(st.integers(2, 5), min_size=1, max_size=2)),
+        )
+    else:
+        steering = {
+            "method": draw(st.sampled_from(["none", "dps", "embedopt"])),
+            "alpha": draw(st.sampled_from([0.0, 0.1, 5.0])),
+        }
+        if steering["method"] == "dps":
+            steering["dps_norm_mode"] = draw(st.sampled_from(["sigma2w", "l2_matched", "exact_likelihood"]))
+        if draw(st.booleans()):
+            steering["sampler_mode"] = "af3"
+        payload.update(
+            task=draw(st.sampled_from([{"kind": "synthetic"}, toy_task])),
+            schedule=schedule, steering=steering,
+        )
+    if draw(st.booleans()):
+        payload["reward_w"] = draw(
+            st.sampled_from([0.0, 1.0, 1e150, 1e300, 1e308])
+            | st.floats(min_value=0.0, max_value=1e308)
+        )
+    if draw(st.booleans()):
+        key, value = draw(st.sampled_from([
+            ("denominator_mode", "previous"), ("seed", 1), ("single_eval", True),
+            ("af3", {"coord_denoise_at": "previous"}),
+        ]))
+        payload.setdefault("steering", {"method": "embedopt"})[key] = value
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(_RUN_KEYS))
+        payload.setdefault(key, {"bins": 10, "jobs": 1, "reward_w": 2.0}.get(key, [1]))
+    if experiment in ("lr_sweep", "step_scaling") and draw(st.booleans()):
+        payload["jobs"] = 1
+    return payload
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    payload=experiment_payloads(),
+    overrides=st.lists(
+        st.sampled_from([("--jobs", "0"), ("--jobs", "1"), ("--seeds", ""), ("--seeds", "0,1")]),
+        max_size=2, unique_by=lambda o: o[0],
+    ),
+)
+def test_every_config_writes_finite_artifacts_or_exits_with_one_error_line(payload, overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        path = write_config(Path(tmp), dict(payload, out_dir=str(out)))
+        argv = ["run", str(path)] + [arg for o in overrides for arg in o]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main(argv)
+        lines = stderr.getvalue().splitlines()
+        if code == EXIT_OK:
+            assert lines == []
+            assert (out / "manifest.json").exists()
+        else:
+            assert code in (EXIT_PARSE, EXIT_VALIDATION, EXIT_IO)
+            assert len(lines) == 1 and "error" in json.loads(lines[0])
+        if out.exists():
+            assert_artifacts_finite(out)

@@ -1,8 +1,9 @@
-"""Unguided sampling, the noise-amplifying sampler mode, and trajectory logs.
+"""The unguided sampler, the noise-amplifying sampler mode, and trajectory logs.
 
-The noise-amplification bookkeeping has a closed form: with amplification
-gamma the working level inflates to (gamma+1) sigma and the injected noise
-has standard deviation rho * sqrt((gamma+1)^2 - 1) * sigma, checked here by
+The unguided sampler is run_steered with method "none". The
+noise-amplification bookkeeping has a closed form: with amplification gamma
+the working level inflates to (gamma+1) sigma and the injected noise has
+standard deviation rho * sqrt((gamma+1)^2 - 1) * sigma, checked here by
 Monte Carlo. gamma = 0 must leave both the coordinates and the random stream
 untouched, which makes the reduction to the deterministic sampler exact
 rather than approximate.
@@ -15,14 +16,22 @@ from hypothesis import strategies as st
 
 from steerkit import (
     Af3SamplerParams,
+    GaussianMeasurementReward,
+    SteeringConfig,
     TrajectoryRecord,
     af3_noise_inflate,
     build_linear_schedule,
     build_synthetic_task,
     euler_step,
-    sample_unguided,
+    run_steered,
 )
 from conftest import gaussian_fixture
+
+
+def sample(model, c, sched, rng, reward=None, **config):
+    """Unguided trajectory: (x_0, TrajectoryRecord)."""
+    res = run_steered(model, reward, c, sched, SteeringConfig(method="none", **config), rng)
+    return res.x0, res.record
 
 
 def test_euler_step_worked_example():
@@ -63,10 +72,8 @@ def test_af3_params_validation():
         Af3SamplerParams(rho_noise=0.0)
     with pytest.raises(ValueError):
         Af3SamplerParams(eta_scale=0.0)
-    with pytest.raises(ValueError):
-        Af3SamplerParams(coord_denoise_at="sometime")
     info = Af3SamplerParams().to_manifest()
-    assert info["gamma"] == 0.8 and info["coord_denoise_at"] == "inflated"
+    assert info == {"gamma": 0.8, "gamma_min": 1.0, "rho_noise": 1.003, "eta_scale": 1.5}
 
 
 def test_trajectory_record_logging():
@@ -94,8 +101,8 @@ def test_trajectory_record_f_values_when_complete():
 def test_sampler_reproducibility():
     model, c = gaussian_fixture(0)
     sched = build_linear_schedule(T=30, sigma_max=5.0)
-    x_a, rec_a = sample_unguided(model, c, sched, np.random.default_rng(11))
-    x_b, rec_b = sample_unguided(model, c, sched, np.random.default_rng(11))
+    x_a, rec_a = sample(model, c, sched, np.random.default_rng(11))
+    x_b, rec_b = sample(model, c, sched, np.random.default_rng(11))
     np.testing.assert_array_equal(x_a, x_b)
     assert rec_a.sigmas == rec_b.sigmas
 
@@ -105,7 +112,7 @@ def test_sampler_single_step_collapses_to_denoiser():
     model, c = gaussian_fixture(1)
     sched = build_linear_schedule(T=1, sigma_max=4.0)
     seed = 5
-    x0, _ = sample_unguided(model, c, sched, np.random.default_rng(seed))
+    x0, _ = sample(model, c, sched, np.random.default_rng(seed))
     x_T = 4.0 * np.random.default_rng(seed).standard_normal(model.D)
     np.testing.assert_allclose(x0, model.denoise(x_T, c, 4.0), atol=1e-14)
 
@@ -113,50 +120,41 @@ def test_sampler_single_step_collapses_to_denoiser():
 def test_sampler_logs_reward_when_given():
     model, c = gaussian_fixture(2)
     sched = build_linear_schedule(T=12, sigma_max=3.0)
-    from steerkit import GaussianMeasurementReward
-
     reward = GaussianMeasurementReward(y=np.zeros(model.D))
-    x0, rec = sample_unguided(model, c, sched, np.random.default_rng(0), reward=reward)
+    x0, rec = sample(model, c, sched, np.random.default_rng(0), reward=reward)
     assert len(rec.F_values) == 12
     assert all(f <= 0.0 for f in rec.F_values)
-    x0_plain, rec_plain = sample_unguided(model, c, sched, np.random.default_rng(0))
+    x0_plain, rec_plain = sample(model, c, sched, np.random.default_rng(0))
     np.testing.assert_array_equal(x0, x0_plain)  # logging must not perturb
     assert all(f is None for f in rec_plain.F)
-
-
-def test_sampler_snapshot_thinning():
-    model, c = gaussian_fixture(3)
-    sched = build_linear_schedule(T=10, sigma_max=2.0)
-    _, rec = sample_unguided(model, c, sched, np.random.default_rng(0), snapshot_every=5)
-    assert set(rec.snapshots) == {10, 5}
-    assert rec.snapshots[10].shape == (model.D,)
 
 
 def test_sampler_rejects_unknown_mode():
     model, c = gaussian_fixture(0)
     sched = build_linear_schedule(T=5, sigma_max=1.0)
     with pytest.raises(ValueError):
-        sample_unguided(model, c, sched, np.random.default_rng(0), mode="leapfrog")
+        sample(model, c, sched, np.random.default_rng(0), sampler_mode="leapfrog")
 
 
 def test_af3_gamma_zero_reduces_to_deterministic():
     model, c = gaussian_fixture(4)
     sched = build_linear_schedule(T=25, sigma_max=6.0)
     params = Af3SamplerParams(gamma=0.0, eta_scale=1.0)
-    x_det, _ = sample_unguided(model, c, sched, np.random.default_rng(3))
-    x_af3, _ = sample_unguided(
-        model, c, sched, np.random.default_rng(3), mode="af3", params=params
+    x_det, rec_det = sample(model, c, sched, np.random.default_rng(3))
+    x_af3, rec_af3 = sample(
+        model, c, sched, np.random.default_rng(3), sampler_mode="af3", af3=params
     )
     np.testing.assert_array_equal(x_det, x_af3)
+    assert rec_det.sigmas == rec_af3.sigmas
 
 
 def test_af3_with_noise_differs_and_stays_finite():
     model, c = gaussian_fixture(4)
     sched = build_linear_schedule(T=25, sigma_max=6.0)
-    x_det, _ = sample_unguided(model, c, sched, np.random.default_rng(3))
-    x_af3, _ = sample_unguided(
-        model, c, sched, np.random.default_rng(3), mode="af3",
-        params=Af3SamplerParams(gamma=0.8),
+    x_det, _ = sample(model, c, sched, np.random.default_rng(3))
+    x_af3, _ = sample(
+        model, c, sched, np.random.default_rng(3), sampler_mode="af3",
+        af3=Af3SamplerParams(gamma=0.8),
     )
     assert np.all(np.isfinite(x_af3))
     assert not np.allclose(x_det, x_af3)
@@ -168,7 +166,7 @@ def test_unguided_endpoint_statistics_on_scalar_task():
     sched = task.schedule()
     draws = np.array(
         [
-            sample_unguided(task.model, task.c_init, sched, np.random.default_rng(s))[0][0]
+            sample(task.model, task.c_init, sched, np.random.default_rng(s))[0][0]
             for s in range(100)
         ]
     )
@@ -181,6 +179,6 @@ def test_unguided_endpoint_statistics_on_scalar_task():
 def test_sampler_endpoints_finite(T, seed):
     model, c = gaussian_fixture(seed % 3)
     sched = build_linear_schedule(T=T, sigma_max=8.0)
-    x0, rec = sample_unguided(model, c, sched, np.random.default_rng(seed))
+    x0, rec = sample(model, c, sched, np.random.default_rng(seed))
     assert np.all(np.isfinite(x0))
     assert len(rec.steps) == T

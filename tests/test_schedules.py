@@ -82,11 +82,10 @@ def test_schedule_validation(values):
 
 
 def test_step_fraction_worked_examples():
-    # (2.0 - 1.5)/2.0 and (2.0 - 1.5)/1.5
-    assert step_fraction(2.0, 1.5, "current") == 0.25
-    assert step_fraction(2.0, 1.5, "previous") == pytest.approx(1.0 / 3.0)
-    # final step of any schedule fully denoises in current mode
-    assert step_fraction(0.7, 0.0, "current") == 1.0
+    # (2.0 - 1.5)/2.0
+    assert step_fraction(2.0, 1.5) == 0.25
+    # final step of any schedule fully denoises
+    assert step_fraction(0.7, 0.0) == 1.0
 
 
 def test_step_fraction_rejects_bad_inputs():
@@ -94,10 +93,6 @@ def test_step_fraction_rejects_bad_inputs():
         step_fraction(1.0, 1.0)
     with pytest.raises(ValueError):
         step_fraction(1.0, 2.0)
-    with pytest.raises(ZeroDivisionError):
-        step_fraction(1.0, 0.0, "previous")
-    with pytest.raises(ValueError):
-        step_fraction(2.0, 1.0, "nonsense")
 
 
 def test_linear_step_fractions_are_one_over_t():
@@ -145,5 +140,5 @@ def test_power_grid_strictly_increasing(T, sigma_min, sigma_max, rho_exp):
 )
 def test_current_mode_fraction_in_unit_interval(sigma_t, frac):
     sigma_prev = sigma_t * frac
-    eta = step_fraction(sigma_t, sigma_prev, "current")
+    eta = step_fraction(sigma_t, sigma_prev)
     assert 0.0 < eta <= 1.0

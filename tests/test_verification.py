@@ -120,7 +120,7 @@ def test_monotonicity_report_fraction():
 
 def _audit(norm_mode, seed, T=1000):
     task = build_synthetic_task()
-    cfg = SteeringConfig(method="embedopt", alpha=0.1, embed_norm_mode=norm_mode, seed=seed)
+    cfg = SteeringConfig(method="embedopt", alpha=0.1, embed_norm_mode=norm_mode)
     return audit_embedding_ascent(
         task.model, task.reward(w=1.0), task.c_init, task.schedule(T=T), cfg,
         np.random.default_rng(seed),
@@ -141,7 +141,7 @@ def test_ascent_audit_counts_every_update(norm_mode):
 
 
 @pytest.mark.parametrize(
-    "changes", [{"method": "dps"}, {"sampler_mode": "af3"}, {"single_eval": True}]
+    "changes", [{"method": "dps"}, {"sampler_mode": "af3"}]
 )
 def test_ascent_audit_rejects_configs_it_cannot_audit(changes):
     # the audit reads the coordinate step's denoiser output, which is
@@ -160,7 +160,7 @@ def test_ascent_audit_can_fail_correctly_signed_updates():
     not make ascent hold by construction: fixed-length RMS steps, though
     signed to ascend, lower F at many audited updates."""
     task = build_toy_task("distance", seed=0)
-    cfg = SteeringConfig(method="embedopt", alpha=0.1, seed=0)
+    cfg = SteeringConfig(method="embedopt", alpha=0.1)
     _, audit = audit_embedding_ascent(
         task.model, task.reward, task.c_init, task.schedule(), cfg,
         np.random.default_rng(0),
