@@ -41,7 +41,8 @@ def main() -> int:
         if args.quick:
             keep = 40 if cfg.experiment == "synthetic_fig1" else 1
             seeds = cfg.seeds[:keep]
-        cfg = cfg.with_overrides(out_dir=str(out_dir), seeds=seeds, jobs=args.jobs)
+        jobs = args.jobs if cfg.experiment in ("lr_sweep", "step_scaling") else None
+        cfg = cfg.with_overrides(out_dir=str(out_dir), seeds=seeds, jobs=jobs)
         manifest = run_from_config(cfg)
         print(f"{name:>22} -> {out_dir}  (wall {manifest['wall_time_s']:.1f}s)")
     return 0

@@ -228,6 +228,8 @@ class ExperimentConfig:
         if seeds is not None:
             kw["seeds"] = _check_seeds(self.experiment, tuple(int(s) for s in seeds))
         if jobs is not None:
+            if "jobs" not in _READ_KEYS[self.experiment]:
+                raise ConfigValidationError(f"{self.experiment} does not read jobs")
             if int(jobs) < 1:
                 raise ConfigValidationError("jobs must be at least 1")
             kw["jobs"] = int(jobs)

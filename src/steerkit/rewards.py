@@ -11,6 +11,17 @@ Three families:
   normalized density maps, R = -mean((V(x) - V_obs)^2) = 2 (cc - 1) where cc
   is the Pearson correlation of the normalized maps.
 
+The map reward evaluates its Gaussian splats from per-axis offset tables
+d_a[i, b] = axis_a[i] - p_b[a], one (n_a, n_beads) table per grid axis,
+rather than from an (n_voxels, n_beads, 3) difference tensor, where numpy's
+per-element overhead on the length-3 inner axis cost more than the
+arithmetic. The rendered maps are bit-identical to `render_map_raw`, which
+keeps the brute-force form as the oracle. That pins two summation orders:
+squared distances are summed as (x^2 + y^2) + z^2, and each gradient entry
+sums its voxel terms in ascending voxel order. Factorising the splat into
+per-axis Gaussians gx*gy*gz, or contracting the gradient with a BLAS
+product, rounds differently and would change every map-task CSV.
+
 All gradients are exact, including the chain through map normalization, and
 are checked against central finite differences in the verification suite.
 Coordinates for bead tasks are flat vectors of length 3 * n_beads.
@@ -153,10 +164,13 @@ class MapGrid:
         nx, ny, nz = self.shape
         return nx * ny * nz
 
+    def axes(self) -> list:
+        """Voxel-center coordinates along each axis: three 1-D arrays."""
+        return [self.origin[a] + self.spacing * np.arange(self.shape[a]) for a in range(3)]
+
     def voxel_centers(self) -> np.ndarray:
         """All voxel centers as an (n_voxels, 3) array, x fastest last."""
-        axes = [self.origin[a] + self.spacing * np.arange(self.shape[a]) for a in range(3)]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
+        gx, gy, gz = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
     def to_manifest(self) -> dict:
@@ -171,6 +185,29 @@ def render_map_raw(x: np.ndarray, grid: MapGrid, atom_width: float) -> np.ndarra
     centers = grid.voxel_centers()  # (M, 3)
     d2 = ((centers[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)  # (M, n_beads)
     return np.exp(-d2 / (2.0 * atom_width**2)).sum(axis=1)
+
+
+def _splat(x: np.ndarray, grid: MapGrid, atom_width: float):
+    """Per-bead splat values, shape (n_voxels, n_beads), and the offset tables.
+
+    Their sum over beads is `render_map_raw`, bit for bit, computed from the
+    per-axis tables d_a = axis_a[:, None] - pts[None, :, a] of shape
+    (n_a, n_beads).
+    The squared distance is broadcast as (x^2 + y^2) + z^2, the order in which
+    the brute-force form reduces its length-3 axis; x^2 + (y^2 + z^2) rounds
+    differently.
+    """
+    pts = np.asarray(x, dtype=np.float64).reshape(-1, 3)
+    offsets = [axis[:, None] - pts[None, :, a] for a, axis in enumerate(grid.axes())]
+    sx, sy, sz = (d * d for d in offsets)
+    d2 = (sx[:, None, None, :] + sy[None, :, None, :]) + sz[None, None, :, :]
+    splat = np.exp(-d2.reshape(grid.n_voxels, -1) / (2.0 * atom_width**2))
+    return splat, offsets
+
+
+def _render_raw(x: np.ndarray, grid: MapGrid, atom_width: float) -> np.ndarray:
+    """`render_map_raw` from the per-axis kernel, bit for bit."""
+    return _splat(x, grid, atom_width)[0].sum(axis=1)
 
 
 def _normalize_map(v_raw: np.ndarray):
@@ -207,6 +244,13 @@ class MapMSEReward:
     V(x) is the normalized rendering of x on the stored grid; V_obs must
     already be zero-mean unit-variance on the same grid. R lies in [-4, 0]
     and is 0 exactly when the rendered map equals the target.
+
+    Every method renders through the per-axis kernel `_splat`, so `value`,
+    `correlation` and `from_state` return exactly what their
+    `render_map_raw` forms return. The gradient weights splat[m, b] by
+    g_vraw[m], multiplies by each axis's offset table broadcast over the
+    grid, and sums over voxels in ascending order with `np.einsum` (no BLAS
+    call, whose blocking would reorder the sum).
     """
 
     grid: MapGrid
@@ -223,20 +267,18 @@ class MapMSEReward:
 
     @classmethod
     def from_state(cls, x_target: np.ndarray, grid: MapGrid, atom_width: float = 1.5):
-        return cls(grid=grid, v_obs=render_map(x_target, grid, atom_width), atom_width=atom_width)
+        v_obs = _normalize_map(_render_raw(x_target, grid, atom_width))[0]
+        return cls(grid=grid, v_obs=v_obs, atom_width=atom_width)
 
     def correlation(self, x: np.ndarray) -> float:
-        return map_correlation(render_map_raw(np.asarray(x), self.grid, self.atom_width), self.v_obs)
+        return map_correlation(_render_raw(x, self.grid, self.atom_width), self.v_obs)
 
     def value(self, x: np.ndarray) -> float:
-        v = render_map(np.asarray(x), self.grid, self.atom_width)
+        v = _normalize_map(_render_raw(x, self.grid, self.atom_width))[0]
         return float(-np.mean((v - self.v_obs) ** 2))
 
     def value_and_grad(self, x: np.ndarray):
-        pts = np.asarray(x, dtype=np.float64).reshape(-1, 3)
-        centers = self.grid.voxel_centers()
-        diff = centers[:, None, :] - pts[None, :, :]  # (M, n_beads, 3)
-        splat = np.exp(-(diff**2).sum(axis=2) / (2.0 * self.atom_width**2))
+        splat, offsets = _splat(x, self.grid, self.atom_width)
         v_raw = splat.sum(axis=1)
         v, _, sd = _normalize_map(v_raw)
         M = v.size
@@ -246,7 +288,15 @@ class MapMSEReward:
         # mean-shift term vanishes and only the std chain survives.
         g_vraw = 2.0 * (self.v_obs - cc * v) / (M * sd)
         # chain through the splats: dV_raw[m]/d pts[b] = splat[m,b] * (c_m - p_b)/aw^2
-        grad_pts = np.einsum("m,mb,mbi->bi", g_vraw, splat, diff) / self.atom_width**2
+        # per bead and axis, summed over voxels in ascending order
+        w = (g_vraw[:, None] * splat).reshape(*self.grid.shape, -1)
+        dx, dy, dz = offsets
+        cols = [
+            np.einsum("ijkb,ib->b", w, dx),
+            np.einsum("ijkb,jb->b", w, dy),
+            np.einsum("ijkb,kb->b", w, dz),
+        ]
+        grad_pts = np.stack(cols, axis=1) / self.atom_width**2
         return val, grad_pts.ravel()
 
 

@@ -220,6 +220,8 @@ def test_config_n_seeds_expansion_and_overrides():
     fig = config_from_dict({"experiment": "synthetic_fig1", "out_dir": "x"})
     with pytest.raises(ConfigValidationError):
         fig.with_overrides(seeds=[3])
+    with pytest.raises(ConfigValidationError):
+        fig.with_overrides(jobs=1)
 
 
 def test_pool_size_is_capped_by_rows_and_cpus():
@@ -293,6 +295,23 @@ def test_cli_rejects_jobs_below_one(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("fig1", {"experiment": "synthetic_fig1", "seeds": [0, 1], "schedule": {"T": 2}}),
+        ("run", {"experiment": "single_run", "task": {"kind": "synthetic"}, "schedule": {"T": 2}}),
+    ],
+)
+def test_cli_rejects_jobs_on_experiments_without_rows(tmp_path, capsys, command, payload):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(payload, out_dir=str(out)))
+    assert cli_main([command, str(path), "--jobs", "4"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
+    assert not out.exists()
+    assert cli_main([command, str(path)]) == EXIT_OK
 
 
 def test_cli_run_and_overrides(tmp_path, capsys):

@@ -26,6 +26,8 @@ from steerkit import (
     render_map_raw,
     select_top_k_constraints,
 )
+from steerkit.rewards import _normalize_map
+from steerkit.tasks import build_toy_task
 
 N_PROBES = 20
 
@@ -247,6 +249,93 @@ def test_map_reward_fd():
         assert val == pytest.approx(reward.value(x), abs=1e-12)
         worst = max(worst, rel_error(grad, fd_gradient(reward.value, x)))
     assert worst < 1e-6, f"worst rel err {worst:.3e}"
+
+
+def _brute_force_value_and_grad(reward, x):
+    """MapMSEReward.value_and_grad from the (M, n_beads, 3) difference tensor.
+
+    A frozen copy of the brute-force contraction; the reward's per-axis
+    kernel must reproduce it bit for bit. Also returns the per-entry sum of
+    |terms| of the gradient contraction, which bounds the rounding of any
+    summation order.
+    """
+    pts = np.asarray(x, dtype=np.float64).reshape(-1, 3)
+    centers = reward.grid.voxel_centers()
+    diff = centers[:, None, :] - pts[None, :, :]
+    splat = np.exp(-(diff**2).sum(axis=2) / (2.0 * reward.atom_width**2))
+    v, _, sd = _normalize_map(splat.sum(axis=1))
+    M = v.size
+    cc = float(v @ reward.v_obs) / M
+    g_vraw = 2.0 * (reward.v_obs - cc * v) / (M * sd)
+    grad = np.einsum("m,mb,mbi->bi", g_vraw, splat, diff) / reward.atom_width**2
+    abs_terms = np.einsum("m,mb,mbi->bi", np.abs(g_vraw), splat, np.abs(diff))
+    return 2.0 * (cc - 1.0), grad.ravel(), abs_terms.ravel() / reward.atom_width**2
+
+
+def _assert_matches_render_map_raw(reward, x):
+    v_raw = render_map_raw(x, reward.grid, reward.atom_width)
+    v = render_map(x, reward.grid, reward.atom_width)
+    assert reward.value(x) == float(-np.mean((v - reward.v_obs) ** 2))
+    assert reward.correlation(x) == map_correlation(v_raw, reward.v_obs)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_map_reward_bit_identical_to_brute_force_on_tasks(seed):
+    task = build_toy_task("map", seed)
+    reward, target = task.reward, task.target_state
+    assert np.array_equal(
+        reward.v_obs, MapMSEReward.from_state(target, reward.grid, reward.atom_width).v_obs
+    )
+    assert np.array_equal(reward.v_obs, render_map(target, reward.grid, reward.atom_width))
+    rng = np.random.default_rng(seed)
+    for scale in (0.0, 0.1, 1.0, 3.0):
+        for _ in range(1 if scale == 0.0 else 3):
+            x = target + scale * rng.standard_normal(target.size)
+            val, grad = reward.value_and_grad(x)
+            val_ref, grad_ref, _ = _brute_force_value_and_grad(reward, x)
+            assert val == val_ref
+            assert np.array_equal(grad, grad_ref)
+            _assert_matches_render_map_raw(reward, x)
+
+
+@pytest.mark.parametrize("n_beads", [1, 3, 13])
+@pytest.mark.parametrize("shape", [(3, 5, 7), (7, 1, 4)])
+def test_map_reward_bit_identical_on_uneven_grids(shape, n_beads):
+    # distinct axis lengths and bead counts catch an axis or reshape mix-up
+    grid = MapGrid(shape=shape, origin=np.array([-2.1, -1.3, -3.7]), spacing=0.9)
+    rng = np.random.default_rng(10 * n_beads + shape[0])
+    target = 1.5 * rng.standard_normal(3 * n_beads)
+    reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
+    assert np.array_equal(reward.v_obs, render_map(target, grid, 1.5))
+    for _ in range(5):
+        x = target + rng.standard_normal(3 * n_beads)
+        val, grad = reward.value_and_grad(x)
+        val_ref, grad_ref, abs_terms = _brute_force_value_and_grad(reward, x)
+        assert val == val_ref
+        _assert_matches_render_map_raw(reward, x)
+        if n_beads > 1:
+            assert np.array_equal(grad, grad_ref)
+        else:
+            # with a bead axis of length one the brute-force einsum reduces
+            # the voxel axis in unrolled blocks, not in ascending order; both
+            # sums lie within M * eps * sum|terms| of the exact one
+            bound = 2 * grid.n_voxels * np.finfo(np.float64).eps * abs_terms
+            assert np.all(np.abs(grad - grad_ref) <= bound)
+
+
+def test_map_reward_raises_on_degenerate_rendering():
+    grid = MapGrid(shape=(5, 5, 5), origin=np.full(3, -3.0), spacing=1.5)
+    rng = np.random.default_rng(4)
+    target = 2.0 * rng.standard_normal(8 * 3)
+    reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
+    # every bead a thousand units outside the grid renders a zero map
+    far = target + 1000.0
+    with pytest.raises(DegenerateMapError):
+        reward.value_and_grad(far)
+    with pytest.raises(DegenerateMapError):
+        reward.value(far)
+    with pytest.raises(DegenerateMapError):
+        reward.correlation(far)
 
 
 def test_map_reward_range_and_gradient_at_optimum():
