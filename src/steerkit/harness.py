@@ -4,17 +4,26 @@ Reads a JSON config, dispatches on its experiment kind, and writes CSV
 artifacts plus a JSON manifest into the output directory. All CSV content is
 deterministic: identical configs give byte-identical CSV bodies, floats are
 written with repr (shortest round-trip), and anything wall-clock flavored
-(timestamps, per-row runtimes) is confined to the manifest. Files land via
+(timestamps, per-batch runtimes) is confined to the manifest. Files land via
 write-to-temp-then-rename so a crashed run never leaves half an artifact.
 
-The synthetic histogram experiment has a vectorized fast path: every panel is
-one-dimensional and the deterministic sampler applies the same elementwise
-update to each trajectory, so all seeds integrate as a single batch. The ops
-are ordered exactly as the generic per-trajectory engine orders them, which
-makes the two paths bit-identical (asserted in the test suite). Besides the
-figure's panels, the fast path also integrates exact-likelihood coordinate
-guidance (FIG1_EXTRA_PANEL_SPECS), which the acceptance gate compares with
-the conjugate posterior; those endpoints are not part of the figure.
+Every trajectory integrates through run_steered, as a batch: an lr_sweep runs
+one batch per method (its alpha x seed grid) plus one for the unguided
+baselines, step_scaling one per (method, T), and a single run one over its
+seeds. With jobs > 1 a process pool runs contiguous chunks of those batches;
+a row does not depend on its batch, so no CSV depends on jobs.
+
+The synthetic histogram experiment keeps its own vectorized fast path,
+fig1_panel_samples: every panel is one-dimensional and deterministic, so
+all seeds integrate as a single elementwise batch without the engine's
+per-step logs (10^7 entries per panel at 10,000 seeds). Run through
+run_steered, the panels took 3.30 s against 2.05 s for 10,000 seeds, and
+the benchmark's tracer wraps fig1_panel_samples by name, so it stays. The
+ops are ordered exactly as run_steered orders them, which makes the two
+paths bit-identical (asserted in the test suite). Besides the figure's
+panels, the fast path also integrates exact-likelihood coordinate guidance
+(FIG1_EXTRA_PANEL_SPECS), which the acceptance gate compares with the
+conjugate posterior; those endpoints are not part of the figure.
 """
 
 from __future__ import annotations
@@ -209,12 +218,15 @@ class ExperimentConfig:
     jobs: int = 1
 
     def to_manifest(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["seeds"] = list(self.seeds)
-        d["alphas"] = list(self.alphas)
-        d["methods"] = list(self.methods)
-        d["T_values"] = list(self.T_values)
-        return d
+        """The fields the experiment reads (see _READ_KEYS), tuples as lists."""
+        read = {"experiment", "out_dir"}
+        for key in _READ_KEYS[self.experiment]:
+            read.update(_KEY_FIELDS[key])
+        return {
+            name: list(v) if isinstance(v, tuple) else v
+            for name, v in dataclasses.asdict(self).items()
+            if name in read
+        }
 
     def with_overrides(
         self,
@@ -251,6 +263,21 @@ _READ_KEYS = {
     },
     "single_run": {"seeds", "n_seeds", "task", "schedule", "steering", "reward_w"},
     "verify": set(),
+}
+# the ExperimentConfig fields each config key sets
+_KEY_FIELDS = {
+    "seeds": ("seeds",),
+    "n_seeds": ("seeds",),
+    "bins": ("bins",),
+    "task": ("task_kind", "task_seed"),
+    "alphas": ("alphas",),
+    "methods": ("methods",),
+    "T_values": ("T_values",),
+    "schedule": ("schedule_T", "schedule_sigma_max"),
+    "steering": ("steering",),
+    "reward_w": ("reward_w",),
+    "dps_norm_mode": ("dps_norm_mode",),
+    "jobs": ("jobs",),
 }
 
 
@@ -616,51 +643,52 @@ def run_synthetic_fig1(cfg: ExperimentConfig) -> dict:
 # toy-task tables (sweep and step scaling)
 
 
-def _toy_row(desc: dict) -> dict:
-    """Run one (method, alpha, seed) toy-task row; returns row plus runtime.
+def _toy_batch(desc: dict) -> dict:
+    """Run one batch of toy-task rows: one method and T, one (alpha, seed)
+    pair per row. Returns the rows in order and the batch's telemetry.
 
-    Module-level and dict-driven so a process pool can pickle it. Each row
+    Module-level and dict-driven so a process pool can pickle it. Each batch
     rebuilds its task from the task seed, which keeps workers stateless and
     costs little next to the trajectory integration.
     """
     task = build_toy_task(desc["task_kind"], desc["task_seed"])
     schedule = task.schedule(T=desc["T"], sigma_max=desc["sigma_max"])
     method = desc["method"]
-    seed = desc["seed"]
     if method == "unguided":
         config = SteeringConfig(method="none")
         reward = None
     elif method == "dps":
-        config = SteeringConfig(
-            method="dps", alpha=desc["alpha"],
-            dps_norm_mode=desc["dps_norm_mode"],
-        )
+        config = SteeringConfig(method="dps", dps_norm_mode=desc["dps_norm_mode"])
         reward = task.reward
     elif method == "embedopt":
-        config = SteeringConfig(method="embedopt", alpha=desc["alpha"])
+        config = SteeringConfig(method="embedopt")
         reward = task.reward
     else:
         raise ValueError(f"unknown method {method!r}")
     t0 = time.perf_counter()
     res = run_steered(
         task.model, reward, task.c_init, schedule, config,
-        np.random.default_rng(seed),
+        [np.random.default_rng(seed) for seed in desc["seeds"]], alphas=desc["alphas"],
     )
     runtime = time.perf_counter() - t0
-    if task.kind == "distance":
-        violations = task.reward.K - task.reward.count_satisfied(res.x0)
-    else:
-        violations = None
-    return {
-        "method": method,
-        "alpha": desc["alpha"],
-        "T": desc["T"],
-        "seed": seed,
-        "final_reward": task.reward.value(res.x0),
-        "task_metric": task.metric(res.x0),
-        "violations": violations,
-        "runtime_s": runtime,
-    }
+    rows = []
+    for x0, rec, alpha, seed in zip(res.x0, res.records, desc["alphas"], desc["seeds"]):
+        if task.kind == "distance":
+            violations = task.reward.K - task.reward.count_satisfied(x0)
+        else:
+            violations = None
+        rows.append({
+            "method": method,
+            "alpha": alpha,
+            "T": desc["T"],
+            "seed": seed,
+            "final_reward": task.reward.value(x0),
+            "task_metric": task.metric(x0),
+            "violations": violations,
+            "nfe": rec.nfe,
+        })
+    batch = {"method": method, "T": desc["T"], "rows": len(rows), "runtime_s": runtime}
+    return {"rows": rows, "batch": batch}
 
 
 def _pool_size(jobs: int, rows: int, cpus: int) -> int:
@@ -672,14 +700,34 @@ def _pool_size(jobs: int, rows: int, cpus: int) -> int:
     return max(1, min(jobs, rows, cpus))
 
 
-def _run_rows(descs: List[dict], jobs: int) -> List[dict]:
-    """Evaluate rows, optionally on a process pool; output order is the
-    descriptor order either way, so parallelism cannot change any artifact."""
-    workers = _pool_size(jobs, len(descs), os.cpu_count() or 1)
+def _chunks(desc: dict, n: int) -> List[dict]:
+    """A batch descriptor cut into at most n contiguous, near-equal chunks."""
+    size = -(-len(desc["seeds"]) // n)
+    return [
+        dict(desc, alphas=desc["alphas"][i : i + size], seeds=desc["seeds"][i : i + size])
+        for i in range(0, len(desc["seeds"]), size)
+    ]
+
+
+def _run_batches(descs: List[dict], jobs: int):
+    """Evaluate batches, on a process pool as contiguous chunks when jobs > 1.
+
+    Returns (rows, per-batch telemetry). Rows come back in descriptor order,
+    and each row is bit-identical whatever batch it runs in, so parallelism
+    cannot change any artifact.
+    """
+    workers = _pool_size(jobs, sum(len(d["seeds"]) for d in descs), os.cpu_count() or 1)
     if workers == 1:
-        return [_toy_row(d) for d in descs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_toy_row, descs))
+        done = [_toy_batch(d) for d in descs]
+    else:
+        chunks = [chunk for d in descs for chunk in _chunks(d, workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(_toy_batch, chunks))
+    return [r for out in done for r in out["rows"]], [out["batch"] for out in done]
+
+
+def _row_nfe(rows: List[dict], keys: Sequence[str]) -> List[dict]:
+    return [dict({k: r[k] for k in keys}, nfe=r["nfe"]) for r in rows]
 
 
 def _toy_schedule_params(cfg: ExperimentConfig) -> Tuple[int, float]:
@@ -694,7 +742,7 @@ def run_lr_sweep(cfg: ExperimentConfig) -> dict:
     sweep.csv has exactly one row per method x alpha x seed. Unguided
     baselines (needed for the best-achieved comparison) are run per seed and
     reported in best_achieved.csv and the manifest, not as sweep rows.
-    Per-row runtimes are wall-clock and live in the manifest so the CSV
+    Per-batch runtimes are wall-clock and live in the manifest so the CSV
     bodies stay byte-identical across reruns.
     """
     if cfg.experiment != "lr_sweep":
@@ -712,15 +760,14 @@ def run_lr_sweep(cfg: ExperimentConfig) -> dict:
         "sigma_max": sigma_max,
         "dps_norm_mode": cfg.dps_norm_mode,
     }
+    grid = [(alpha, seed) for alpha in alphas for seed in seeds]
     descs = [
-        dict(base, method=method, alpha=alpha, seed=seed)
+        dict(base, method=method, alphas=[a for a, _ in grid], seeds=[s for _, s in grid])
         for method in cfg.methods
-        for alpha in alphas
-        for seed in seeds
     ]
-    baseline_descs = [dict(base, method="unguided", alpha=0.0, seed=seed) for seed in seeds]
-    rows = _run_rows(descs, cfg.jobs)
-    baselines = _run_rows(baseline_descs, cfg.jobs)
+    descs.append(dict(base, method="unguided", alphas=[0.0] * len(seeds), seeds=list(seeds)))
+    rows, batches = _run_batches(descs, cfg.jobs)
+    rows, baselines = rows[: -len(seeds)], rows[-len(seeds) :]
 
     write_csv(
         out / "sweep.csv",
@@ -751,10 +798,8 @@ def run_lr_sweep(cfg: ExperimentConfig) -> dict:
     manifest = _base_manifest(cfg, t0)
     manifest["schedule"] = build_linear_schedule(T, sigma_max).to_manifest()
     manifest["artifacts"] = ["sweep.csv", "best_achieved.csv"]
-    manifest["row_runtimes_s"] = [
-        {"method": r["method"], "alpha": r["alpha"], "seed": r["seed"], "runtime_s": r["runtime_s"]}
-        for r in rows + baselines
-    ]
+    manifest["batch_runtimes_s"] = batches
+    manifest["row_nfe"] = _row_nfe(rows + baselines, ("method", "alpha", "seed"))
     manifest["baselines"] = [
         {"seed": r["seed"], "task_metric": r["task_metric"], "final_reward": r["final_reward"]}
         for r in baselines
@@ -788,12 +833,11 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
         "dps_norm_mode": cfg.dps_norm_mode,
     }
     descs = [
-        dict(base, method=method, alpha=const / T, T=T, seed=seed)
+        dict(base, method=method, T=T, alphas=[const / T] * len(seeds), seeds=list(seeds))
         for method in cfg.methods
         for T in T_values
-        for seed in seeds
     ]
-    rows = _run_rows(descs, cfg.jobs)
+    rows, batches = _run_batches(descs, cfg.jobs)
 
     write_csv(
         out / "scale.csv",
@@ -810,10 +854,8 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
     manifest["alpha_times_T"] = const
     manifest["alpha_by_T"] = {str(T): const / T for T in T_values}
     manifest["artifacts"] = ["scale.csv"]
-    manifest["row_runtimes_s"] = [
-        {"method": r["method"], "T": r["T"], "seed": r["seed"], "runtime_s": r["runtime_s"]}
-        for r in rows
-    ]
+    manifest["batch_runtimes_s"] = batches
+    manifest["row_nfe"] = _row_nfe(rows, ("method", "T", "seed"))
     if "embedopt" in cfg.methods and 200 in T_values and 50 in T_values:
         m200 = {r["seed"]: r["task_metric"] for r in rows if r["method"] == "embedopt" and r["T"] == 200}
         m50 = {r["seed"]: r["task_metric"] for r in rows if r["method"] == "embedopt" and r["T"] == 50}
@@ -833,7 +875,8 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
 
 
 def run_single_run(cfg: ExperimentConfig) -> dict:
-    """One steered trajectory per seed; emits per-step trajectory CSVs."""
+    """One steered trajectory per seed, all seeds as one batch; emits
+    per-step trajectory CSVs."""
     if cfg.experiment != "single_run":
         raise ConfigValidationError("config experiment kind is not single_run")
     t0 = time.perf_counter()
@@ -853,30 +896,38 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
     schedule = build_linear_schedule(T, sigma_max)
     config = _steering_config(cfg)
 
+    seeds = [int(seed) for seed in cfg.seeds]
+    t_run = time.perf_counter()
+    res = run_steered(
+        task.model, reward, task.c_init, schedule, config,
+        [np.random.default_rng(seed) for seed in seeds],
+    )
+    runtime = time.perf_counter() - t_run
     runs = {}
-    for seed in cfg.seeds:
-        res = run_steered(
-            task.model, reward, task.c_init, schedule, config,
-            np.random.default_rng(int(seed)),
-        )
-        name = f"trajectory_seed{int(seed)}.csv"
+    for b, seed in enumerate(seeds):
+        row = res.row(b)
+        name = f"trajectory_seed{seed}.csv"
         write_csv(
             out / name,
             ("step", "sigma", "F", "grad_norm", "embed_drift"),
-            res.record.csv_rows(),
+            row.record.csv_rows(),
         )
-        runs[str(int(seed))] = {
+        runs[str(seed)] = {
             "csv": name,
-            "final_reward": float(reward.value(res.x0)),
-            "task_metric": None if metric is None else metric(res.x0),
-            "skip_counts": dict(res.record.skip_counts),
-            "embedding_drift": float(res.c_final.add(task.c_init, -1.0).norm()),
+            "final_reward": float(reward.value(row.x0)),
+            "task_metric": None if metric is None else metric(row.x0),
+            "skip_counts": dict(row.record.skip_counts),
+            "embedding_drift": float(row.c_final.add(task.c_init, -1.0).norm()),
+            "nfe": row.record.nfe,
         }
 
     manifest = _base_manifest(cfg, t0)
     manifest["schedule"] = schedule.to_manifest()
     manifest["steering"] = config.to_manifest()
     manifest["runs"] = runs
+    manifest["batch_runtimes_s"] = [
+        {"method": config.method, "T": T, "rows": len(seeds), "runtime_s": runtime}
+    ]
     write_manifest(out, manifest)
     return manifest
 

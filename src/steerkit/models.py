@@ -8,9 +8,18 @@ transposed-Jacobian (vjp) and Jacobian (jvp) products with respect to both
 the coordinates x and the embedding c. Every derivative here is checked
 against central finite differences in the verification suite.
 
-Coordinates are flat float64 vectors of dimension D. Embeddings are ordered
-named components, each a flat vector; affine maps consume the concatenation
-of all components in name order.
+Coordinates are float64 vectors of dimension D, or a (B, D) batch of them,
+one trajectory per row. Embeddings are ordered named components stored in
+one flat buffer, of shape (d,) or (B, d); affine maps consume that buffer.
+An unbatched embedding serves every row of a batch.
+
+Batched products are written so that every row is bit-identical to the same
+product on that row alone: np.matmul over a stack (one BLAS call per row,
+equal to the 1-D call), np.vecdot where the 1-D form is a dot product or a
+scalar norm (both use the same dot kernel), and einsum with the batch as an
+extra free index. A (B, D) @ (D, d) GEMM would block by B and round
+differently. `parts` computes the intermediates a step shares between the
+denoiser and its pullback at one (x, c, sigma).
 """
 
 from __future__ import annotations
@@ -37,70 +46,128 @@ class NonFiniteStateError(ValueError):
 
 
 class Embedding:
-    """Named collection of flat embedding components.
+    """Named embedding components stored in one flat float64 buffer.
 
-    Component order is fixed at construction and defines the layout of the
-    concatenated vector that affine mean maps consume. Instances are treated
-    as immutable; arithmetic returns new objects.
+    Component order is fixed at construction and defines the buffer layout
+    that affine mean maps consume. The buffer has shape (d,), or (B, d) for a
+    batch with one embedding row per trajectory; `components` are read-only
+    views of it. Instances are immutable; arithmetic returns new objects.
     """
 
+    __slots__ = ("_layout", "_buf", "_views")
+
     def __init__(self, components: Dict[str, np.ndarray]):
-        self.components = {
-            name: np.asarray(v, dtype=np.float64).ravel()
-            for name, v in components.items()
-        }
-        for name, v in self.components.items():
-            if not np.all(np.isfinite(v)):
-                raise NonFiniteStateError(f"non-finite entries in component {name!r}")
+        parts = [np.asarray(v, dtype=np.float64).ravel() for v in components.values()]
+        layout = tuple((name, p.size) for name, p in zip(components, parts))
+        self._set(layout, np.concatenate(parts) if parts else np.zeros(0))
+
+    def _set(self, layout, buf: np.ndarray) -> None:
+        buf.flags.writeable = False
+        self._layout = layout
+        self._buf = buf
+        self._views = None
+        if not np.isfinite(buf).all():
+            bad = next(n for n, v in self.components.items() if not np.isfinite(v).all())
+            raise NonFiniteStateError(f"non-finite entries in component {bad!r}")
+
+    def _like(self, buf: np.ndarray) -> "Embedding":
+        """An embedding with this layout over `buf`, which it takes over."""
+        out = Embedding.__new__(Embedding)
+        out._set(self._layout, buf)
+        return out
+
+    @property
+    def components(self) -> Dict[str, np.ndarray]:
+        if self._views is None:
+            views, start = {}, 0
+            for name, size in self._layout:
+                views[name] = self._buf[..., start : start + size]
+                start += size
+            self._views = views
+        return self._views
 
     @property
     def names(self):
-        return list(self.components)
+        return [name for name, _ in self._layout]
 
     @property
     def dim(self) -> int:
-        return sum(v.size for v in self.components.values())
+        return self._buf.shape[-1]
+
+    @property
+    def batch(self):
+        """Row count B of a batch, or None for a single embedding."""
+        return self._buf.shape[0] if self._buf.ndim == 2 else None
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.components[n] for n in self.components])
+        """The read-only buffer, shape (d,) or (B, d)."""
+        return self._buf
+
+    def row(self, b: int) -> "Embedding":
+        """Row b of a batch as a single embedding (a view)."""
+        return self._like(self._buf[b])
+
+    def broadcast(self, B: int) -> "Embedding":
+        """This embedding as a B-row batch (a view); a batch must have B rows."""
+        return self._like(np.broadcast_to(self._buf, (B, self.dim)))
 
     def from_flat(self, vec: np.ndarray) -> "Embedding":
-        """Split a flat vector back into this embedding's named layout."""
-        vec = np.asarray(vec, dtype=np.float64).ravel()
-        if vec.size != self.dim:
+        """Split a flat vector, or a (B, d) batch of them, into this layout."""
+        vec = np.array(vec, dtype=np.float64)
+        if vec.ndim == 0 or vec.ndim > 2 or vec.shape[-1] != self.dim:
             raise ValueError("flat vector length does not match embedding dim")
-        out, start = {}, 0
-        for name, v in self.components.items():
-            out[name] = vec[start : start + v.size].copy()
-            start += v.size
-        return Embedding(out)
+        return self._like(vec)
 
-    def add(self, other: "Embedding", scale: float = 1.0) -> "Embedding":
-        if self.names != other.names:
+    def add(self, other: "Embedding", scale=1.0) -> "Embedding":
+        """self + scale * other; scale may hold one value per row."""
+        if self._layout != other._layout:
             raise ValueError("component names differ")
-        return Embedding(
-            {n: self.components[n] + scale * other.components[n] for n in self.components}
-        )
+        scale = np.asarray(scale, dtype=np.float64)
+        return self._like(self._buf + scale[..., None] * other._buf)
 
     def zeros_like(self) -> "Embedding":
-        return Embedding({n: np.zeros_like(v) for n, v in self.components.items()})
+        return self._like(np.zeros_like(self._buf))
 
-    def copy(self) -> "Embedding":
-        return Embedding({n: v.copy() for n, v in self.components.items()})
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.flat()))
+    def norm(self):
+        """Euclidean norm: a float, or one per row of a batch."""
+        return _norm(self._buf)
 
     def __repr__(self):
-        shapes = {n: v.size for n, v in self.components.items()}
-        return f"Embedding({shapes})"
+        shapes = {n: size for n, size in self._layout}
+        rows = "" if self.batch is None else f", batch={self.batch}"
+        return f"Embedding({shapes}{rows})"
+
+
+def _norm(v: np.ndarray):
+    """Norm over the last axis, bit-identical to np.linalg.norm of each row."""
+    n = np.sqrt(np.vecdot(v, v))
+    return float(n) if n.ndim == 0 else n
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v for v of shape (n,) or a (B, n) batch, one stacked matvec per row."""
+    if v.ndim == 1:
+        return A @ v
+    lead = (slice(None),) + (None,) * (A.ndim - 2)
+    return np.matmul(A, v[lead + (slice(None), None)])[..., 0]
+
+
+def _vecmat(r: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Row-wise r[b] @ M[b] for r of shape (B, K) and M of shape (B, K, n)."""
+    return np.matmul(r[:, None, :], M)[:, 0, :]
 
 
 def _check_coords(x: np.ndarray, D: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (D,):
-        raise ValueError(f"expected coordinate vector of shape ({D},), got {x.shape}")
+    if x.shape[-1:] != (D,) or x.ndim > 2:
+        raise ValueError(f"expected coordinates of shape ({D},) or (B, {D}), got {x.shape}")
     return x
+
+
+def _rows(x: np.ndarray, D: int):
+    """(x as a (B, D) batch, whether x was a single vector)."""
+    x = _check_coords(x, D)
+    return (x[None, :], True) if x.ndim == 1 else (x, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,31 +207,36 @@ class GaussianPriorModel:
         return self.shrinkage(sigma) * sigma**2
 
     def mean(self, c: Embedding) -> np.ndarray:
-        return self.W @ c.flat() + self.b
+        return _matvec(self.W, c.flat()) + self.b
 
-    def denoise(self, x: np.ndarray, c: Embedding, sigma: float) -> np.ndarray:
+    def parts(self, x, c: Embedding, sigma: float):
+        """Nothing to share: every product here is one affine map."""
+        return None
+
+    def denoise(self, x: np.ndarray, c: Embedding, sigma: float, parts=None) -> np.ndarray:
         x = _check_coords(x, self.D)
         if sigma == 0.0:
             return x.copy()
         m = self.mean(c)
         return m + self.shrinkage(sigma) * (x - m)
 
-    def vjp_x(self, x, c: Embedding, sigma: float, v: np.ndarray) -> np.ndarray:
+    def vjp_x(self, x, c: Embedding, sigma: float, v: np.ndarray, parts=None) -> np.ndarray:
         _check_coords(x, self.D)
         v = _check_coords(v, self.D)
         k = 1.0 if sigma == 0.0 else self.shrinkage(sigma)
         return k * v
 
-    def vjp_c(self, x, c: Embedding, sigma: float, v: np.ndarray) -> Embedding:
+    def vjp_c(self, x, c: Embedding, sigma: float, v: np.ndarray, parts=None) -> Embedding:
         _check_coords(x, self.D)
         v = _check_coords(v, self.D)
         k = 1.0 if sigma == 0.0 else self.shrinkage(sigma)
-        return c.from_flat((1.0 - k) * (self.W.T @ v))
+        return c._like((1.0 - k) * _matvec(self.W.T, v))
 
-    def jvp_c(self, x, c: Embedding, sigma: float, u: Embedding) -> np.ndarray:
-        _check_coords(x, self.D)
+    def jvp_c(self, x, c: Embedding, sigma: float, u: Embedding, parts=None) -> np.ndarray:
+        x = _check_coords(x, self.D)
         k = 1.0 if sigma == 0.0 else self.shrinkage(sigma)
-        return (1.0 - k) * (self.W @ u.flat())
+        out = (1.0 - k) * _matvec(self.W, u.flat())
+        return np.broadcast_to(out, np.broadcast_shapes(out.shape, x.shape)).copy()
 
     def sample_prior(self, c: Embedding, rng: np.random.Generator) -> np.ndarray:
         return self.mean(c) + self.s0 * rng.standard_normal(self.D)
@@ -183,7 +255,8 @@ class MixturePriorModel:
     with a_k = s_k^2 + sigma^2 and k_k = s_k^2 / a_k. vjp/jvp include the
     responsibility derivatives (r_k depends on x directly and on c through
     every m_k). Responsibilities are formed in log-space so large ||x|| cannot
-    overflow.
+    overflow. Every method computes on a (B, D) batch; a single vector is a
+    batch of one, returned unbatched.
     """
 
     weights: np.ndarray
@@ -217,58 +290,66 @@ class MixturePriorModel:
         return self.Ws.shape[1]
 
     def mode_means(self, c: Embedding) -> np.ndarray:
-        return self.Ws @ c.flat() + self.bs  # (K, D)
+        return _matvec(self.Ws, c.flat()) + self.bs  # (K, D) or (B, K, D)
 
-    def _parts(self, x: np.ndarray, c: Embedding, sigma: float):
-        """Shared intermediates: means, variances, responsibilities."""
-        x = _check_coords(x, self.D)
+    def parts(self, x: np.ndarray, c: Embedding, sigma: float):
+        """Intermediates that denoise and the vjps/jvp share at (x, c, sigma):
+        means, variances, shrinkages, offsets, responsibilities and per-mode
+        posterior means, each with a leading batch axis."""
+        x, _ = _rows(x, self.D)
         m = self.mode_means(c)
         a = self.stds**2 + sigma**2  # (K,)
         kk = self.stds**2 / a
-        diff = x[None, :] - m  # (K, D)
-        q = np.einsum("kd,kd->k", diff, diff)
+        diff = x[:, None, :] - m  # (B, K, D)
+        q = np.einsum("bkd,bkd->bk", diff, diff)
         log_r = np.log(self.weights) - 0.5 * self.D * np.log(2 * np.pi * a) - q / (2 * a)
-        log_r -= log_r.max()
+        log_r -= log_r.max(axis=1, keepdims=True)
         r = np.exp(log_r)
-        r /= r.sum()
-        h = m + kk[:, None] * diff  # per-mode posterior means (K, D)
+        r /= r.sum(axis=1, keepdims=True)
+        h = m + kk[:, None] * diff  # per-mode posterior means (B, K, D)
         return m, a, kk, diff, r, h
 
     def responsibilities(self, x, c: Embedding, sigma: float) -> np.ndarray:
-        return self._parts(x, c, sigma)[4]
+        r = self.parts(x, c, sigma)[4]
+        return r if np.ndim(x) == 2 else r[0]
 
-    def denoise(self, x: np.ndarray, c: Embedding, sigma: float) -> np.ndarray:
-        _, _, _, _, r, h = self._parts(x, c, sigma)
-        return r @ h
+    def denoise(self, x: np.ndarray, c: Embedding, sigma: float, parts=None) -> np.ndarray:
+        _, _, _, _, r, h = parts or self.parts(x, c, sigma)
+        out = _vecmat(r, h)
+        return out if np.ndim(x) == 2 else out[0]
 
-    def vjp_x(self, x, c: Embedding, sigma: float, v: np.ndarray) -> np.ndarray:
-        v = _check_coords(v, self.D)
-        _, a, kk, diff, r, h = self._parts(x, c, sigma)
+    def vjp_x(self, x, c: Embedding, sigma: float, v: np.ndarray, parts=None) -> np.ndarray:
+        v, single = _rows(v, self.D)
+        _, a, kk, diff, r, h = parts or self.parts(x, c, sigma)
         # d log N_k / dx = -(x - m_k)/a_k
-        u = -diff / a[:, None]  # (K, D)
-        ubar = r @ u
-        hv = h @ v  # (K,)
-        return (r @ kk) * v + ((hv * r) @ (u - ubar[None, :]))
+        u = -diff / a[:, None]  # (B, K, D)
+        ubar = _vecmat(r, u)
+        hv = np.matmul(h, v[:, :, None])[..., 0]  # (B, K)
+        out = np.vecdot(r, kk)[:, None] * v + _vecmat(hv * r, u - ubar[:, None, :])
+        return out[0] if single else out
 
-    def vjp_c(self, x, c: Embedding, sigma: float, v: np.ndarray) -> Embedding:
-        v = _check_coords(v, self.D)
-        _, a, kk, diff, r, h = self._parts(x, c, sigma)
+    def vjp_c(self, x, c: Embedding, sigma: float, v: np.ndarray, parts=None) -> Embedding:
+        v, single = _rows(v, self.D)
+        _, a, kk, diff, r, h = parts or self.parts(x, c, sigma)
         # d log N_k / dc = W_k^T (x - m_k)/a_k
-        wk = np.einsum("kdp,kd->kp", self.Ws, diff / a[:, None])  # (K, d)
-        wbar = r @ wk
-        hv = h @ v
-        direct = np.einsum("k,kdp,d->p", r * (1.0 - kk), self.Ws, v)
-        resp = (hv * r) @ (wk - wbar[None, :])
-        return c.from_flat(direct + resp)
+        wk = np.einsum("kdp,bkd->bkp", self.Ws, diff / a[:, None])  # (B, K, d)
+        wbar = _vecmat(r, wk)
+        hv = np.matmul(h, v[:, :, None])[..., 0]
+        direct = np.einsum("bk,kdp,bd->bp", r * (1.0 - kk), self.Ws, v)
+        resp = _vecmat(hv * r, wk - wbar[:, None, :])
+        out = direct + resp
+        return c._like(out[0] if single else out)
 
-    def jvp_c(self, x, c: Embedding, sigma: float, u: Embedding) -> np.ndarray:
+    def jvp_c(self, x, c: Embedding, sigma: float, u: Embedding, parts=None) -> np.ndarray:
         uf = u.flat()
-        _, a, kk, diff, r, h = self._parts(x, c, sigma)
-        wk = np.einsum("kdp,kd->kp", self.Ws, diff / a[:, None])
-        wbar = r @ wk
-        direct = np.einsum("k,kdp,p->d", r * (1.0 - kk), self.Ws, uf)
-        resp = ((wk - wbar[None, :]) @ uf * r) @ h
-        return direct + resp
+        _, a, kk, diff, r, h = parts or self.parts(x, c, sigma)
+        uf = np.broadcast_to(uf, (r.shape[0], uf.shape[-1]))
+        wk = np.einsum("kdp,bkd->bkp", self.Ws, diff / a[:, None])
+        wbar = _vecmat(r, wk)
+        direct = np.einsum("bk,kdp,bp->bd", r * (1.0 - kk), self.Ws, uf)
+        resp = _vecmat(np.matmul(wk - wbar[:, None, :], uf[:, :, None])[..., 0] * r, h)
+        out = direct + resp
+        return out if np.ndim(x) == 2 else out[0]
 
     def sample_prior(self, c: Embedding, rng: np.random.Generator) -> np.ndarray:
         k = rng.choice(self.K, p=self.weights)

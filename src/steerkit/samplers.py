@@ -11,9 +11,11 @@ eta_t * (xhat - x_t):
   mode reduces exactly (bit-for-bit) to the deterministic sampler.
 
 The one integration loop over a schedule is steering.run_steered; its
-method "none" is the unguided sampler. The per-step trajectory log records
-noise level, surrogate reward (when a reward is attached), gradient norms and
-embedding drift.
+method "none" is the unguided sampler. It integrates a (B, D) batch with one
+generator per row, so every noise draw here comes from the row's own
+generator. The per-step trajectory log records noise level, surrogate reward
+(when a reward is attached), gradient norms and embedding drift, plus the
+trajectory's function evaluations by kind.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ import numpy as np
 from .schedules import step_fraction
 
 __all__ = [
+    "NFE_KINDS",
     "Af3SamplerParams",
     "TrajectoryRecord",
     "euler_step",
     "af3_noise_inflate",
+    "standard_normal_rows",
 ]
 
 
@@ -60,9 +64,16 @@ class Af3SamplerParams:
         }
 
 
+NFE_KINDS = ("denoise", "vjp_x", "vjp_c", "reward_value_and_grad", "reward_value")
+
+
 @dataclass
 class TrajectoryRecord:
-    """Per-step log, ordered by decreasing t (sampling order)."""
+    """Per-step log of one trajectory, ordered by decreasing t (sampling order).
+
+    nfe counts the trajectory's function evaluations by kind (NFE_KINDS):
+    denoiser calls, vjp products and reward calls, one per row and call.
+    """
 
     steps: list = field(default_factory=list)
     sigmas: list = field(default_factory=list)
@@ -70,16 +81,7 @@ class TrajectoryRecord:
     grad_norms: list = field(default_factory=list)
     embed_drifts: list = field(default_factory=list)
     skip_counts: dict = field(default_factory=dict)
-
-    def log(self, t, sigma, F=None, grad_norm=0.0, embed_drift=0.0):
-        self.steps.append(int(t))
-        self.sigmas.append(float(sigma))
-        self.F.append(None if F is None else float(F))
-        self.grad_norms.append(float(grad_norm))
-        self.embed_drifts.append(float(embed_drift))
-
-    def bump_skip(self, name: str):
-        self.skip_counts[name] = self.skip_counts.get(name, 0) + 1
+    nfe: dict = field(default_factory=lambda: dict.fromkeys(NFE_KINDS, 0))
 
     @property
     def F_values(self) -> np.ndarray:
@@ -107,23 +109,34 @@ def euler_step(
     return x_t + eta * (x_hat - x_t)
 
 
+def standard_normal_rows(rng, shape) -> np.ndarray:
+    """Standard normals of `shape` from one generator, or for a (B, D) shape
+    from a sequence of B generators, row b drawn by generator b."""
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal(shape)
+    if len(shape) != 2 or len(rng) != shape[0]:
+        raise ValueError("need one generator per row of a (B, D) shape")
+    return np.stack([g.standard_normal(shape[1]) for g in rng])
+
+
 def af3_noise_inflate(
     x_t: np.ndarray,
     sigma_t: float,
     params: Af3SamplerParams,
-    rng: np.random.Generator,
+    rng,
 ):
     """Inject noise and inflate the working level: sigma -> (gamma + 1) sigma.
 
     The injected std rho * sqrt((gamma+1)^2 - 1) * sigma_t tops the marginal
     variance up to approximately the inflated level when rho is near 1. The
     caller applies the gate (sigma_{t-1} > gamma_min); gamma = 0 injects
-    nothing and leaves the rng untouched.
+    nothing and leaves the rng untouched. For a (B, D) batch, rng holds one
+    generator per row.
     """
     g = params.gamma
     if g == 0.0:
         return x_t, sigma_t
     noise_std = params.rho_noise * np.sqrt((g + 1.0) ** 2 - 1.0) * sigma_t
-    x = x_t + noise_std * rng.standard_normal(np.shape(x_t))
+    x = x_t + noise_std * standard_normal_rows(rng, np.shape(x_t))
     return x, (g + 1.0) * sigma_t
 

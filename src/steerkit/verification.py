@@ -186,9 +186,9 @@ class AscentAudit:
 
 def audit_embedding_ascent(
     model, reward, c_init: Embedding, schedule, config: SteeringConfig,
-    rng: np.random.Generator, tol: float = 1e-9,
+    rng, tol: float = 1e-9,
 ):
-    """Run one embedopt trajectory and audit every update where it is taken.
+    """Run embedopt trajectories and audit every update where it is taken.
 
     An update c_t -> c_{t-1} at (x_t, sigma_t) violates when
     F(x_t, c_{t-1}, sigma_t) < F(x_t, c_t, sigma_t) - tol. Only updates in
@@ -201,33 +201,41 @@ def audit_embedding_ascent(
     a step inside it can still lower F.
     The deterministic sampler re-evaluates the denoiser at (x_t, c_{t-1},
     sigma_t) for its coordinate step, so the audit only adds a reward
-    evaluation of that output, and only here, never in runs that write
-    artifacts. Returns (SteeringResult, AscentAudit).
+    evaluation of that output for the audited rows, and only here, never in
+    runs that write artifacts. rng is one generator, or one per row of a
+    batch (see run_steered). Returns (SteeringResult, AscentAudit), or for a
+    batch (SteeringResult, one AscentAudit per row).
     """
     if config.method != "embedopt":
         raise ValueError("the ascent audit needs config.method 'embedopt'")
     if config.sampler_mode != "deterministic":
         raise ValueError("the ascent audit needs the deterministic sampler")
-    updates = audited = violations = 0
-    worst = 0.0
+    single = isinstance(rng, np.random.Generator)
+    B = 1 if single else len(rng)
+    audited = np.zeros(B, dtype=int)
+    violations = np.zeros(B, dtype=int)
+    worst = np.zeros(B)
 
     def on_update(x_t, c_t, sigma_t, c_prev, info):
-        nonlocal updates, audited, violations, worst
-        updates += 1
         F = info["F"]
-        gain = 0.0  # <grad_c F, c_{t-1} - c_t>
+        gain = 0.0  # <grad_c F, c_{t-1} - c_t>, summed component by component
         for name, g in info["grad"].components.items():
-            gain += float(g @ (c_prev.components[name] - c_t.components[name]))
-        if gain > -F:
+            gain = gain + np.vecdot(g, c_prev.components[name] - c_t.components[name])
+        rows = np.flatnonzero(~(gain > -F))
+        if rows.size == 0:
             return
-        audited += 1
-        drop = F - reward.value(info["x_hat_step"])  # xhat(x_t, c_{t-1}, sigma_t)
-        if drop > tol:
-            violations += 1
-            worst = max(worst, drop)
+        audited[rows] += 1
+        drop = F[rows] - reward.value(info["x_hat_step"][rows])  # xhat(x_t, c_{t-1}, sigma_t)
+        bad = rows[drop > tol]
+        violations[bad] += 1
+        worst[bad] = np.maximum(worst[bad], drop[drop > tol])
 
     res = run_steered(model, reward, c_init, schedule, config, rng, on_update=on_update)
-    return res, AscentAudit(updates, audited, violations, worst, tol)
+    audits = [
+        AscentAudit(schedule.num_steps, int(audited[b]), int(violations[b]), float(worst[b]), tol)
+        for b in range(B)
+    ]
+    return (res, audits[0]) if single else (res, audits)
 
 
 def taylor_gap_scaling(
@@ -623,24 +631,19 @@ def _monotonicity_rows(n_seeds: int) -> List[CheckResult]:
     reward = task.reward(w=1.0)
     rows = []
     for label, norm_mode in (("rms", "rms_per_component"), ("raw", "none")):
-        updates = audited = viol = 0
-        worst = 0.0
-        logged_total = logged_viol = 0
-        logged_worst = 0.0
         cfg = SteeringConfig(method="embedopt", alpha=0.1, embed_norm_mode=norm_mode)
-        for seed in range(n_seeds):
-            res, audit = audit_embedding_ascent(
-                task.model, reward, task.c_init, schedule, cfg,
-                np.random.default_rng(seed),
-            )
-            updates += audit.updates
-            audited += audit.audited
-            viol += audit.violations
-            worst = max(worst, audit.max_violation_magnitude)
-            rep = check_monotone_surrogate(res.record)
-            logged_total += rep.total_steps
-            logged_viol += rep.violations
-            logged_worst = max(logged_worst, rep.max_violation_magnitude)
+        res, audits = audit_embedding_ascent(
+            task.model, reward, task.c_init, schedule, cfg,
+            [np.random.default_rng(seed) for seed in range(n_seeds)],
+        )
+        updates = sum(a.updates for a in audits)
+        audited = sum(a.audited for a in audits)
+        viol = sum(a.violations for a in audits)
+        worst = max(a.max_violation_magnitude for a in audits)
+        reports = [check_monotone_surrogate(rec) for rec in res.records]
+        logged_total = sum(rep.total_steps for rep in reports)
+        logged_viol = sum(rep.violations for rep in reports)
+        logged_worst = max(rep.max_violation_magnitude for rep in reports)
         frac = viol / audited if audited else 0.0
         logged_frac = logged_viol / logged_total
         rows.append(CheckResult(
@@ -669,18 +672,15 @@ def _distance_ascent_row(n_seeds: int) -> CheckResult:
     """
     task = build_toy_task("distance", seed=0)
     schedule = task.schedule()
-    updates = audited = viol = 0
-    worst = 0.0
     cfg = SteeringConfig(method="embedopt", alpha=0.1, embed_norm_mode="none")
-    for seed in range(n_seeds):
-        _, audit = audit_embedding_ascent(
-            task.model, task.reward, task.c_init, schedule, cfg,
-            np.random.default_rng(seed),
-        )
-        updates += audit.updates
-        audited += audit.audited
-        viol += audit.violations
-        worst = max(worst, audit.max_violation_magnitude)
+    _, audits = audit_embedding_ascent(
+        task.model, task.reward, task.c_init, schedule, cfg,
+        [np.random.default_rng(seed) for seed in range(n_seeds)],
+    )
+    updates = sum(a.updates for a in audits)
+    audited = sum(a.audited for a in audits)
+    viol = sum(a.violations for a in audits)
+    worst = max(a.max_violation_magnitude for a in audits)
     frac = viol / audited if audited else 0.0
     return CheckResult(
         "monotone_surrogate_distance_raw", audited > 0 and frac <= 0.01,

@@ -38,7 +38,7 @@ from steerkit.harness import (
     write_csv,
     write_manifest,
 )
-from steerkit.harness import _pool_size, config_from_dict
+from steerkit.harness import _chunks, _pool_size, config_from_dict
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -361,6 +361,36 @@ def test_fig1_artifacts(tmp_path):
     assert_no_tmp_leftovers(out)
 
 
+def test_fig1_manifest_config_holds_only_keys_it_reads(tmp_path):
+    out = tmp_path / "fig1"
+    cfg = config_from_dict({"experiment": "synthetic_fig1", "out_dir": str(out), "n_seeds": 20})
+    run_from_config(cfg)
+    config = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
+    for key in ("task_kind", "alphas", "methods", "T_values", "dps_norm_mode", "reward_w", "jobs"):
+        assert key not in config
+    assert set(config) == {
+        "experiment", "out_dir", "seeds", "bins", "schedule_T", "schedule_sigma_max",
+    }
+    assert config["seeds"] == list(range(20))
+
+
+@pytest.mark.parametrize(
+    "experiment,fields",
+    [
+        ("lr_sweep", {"task_kind", "task_seed", "alphas", "methods", "dps_norm_mode", "jobs"}),
+        ("step_scaling", {"task_kind", "task_seed", "methods", "T_values", "dps_norm_mode", "jobs"}),
+        ("single_run", {"task_kind", "task_seed", "steering", "reward_w"}),
+        ("verify", set()),
+    ],
+)
+def test_manifest_config_fields_follow_read_keys(experiment, fields):
+    config = config_from_dict({"experiment": experiment, "out_dir": "x"}).to_manifest()
+    common = {"experiment", "out_dir"}
+    if experiment != "verify":
+        common |= {"seeds", "schedule_T", "schedule_sigma_max"}
+    assert set(config) == common | fields
+
+
 def test_fig1_reruns_byte_identical(tmp_path):
     cfg_a = config_from_dict(
         {"experiment": "synthetic_fig1", "out_dir": str(tmp_path / "a"), "n_seeds": 60}
@@ -396,9 +426,26 @@ def test_sweep_row_count_and_baseline_match(tmp_path):
             b = baselines[r["seed"]]
             assert float(r["task_metric"]) == b["task_metric"]
             assert float(r["final_reward"]) == b["final_reward"]
-    # runtimes live in the manifest only
-    assert "runtime" not in header
-    assert len(manifest["row_runtimes_s"]) == 8 + 2
+    # runtimes and NFE counts live in the manifest only: one runtime per
+    # batch (one per method plus the baselines), NFE counts per row
+    assert "runtime" not in header and "nfe" not in header
+    batches = manifest["batch_runtimes_s"]
+    assert [(b["method"], b["T"], b["rows"]) for b in batches] == [
+        ("embedopt", 40, 4), ("dps", 40, 4), ("unguided", 40, 2),
+    ]
+    assert all(b["runtime_s"] > 0.0 for b in batches)
+    nfe = manifest["row_nfe"]
+    assert len(nfe) == 8 + 2
+    by_method = {r["method"]: r["nfe"] for r in nfe}
+    assert by_method["embedopt"] == {
+        "denoise": 80, "vjp_x": 0, "vjp_c": 40, "reward_value_and_grad": 40, "reward_value": 0,
+    }
+    assert by_method["dps"] == {
+        "denoise": 40, "vjp_x": 40, "vjp_c": 0, "reward_value_and_grad": 40, "reward_value": 0,
+    }
+    assert by_method["unguided"] == {
+        "denoise": 40, "vjp_x": 0, "vjp_c": 0, "reward_value_and_grad": 0, "reward_value": 0,
+    }
     assert_no_tmp_leftovers(out)
 
 
@@ -431,6 +478,16 @@ def test_sweep_parallel_rows_byte_identical(tmp_path):
         assert (tmp_path / "serial" / name).read_bytes() == (
             tmp_path / "parallel" / name
         ).read_bytes()
+
+
+def test_pool_chunks_are_contiguous_and_cover_the_batch():
+    desc = {"method": "dps", "T": 20, "alphas": [0.1, 0.2, 0.3, 0.4, 0.5], "seeds": [7, 1, 2, 3, 4]}
+    chunks = _chunks(desc, 2)
+    assert [c["seeds"] for c in chunks] == [[7, 1, 2], [3, 4]]
+    assert [c["alphas"] for c in chunks] == [[0.1, 0.2, 0.3], [0.4, 0.5]]
+    assert all(c["method"] == "dps" and c["T"] == 20 for c in chunks)
+    assert [c["seeds"] for c in _chunks(desc, 8)] == [[7], [1], [2], [3], [4]]
+    assert _chunks(desc, 1) == [desc]
 
 
 def test_sweep_map_task_leaves_violations_empty(tmp_path):
@@ -504,8 +561,33 @@ def test_single_run_synthetic_trajectory(tmp_path):
     assert steps == list(range(50, 0, -1))
     run_info = manifest["runs"]["0"]
     assert run_info["embedding_drift"] > 0.0
+    assert run_info["nfe"] == {
+        "denoise": 100, "vjp_x": 0, "vjp_c": 50, "reward_value_and_grad": 50, "reward_value": 0,
+    }
+    [batch] = manifest["batch_runtimes_s"]
+    assert (batch["method"], batch["T"], batch["rows"]) == ("embedopt", 50, 1)
     assert manifest["steering"]["method"] == "embedopt"
     assert manifest["schedule"]["T"] == 50
+
+
+def test_single_run_seeds_run_as_one_batch_matching_separate_runs(tmp_path):
+    payload = {
+        "experiment": "single_run",
+        "task": {"kind": "distance", "seed": 2},
+        "schedule": {"T": 30},
+        "steering": {"method": "dps", "alpha": 0.3, "dps_norm_mode": "l2_matched"},
+    }
+    together = run_from_config(config_from_dict(
+        dict(payload, out_dir=str(tmp_path / "all"), seeds=[5, 1, 3])
+    ))
+    assert together["batch_runtimes_s"][0]["rows"] == 3
+    for seed in (5, 1, 3):
+        alone = run_from_config(config_from_dict(
+            dict(payload, out_dir=str(tmp_path / f"s{seed}"), seeds=[seed])
+        ))
+        name = f"trajectory_seed{seed}.csv"
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / f"s{seed}" / name).read_bytes()
+        assert together["runs"][str(seed)] == alone["runs"][str(seed)]
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from steerkit import (
     Embedding,
     GaussianPriorModel,
     MixturePriorModel,
+    NonFiniteStateError,
     fd_gradient,
     make_gaussian_model,
     make_mixture_model,
@@ -38,6 +39,11 @@ def random_embedding_like(c: Embedding, rng) -> Embedding:
 
 def probe_sigma(rng) -> float:
     return float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
+
+
+def stack(rows):
+    """One embedding batch whose row b is rows[b]."""
+    return rows[0].from_flat(np.stack([r.flat() for r in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +82,41 @@ def test_embedding_preserves_component_order():
     c = Embedding({"z": [1.0], "a": [2.0]})
     assert c.names == ["z", "a"]
     np.testing.assert_array_equal(c.flat(), [1.0, 2.0])
+
+
+def test_embedding_components_are_read_only_views_of_one_buffer():
+    c = Embedding({"a": [1.0, 2.0], "b": [3.0]})
+    assert np.shares_memory(c.components["a"], c.flat())
+    assert np.shares_memory(c.components["b"], c.flat())
+    with pytest.raises(ValueError):
+        c.flat()[0] = 9.0
+    source = np.array([4.0, 5.0, 6.0])
+    back = c.from_flat(source)
+    source[0] = -1.0  # from_flat copies its input
+    assert back.components["a"][0] == 4.0
+
+
+def test_embedding_batch_rows():
+    rows = [Embedding({"a": [1.0, 2.0], "b": [3.0]}), Embedding({"a": [4.0, 5.0], "b": [6.0]})]
+    batch = stack(rows)
+    assert batch.batch == 2 and rows[0].batch is None
+    np.testing.assert_array_equal(batch.components["b"], [[3.0], [6.0]])
+    np.testing.assert_array_equal(batch.row(1).flat(), rows[1].flat())
+    moved = rows[0].add(rows[1], np.array([1.0, 0.5]))  # one scale per row
+    np.testing.assert_array_equal(moved.flat(), [[5.0, 7.0, 9.0], [3.0, 4.5, 6.0]])
+    assert list(batch.norm()) == [rows[0].norm(), rows[1].norm()]
+    assert batch.norm()[1] == float(np.linalg.norm([4.0, 5.0, 6.0]))
+    np.testing.assert_array_equal(rows[0].broadcast(3).flat(), [[1.0, 2.0, 3.0]] * 3)
+    with pytest.raises(ValueError):
+        rows[0].from_flat(np.zeros((2, 4)))
+
+
+def test_embedding_finiteness_check_names_the_bad_component():
+    with pytest.raises(NonFiniteStateError, match="'b'"):
+        Embedding({"a": [1.0], "b": [0.0, np.inf]})
+    c = Embedding({"a": [1.0], "b": [0.0, 1.0]})
+    with pytest.raises(NonFiniteStateError, match="'a'"):
+        c.from_flat([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +166,35 @@ def test_coordinate_shape_checked():
     model, c = gaussian_fixture(0)
     with pytest.raises(ValueError):
         model.denoise(np.zeros(5), c, 1.0)
+
+
+@pytest.mark.parametrize("make_fixture", [gaussian_fixture, mixture_fixture],
+                         ids=["gaussian", "mixture"])
+def test_batched_products_equal_each_row_alone(make_fixture):
+    """Every product on a (B, D) batch returns, row by row, exactly what the
+    row gives alone, with one shared embedding or one embedding per row, and
+    with the intermediates from `parts` passed in or recomputed."""
+    model, c = make_fixture(seed=42)
+    rng = np.random.default_rng(9)
+    X = 2.0 * rng.standard_normal((5, model.D))
+    V = rng.standard_normal((5, model.D))
+    rows_c = [random_embedding_like(c, rng) for _ in range(5)]
+    u = random_embedding_like(c, rng)
+    sigma = 0.7
+    for emb, row_emb in ((c, lambda b: c), (stack(rows_c), lambda b: rows_c[b])):
+        parts = model.parts(X, emb, sigma)
+        for p in (None, parts):
+            den = model.denoise(X, emb, sigma, p)
+            vx = model.vjp_x(X, emb, sigma, V, p)
+            vc = model.vjp_c(X, emb, sigma, V, p)
+            jc = model.jvp_c(X, emb, sigma, u, p)
+            assert vc.batch == 5
+            for b in range(5):
+                cb = row_emb(b)
+                assert np.array_equal(den[b], model.denoise(X[b], cb, sigma))
+                assert np.array_equal(vx[b], model.vjp_x(X[b], cb, sigma, V[b]))
+                assert np.array_equal(vc.row(b).flat(), model.vjp_c(X[b], cb, sigma, V[b]).flat())
+                assert np.array_equal(jc[b], model.jvp_c(X[b], cb, sigma, u))
 
 
 # ---------------------------------------------------------------------------

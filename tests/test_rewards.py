@@ -185,6 +185,59 @@ def test_distance_reward_bounded(seed):
     assert 0 <= r.count_satisfied(x) <= r.K
 
 
+def _loop_value_and_grad(reward, x):
+    """The per-pair loop that DistanceConstraintReward.value_and_grad replaced,
+    frozen here as the bit-identity oracle for the vectorised form."""
+    pts = np.asarray(x, dtype=np.float64).reshape(-1, 3)
+    grad = np.zeros_like(pts)
+    val = 0.0
+    for (i, j), target in zip(reward.pairs, reward.targets):
+        bond = pts[i] - pts[j]
+        d = float(np.linalg.norm(bond))
+        dev = d - target
+        clipped = min(abs(dev), reward.delta)
+        val -= clipped**2
+        if abs(dev) >= reward.delta or d == 0.0:
+            continue
+        g_d = -2.0 * dev
+        unit = bond / d
+        grad[i] += g_d * unit
+        grad[j] -= g_d * unit
+    return val, grad.ravel()
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_distance_reward_bit_identical_to_pair_loop_on_tasks(seed):
+    task = build_toy_task("distance", seed=seed)
+    reward = task.reward
+    rng = np.random.default_rng(100 + seed)
+    for scale in (0.1, 0.3, 1.0, 3.0, 10.0):
+        X = task.target_state + scale * rng.standard_normal((12, task.target_state.size))
+        values, grads = reward.value_and_grad(X)
+        for x, batch_val, batch_grad in zip(X, values, grads):
+            want_val, want_grad = _loop_value_and_grad(reward, x)
+            val, grad = reward.value_and_grad(x)
+            assert val == want_val and batch_val == want_val
+            assert np.array_equal(grad, want_grad) and np.array_equal(batch_grad, want_grad)
+            assert reward.value(x) == reward.value(x[None, :])[0]
+
+
+def test_distance_reward_batch_shapes_and_shared_beads():
+    # bead 1 sits in three pairs, so its gradient sums terms in pair order
+    reward = DistanceConstraintReward(
+        pairs=((0, 1), (1, 2), (3, 1)), targets=[1.0, 2.0, 1.5], delta=2.0,
+    )
+    X = np.random.default_rng(3).standard_normal((5, 12))
+    values, grads = reward.value_and_grad(X)
+    assert values.shape == (5,) and grads.shape == (5, 12)
+    assert reward.count_satisfied(X).shape == (5,)
+    for x, v, g in zip(X, values, grads):
+        want_val, want_grad = _loop_value_and_grad(reward, x)
+        assert v == want_val and np.array_equal(g, want_grad)
+        assert reward.count_satisfied(x) == int(np.sum(
+            np.abs(reward.distances(x) - reward.targets) <= reward.delta))
+
+
 # ---------------------------------------------------------------------------
 # map rendering and map reward
 

@@ -77,13 +77,13 @@ def test_af3_params_validation():
 
 
 def test_trajectory_record_logging():
-    rec = TrajectoryRecord()
-    rec.log(3, 1.5, F=-2.0, grad_norm=0.1)
-    rec.log(2, 1.0, F=None)
-    rec.bump_skip("embed:u")
-    rec.bump_skip("embed:u")
-    assert rec.steps == [3, 2]
-    assert rec.skip_counts == {"embed:u": 2}
+    rec = TrajectoryRecord(
+        steps=[3, 2], sigmas=[1.5, 1.0], F=[-2.0, None], grad_norms=[0.1, 0.0],
+        embed_drifts=[0.0, 0.0], skip_counts={"embed:u": 2},
+    )
+    assert rec.nfe == {
+        "denoise": 0, "vjp_x": 0, "vjp_c": 0, "reward_value_and_grad": 0, "reward_value": 0,
+    }
     rows = list(rec.csv_rows())
     assert rows[0] == (3, 1.5, -2.0, 0.1, 0.0)
     assert rows[1][2] == ""  # missing F renders as an empty cell
@@ -92,9 +92,7 @@ def test_trajectory_record_logging():
 
 
 def test_trajectory_record_f_values_when_complete():
-    rec = TrajectoryRecord()
-    for t, f in ((2, -3.0), (1, -1.0)):
-        rec.log(t, float(t), F=f)
+    rec = TrajectoryRecord(steps=[2, 1], sigmas=[2.0, 1.0], F=[-3.0, -1.0])
     np.testing.assert_array_equal(rec.F_values, [-3.0, -1.0])
 
 

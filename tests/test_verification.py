@@ -95,14 +95,10 @@ def test_monotone_check_respects_tolerance():
 
 
 def test_monotone_check_accepts_trajectory_record():
-    rec = TrajectoryRecord()
-    for t, f in ((3, -5.0), (2, -4.0), (1, -4.5)):
-        rec.log(t, float(t), F=f)
+    rec = TrajectoryRecord(steps=[3, 2, 1], sigmas=[3.0, 2.0, 1.0], F=[-5.0, -4.0, -4.5])
     report = check_monotone_surrogate(rec)
     assert report.violations == 1
-    missing = TrajectoryRecord()
-    missing.log(1, 1.0, F=None)
-    missing.log(0, 0.5, F=-1.0)
+    missing = TrajectoryRecord(steps=[1, 0], sigmas=[1.0, 0.5], F=[None, -1.0])
     with pytest.raises(ValueError):
         check_monotone_surrogate(missing)
 
