@@ -23,6 +23,7 @@ import pytest
 from steerkit.harness import (
     FIG1_EXTRA_PANEL_SPECS,
     config_from_dict,
+    fig1_noise,
     fig1_panel_samples,
     run_lr_sweep,
     run_step_scaling,
@@ -63,9 +64,10 @@ def _read_rows(path):
 @pytest.fixture(scope="module")
 def fig1():
     """Endpoint samples for every histogram panel and every extra endpoint,
-    2000 seeds each."""
+    2000 seeds each, all from the same x_T draws."""
     panels = FIG1_PANELS + tuple(FIG1_EXTRA_PANEL_SPECS)
-    return {p: fig1_panel_samples(p, range(N_SAMPLES)) for p in panels}
+    z = fig1_noise(range(N_SAMPLES))
+    return {p: fig1_panel_samples(p, z) for p in panels}
 
 
 @pytest.fixture(scope="module")

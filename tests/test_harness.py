@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steerkit import NonFiniteStateError
+from steerkit import NonFiniteStateError, SteeringConfig, build_synthetic_task, run_steered
 from steerkit.cli import main as cli_main
 from steerkit.harness import (
     EXIT_IO,
@@ -28,9 +28,10 @@ from steerkit.harness import (
     ConfigValidationError,
     ExperimentConfig,
     FIG1_CSV_PANELS,
+    FIG1_EXTRA_PANEL_SPECS,
     FIG1_PANEL_SPECS,
     atomic_write_text,
-    fig1_engine_endpoint,
+    fig1_noise,
     fig1_panel_samples,
     load_config,
     run_from_config,
@@ -336,9 +337,24 @@ def test_cli_run_and_overrides(tmp_path, capsys):
 )
 @pytest.mark.parametrize("seed", [0, 7])
 def test_fig1_fast_path_matches_engine(panel, seed):
-    batched = fig1_panel_samples(panel, [seed], T=150)
+    batched = fig1_panel_samples(panel, fig1_noise([seed]), T=150)
     single = fig1_engine_endpoint(panel, seed, T=150)
     assert batched[0] == single  # bit-identical, not just close
+
+
+def fig1_engine_endpoint(panel: str, seed: int, T: int) -> float:
+    """Reference endpoint from the generic engine (one trajectory)."""
+    spec = {**FIG1_PANEL_SPECS, **FIG1_EXTRA_PANEL_SPECS}[panel]
+    task = build_synthetic_task()
+    config = SteeringConfig(
+        method=spec["method"], alpha=spec["alpha"],
+        dps_norm_mode=spec.get("norm", "sigma2w"),
+    )
+    res = run_steered(
+        task.model, task.reward(w=spec["w"]), task.c_init, task.schedule(T=T),
+        config, np.random.default_rng(seed),
+    )
+    return float(res.x0[0])
 
 
 def test_fig1_artifacts(tmp_path):
@@ -359,6 +375,19 @@ def test_fig1_artifacts(tmp_path):
     assert on_disk["panels"]["unguided"]["reference_mean"] == 5.0
     assert manifest["panels"]["dps_w100"]["n_samples"] == 80
     assert_no_tmp_leftovers(out)
+
+
+def test_fig1_manifest_phases_are_finite_and_within_wall_time(tmp_path):
+    out = tmp_path / "fig1"
+    cfg = config_from_dict({"experiment": "synthetic_fig1", "out_dir": str(out), "n_seeds": 50})
+    run_from_config(cfg)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    phases = manifest["phases_s"]
+    assert set(phases) == {"draw_x_T", "integrate"}
+    assert set(phases["integrate"]) == set(FIG1_PANEL_SPECS)
+    times = [phases["draw_x_T"], *phases["integrate"].values()]
+    assert all(math.isfinite(t) and t >= 0.0 for t in times)
+    assert sum(times) <= manifest["wall_time_s"]
 
 
 def test_fig1_manifest_config_holds_only_keys_it_reads(tmp_path):
