@@ -36,7 +36,6 @@ from .samplers import (
 from .schedules import (
     NoiseSchedule,
     build_linear_schedule,
-    build_power_schedule,
     step_fraction,
 )
 from .steering import (
@@ -90,7 +89,6 @@ __all__ = [
     "euler_step",
     "NoiseSchedule",
     "build_linear_schedule",
-    "build_power_schedule",
     "step_fraction",
     "SteeringConfig",
     "SteeringResult",

@@ -414,15 +414,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigValidationError("every T must be at least 2")
 
     schedule = _optional(raw, "schedule", dict, {})
-    if set(schedule) - {"kind", "T", "sigma_max"}:
+    if set(schedule) - {"T", "sigma_max"}:
         raise ConfigValidationError(
-            f"unknown schedule keys: {sorted(set(schedule) - {'kind', 'T', 'sigma_max'})}"
+            f"unknown schedule keys: {sorted(set(schedule) - {'T', 'sigma_max'})}"
         )
     if experiment == "step_scaling" and "T" in schedule:
         raise ConfigValidationError("step_scaling takes its step counts from T_values")
-    sched_kind = _optional(schedule, "kind", str, "linear")
-    if sched_kind != "linear":
-        raise ConfigValidationError("config schedules support kind 'linear' only")
     schedule_T = _optional(schedule, "T", int, None)
     if schedule_T is not None and schedule_T < 1:
         raise ConfigValidationError("schedule T must be positive")

@@ -16,11 +16,13 @@ d_a[i, b] = axis_a[i] - p_b[a], one (n_a, n_beads) table per grid axis,
 rather than from an (n_voxels, n_beads, 3) difference tensor, where numpy's
 per-element overhead on the length-3 inner axis cost more than the
 arithmetic. The rendered maps are bit-identical to `render_map_raw`, which
-keeps the brute-force form as the oracle. That pins two summation orders:
-squared distances are summed as (x^2 + y^2) + z^2, and each gradient entry
-sums its voxel terms in ascending voxel order. Factorising the splat into
-per-axis Gaussians gx*gy*gz, or contracting the gradient with a BLAS
-product, rounds differently and would change every map-task CSV.
+keeps the brute-force form as the oracle. That pins three summation orders:
+squared distances are summed as (x^2 + y^2) + z^2, each voxel's bead sum
+follows numpy's pairwise order (`_bead_sum`), and each gradient entry sums
+its voxel terms in ascending voxel order. Factorising the splat into per-axis
+Gaussians gx*gy*gz, or a BLAS contraction, rounds differently and would
+change every map-task CSV. The exponentials and the gradient weights reuse
+the splat's buffer, so a call allocates one splat-sized array, not five.
 
 All gradients are exact, including the chain through map normalization, and
 are checked against central finite differences in the verification suite.
@@ -213,27 +215,57 @@ def _splat(x: np.ndarray, grid: MapGrid, atom_width: float):
     (n_a, n_beads).
     The squared distance is broadcast as (x^2 + y^2) + z^2, the order in which
     the brute-force form reduces its length-3 axis; x^2 + (y^2 + z^2) rounds
-    differently.
+    differently. Negation, division and exp run in the brute-force order, in
+    place: each would otherwise allocate another splat-sized array.
     """
     pts = np.asarray(x, dtype=np.float64).reshape(-1, 3)
     offsets = [axis[:, None] - pts[None, :, a] for a, axis in enumerate(grid.axes())]
     sx, sy, sz = (d * d for d in offsets)
     d2 = (sx[:, None, None, :] + sy[None, :, None, :]) + sz[None, None, :, :]
-    splat = np.exp(-d2.reshape(grid.n_voxels, -1) / (2.0 * atom_width**2))
+    splat = np.negative(d2, out=d2).reshape(grid.n_voxels, -1)
+    splat /= 2.0 * atom_width**2
+    np.exp(splat, out=splat)
     return splat, offsets
+
+
+def _bead_sum(splat: np.ndarray) -> np.ndarray:
+    """`splat.sum(axis=1)`, bit for bit, as whole-column adds.
+
+    numpy sums each row pairwise: under 8 terms in sequence; up to 128 in
+    eight running accumulators, ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    rest in sequence; more split at a multiple of 8 near the middle. Its +0.0
+    start shows only in a -0.0 total, and splats are never negative.
+    """
+    n = splat.shape[1]
+    if n > 128:
+        n2 = n // 2 - (n // 2) % 8
+        return _bead_sum(splat[:, :n2]) + _bead_sum(splat[:, n2:])
+    if n < 8:
+        total, rest = splat[:, 0].copy(), 1
+    else:
+        r = [splat[:, j] for j in range(8)]
+        for i in range(8, n - n % 8, 8):
+            r = [acc + splat[:, i + j] for j, acc in enumerate(r)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = n - n % 8
+    for j in range(rest, n):
+        total += splat[:, j]
+    return total
 
 
 def _render_raw(x: np.ndarray, grid: MapGrid, atom_width: float) -> np.ndarray:
     """`render_map_raw` from the per-axis kernel, bit for bit."""
-    return _splat(x, grid, atom_width)[0].sum(axis=1)
+    return _bead_sum(_splat(x, grid, atom_width)[0])
 
 
 def _normalize_map(v_raw: np.ndarray):
-    mu = v_raw.mean()
-    sd = v_raw.std()
+    """(v_raw - mean) / std and std, in the operations `ndarray.mean`/`std` do."""
+    dv = v_raw - v_raw.sum() / v_raw.size
+    sd = np.sqrt((dv * dv).sum() / v_raw.size)
     if sd < 1e-300 or not np.isfinite(sd):
         raise DegenerateMapError("rendered map has zero variance")
-    return (v_raw - mu) / sd, mu, sd
+    dv /= sd
+    return dv, sd
 
 
 def render_map(x: np.ndarray, grid: MapGrid, atom_width: float) -> np.ndarray:
@@ -263,12 +295,13 @@ class MapMSEReward:
     already be zero-mean unit-variance on the same grid. R lies in [-4, 0]
     and is 0 exactly when the rendered map equals the target.
 
-    Every method renders through the per-axis kernel `_splat`, so `value`,
+    Every method renders through `_splat` and `_bead_sum`, so `value`,
     `correlation` and `from_state` return exactly what their
     `render_map_raw` forms return. The gradient weights splat[m, b] by
-    g_vraw[m], multiplies by each axis's offset table broadcast over the
-    grid, and sums over voxels in ascending order with `np.einsum` (no BLAS
-    call, whose blocking would reorder the sum).
+    g_vraw[m] in the splat's buffer (the map is summed by then), multiplies
+    by each axis's offset table broadcast over the grid, and sums over voxels
+    in ascending order with `np.einsum` (no BLAS call, whose blocking would
+    reorder the sum).
     """
 
     grid: MapGrid
@@ -310,8 +343,7 @@ class MapMSEReward:
 
     def _value_and_grad(self, x: np.ndarray):
         splat, offsets = _splat(x, self.grid, self.atom_width)
-        v_raw = splat.sum(axis=1)
-        v, _, sd = _normalize_map(v_raw)
+        v, sd = _normalize_map(_bead_sum(splat))
         M = v.size
         cc = float(v @ self.v_obs) / M
         val = 2.0 * (cc - 1.0)
@@ -320,7 +352,7 @@ class MapMSEReward:
         g_vraw = 2.0 * (self.v_obs - cc * v) / (M * sd)
         # chain through the splats: dV_raw[m]/d pts[b] = splat[m,b] * (c_m - p_b)/aw^2
         # per bead and axis, summed over voxels in ascending order
-        w = (g_vraw[:, None] * splat).reshape(*self.grid.shape, -1)
+        w = np.multiply(splat, g_vraw[:, None], out=splat).reshape(*self.grid.shape, -1)
         dx, dy, dz = offsets
         cols = [
             np.einsum("ijkb,ib->b", w, dx),

@@ -1,7 +1,7 @@
 """Discrete noise-level grids and per-step fractions.
 
-A schedule is a strictly increasing grid sigma_0 < sigma_1 < ... < sigma_T
-with sigma_0 = 0 for the linear family, traversed backwards (t = T down to 0)
+A schedule is a strictly increasing grid sigma_0 < sigma_1 < ... < sigma_T,
+with sigma_0 = 0 on the linear grid, traversed backwards (t = T down to 0)
 by every sampler. The per-step fraction eta_t = (sigma_t - sigma_{t-1}) /
 sigma_t is the exact Euler coefficient of the variance-exploding probability
 flow written in terms of the denoiser output:
@@ -20,7 +20,6 @@ from .models import NonFiniteStateError
 __all__ = [
     "NoiseSchedule",
     "build_linear_schedule",
-    "build_power_schedule",
     "step_fraction",
 ]
 
@@ -29,7 +28,6 @@ __all__ = [
 class NoiseSchedule:
     """Immutable noise grid. sigma_values[t] is the level at step index t."""
 
-    kind: str
     sigma_values: np.ndarray
     num_steps: int = field(init=False)
 
@@ -52,7 +50,6 @@ class NoiseSchedule:
 
     def to_manifest(self) -> dict:
         return {
-            "kind": self.kind,
             "T": self.num_steps,
             "sigma_values": self.sigma_values.tolist(),
         }
@@ -66,31 +63,7 @@ def build_linear_schedule(T: int, sigma_max: float) -> NoiseSchedule:
         raise ValueError("sigma_max must be positive")
     sig = sigma_max * np.arange(T + 1, dtype=np.float64) / T
     sig[0] = 0.0
-    return NoiseSchedule(kind="linear", sigma_values=sig)
-
-
-def build_power_schedule(
-    T: int, sigma_min: float, sigma_max: float, rho_exp: float = 7.0
-) -> NoiseSchedule:
-    """Power-law grid: interpolate sigma^(1/rho) endpoints linearly, raise back.
-
-    sigma_1 = sigma_min and sigma_T = sigma_max exactly; sigma_0 = 0 is
-    appended so the final step fully denoises. Needs T >= 2 to pin both
-    endpoints.
-    """
-    if T < 2:
-        raise ValueError("power schedule needs T >= 2 to pin both endpoints")
-    if not (0 < sigma_min < sigma_max):
-        raise ValueError("need 0 < sigma_min < sigma_max")
-    if rho_exp <= 0:
-        raise ValueError("rho_exp must be positive")
-    lo = sigma_min ** (1.0 / rho_exp)
-    hi = sigma_max ** (1.0 / rho_exp)
-    ramp = lo + (hi - lo) * np.arange(T, dtype=np.float64) / (T - 1)
-    sig = np.concatenate([[0.0], ramp**rho_exp])
-    sig[1] = sigma_min
-    sig[-1] = sigma_max
-    return NoiseSchedule(kind="power", sigma_values=sig)
+    return NoiseSchedule(sigma_values=sig)
 
 
 def step_fraction(sigma_t: float, sigma_prev: float) -> float:

@@ -8,6 +8,8 @@ puts the deviation at 5 >= delta: the penalty saturates at -delta^2 = -4 with
 exactly zero gradient.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from steerkit import (
     render_map_raw,
     select_top_k_constraints,
 )
-from steerkit.rewards import _normalize_map
+from steerkit.rewards import _bead_sum
 from steerkit.tasks import build_toy_task
 
 N_PROBES = 20
@@ -304,6 +306,12 @@ def test_map_reward_fd():
     assert worst < 1e-6, f"worst rel err {worst:.3e}"
 
 
+def _frozen_normalize(v_raw):
+    """The map normalisation as first written, with `ndarray.mean` and `std`."""
+    sd = v_raw.std()
+    return (v_raw - v_raw.mean()) / sd, sd
+
+
 def _brute_force_value_and_grad(reward, x):
     """MapMSEReward.value_and_grad from the (M, n_beads, 3) difference tensor.
 
@@ -316,7 +324,7 @@ def _brute_force_value_and_grad(reward, x):
     centers = reward.grid.voxel_centers()
     diff = centers[:, None, :] - pts[None, :, :]
     splat = np.exp(-(diff**2).sum(axis=2) / (2.0 * reward.atom_width**2))
-    v, _, sd = _normalize_map(splat.sum(axis=1))
+    v, sd = _frozen_normalize(splat.sum(axis=1))
     M = v.size
     cc = float(v @ reward.v_obs) / M
     g_vraw = 2.0 * (reward.v_obs - cc * v) / (M * sd)
@@ -327,7 +335,8 @@ def _brute_force_value_and_grad(reward, x):
 
 def _assert_matches_render_map_raw(reward, x):
     v_raw = render_map_raw(x, reward.grid, reward.atom_width)
-    v = render_map(x, reward.grid, reward.atom_width)
+    v = _frozen_normalize(v_raw)[0]
+    assert np.array_equal(render_map(x, reward.grid, reward.atom_width), v)
     assert reward.value(x) == float(-np.mean((v - reward.v_obs) ** 2))
     assert reward.correlation(x) == map_correlation(v_raw, reward.v_obs)
 
@@ -339,7 +348,8 @@ def test_map_reward_bit_identical_to_brute_force_on_tasks(seed):
     assert np.array_equal(
         reward.v_obs, MapMSEReward.from_state(target, reward.grid, reward.atom_width).v_obs
     )
-    assert np.array_equal(reward.v_obs, render_map(target, reward.grid, reward.atom_width))
+    v_raw = render_map_raw(target, reward.grid, reward.atom_width)
+    assert np.array_equal(reward.v_obs, _frozen_normalize(v_raw)[0])
     rng = np.random.default_rng(seed)
     for scale in (0.0, 0.1, 1.0, 3.0):
         for _ in range(1 if scale == 0.0 else 3):
@@ -374,6 +384,36 @@ def test_map_reward_bit_identical_on_uneven_grids(shape, n_beads):
             # sums lie within M * eps * sum|terms| of the exact one
             bound = 2 * grid.n_voxels * np.finfo(np.float64).eps * abs_terms
             assert np.all(np.abs(grad - grad_ref) <= bound)
+
+
+@pytest.mark.parametrize("n_beads", [*range(1, 41), 64, 127, 128, 129, 300])
+def test_bead_sum_matches_numpy_pairwise_sum(n_beads):
+    # numpy's pairwise order changes at 8 and 128 terms and splits above 128
+    rng = np.random.default_rng(n_beads)
+    splat = np.exp(-rng.uniform(0.0, 30.0, size=(20_000, n_beads)))
+    assert np.array_equal(_bead_sum(splat), splat.sum(axis=1))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("seed", [0, 3, 7, 2])
+def test_map_reward_peaks_below_two_splat_buffers(seed, rows):
+    # one task per voxel-count stratum; the splat is reused in place, so a
+    # call holds about one (n_voxels, n_beads) buffer and its bead sum
+    task = build_toy_task("map", seed)
+    reward, target = task.reward, task.target_state
+    rng = np.random.default_rng(seed)
+    x = target + 0.3 * rng.standard_normal((rows, target.size))
+    x = x[0] if rows == 1 else x
+    splat_bytes = reward.grid.n_voxels * (target.size // 3) * 8
+    for call in (reward.value_and_grad, reward.value):
+        call(x)  # warm up
+        tracemalloc.start()
+        try:
+            call(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * splat_bytes, f"{call.__name__}: {peak / splat_bytes:.2f} buffers"
 
 
 def test_map_reward_raises_on_degenerate_rendering():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from steerkit import (
     NoiseSchedule,
     build_linear_schedule,
-    build_power_schedule,
     step_fraction,
 )
 
@@ -22,7 +21,6 @@ def test_linear_schedule_worked_example():
     sched = build_linear_schedule(T=4, sigma_max=2.0)
     np.testing.assert_allclose(sched.sigma_values, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert sched.num_steps == 4
-    assert sched.kind == "linear"
     assert sched.sigma_max == 2.0
 
 
@@ -33,31 +31,12 @@ def test_linear_schedule_endpoints_exact():
     assert len(sched.sigma_values) == 1001
 
 
-def test_power_schedule_pins_endpoints():
-    sched = build_power_schedule(T=50, sigma_min=0.03, sigma_max=80.0, rho_exp=7.0)
-    sig = sched.sigma_values
-    assert sig[0] == 0.0
-    assert sig[1] == 0.03
-    assert sig[-1] == 80.0
-    assert sched.num_steps == 50
-    assert np.all(np.diff(sig) > 0)
-
-
-def test_power_schedule_rho_one_is_linear_ramp():
-    sched = build_power_schedule(T=5, sigma_min=1.0, sigma_max=5.0, rho_exp=1.0)
-    np.testing.assert_allclose(sched.sigma_values, [0, 1, 2, 3, 4, 5], atol=1e-12)
-
-
 @pytest.mark.parametrize(
     "builder, kwargs",
     [
         (build_linear_schedule, dict(T=0, sigma_max=1.0)),
         (build_linear_schedule, dict(T=10, sigma_max=0.0)),
         (build_linear_schedule, dict(T=10, sigma_max=-1.0)),
-        (build_power_schedule, dict(T=1, sigma_min=0.1, sigma_max=1.0)),
-        (build_power_schedule, dict(T=10, sigma_min=0.0, sigma_max=1.0)),
-        (build_power_schedule, dict(T=10, sigma_min=2.0, sigma_max=1.0)),
-        (build_power_schedule, dict(T=10, sigma_min=0.1, sigma_max=1.0, rho_exp=0.0)),
     ],
 )
 def test_builder_rejects_bad_arguments(builder, kwargs):
@@ -78,7 +57,7 @@ def test_builder_rejects_bad_arguments(builder, kwargs):
 )
 def test_schedule_validation(values):
     with pytest.raises(ValueError):
-        NoiseSchedule(kind="linear", sigma_values=np.array(values))
+        NoiseSchedule(sigma_values=np.array(values))
 
 
 def test_step_fraction_worked_examples():
@@ -106,9 +85,8 @@ def test_linear_step_fractions_are_one_over_t():
 def test_manifest_round_trip():
     sched = build_linear_schedule(T=8, sigma_max=3.0)
     info = sched.to_manifest()
-    assert info["kind"] == "linear"
     assert info["T"] == 8
-    rebuilt = NoiseSchedule(kind=info["kind"], sigma_values=np.array(info["sigma_values"]))
+    rebuilt = NoiseSchedule(sigma_values=np.array(info["sigma_values"]))
     np.testing.assert_array_equal(rebuilt.sigma_values, sched.sigma_values)
 
 
@@ -120,18 +98,6 @@ def test_linear_grid_strictly_increasing(T, sigma_max):
     sig = build_linear_schedule(T, sigma_max).sigma_values
     assert sig[0] == 0.0
     assert np.all(np.diff(sig) > 0)
-
-
-@given(
-    T=st.integers(min_value=2, max_value=200),
-    sigma_min=st.floats(min_value=1e-4, max_value=0.5),
-    sigma_max=st.floats(min_value=1.0, max_value=1e3),
-    rho_exp=st.floats(min_value=0.5, max_value=10.0),
-)
-def test_power_grid_strictly_increasing(T, sigma_min, sigma_max, rho_exp):
-    sig = build_power_schedule(T, sigma_min, sigma_max, rho_exp).sigma_values
-    assert np.all(np.diff(sig) > 0)
-    assert sig[1] == sigma_min and sig[-1] == sigma_max
 
 
 @given(
