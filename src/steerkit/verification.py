@@ -43,6 +43,7 @@ from .rewards import (
     GaussianMeasurementReward,
     MapGrid,
     MapMSEReward,
+    _bead_sum,
     map_correlation,
     render_map,
 )
@@ -104,6 +105,15 @@ def rel_error(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     return float(np.linalg.norm(a - b) / max(float(np.linalg.norm(b)), 1e-12))
+
+
+def _nan_max(worst: float, x: float) -> float:
+    """max(worst, x), except that a NaN in either gives NaN.
+
+    Python's max(worst, nan) keeps worst, so a NaN measurement would pass its
+    row; every running worst in the suite goes through here instead.
+    """
+    return x if x != x or x > worst else worst
 
 
 def conjugate_posterior(
@@ -356,20 +366,20 @@ def _model_fd_rows(make_fixture, label: str, n_probes: int, tol: float) -> List[
 
         got = model.vjp_x(x, c, sigma, v)
         want = fd_gradient(lambda z: float(v @ model.denoise(z, c, sigma)), x)
-        worst["vjp_x"] = max(worst["vjp_x"], rel_error(got, want))
+        worst["vjp_x"] = _nan_max(worst["vjp_x"], rel_error(got, want))
 
         got = model.vjp_c(x, c, sigma, v).flat()
         want = fd_gradient(
             lambda z: float(v @ model.denoise(x, c.from_flat(z), sigma)), c.flat()
         )
-        worst["vjp_c"] = max(worst["vjp_c"], rel_error(got, want))
+        worst["vjp_c"] = _nan_max(worst["vjp_c"], rel_error(got, want))
 
         got = model.jvp_c(x, c, sigma, u)
         h = 1e-5 * (1.0 + c.norm())
         want = (
             model.denoise(x, c.add(u, h), sigma) - model.denoise(x, c.add(u, -h), sigma)
         ) / (2.0 * h)
-        worst["jvp_c"] = max(worst["jvp_c"], rel_error(got, want))
+        worst["jvp_c"] = _nan_max(worst["jvp_c"], rel_error(got, want))
     return [
         CheckResult(
             name=f"fd_{label}_{kind}",
@@ -404,7 +414,7 @@ def _reward_fd_rows(n_probes: int, tol: float) -> List[CheckResult]:
         )
         x = 2.0 * rng.standard_normal(D)
         _, got = reward.value_and_grad(x)
-        worst = max(worst, rel_error(got, fd_gradient(lambda z: reward.value(z), x)))
+        worst = _nan_max(worst, rel_error(got, fd_gradient(lambda z: reward.value(z), x)))
     rows.append(CheckResult(
         "fd_reward_gaussian", worst < tol,
         f"max rel err {worst:.3e} over {n_probes} probes (tol {tol:g})",
@@ -419,7 +429,7 @@ def _reward_fd_rows(n_probes: int, tol: float) -> List[CheckResult]:
         reward = DistanceConstraintReward(pairs=pairs, targets=targets, delta=2.0)
         x = _distance_probe(rng, reward, n_beads)
         _, got = reward.value_and_grad(x)
-        worst = max(worst, rel_error(got, fd_gradient(lambda z: reward.value(z), x)))
+        worst = _nan_max(worst, rel_error(got, fd_gradient(lambda z: reward.value(z), x)))
     rows.append(CheckResult(
         "fd_reward_distance", worst < tol,
         f"max rel err {worst:.3e} over {n_probes} probes (tol {tol:g})",
@@ -433,7 +443,7 @@ def _reward_fd_rows(n_probes: int, tol: float) -> List[CheckResult]:
         reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
         x = 1.5 * rng.standard_normal(12)
         _, got = reward.value_and_grad(x)
-        worst = max(worst, rel_error(got, fd_gradient(lambda z: reward.value(z), x)))
+        worst = _nan_max(worst, rel_error(got, fd_gradient(lambda z: reward.value(z), x)))
     rows.append(CheckResult(
         "fd_reward_map", worst < tol,
         f"max rel err {worst:.3e} over {n_probes} probes (tol {tol:g})",
@@ -455,7 +465,7 @@ def _adjoint_rows(n_probes: int) -> List[CheckResult]:
             u = c.from_flat(rng.standard_normal(c.dim))
             lhs = float(v @ model.jvp_c(x, c, sigma, u))
             rhs = float(model.vjp_c(x, c, sigma, v).flat() @ u.flat())
-            worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
+            worst = _nan_max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
         rows.append(CheckResult(
             f"adjoint_identity_{label}", worst < 1e-10,
             f"max scaled mismatch {worst:.3e} over {n_probes} probes (tol 1e-10)",
@@ -473,7 +483,7 @@ def _tweedie_rows(n_probes: int) -> List[CheckResult]:
         sigma = _probe_sigma(rng)
         got = score_from_denoiser(model.denoise(x, c, sigma), x, sigma)
         want = (model.mean(c) - x) / (model.s0**2 + sigma**2)
-        worst_g = max(worst_g, rel_error(got, want))
+        worst_g = _nan_max(worst_g, rel_error(got, want))
 
         mix, cm = _mixture_fixture(seed=2100 + p)
         xm = 2.0 * rng.standard_normal(mix.D)
@@ -482,7 +492,7 @@ def _tweedie_rows(n_probes: int) -> List[CheckResult]:
         a = mix.stds**2 + sigma**2
         r = mix.responsibilities(xm, cm, sigma)
         want = ((m - xm[None, :]) / a[:, None] * r[:, None]).sum(axis=0)
-        worst_m = max(worst_m, rel_error(got, want))
+        worst_m = _nan_max(worst_m, rel_error(got, want))
     return [
         CheckResult("tweedie_gaussian", worst_g < 1e-10,
                     f"max rel err {worst_g:.3e} over {n_probes} probes (tol 1e-10)"),
@@ -538,31 +548,50 @@ def _mixture_is_posterior_mean(
     Weights are the Gaussian likelihood N(x_t; x0, sigma^2 I) up to a
     constant. Returns (estimate, per-coordinate standard errors) using the
     standard self-normalized-IS variance estimate.
+
+    The draws and the arithmetic on them are pinned, so the estimate is the
+    same bits whatever the buffers: chunks of 200,000 draws; in each chunk
+    `rng.choice` of the components before the standard normals; the squared
+    distance summed over coordinates in numpy's pairwise order (`_bead_sum`);
+    and the weighted sums as `w @ x0` BLAS products. The work runs in two
+    (chunk, D) buffers allocated once per call, since the draws themselves
+    are most of the cost and fresh chunk temporaries were most of the rest.
     """
     D = model.D
+    means = model.mode_means(c)
     sw = 0.0
     swx = np.zeros(D)
     sw2 = 0.0
     sw2x = np.zeros(D)
     sw2x2 = np.zeros(D)
+    n = min(chunk, n_draws)
+    x0_buf = np.empty((n, D))
+    tmp_buf = np.empty((n, D))
     done = 0
     while done < n_draws:
         m = min(chunk, n_draws - done)
         comps = rng.choice(model.K, size=m, p=model.weights)
-        means = model.mode_means(c)[comps]
-        x0 = means + model.stds[comps, None] * rng.standard_normal((m, D))
+        x0, tmp = x0_buf[:m], tmp_buf[:m]
+        rng.standard_normal(out=x0)
+        x0 *= np.take(model.stds, comps)[:, None]
+        x0 += np.take(means, comps, axis=0, out=tmp)
         # logw <= 0 by construction, so exp never overflows; weights from all
         # chunks share the same (unit) scale and can be pooled directly.
-        logw = -((x_t[None, :] - x0) ** 2).sum(axis=1) / (2.0 * sigma**2)
-        w = np.exp(logw)
+        np.subtract(x_t, x0, out=tmp)
+        np.square(tmp, out=tmp)
+        w = _bead_sum(tmp)
+        np.negative(w, out=w)
+        w /= 2.0 * sigma**2
+        np.exp(w, out=w)
         sw += w.sum()
         swx += w @ x0
-        sw2 += (w**2).sum()
-        sw2x += (w**2) @ x0
-        sw2x2 += (w**2) @ x0**2
+        np.square(w, out=w)
+        sw2 += w.sum()
+        sw2x += w @ x0
+        sw2x2 += w @ np.square(x0, out=tmp)
         done += m
-    if sw <= 0:
-        raise OracleFailureError("importance weights vanished")
+    if not (np.isfinite(sw) and sw > 0):
+        raise OracleFailureError(f"importance weights vanished or are not finite (sum {sw})")
     est = swx / sw
     var_terms = sw2x2 - 2.0 * est * sw2x + est**2 * sw2
     se = np.sqrt(np.maximum(var_terms, 0.0)) / sw
@@ -585,7 +614,7 @@ def _mixture_mc_row(n_probes: int, n_draws: int) -> CheckResult:
         est, se = _mixture_is_posterior_mean(model, c, x_t, sigma, rng, n_draws)
         got = model.denoise(x_t, c, sigma)
         z = np.max(np.abs(got - est) / np.maximum(se, 1e-12))
-        worst_z = max(worst_z, float(z))
+        worst_z = _nan_max(worst_z, float(z))
     return CheckResult(
         "mixture_posterior_mean_mc", worst_z < 3.0,
         f"max |analytic - IS| = {worst_z:.2f} standard errors over "
@@ -704,7 +733,7 @@ def _taylor_rows(n_affine: int, n_mixture: int) -> List[CheckResult]:
         reward = GaussianMeasurementReward(y=rng.standard_normal(model.D))
         x_step, _, _ = embedopt_step(model, reward, x, c, sigma_t, sigma_prev, 1e-2)
         x_pred = taylor_predicted_step(model, reward, x, c, sigma_t, sigma_prev, 1e-2)
-        worst = max(worst, float(np.linalg.norm(x_step - x_pred)) / (1.0 + float(np.linalg.norm(x_step))))
+        worst = _nan_max(worst, float(np.linalg.norm(x_step - x_pred)) / (1.0 + float(np.linalg.norm(x_step))))
     rows.append(CheckResult(
         "taylor_affine_exact", worst < 1e-10,
         f"max scaled gap {worst:.3e} over {n_affine} probes (tol 1e-10)",
@@ -748,7 +777,9 @@ def _reduction_rows() -> List[CheckResult]:
                           np.random.default_rng(7))
         endpoints[label] = float(res.x0[0])
     base = endpoints["none"]
-    worst = max(abs(v - base) for v in endpoints.values())
+    worst = 0.0
+    for v in endpoints.values():
+        worst = _nan_max(worst, abs(v - base))
     rows.append(CheckResult(
         "reduction_unguided_identity", worst <= 1e-12,
         f"max endpoint deviation {worst:.2e} across alpha=0 / w=0 variants (tol 1e-12)",
@@ -786,7 +817,7 @@ def _map_identity_rows(n_configs: int) -> List[CheckResult]:
         reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
         x = 2.0 * rng.standard_normal(3 * 7)
         cc = map_correlation(render_map(x, grid, 1.5), reward.v_obs)
-        worst = max(worst, abs(reward.value(x) - 2.0 * (cc - 1.0)))
+        worst = _nan_max(worst, abs(reward.value(x) - 2.0 * (cc - 1.0)))
     rows = [CheckResult(
         "map_mse_correlation_identity", worst < 1e-10,
         f"max |R - 2(cc-1)| = {worst:.3e} over {n_configs} configs (tol 1e-10)",

@@ -6,12 +6,18 @@ unit-variance measurement at 20 has posterior precision 1/0.25 + 1 = 5, mean
 mean (20 + 2000)/104 = 19.4230769...
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from steerkit import steering, verification
+from steerkit import cli, steering, verification
 from steerkit import (
     AscentAudit,
+    CheckResult,
+    Embedding,
+    GaussianPriorModel,
+    MixturePriorModel,
     MonotonicityReport,
     OracleFailureError,
     SampleSummary,
@@ -23,6 +29,7 @@ from steerkit import (
     check_monotone_surrogate,
     conjugate_posterior,
     fd_gradient,
+    make_mixture_model,
     rel_error,
     run_verification_suite,
     summarize_samples,
@@ -221,3 +228,130 @@ def test_quick_suite_outcomes():
     assert len(results) >= 25
     for r in results:
         assert r.detail  # every check explains itself
+
+
+def _frozen_is_posterior_mean(model, c, x_t, sigma, rng, n_draws, chunk=200000):
+    """The importance-sampling chunk loop as it was written with fresh
+    temporaries and `.sum(axis=1)`; the live one must match it bit for bit."""
+    D = model.D
+    sw = 0.0
+    swx = np.zeros(D)
+    sw2 = 0.0
+    sw2x = np.zeros(D)
+    sw2x2 = np.zeros(D)
+    done = 0
+    while done < n_draws:
+        m = min(chunk, n_draws - done)
+        comps = rng.choice(model.K, size=m, p=model.weights)
+        means = model.mode_means(c)[comps]
+        x0 = means + model.stds[comps, None] * rng.standard_normal((m, D))
+        logw = -((x_t[None, :] - x0) ** 2).sum(axis=1) / (2.0 * sigma**2)
+        w = np.exp(logw)
+        sw += w.sum()
+        swx += w @ x0
+        sw2 += (w**2).sum()
+        sw2x += (w**2) @ x0
+        sw2x2 += (w**2) @ x0**2
+        done += m
+    est = swx / sw
+    var_terms = sw2x2 - 2.0 * est * sw2x + est**2 * sw2
+    return est, np.sqrt(np.maximum(var_terms, 0.0)) / sw
+
+
+def _is_fixture(D, K):
+    weights = np.arange(1.0, K + 1.0) / (K * (K + 1) / 2)
+    model = make_mixture_model(
+        {"u": 2, "v": 1}, D=D, weights=weights, stds=np.linspace(0.4, 1.0, K),
+        seed=10 * D + K, mean_scale=1.5,
+    )
+    c = Embedding({"u": np.array([0.3, -0.7]), "v": np.array([1.1])})
+    rng = np.random.default_rng(100 * D + K)
+    x_t = model.mode_means(c)[K - 1] + 0.8 * rng.standard_normal(D)
+    return model, c, x_t
+
+
+@pytest.mark.parametrize("n_draws", [17, 250001])
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("D", [1, 3, 6, 9])
+def test_is_posterior_mean_matches_frozen_loop_bit_for_bit(D, K, n_draws):
+    # 250,001 draws end in a one-draw chunk after a full one
+    model, c, x_t = _is_fixture(D, K)
+    want = _frozen_is_posterior_mean(model, c, x_t, 0.9, np.random.default_rng(D + K), n_draws)
+    got = verification._mixture_is_posterior_mean(
+        model, c, x_t, 0.9, np.random.default_rng(D + K), n_draws,
+    )
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_is_posterior_mean_peaks_below_four_and_a_half_chunk_buffers():
+    model, c, x_t = _is_fixture(3, 2)
+    chunk_bytes = 200000 * 3 * 8
+    verification._mixture_is_posterior_mean(model, c, x_t, 0.9, np.random.default_rng(0), 1000)
+    tracemalloc.start()
+    try:
+        verification._mixture_is_posterior_mean(
+            model, c, x_t, 0.9, np.random.default_rng(1), 1000000,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * chunk_bytes, f"{peak / chunk_bytes:.2f} chunk buffers"
+
+
+@pytest.mark.parametrize("x_t", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
+def test_is_posterior_mean_raises_on_unusable_weights(x_t):
+    model, c, _ = _is_fixture(3, 2)
+    with pytest.raises(OracleFailureError):
+        verification._mixture_is_posterior_mean(
+            model, c, np.array(x_t), 0.9, np.random.default_rng(0), 1000,
+        )
+
+
+def test_nan_measurement_fails_model_fd_row(monkeypatch):
+    """Negative control: a NaN derivative fails its row instead of being
+    dropped by a running max."""
+    monkeypatch.setattr(
+        GaussianPriorModel, "vjp_x", lambda self, x, c, sigma, v: np.full(self.D, np.nan),
+    )
+    rows = {r.name: r for r in verification._model_fd_rows(
+        verification._gaussian_fixture, "gaussian", 2, 1e-5)}
+    assert not rows["fd_gaussian_vjp_x"].passed
+    assert "nan" in rows["fd_gaussian_vjp_x"].detail
+    assert rows["fd_gaussian_vjp_c"].passed and rows["fd_gaussian_jvp_c"].passed
+
+
+def test_nan_denoiser_fails_mixture_mc_row(monkeypatch):
+    monkeypatch.setattr(
+        MixturePriorModel, "denoise", lambda self, x, c, sigma: np.full(self.D, np.nan),
+    )
+    row = verification._mixture_mc_row(2, 1000)
+    assert row.name == "mixture_posterior_mean_mc"
+    assert not row.passed
+    assert "nan standard errors" in row.detail
+
+
+def test_nan_max_propagates_nan():
+    nan = float("nan")
+    assert verification._nan_max(1.0, 2.0) == 2.0
+    assert verification._nan_max(2.0, 1.0) == 2.0
+    assert np.isnan(verification._nan_max(0.0, nan))
+    assert np.isnan(verification._nan_max(nan, 5.0))
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_verify_cli_prints_one_line_per_check(monkeypatch, capsys, failing):
+    rows = [
+        CheckResult("fd_gaussian_vjp_x", True, "max rel err 1.000e-09 over 2 probes (tol 1e-05)"),
+        CheckResult("tweedie_mixture", not failing, "max rel err 2.000e-15 over 2 probes (tol 1e-10)"),
+    ]
+    monkeypatch.setattr(cli, "run_verification_suite", lambda: rows)
+    code = cli.main(["verify"])
+    lines = capsys.readouterr().out.splitlines()
+    status = "FAIL" if failing else "PASS"
+    assert lines == [
+        "PASS  fd_gaussian_vjp_x  max rel err 1.000e-09 over 2 probes (tol 1e-05)",
+        f"{status}  tweedie_mixture    max rel err 2.000e-15 over 2 probes (tol 1e-10)",
+        f"{1 if failing else 2}/2 checks passed",
+    ]
+    assert code == (1 if failing else 0)
