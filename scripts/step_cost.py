@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Print the wall time per integrator step for each method, task and batch size.
+
+Each cell times `run_steered` on one batch of B trajectories over a
+50-step schedule, in this process, and divides by the steps: the median of
+5 timed runs after one untimed warm-up. The tasks are the scalar synthetic
+task and the distance and map bead-chain toys (task seed 0); the methods are
+embedopt, dps and the unguided sampler with the reward logged. Run it from a checkout
+with `PYTHONPATH=src python scripts/step_cost.py`; pin BLAS to one thread
+(OPENBLAS_NUM_THREADS=1) to compare two checkouts.
+"""
+
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+from steerkit import SteeringConfig, build_synthetic_task, build_toy_task, run_steered
+
+T = 50  # steps per run
+REPEATS = 5  # timed runs per cell
+TASKS = ("synthetic", "distance", "map")
+METHODS = ("embedopt", "dps", "none")
+
+
+def _setup(kind: str):
+    """(model, reward, c_init, schedule, dps_norm_mode) for one task."""
+    if kind == "synthetic":
+        task = build_synthetic_task()
+        return task.model, task.reward(), task.c_init, task.schedule(T=T), "sigma2w"
+    task = build_toy_task(kind, 0)
+    return task.model, task.reward, task.c_init, task.schedule(T=T), "l2_matched"
+
+
+def step_cost_us(kind: str, method: str, B: int) -> float:
+    """Median microseconds per step of one B-row run_steered call."""
+    model, reward, c_init, schedule, dps_mode = _setup(kind)
+    config = SteeringConfig(method=method, alpha=0.1, dps_norm_mode=dps_mode)
+    times = []
+    for i in range(REPEATS + 1):
+        rngs = [np.random.default_rng(seed) for seed in range(B)]
+        t0 = time.perf_counter()
+        run_steered(model, reward, c_init, schedule, config, rngs)
+        if i:
+            times.append(time.perf_counter() - t0)
+    return statistics.median(times) / T * 1e6
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--batches", default="1,3,15", help="comma-separated batch sizes")
+    ap.add_argument("--tasks", default=",".join(TASKS))
+    ap.add_argument("--methods", default=",".join(METHODS))
+    args = ap.parse_args()
+    batches = [int(b) for b in args.batches.split(",")]
+    if not batches or min(batches) < 1:
+        ap.error("every batch size must be positive")
+
+    print(f"us per step (median of {REPEATS}, T = {T})")
+    print(f"{'task':<10} {'method':<9}" + "".join(f"{f'B={B}':>10}" for B in batches))
+    for kind in args.tasks.split(","):
+        for method in args.methods.split(","):
+            cells = [step_cost_us(kind, method, B) for B in batches]
+            print(f"{kind:<10} {method:<9}" + "".join(f"{c:>10.1f}" for c in cells))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -333,6 +333,8 @@ def _check_seeds(experiment: str, seeds: tuple) -> tuple:
         raise ConfigValidationError("at least one seed is required")
     if experiment == "synthetic_fig1" and len(seeds) < 2:
         raise ConfigValidationError("synthetic_fig1 needs at least two seeds")
+    if min(seeds) < 0:
+        raise ConfigValidationError("seeds must be non-negative")
     return seeds
 
 
@@ -376,6 +378,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     task = _optional(raw, "task", dict, {})
     task_kind = _optional(task, "kind", str, "synthetic" if experiment == "single_run" else "distance")
     task_seed = _optional(task, "seed", int, 0)
+    if task_seed < 0:
+        raise ConfigValidationError("task seed must be non-negative")
     if set(task) - {"kind", "seed"}:
         raise ConfigValidationError(f"unknown task keys: {sorted(set(task) - {'kind', 'seed'})}")
     if task_kind not in _TASK_KINDS:

@@ -20,6 +20,11 @@ scalar norm (both use the same dot kernel), and einsum with the batch as an
 extra free index. A (B, D) @ (D, d) GEMM would block by B and round
 differently. `parts` computes the intermediates a step shares between the
 denoiser and its pullback at one (x, c, sigma).
+
+Each model memoises, in one read-only entry, the means of the last embedding
+object (a step's second denoise and the next step's first share c); a hit
+returns the same bits the operations give. The mixture computes
+log(weights) and stds**2 once, at construction.
 """
 
 from __future__ import annotations
@@ -91,6 +96,11 @@ class Embedding:
         return [name for name, _ in self._layout]
 
     @property
+    def sizes(self) -> tuple:
+        """Component sizes in buffer order."""
+        return tuple(size for _, size in self._layout)
+
+    @property
     def dim(self) -> int:
         return self._buf.shape[-1]
 
@@ -157,6 +167,16 @@ def _vecmat(r: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.matmul(r[:, None, :], M)[:, 0, :]
 
 
+def _memo_affine(last: list, A: np.ndarray, b: np.ndarray, c: Embedding) -> np.ndarray:
+    """A c + b, read-only; `last` holds the last (embedding, result) pair,
+    reused while that embedding object, which is immutable, comes back."""
+    if last[0] is not c:
+        m = _matvec(A, c.flat()) + b
+        m.flags.writeable = False
+        last[:] = (c, m)
+    return last[1]
+
+
 def _check_coords(x: np.ndarray, D: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1:] != (D,) or x.ndim > 2:
@@ -194,6 +214,7 @@ class GaussianPriorModel:
             raise ValueError("prior std s0 must be positive")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_last_mean", [None, None])
 
     @property
     def D(self) -> int:
@@ -207,7 +228,8 @@ class GaussianPriorModel:
         return self.shrinkage(sigma) * sigma**2
 
     def mean(self, c: Embedding) -> np.ndarray:
-        return _matvec(self.W, c.flat()) + self.b
+        """W c + b, read-only and memoised."""
+        return _memo_affine(self._last_mean, self.W, self.b, c)
 
     def parts(self, x, c: Embedding, sigma: float):
         """Nothing to share: every product here is one affine map."""
@@ -280,6 +302,9 @@ class MixturePriorModel:
         object.__setattr__(self, "Ws", Ws)
         object.__setattr__(self, "bs", bs)
         object.__setattr__(self, "stds", s)
+        object.__setattr__(self, "_log_w", np.log(pi))
+        object.__setattr__(self, "_s2", s**2)
+        object.__setattr__(self, "_last_means", [None, None])
 
     @property
     def K(self) -> int:
@@ -290,7 +315,8 @@ class MixturePriorModel:
         return self.Ws.shape[1]
 
     def mode_means(self, c: Embedding) -> np.ndarray:
-        return _matvec(self.Ws, c.flat()) + self.bs  # (K, D) or (B, K, D)
+        """(K, D), or (B, K, D) for a batch; read-only and memoised."""
+        return _memo_affine(self._last_means, self.Ws, self.bs, c)
 
     def parts(self, x: np.ndarray, c: Embedding, sigma: float):
         """Intermediates that denoise and the vjps/jvp share at (x, c, sigma):
@@ -298,11 +324,11 @@ class MixturePriorModel:
         posterior means, each with a leading batch axis."""
         x, _ = _rows(x, self.D)
         m = self.mode_means(c)
-        a = self.stds**2 + sigma**2  # (K,)
-        kk = self.stds**2 / a
+        a = self._s2 + sigma**2  # (K,)
+        kk = self._s2 / a
         diff = x[:, None, :] - m  # (B, K, D)
         q = np.einsum("bkd,bkd->bk", diff, diff)
-        log_r = np.log(self.weights) - 0.5 * self.D * np.log(2 * np.pi * a) - q / (2 * a)
+        log_r = self._log_w - 0.5 * self.D * np.log(2 * np.pi * a) - q / (2 * a)
         log_r -= log_r.max(axis=1, keepdims=True)
         r = np.exp(log_r)
         r /= r.sum(axis=1, keepdims=True)

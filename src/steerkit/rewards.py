@@ -97,7 +97,7 @@ class DistanceConstraintReward:
     deviations are C pow, as Python float ** is (np.float_power; x * x
     differs in the last bit on about 0.1% of inputs); R sums them from 0 in
     pair order; and each bead's gradient adds its pairs' terms in pair
-    order (np.add.at).
+    order (np.add.at). The pair index arrays are built once.
     """
 
     pairs: tuple
@@ -115,6 +115,10 @@ class DistanceConstraintReward:
             raise ValueError("pairs must index distinct non-negative beads")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "targets", targets)
+        idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        object.__setattr__(self, "_ii", np.ascontiguousarray(idx[:, 0]))
+        object.__setattr__(self, "_jj", np.ascontiguousarray(idx[:, 1]))
+        object.__setattr__(self, "_idx", idx.ravel())  # i, j, i, j, ... for the scatter
 
     @property
     def K(self) -> int:
@@ -124,9 +128,7 @@ class DistanceConstraintReward:
         """x_i - x_j for every pair, shape (..., K, 3)."""
         x = np.asarray(x, dtype=np.float64)
         pts = x.reshape(x.shape[:-1] + (-1, 3))
-        ii = [i for i, _ in self.pairs]
-        jj = [j for _, j in self.pairs]
-        return pts[..., ii, :] - pts[..., jj, :]
+        return np.take(pts, self._ii, axis=-2) - np.take(pts, self._jj, axis=-2)
 
     def distances(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self._bonds(x), axis=-1)
@@ -146,17 +148,19 @@ class DistanceConstraintReward:
         bond = self._bonds(x)  # (..., K, 3)
         d = np.sqrt(np.vecdot(bond, bond))
         dev = d - self.targets
-        clipped = np.minimum(np.abs(dev), self.delta)
+        abs_dev = np.abs(dev)
+        clipped = np.minimum(abs_dev, self.delta)
         val = np.subtract.reduce(np.float_power(clipped, 2.0), axis=-1, initial=0.0)
         # plateau or undefined direction: zero gradient
-        active = (np.abs(dev) < self.delta) & (d != 0.0)
+        active = (abs_dev < self.delta) & (d != 0.0)
         unit = bond / np.where(active, d, 1.0)[..., None]
         term = np.where(active[..., None], (-2.0 * dev)[..., None] * unit, 0.0)
         # bead i gains the pair's term and bead j loses it, pair by pair
-        idx = np.ravel(self.pairs)
-        signed = np.stack([term, -term], axis=-2).reshape(term.shape[:-2] + (-1, 3))
+        signed = np.empty(term.shape[:-2] + (2 * self.K, 3))
+        signed[..., 0::2, :] = term
+        np.negative(term, out=signed[..., 1::2, :])
         grad = np.zeros(x.shape[:-1] + (x.shape[-1] // 3, 3))
-        np.add.at(grad, (..., idx, slice(None)), signed)
+        np.add.at(grad, (..., self._idx, slice(None)), signed)
         return _scalar(val), grad.reshape(x.shape)
 
 

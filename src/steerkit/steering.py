@@ -30,7 +30,9 @@ alpha per trajectory; one generator is a batch of one. The steps take the
 batch whole and share the model's intermediates (`model.parts`) between a
 denoise and its pullback at the same (x, c, sigma). Every reduction is per
 row (np.vecdot for the norms that were scalar np.linalg.norm), so each row
-is bit-identical to the trajectory run alone.
+is bit-identical to the trajectory run alone. No step recomputes what
+cannot have changed (the models memoise the last embedding's means), and
+rms_normalize makes one bit-identical pass.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .models import Embedding, NonFiniteStateError
+from .models import Embedding, NonFiniteStateError, _norm
 from .rewards import GaussianMeasurementReward
 from .samplers import (
     NFE_KINDS,
@@ -139,38 +141,35 @@ class SteeringResult:
         return SteeringResult(self.x0[b], self.c_final.row(b), [self.records[b]])
 
 
-def _normalized(grad: Embedding, rescale: bool, threshold: float = SKIP_THRESHOLD):
-    """Zero each component whose RMS is below threshold, and divide the others
-    by their RMS when rescale is set. Every row of a batch is its own vector.
-    Returns (direction, skipped): the skipped component names, or for a batch
-    a (B, n_components) mask."""
-    parts, skipped = [], []
-    for g in grad.components.values():
-        rms = np.sqrt(np.mean(g**2, axis=-1))
-        small = rms < threshold
-        kept = g / np.where(small, 1.0, rms)[..., None] if rescale else g
-        parts.append(np.where(small[..., None], 0.0, kept))
-        skipped.append(small)
-    direction = grad.from_flat(np.concatenate(parts, axis=-1))
-    if grad.batch is not None:
-        return direction, np.stack(skipped, axis=-1)
-    return direction, [name for name, s in zip(grad.names, skipped) if s]
-
-
-def rms_normalize(grad: Embedding, threshold: float = SKIP_THRESHOLD):
+def rms_normalize(grad: Embedding, threshold: float = SKIP_THRESHOLD, rescale: bool = True):
     """Divide each component by its RMS; components below threshold are zeroed.
 
     Returns (normalized Embedding, skipped), skipped being the list of
-    skipped component names, or for a batch a (B, n_components) bool mask.
-    Every surviving component has RMS exactly 1, so a step alpha * normalized
-    moves each component by alpha in RMS units independently of the others.
+    skipped component names, or for a batch (each row its own vector) a
+    (B, n_components) bool mask. Every surviving component has RMS exactly 1,
+    so a step alpha * normalized moves each component by alpha in RMS units
+    independently of the others. rescale=False is the raw-gradient mode.
+
+    One pass over the flat buffer, squared once: each component's slice is
+    summed with np.add.reduce and divided by its size, as np.mean does, so
+    every entry has the bits of a per-component np.mean form.
     """
-    return _normalized(grad, True, threshold)
-
-
-def _embed_update_direction(grad: Embedding, norm_mode: str):
-    # raw-gradient mode: same degeneracy guard, no rescaling
-    return _normalized(grad, norm_mode == "rms_per_component")
+    g, sizes = grad.flat(), grad.sizes
+    sq, start = np.square(g), 0
+    rms = np.empty(g.shape[:-1] + (len(sizes),))  # one column per component
+    for k, n in enumerate(sizes):
+        np.divide(np.add.reduce(sq[..., start : start + n], axis=-1), n, out=rms[..., k])
+        start += n
+    np.sqrt(rms, out=rms)
+    small = rms < threshold
+    if rescale:
+        g = g / np.repeat(np.where(small, 1.0, rms), sizes, axis=-1)
+    if small.any():
+        g = np.where(np.repeat(small, sizes, axis=-1), 0.0, g)
+    direction = grad.from_flat(g)
+    if grad.batch is not None:
+        return direction, small
+    return direction, [name for name, s in zip(grad.names, small) if s]
 
 
 def _ascend(c: Embedding, direction: Embedding, alpha) -> Embedding:
@@ -211,7 +210,7 @@ def embedopt_step(
     x_hat = model.denoise(x_t, c_t, sigma_t, parts)
     F, grad_R = reward.value_and_grad(x_hat)
     g = model.vjp_c(x_t, c_t, sigma_t, grad_R, parts)
-    direction, skipped = _embed_update_direction(g, norm_mode)
+    direction, skipped = rms_normalize(g, rescale=norm_mode == "rms_per_component")
     c_prev = _ascend(c_t, direction, alpha)
     x_hat_step = model.denoise(x_t, c_prev, sigma_t)
     x_prev = euler_step(x_t, x_hat_step, sigma_t, sigma_prev, eta_scale)
@@ -310,7 +309,7 @@ def taylor_predicted_step(
     x_hat = model.denoise(x_t, c_t, sigma_t, parts)
     _, grad_R = reward.value_and_grad(x_hat)
     g = model.vjp_c(x_t, c_t, sigma_t, grad_R, parts)
-    direction, _ = _embed_update_direction(g, norm_mode)
+    direction, _ = rms_normalize(g, rescale=norm_mode == "rms_per_component")
     delta = direction.from_flat(alpha * direction.flat())
     correction = model.jvp_c(x_t, c_t, sigma_t, delta, parts)
     eta = step_fraction(sigma_t, sigma_prev)
@@ -379,8 +378,8 @@ def run_steered(
                 x, sigma_hat = af3_noise_inflate(x, sigma_t, af3, rngs)
             eta_scale = af3.eta_scale
         if config.method == "embedopt":
-            # ||c_t - c_T|| before this update
-            drift = np.broadcast_to(c.add(c_init, -1.0).norm(), (B,))
+            # ||c_t - c_T|| per row before this update, bit for bit c.add(c_init, -1).norm()
+            drift = zeros + _norm(c.flat() - c_init.flat())
             x_t, c_t = x, c
             x, c, info = embedopt_step(
                 model, reward, x, c, sigma_hat, sigma_prev,

@@ -554,8 +554,10 @@ def _mixture_is_posterior_mean(
     `rng.choice` of the components before the standard normals; the squared
     distance summed over coordinates in numpy's pairwise order (`_bead_sum`);
     and the weighted sums as `w @ x0` BLAS products. The work runs in two
-    (chunk, D) buffers allocated once per call, since the draws themselves
-    are most of the cost and fresh chunk temporaries were most of the rest.
+    (chunk, D) buffers and a chunk-length gather column allocated once per
+    call; per chunk only the draws, their stds and the weights are new
+    arrays. The draws themselves are most of the cost, and fresh (chunk, D)
+    temporaries were most of the rest.
     """
     D = model.D
     means = model.mode_means(c)
@@ -567,17 +569,21 @@ def _mixture_is_posterior_mean(
     n = min(chunk, n_draws)
     x0_buf = np.empty((n, D))
     tmp_buf = np.empty((n, D))
+    col_buf = np.empty(n)
     done = 0
     while done < n_draws:
         m = min(chunk, n_draws - done)
         comps = rng.choice(model.K, size=m, p=model.weights)
         x0, tmp = x0_buf[:m], tmp_buf[:m]
         rng.standard_normal(out=x0)
-        x0 *= np.take(model.stds, comps)[:, None]
-        x0 += np.take(means, comps, axis=0, out=tmp)
+        s = np.take(model.stds, comps)
+        # by column: a length-D broadcast runs a D-element loop per row
+        for j in range(D):
+            x0[:, j] *= s
+            x0[:, j] += np.take(means[:, j], comps, out=col_buf[:m])
+            np.subtract(x_t[j], x0[:, j], out=tmp[:, j])
         # logw <= 0 by construction, so exp never overflows; weights from all
         # chunks share the same (unit) scale and can be pooled directly.
-        np.subtract(x_t, x0, out=tmp)
         np.square(tmp, out=tmp)
         w = _bead_sum(tmp)
         np.negative(w, out=w)

@@ -315,6 +315,30 @@ def test_cli_rejects_jobs_on_experiments_without_rows(tmp_path, capsys, command,
     assert cli_main([command, str(path)]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "command, payload, flags",
+    [
+        ("run", {"experiment": "single_run", "seeds": [0, -2]}, []),
+        ("run", {"experiment": "single_run", "task": {"kind": "distance", "seed": -1}}, []),
+        ("sweep", {"experiment": "lr_sweep", "seeds": [-1]}, []),
+        ("sweep", {"experiment": "lr_sweep", "task": {"kind": "map", "seed": -3}}, []),
+        ("sweep", {"experiment": "lr_sweep", "seeds": [0]}, ["--seeds=-5"]),
+        ("scale", {"experiment": "step_scaling", "seeds": [0]}, ["--seeds", "1,-2"]),
+        ("scale", {"experiment": "step_scaling", "task": {"kind": "distance", "seed": -2}}, []),
+        ("fig1", {"experiment": "synthetic_fig1", "seeds": [0, -1]}, []),
+        ("fig1", {"experiment": "synthetic_fig1", "seeds": [0, 1]}, ["--seeds=-5,3"]),
+    ],
+)
+def test_negative_seeds_exit_with_one_validation_line(tmp_path, capsys, command, payload, flags):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(payload, out_dir=str(out)))
+    assert cli_main([command, str(path)] + flags) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
+    assert "non-negative" in json.loads(err[0])["message"]
+    assert not out.exists()
+
+
 def test_cli_run_and_overrides(tmp_path, capsys):
     payload = sweep_payload(tmp_path / "ignored")
     payload["alphas"] = [0.1]
@@ -712,27 +736,28 @@ _RUN_KEYS = ("seeds", "bins", "task", "alphas", "methods", "T_values", "schedule
 @st.composite
 def experiment_payloads(draw):
     """Cheap configs (T <= 5, at most four seeds, jobs 1), with overflowing
-    weights, removed steering keys and keys the experiment does not read
-    mixed in. The verify experiment is left out: it takes no settings and
-    runs for seconds."""
+    weights, removed steering keys, negative trajectory and task seeds and
+    keys the experiment does not read mixed in. The verify experiment is left
+    out: it takes no settings and runs for seconds."""
     experiment = draw(st.sampled_from(["synthetic_fig1", "lr_sweep", "step_scaling", "single_run"]))
     T = draw(st.integers(min_value=1, max_value=5))
     schedule = {"T": T}
     if draw(st.booleans()):
         schedule["sigma_max"] = draw(st.sampled_from([0.5, 1e150, 1e306, 1e308]))
-    toy_task = {"kind": draw(st.sampled_from(["distance", "map"])), "seed": draw(st.integers(0, 3))}
+    toy_task = {"kind": draw(st.sampled_from(["distance", "map"])), "seed": draw(st.integers(-2, 3))}
+    seeds = draw(st.sampled_from([[0], [0], [0, -2], [-1]]))
     methods = draw(st.lists(st.sampled_from(["embedopt", "dps"]), min_size=1, max_size=2, unique=True))
     payload = {"experiment": experiment}
     if experiment == "synthetic_fig1":
-        payload.update(seeds=list(range(draw(st.integers(2, 4)))), schedule=schedule)
+        payload.update(seeds=list(range(draw(st.integers(2, 4)))) + seeds[1:], schedule=schedule)
     elif experiment == "lr_sweep":
         payload.update(
-            seeds=[0], task=toy_task, methods=methods, schedule=schedule,
+            seeds=seeds, task=toy_task, methods=methods, schedule=schedule,
             alphas=draw(st.lists(st.sampled_from([0.0, 0.1, 1.0]), min_size=1, max_size=2)),
         )
     elif experiment == "step_scaling":
         payload.update(
-            seeds=[0], task=toy_task, methods=methods,
+            seeds=seeds, task=toy_task, methods=methods,
             T_values=draw(st.lists(st.integers(2, 5), min_size=1, max_size=2)),
         )
     else:
@@ -745,7 +770,7 @@ def experiment_payloads(draw):
         if draw(st.booleans()):
             steering["sampler_mode"] = "af3"
         payload.update(
-            task=draw(st.sampled_from([{"kind": "synthetic"}, toy_task])),
+            seeds=seeds, task=draw(st.sampled_from([{"kind": "synthetic"}, toy_task])),
             schedule=schedule, steering=steering,
         )
     if draw(st.booleans()):
@@ -771,8 +796,11 @@ def experiment_payloads(draw):
 @given(
     payload=experiment_payloads(),
     overrides=st.lists(
-        st.sampled_from([("--jobs", "0"), ("--jobs", "1"), ("--seeds", ""), ("--seeds", "0,1")]),
-        max_size=2, unique_by=lambda o: o[0],
+        st.sampled_from([
+            ("--jobs", "0"), ("--jobs", "1"), ("--seeds", ""), ("--seeds", "0,1"),
+            ("--seeds", "0,-2"), ("--seeds=-5",),
+        ]),
+        max_size=2, unique_by=lambda o: o[0].split("=")[0],
     ),
 )
 def test_every_config_writes_finite_artifacts_or_exits_with_one_error_line(payload, overrides):

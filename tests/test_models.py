@@ -197,6 +197,46 @@ def test_batched_products_equal_each_row_alone(make_fixture):
                 assert np.array_equal(jc[b], model.jvp_c(X[b], cb, sigma, u))
 
 
+def _fresh(model):
+    """A model with the same parameters and empty memos."""
+    if isinstance(model, MixturePriorModel):
+        return MixturePriorModel(weights=model.weights, Ws=model.Ws, bs=model.bs, stds=model.stds)
+    return GaussianPriorModel(W=model.W, b=model.b, s0=model.s0)
+
+
+@pytest.mark.parametrize("make_fixture", [gaussian_fixture, mixture_fixture],
+                         ids=["gaussian", "mixture"])
+def test_memoised_terms_match_a_fresh_model_and_are_read_only(make_fixture):
+    """Alternating two embeddings (one a batch) and two sigmas, every product
+    equals a fresh model's, bit for bit, and the memoised arrays refuse
+    writes."""
+    model, c1 = make_fixture(seed=43)
+    rng = np.random.default_rng(10)
+    c2 = stack([random_embedding_like(c1, rng) for _ in range(4)])
+    X = 2.0 * rng.standard_normal((4, model.D))
+    V = rng.standard_normal((4, model.D))
+    u = random_embedding_like(c1, rng)
+    mean = model.mode_means if isinstance(model, MixturePriorModel) else model.mean
+    for c, sigma in [(c1, 0.7), (c2, 0.7), (c2, 1.9), (c1, 1.9), (c1, 0.7), (c2, 0.7),
+                     (c2, 0.7), (c1, 1.9)]:
+        fresh = _fresh(model)
+        fresh_mean = fresh.mode_means if isinstance(fresh, MixturePriorModel) else fresh.mean
+        assert np.array_equal(mean(c), fresh_mean(c))
+        for name in ("denoise", "vjp_x", "vjp_c", "jvp_c"):
+            args = {"denoise": (), "vjp_x": (V,), "vjp_c": (V,), "jvp_c": (u,)}[name]
+            got = getattr(model, name)(X, c, sigma, *args)
+            want = getattr(fresh, name)(X, c, sigma, *args)
+            if isinstance(got, Embedding):
+                got, want = got.flat(), want.flat()
+            assert np.array_equal(got, want), (name, sigma)
+        parts = model.parts(X, c, sigma)
+        memoised = [mean(c)] + ([] if parts is None else [parts[0]])
+        for arr in memoised:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracle for all Jacobian products
 

@@ -30,6 +30,7 @@ from steerkit import (
     taylor_gap_scaling,
     taylor_predicted_step,
 )
+from steerkit.models import _norm
 from conftest import gaussian_fixture, mixture_fixture
 
 
@@ -74,6 +75,50 @@ def test_rms_normalize_unit_rms_per_component(seed):
             assert rms == 0.0
         else:
             assert rms == pytest.approx(1.0, rel=1e-12)
+
+
+def _frozen_normalized(grad: Embedding, rescale: bool, threshold: float = 1e-12):
+    """The per-component normaliser that the one-pass rms_normalize replaced,
+    kept as its bit-identity reference."""
+    parts, skipped = [], []
+    for g in grad.components.values():
+        rms = np.sqrt(np.mean(g**2, axis=-1))
+        small = rms < threshold
+        kept = g / np.where(small, 1.0, rms)[..., None] if rescale else g
+        parts.append(np.where(small[..., None], 0.0, kept))
+        skipped.append(small)
+    direction = grad.from_flat(np.concatenate(parts, axis=-1))
+    if grad.batch is not None:
+        return direction, np.stack(skipped, axis=-1)
+    return direction, [name for name, s in zip(grad.names, skipped) if s]
+
+
+@pytest.mark.parametrize("rescale", [True, False])
+@pytest.mark.parametrize("batch", [None, 1, 5])
+def test_rms_normalize_matches_per_component_form_bit_for_bit(batch, rescale):
+    # component sizes 1-300, scales that keep, skip (zero, 1e-13) or sit at
+    # the threshold, drawn per row and component
+    rng = np.random.default_rng(2024)
+    scales = np.array([1.0, 1e3, 0.0, 1e-13, 1e-12, 3e-13])
+    rows = 1 if batch is None else batch
+    n_skipped = 0
+    for n in range(1, 301):
+        sizes = {"a": n, "b": int(rng.integers(1, 301)), "c": 1 + n % 7}
+        layout = Embedding({k: np.zeros(v) for k, v in sizes.items()})
+        flat = np.concatenate([
+            rng.standard_normal((rows, v)) * rng.choice(scales, size=(rows, 1))
+            for v in sizes.values()
+        ], axis=1)
+        grad = layout.from_flat(flat if batch else flat[0])
+        got, got_skip = rms_normalize(grad, rescale=rescale)
+        want, want_skip = _frozen_normalized(grad, rescale)
+        assert np.array_equal(got.flat().view(np.uint64), want.flat().view(np.uint64)), n
+        if batch is None:
+            assert got_skip == want_skip
+        else:
+            assert got_skip.shape == (batch, 3) and np.array_equal(got_skip, want_skip)
+        n_skipped += len(want_skip) if batch is None else int(want_skip.sum())
+    assert 0 < n_skipped < 300 * rows * 3  # both branches taken
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +338,32 @@ def test_embedding_drift_bound():
     assert res.c_final.add(c, -1.0).norm() <= per_step * T + 1e-12
 
 
+@pytest.mark.parametrize("per_row", [False, True])
+def test_logged_drift_equals_embedding_difference_norm(per_row):
+    # run_steered logs ||c_t - c_T|| from the flat buffers; the Embedding form
+    # c_t + (-1) c_T gives the same bits, for one c_T or one per row
+    model, c = mixture_fixture(8)
+    reward = make_reward_for(model)
+    B, T = 3, 12
+    c_init = c.broadcast(B).from_flat(c.broadcast(B).flat() + np.arange(B)[:, None]) if per_row else c
+    seen = []
+    res = run_steered(
+        model, reward, c_init, build_linear_schedule(T=T, sigma_max=4.0),
+        SteeringConfig(method="embedopt", alpha=0.3),
+        [np.random.default_rng(s) for s in range(B)],
+        on_update=lambda x_t, c_t, sigma, c_prev, info: seen.append(
+            np.broadcast_to(c_t.add(c_init, -1.0).norm(), (B,))
+        ),
+        alphas=[0.3, 0.0, 0.05],
+    )
+    assert len(seen) == T
+    for b in range(B):
+        assert res.records[b].embed_drifts == [float(d[b]) for d in seen]
+    assert any(d.any() for d in seen)
+    flat_c, flat_init = res.c_final.flat(), c_init.flat()
+    assert np.array_equal(_norm(flat_c - flat_init), res.c_final.add(c_init, -1.0).norm())
+
+
 def test_surrogate_logged_before_update():
     model, c = gaussian_fixture(7)
     reward = make_reward_for(model)
@@ -349,9 +420,10 @@ def test_steering_config_validation(kwargs):
 def test_steering_config_manifest_round_trip():
     config = SteeringConfig(method="embedopt", alpha=0.1)
     info = config.to_manifest()
-    assert set(info) == {
+    assert list(info) == [
         "method", "alpha", "dps_norm_mode", "embed_norm_mode", "sampler_mode", "af3",
-    }
+    ]
+    assert list(info["af3"]) == ["gamma", "gamma_min", "rho_noise", "eta_scale"]
     assert info["method"] == "embedopt"
     assert info["alpha"] == 0.1
     assert info["af3"]["gamma"] == 0.8
