@@ -32,6 +32,7 @@ figure.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -166,7 +167,9 @@ def write_manifest(out_dir: Path, manifest: dict) -> None:
     atomic_write_text(Path(out_dir) / "manifest.json", text + "\n")
 
 
+@functools.lru_cache(maxsize=1)
 def _git_describe() -> str:
+    """`git describe` of the source tree, looked up once per process."""
     try:
         proc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -932,12 +935,18 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
 
 
 def run_verify_experiment(cfg: ExperimentConfig) -> dict:
-    """Run the verification suite and write its report as JSON."""
+    """Run the verification suite and write its report as JSON.
+
+    The manifest records the wall seconds of each check group (`phases_s`)
+    and the size of the importance-sampling pool (`is_workers`); the report
+    holds only the checks.
+    """
     if cfg.experiment != "verify":
         raise ConfigValidationError("config experiment kind is not verify")
     t0 = time.perf_counter()
     out = Path(cfg.out_dir)
-    results = run_verification_suite()
+    telemetry = {}
+    results = run_verification_suite(telemetry=telemetry)
     report = {
         "all_passed": all(r.passed for r in results),
         "checks": [
@@ -951,6 +960,7 @@ def run_verify_experiment(cfg: ExperimentConfig) -> dict:
     manifest = _base_manifest(cfg, t0)
     manifest["artifacts"] = ["verify_report.json"]
     manifest["all_passed"] = report["all_passed"]
+    manifest.update(telemetry)
     write_manifest(out, manifest)
     return manifest
 

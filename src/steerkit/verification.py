@@ -21,10 +21,26 @@ the reward is clipped; it runs there with the raw-gradient step.
 `run_verification_suite` returns one (name, passed, detail) row per check and
 never raises on a failed check; it is what the `verify` CLI prints. Failures
 are reported, not hidden: each row states its measured numbers.
+
+Only the mixture importance-sampling row runs on threads. Its probes are
+independent (each seeds its own generator) and each of its chunk operations
+is a 200,000-element RNG fill or numpy call that releases the interpreter
+lock, so the probes share the CPUs with the same bits (`_run_is_probes`).
+Every other row is many small calls that hold the lock; a two-thread
+prototype of such a loop was no faster and used more CPU. The workers call
+no model method and nothing the benchmark's tracer wraps: the models'
+memo of the last embedding's means and the tracer's span stack are not
+thread-safe, so the mode means are formed, and the denoiser called, on the
+calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import queue
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -326,6 +342,10 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __post_init__(self):
+        # a numpy comparison gives np.bool_, which the JSON report cannot hold
+        object.__setattr__(self, "passed", bool(self.passed))
+
 
 # ---------------------------------------------------------------------------
 # suite fixtures
@@ -534,58 +554,90 @@ def _conjugate_rows() -> List[CheckResult]:
     return rows
 
 
-def _mixture_is_posterior_mean(
+_IS_CHUNK = 200000  # draws per importance-sampling chunk; part of the bit contract
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _is_workers(n_probes: int) -> int:
+    """Size of the importance-sampling pool: a thread per usable CPU, at most
+    one per probe."""
+    return min(n_probes, _usable_cpus())
+
+
+def _is_buffers(n: int, D: int, K: int) -> tuple:
+    """One importance-sampling buffer set for chunks of up to n draws.
+
+    x0 (n, D); two n-length columns; K - 1 boolean component masks; and, for
+    D >= 8 only, an (n, D) buffer of squared distances for `_bead_sum`.
+    """
+    sq = np.empty((n, D)) if D >= 8 else None
+    return np.empty((n, D)), np.empty(n), np.empty(n), np.empty((K - 1, n), dtype=bool), sq
+
+
+def _select(out: np.ndarray, values: np.ndarray, masks: np.ndarray) -> None:
+    """out = values[component] per draw, where masks[k - 1] marks component >= k."""
+    out.fill(values[0])
+    for k in range(1, values.size):
+        np.copyto(out, values[k], where=masks[k - 1])
+
+
+def _is_posterior_mean(
     model: MixturePriorModel,
-    c: Embedding,
+    means: np.ndarray,
     x_t: np.ndarray,
     sigma: float,
     rng: np.random.Generator,
     n_draws: int,
-    chunk: int = 200000,
+    bufs: tuple,
 ):
-    """Importance-sampled E[x0 | x_t] with the prior as proposal.
-
-    Weights are the Gaussian likelihood N(x_t; x0, sigma^2 I) up to a
-    constant. Returns (estimate, per-coordinate standard errors) using the
-    standard self-normalized-IS variance estimate.
-
-    The draws and the arithmetic on them are pinned, so the estimate is the
-    same bits whatever the buffers: chunks of 200,000 draws; in each chunk
-    `rng.choice` of the components before the standard normals; the squared
-    distance summed over coordinates in numpy's pairwise order (`_bead_sum`);
-    and the weighted sums as `w @ x0` BLAS products. The work runs in two
-    (chunk, D) buffers and a chunk-length gather column allocated once per
-    call; per chunk only the draws, their stds and the weights are new
-    arrays. The draws themselves are most of the cost, and fresh (chunk, D)
-    temporaries were most of the rest.
-    """
+    """`_mixture_is_posterior_mean` in a caller's buffer set, given the
+    mode means; safe to run on a worker thread (it calls no model method)."""
+    x0_buf, g_buf, w_buf, mask_buf, sq_buf = bufs
     D = model.D
-    means = model.mode_means(c)
+    cdf = model.weights.cumsum()  # as Generator.choice forms it
+    cdf /= cdf[-1]
     sw = 0.0
     swx = np.zeros(D)
     sw2 = 0.0
     sw2x = np.zeros(D)
     sw2x2 = np.zeros(D)
-    n = min(chunk, n_draws)
-    x0_buf = np.empty((n, D))
-    tmp_buf = np.empty((n, D))
-    col_buf = np.empty(n)
     done = 0
     while done < n_draws:
-        m = min(chunk, n_draws - done)
-        comps = rng.choice(model.K, size=m, p=model.weights)
-        x0, tmp = x0_buf[:m], tmp_buf[:m]
+        m = min(_IS_CHUNK, n_draws - done)
+        x0, g, w, masks = x0_buf[:m], g_buf[:m], w_buf[:m], mask_buf[:, :m]
+        # rng.choice(K, m, p=weights) is cdf.searchsorted(u, side="right"):
+        # the component is >= k exactly where cdf[k - 1] <= u
+        rng.random(out=g)
+        for k in range(1, model.K):
+            np.less_equal(cdf[k - 1], g, out=masks[k - 1])
         rng.standard_normal(out=x0)
-        s = np.take(model.stds, comps)
+        _select(w, model.stds, masks)
         # by column: a length-D broadcast runs a D-element loop per row
         for j in range(D):
-            x0[:, j] *= s
-            x0[:, j] += np.take(means[:, j], comps, out=col_buf[:m])
-            np.subtract(x_t[j], x0[:, j], out=tmp[:, j])
+            x0[:, j] *= w
+        for j in range(D):
+            _select(g, means[:, j], masks)
+            x0[:, j] += g
+            if sq_buf is not None:
+                np.subtract(x_t[j], x0[:, j], out=sq_buf[:m, j])
+            elif j == 0:
+                np.subtract(x_t[0], x0[:, 0], out=w)
+                np.square(w, out=w)
+            else:
+                # under 8 terms numpy's pairwise sum is a left fold
+                np.subtract(x_t[j], x0[:, j], out=g)
+                np.square(g, out=g)
+                w += g
+        if sq_buf is not None:
+            w = _bead_sum(np.square(sq_buf[:m], out=sq_buf[:m]))
         # logw <= 0 by construction, so exp never overflows; weights from all
         # chunks share the same (unit) scale and can be pooled directly.
-        np.square(tmp, out=tmp)
-        w = _bead_sum(tmp)
         np.negative(w, out=w)
         w /= 2.0 * sigma**2
         np.exp(w, out=w)
@@ -594,7 +646,7 @@ def _mixture_is_posterior_mean(
         np.square(w, out=w)
         sw2 += w.sum()
         sw2x += w @ x0
-        sw2x2 += w @ np.square(x0, out=tmp)
+        sw2x2 += w @ np.square(x0, out=x0)
         done += m
     if not (np.isfinite(sw) and sw > 0):
         raise OracleFailureError(f"importance weights vanished or are not finite (sum {sw})")
@@ -604,20 +656,89 @@ def _mixture_is_posterior_mean(
     return est, se
 
 
+def _mixture_is_posterior_mean(
+    model: MixturePriorModel,
+    c: Embedding,
+    x_t: np.ndarray,
+    sigma: float,
+    rng: np.random.Generator,
+    n_draws: int,
+):
+    """Importance-sampled E[x0 | x_t] with the prior as proposal.
+
+    Weights are the Gaussian likelihood N(x_t; x0, sigma^2 I) up to a
+    constant. Returns (estimate, per-coordinate standard errors) using the
+    standard self-normalized-IS variance estimate.
+
+    The draws and the arithmetic on them are pinned, so the estimate is the
+    same bits as `rng.choice` of the components followed by the standard
+    normals, in chunks of 200,000 draws. `Generator.choice(K, m, p=p)` draws
+    `rng.random(m)` and returns `cdf.searchsorted(u, side="right")` with
+    `cdf = p.cumsum(); cdf /= cdf[-1]`; here the same uniforms become the
+    K - 1 masks `cdf[k - 1] <= u`, and each draw's std and mean coordinates
+    are selected through them (`fill`, then `np.copyto(where=)`), so no index
+    array is formed. The squared distance is summed over coordinates in
+    numpy's pairwise order: a left fold built one column at a time for
+    D < 8, `_bead_sum` for D >= 8. The weighted sums stay `w @ x0` BLAS
+    products; x0 is squared in place for the last one.
+
+    Each chunk runs in one buffer set (`_is_buffers`: x0, two chunk-length
+    columns, the masks), allocated once per call, so nothing chunk-sized is
+    allocated per chunk below D = 8. The first column holds the uniforms,
+    then each coordinate's means and squared distance; the second holds the
+    stds, then the weights.
+    """
+    bufs = _is_buffers(min(_IS_CHUNK, n_draws), model.D, model.K)
+    return _is_posterior_mean(model, model.mode_means(c), x_t, sigma, rng, n_draws, bufs)
+
+
+def _run_is_probes(model: MixturePriorModel, means: np.ndarray, probes, n_draws: int):
+    """(est, se) for each (x_t, sigma, rng) probe, in probe order, computed on
+    `_is_workers` threads.
+
+    The calling thread allocates one buffer set per thread; a probe takes a
+    free set and returns it when done. Tasks run in a copy of the caller's
+    context, so its `np.errstate` holds in them. A worker's exception is
+    re-raised here as it was raised, the earliest probe's first.
+    """
+    workers = _is_workers(len(probes))
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put(_is_buffers(min(_IS_CHUNK, n_draws), model.D, model.K))
+
+    def probe(x_t, sigma, rng):
+        bufs = free.get()
+        try:
+            return _is_posterior_mean(model, means, x_t, sigma, rng, n_draws, bufs)
+        finally:
+            free.put(bufs)
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [
+            pool.submit(contextvars.copy_context().run, probe, *args) for args in probes
+        ]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _mixture_mc_row(n_probes: int, n_draws: int) -> CheckResult:
-    worst_z = 0.0
     model = make_mixture_model(
         {"u": 2, "v": 2}, D=3, weights=(0.65, 0.35), stds=(0.5, 0.8),
         seed=31, mean_scale=1.0,
     )
     rng_c = np.random.default_rng(32)
     c = Embedding({"u": rng_c.standard_normal(2), "v": rng_c.standard_normal(2)})
+    means = model.mode_means(c)  # once, here: the model's memo is not thread-safe
+    probes = []
     for p in range(n_probes):
         rng = np.random.default_rng(9000 + p)
         sigma = float(rng.uniform(0.3, 2.0))
-        anchor = model.mode_means(c)[p % model.K]
-        x_t = anchor + sigma * rng.standard_normal(model.D)
-        est, se = _mixture_is_posterior_mean(model, c, x_t, sigma, rng, n_draws)
+        x_t = means[p % model.K] + sigma * rng.standard_normal(model.D)
+        probes.append((x_t, sigma, rng))
+    worst_z = 0.0
+    for (x_t, sigma, _), (est, se) in zip(probes, _run_is_probes(model, means, probes, n_draws)):
         got = model.denoise(x_t, c, sigma)
         z = np.max(np.abs(got - est) / np.maximum(se, 1e-12))
         worst_z = _nan_max(worst_z, float(z))
@@ -862,11 +983,13 @@ def _af3_bookkeeping_row() -> CheckResult:
     )
 
 
-def run_verification_suite(quick: bool = False) -> List[CheckResult]:
+def run_verification_suite(quick: bool = False, telemetry: Optional[dict] = None) -> List[CheckResult]:
     """Run every oracle-backed self-check; returns (name, passed, detail) rows.
 
     quick=True shrinks probe counts for smoke testing; the full run is what
-    the acceptance gate and the `verify` CLI use.
+    the acceptance gate and the `verify` CLI use. A `telemetry` dict receives
+    `phases_s`, the wall seconds of each check group, and `is_workers`, the
+    size of the importance-sampling pool.
     """
     n_fd = 5 if quick else 20
     n_mc_probes = 3 if quick else 10
@@ -874,19 +997,29 @@ def run_verification_suite(quick: bool = False) -> List[CheckResult]:
     n_mono_seeds = 3 if quick else 20
     n_taylor = 10 if quick else 50
 
+    groups = (
+        ("model_fd", lambda: _model_fd_rows(_gaussian_fixture, "gaussian", n_fd, 1e-5)
+         + _model_fd_rows(_mixture_fixture, "mixture", n_fd, 1e-5)),
+        ("reward_fd", lambda: _reward_fd_rows(n_fd, 1e-6)),
+        ("adjoint", lambda: _adjoint_rows(n_fd)),
+        ("tweedie", lambda: _tweedie_rows(n_fd)),
+        ("conjugate", _conjugate_rows),
+        ("is_gaussian_limit", lambda: [_chunk_logw_row()]),
+        ("is_mixture_mean", lambda: [_mixture_mc_row(n_mc_probes, n_mc_draws)]),
+        ("monotone_scalar", lambda: _monotonicity_rows(n_mono_seeds)),
+        ("monotone_distance", lambda: [_distance_ascent_row(1 if quick else 4)]),
+        ("taylor", lambda: _taylor_rows(n_fd, n_taylor)),
+        ("reduction", _reduction_rows),
+        ("map_identity", lambda: _map_identity_rows(5 if quick else 20)),
+        ("af3_noise", lambda: [_af3_bookkeeping_row()]),
+    )
     rows: List[CheckResult] = []
-    rows += _model_fd_rows(_gaussian_fixture, "gaussian", n_fd, 1e-5)
-    rows += _model_fd_rows(_mixture_fixture, "mixture", n_fd, 1e-5)
-    rows += _reward_fd_rows(n_fd, 1e-6)
-    rows += _adjoint_rows(n_fd)
-    rows += _tweedie_rows(n_fd)
-    rows += _conjugate_rows()
-    rows.append(_chunk_logw_row())
-    rows.append(_mixture_mc_row(n_mc_probes, n_mc_draws))
-    rows += _monotonicity_rows(n_mono_seeds)
-    rows.append(_distance_ascent_row(1 if quick else 4))
-    rows += _taylor_rows(n_fd, n_taylor)
-    rows += _reduction_rows()
-    rows += _map_identity_rows(5 if quick else 20)
-    rows.append(_af3_bookkeeping_row())
+    phases = {}
+    for group, check in groups:
+        t0 = time.perf_counter()
+        rows += check()
+        phases[group] = time.perf_counter() - t0
+    if telemetry is not None:
+        telemetry["phases_s"] = phases
+        telemetry["is_workers"] = _is_workers(n_mc_probes)
     return rows

@@ -6,9 +6,11 @@ process pool, with everything wall-clock flavored confined to the manifest.
 """
 
 import contextlib
+import functools
 import io
 import json
 import math
+import subprocess
 import tempfile
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerkit import NonFiniteStateError, SteeringConfig, build_synthetic_task, run_steered
+from steerkit import harness, verification
 from steerkit.cli import main as cli_main
 from steerkit.harness import (
     EXIT_IO,
@@ -412,6 +415,41 @@ def test_fig1_manifest_phases_are_finite_and_within_wall_time(tmp_path):
     times = [phases["draw_x_T"], *phases["integrate"].values()]
     assert all(math.isfinite(t) and t >= 0.0 for t in times)
     assert sum(times) <= manifest["wall_time_s"]
+
+
+def test_verify_manifest_records_phases_and_pool_size(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        harness, "run_verification_suite",
+        functools.partial(verification.run_verification_suite, quick=True),
+    )
+    out = tmp_path / "verify"
+    run_from_config(config_from_dict({"experiment": "verify", "out_dir": str(out)}))
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    phases = manifest["phases_s"]
+    assert "is_mixture_mean" in phases
+    assert all(math.isfinite(t) and t >= 0.0 for t in phases.values())
+    assert sum(phases.values()) <= manifest["wall_time_s"]
+    assert manifest["is_workers"] == verification._is_workers(3)
+    report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
+    assert set(report) == {"all_passed", "checks"}
+
+
+def test_git_describe_runs_once_per_process(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(args, **kwargs):
+        calls.append(args)
+        return subprocess.CompletedProcess(args, 0, stdout="abc1234\n", stderr="")
+
+    harness._git_describe.cache_clear()
+    monkeypatch.setattr(harness.subprocess, "run", fake_run)
+    try:
+        cfg = config_from_dict({"experiment": "verify", "out_dir": str(tmp_path)})
+        manifests = [harness._base_manifest(cfg, 0.0) for _ in range(2)]
+    finally:
+        harness._git_describe.cache_clear()
+    assert len(calls) == 1
+    assert [m["git_describe"] for m in manifests] == ["abc1234", "abc1234"]
 
 
 def test_fig1_manifest_config_holds_only_keys_it_reads(tmp_path):

@@ -6,7 +6,13 @@ unit-variance measurement at 20 has posterior precision 1/0.25 + 1 = 5, mean
 mean (20 + 2000)/104 = 19.4230769...
 """
 
+import functools
+import importlib
+import importlib.util
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,7 +290,7 @@ def test_is_posterior_mean_matches_frozen_loop_bit_for_bit(D, K, n_draws):
     assert np.array_equal(got[1], want[1])
 
 
-def test_is_posterior_mean_peaks_below_four_and_a_half_chunk_buffers():
+def test_is_posterior_mean_peaks_below_two_chunk_buffers():
     model, c, x_t = _is_fixture(3, 2)
     chunk_bytes = 200000 * 3 * 8
     verification._mixture_is_posterior_mean(model, c, x_t, 0.9, np.random.default_rng(0), 1000)
@@ -296,7 +302,7 @@ def test_is_posterior_mean_peaks_below_four_and_a_half_chunk_buffers():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * chunk_bytes, f"{peak / chunk_bytes:.2f} chunk buffers"
+    assert peak <= 2.0 * chunk_bytes, f"{peak / chunk_bytes:.2f} chunk buffers"
 
 
 @pytest.mark.parametrize("x_t", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
@@ -329,6 +335,121 @@ def test_nan_denoiser_fails_mixture_mc_row(monkeypatch):
     assert row.name == "mixture_posterior_mean_mc"
     assert not row.passed
     assert "nan standard errors" in row.detail
+
+
+def _record_is_calls(monkeypatch, fake=None):
+    """Wrap the pool's per-probe IS call; returns the list it appends
+    (thread id, sigma, result) to."""
+    calls = []
+    real = verification._is_posterior_mean
+
+    def recorded(model, means, x_t, sigma, rng, n_draws, bufs):
+        out = (fake or real)(model, means, x_t, sigma, rng, n_draws, bufs)
+        calls.append((threading.get_ident(), sigma, out))
+        return out
+
+    monkeypatch.setattr(verification, "_is_posterior_mean", recorded)
+    return calls
+
+
+def test_mixture_mc_row_is_bit_identical_at_any_pool_size(monkeypatch):
+    """1, 2 and 4 workers (more than most hosts' cores, with a short switch
+    interval) give the same per-probe bits: no two probes share a buffer set."""
+    calls = _record_is_calls(monkeypatch)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(verification, "_usable_cpus", lambda w=workers: w)
+            calls.clear()
+            row = verification._mixture_mc_row(4, 250001)
+            per_probe = sorted((sigma, est.tobytes(), se.tobytes()) for _, sigma, (est, se) in calls)
+            runs[workers] = (row, per_probe, {tid for tid, _, _ in calls})
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs[1][1]) == 4
+    assert runs[1][1] == runs[2][1] == runs[4][1]
+    assert runs[1][0] == runs[2][0] == runs[4][0]
+    assert len(runs[1][2]) == 1 and len(runs[2][2]) <= 2
+
+
+def _tracer_targets():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_mixture_mc_row_keeps_models_and_traced_functions_on_the_calling_thread(monkeypatch):
+    """The models' one-entry memo and the benchmark tracer's span stack are
+    not thread-safe, so only the IS draws may run on the pool's threads."""
+    seen = {}
+
+    def record(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            seen.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items() if n == "steerkit" or n.startswith("steerkit.")]
+    targets = dict(_tracer_targets())
+    targets["models.mixture.mode_means"] = ("steerkit.models", "MixturePriorModel.mode_means")
+    for name, (mod_name, attr) in targets.items():
+        owner = importlib.import_module(mod_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(owner, cls_name)
+            monkeypatch.setattr(cls, meth, record(name, cls.__dict__[meth]))
+            continue
+        original = getattr(owner, attr)
+        wrapper = record(name, original)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, wrapper)
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    calls = _record_is_calls(monkeypatch)
+    verification._mixture_mc_row(4, 1000)
+    caller = threading.get_ident()
+    assert {"models.mixture.denoise", "models.mixture.mode_means"} <= set(seen)
+    assert all(threads == {caller} for threads in seen.values()), seen
+    assert len(calls) == 4 and caller not in {tid for tid, _, _ in calls}
+
+
+def test_is_pool_workers_see_the_callers_errstate(monkeypatch):
+    states = []
+
+    def fake(model, means, x_t, sigma, rng, n_draws, bufs):
+        states.append(np.geterr())
+        return np.zeros(model.D), np.ones(model.D)
+
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    calls = _record_is_calls(monkeypatch, fake)
+    with np.errstate(all="ignore"):
+        caller_state = np.geterr()
+        verification._mixture_mc_row(4, 1000)
+    assert caller_state != np.geterr()
+    assert len(calls) == 4 and all(tid != threading.get_ident() for tid, _, _ in calls)
+    assert states == [caller_state] * 4
+
+
+def test_is_pool_reraises_the_first_probes_oracle_failure(monkeypatch):
+    raised = {}
+
+    def fake(model, means, x_t, sigma, rng, n_draws, bufs):
+        raised[sigma] = OracleFailureError(f"probe at sigma {sigma}")
+        raise raised[sigma]
+
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verification, "_is_posterior_mean", fake)
+    with pytest.raises(OracleFailureError) as excinfo:
+        verification._mixture_mc_row(4, 1000)
+    first_sigma = float(np.random.default_rng(9000).uniform(0.3, 2.0))
+    assert excinfo.value is raised[first_sigma]
 
 
 def test_nan_max_propagates_nan():
