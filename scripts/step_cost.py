@@ -5,9 +5,12 @@ Each cell times `run_steered` on one batch of B trajectories over a
 50-step schedule, in this process, and divides by the steps: the median of
 5 timed runs after one untimed warm-up. The tasks are the scalar synthetic
 task and the distance and map bead-chain toys (task seed 0); the methods are
-embedopt, dps and the unguided sampler with the reward logged. Run it from a checkout
-with `PYTHONPATH=src python scripts/step_cost.py`; pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1) to compare two checkouts.
+embedopt, dps and the unguided sampler with the reward logged. A second
+table times the synthetic histogram's fast path, `fig1_panel_samples`, for
+each panel over its 1000-step schedule at the benchmark's 10,000 seeds,
+timed the same way. Run it from a checkout with `PYTHONPATH=src python
+scripts/step_cost.py`; pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) to
+compare two checkouts.
 """
 
 import argparse
@@ -17,11 +20,14 @@ import time
 import numpy as np
 
 from steerkit import SteeringConfig, build_synthetic_task, build_toy_task, run_steered
+from steerkit.harness import FIG1_EXTRA_PANEL_SPECS, FIG1_PANEL_SPECS, fig1_noise, fig1_panel_samples
+from steerkit.tasks import SYNTH_T
 
 T = 50  # steps per run
 REPEATS = 5  # timed runs per cell
 TASKS = ("synthetic", "distance", "map")
 METHODS = ("embedopt", "dps", "none")
+FIG1_SEEDS = 10_000  # trajectories per fig1 panel, as in the benchmark's fig1_batch
 
 
 def _setup(kind: str):
@@ -47,6 +53,17 @@ def step_cost_us(kind: str, method: str, B: int) -> float:
     return statistics.median(times) / T * 1e6
 
 
+def fig1_step_cost_us(panel: str, z: np.ndarray) -> float:
+    """Median microseconds per step of one fig1_panel_samples call."""
+    times = []
+    for i in range(REPEATS + 1):
+        t0 = time.perf_counter()
+        fig1_panel_samples(panel, z)
+        if i:
+            times.append(time.perf_counter() - t0)
+    return statistics.median(times) / SYNTH_T * 1e6
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--batches", default="1,3,15", help="comma-separated batch sizes")
@@ -63,6 +80,10 @@ def main() -> int:
         for method in args.methods.split(","):
             cells = [step_cost_us(kind, method, B) for B in batches]
             print(f"{kind:<10} {method:<9}" + "".join(f"{c:>10.1f}" for c in cells))
+    z = fig1_noise(range(FIG1_SEEDS))
+    print(f"\nfig1 fast path: us per step (median of {REPEATS}, T = {SYNTH_T}, B = {FIG1_SEEDS})")
+    for panel in (*FIG1_PANEL_SPECS, *FIG1_EXTRA_PANEL_SPECS):
+        print(f"{panel:<16}{fig1_step_cost_us(panel, z):>10.1f}")
     return 0
 
 

@@ -260,9 +260,6 @@ class GaussianPriorModel:
         out = (1.0 - k) * _matvec(self.W, u.flat())
         return np.broadcast_to(out, np.broadcast_shapes(out.shape, x.shape)).copy()
 
-    def sample_prior(self, c: Embedding, rng: np.random.Generator) -> np.ndarray:
-        return self.mean(c) + self.s0 * rng.standard_normal(self.D)
-
 
 @dataclass(frozen=True, eq=False)
 class MixturePriorModel:
@@ -376,11 +373,6 @@ class MixturePriorModel:
         resp = _vecmat(np.matmul(wk - wbar[:, None, :], uf[:, :, None])[..., 0] * r, h)
         out = direct + resp
         return out if np.ndim(x) == 2 else out[0]
-
-    def sample_prior(self, c: Embedding, rng: np.random.Generator) -> np.ndarray:
-        k = rng.choice(self.K, p=self.weights)
-        m = self.mode_means(c)[k]
-        return m + self.stds[k] * rng.standard_normal(self.D)
 
 
 def score_from_denoiser(x_hat: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:

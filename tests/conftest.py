@@ -8,7 +8,7 @@ visible even when pytest captures stdout.
 import numpy as np
 import pytest
 
-from steerkit import Embedding, make_gaussian_model, make_mixture_model
+from steerkit import Embedding, GaussianPriorModel, make_gaussian_model, make_mixture_model
 
 ACCEPTANCE_LINES = []
 
@@ -47,3 +47,11 @@ def mixture_fixture(seed: int):
     rng = np.random.default_rng(seed + 1000)
     c = Embedding({"u": rng.standard_normal(3), "v": rng.standard_normal(4)})
     return model, c
+
+
+def sample_prior(model, c: Embedding, rng: np.random.Generator) -> np.ndarray:
+    """One draw x0 ~ p(x0 | c) from a Gaussian or mixture prior model."""
+    if isinstance(model, GaussianPriorModel):
+        return model.mean(c) + model.s0 * rng.standard_normal(model.D)
+    k = rng.choice(model.K, p=model.weights)
+    return model.mode_means(c)[k] + model.stds[k] * rng.standard_normal(model.D)

@@ -359,18 +359,49 @@ def test_cli_run_and_overrides(tmp_path, capsys):
 # histogram experiment
 
 
-@pytest.mark.parametrize(
-    "panel", ["unguided", "dps_w100", "embedopt_a0.1", "dps_exact_w1", "dps_exact_w100"]
-)
+FIG1_ALL_PANELS = [*FIG1_PANEL_SPECS, *FIG1_EXTRA_PANEL_SPECS]
+
+
+@pytest.mark.parametrize("panel", FIG1_ALL_PANELS)
 @pytest.mark.parametrize("seed", [0, 7])
 def test_fig1_fast_path_matches_engine(panel, seed):
     batched = fig1_panel_samples(panel, fig1_noise([seed]), T=150)
-    single = fig1_engine_endpoint(panel, seed, T=150)
+    single = fig1_engine_endpoint(panel, np.random.default_rng(seed), T=150)
     assert batched[0] == single  # bit-identical, not just close
 
 
-def fig1_engine_endpoint(panel: str, seed: int, T: int) -> float:
-    """Reference endpoint from the generic engine (one trajectory)."""
+class FixedNormal:
+    """Generator stand-in whose standard_normal(n) returns n copies of z."""
+
+    def __init__(self, z: float):
+        self.z = z
+
+    def standard_normal(self, n):
+        return np.full(n, self.z)
+
+
+# x_T = 100 z puts the first step's denoiser on y = 20 at any T: at z = 6000.2
+# the first embedding gradient is -0.0, at 6000.199999999999 it is about
+# 3.6e-15, so the engine skips that update (rms_normalize's threshold is 1e-12)
+@pytest.mark.parametrize("z", [6000.2, 6000.199999999999])
+@pytest.mark.parametrize("panel", [p for p in FIG1_ALL_PANELS if p != "unguided"])
+def test_fig1_fast_path_matches_engine_at_zero_gradient(panel, z):
+    fast = fig1_panel_samples(panel, np.array([z]), T=150)
+    assert fast[0] == fig1_engine_endpoint(panel, [FixedNormal(z)], T=150)
+
+
+def test_fig1_panel_rows_are_independent_of_their_batch():
+    # the reused buffers must not leak across rows, also where one row skips
+    z = np.concatenate([fig1_noise(range(3)), [6000.2, -3.0]])
+    for panel in FIG1_ALL_PANELS:
+        batched = fig1_panel_samples(panel, z)
+        alone = [fig1_panel_samples(panel, z[i : i + 1])[0] for i in range(len(z))]
+        assert batched.tobytes() == np.array(alone).tobytes()
+
+
+def fig1_engine_endpoint(panel: str, rng, T: int) -> float:
+    """Reference endpoint from the generic engine (one trajectory drawing
+    x_T from rng, a generator or a one-element list of one)."""
     spec = {**FIG1_PANEL_SPECS, **FIG1_EXTRA_PANEL_SPECS}[panel]
     task = build_synthetic_task()
     config = SteeringConfig(
@@ -378,10 +409,9 @@ def fig1_engine_endpoint(panel: str, seed: int, T: int) -> float:
         dps_norm_mode=spec.get("norm", "sigma2w"),
     )
     res = run_steered(
-        task.model, task.reward(w=spec["w"]), task.c_init, task.schedule(T=T),
-        config, np.random.default_rng(seed),
+        task.model, task.reward(w=spec["w"]), task.c_init, task.schedule(T=T), config, rng
     )
-    return float(res.x0[0])
+    return float(np.ravel(res.x0)[0])
 
 
 def test_fig1_artifacts(tmp_path):

@@ -28,7 +28,7 @@ from steerkit import (
     rel_error,
     score_from_denoiser,
 )
-from conftest import gaussian_fixture, mixture_fixture
+from conftest import gaussian_fixture, mixture_fixture, sample_prior
 
 N_PROBES = 20
 
@@ -453,7 +453,7 @@ def test_mixture_validation():
 def test_gaussian_prior_sampler_moments():
     model, c = gaussian_fixture(seed=1)
     rng = np.random.default_rng(0)
-    draws = np.array([model.sample_prior(c, rng) for _ in range(4000)])
+    draws = np.array([sample_prior(model, c, rng) for _ in range(4000)])
     np.testing.assert_allclose(draws.mean(axis=0), model.mean(c), atol=0.06)
     np.testing.assert_allclose(draws.std(axis=0), model.s0, atol=0.05)
 
@@ -467,7 +467,7 @@ def test_mixture_prior_sampler_mode_proportions():
         stds=np.array([0.5, 0.5]),
     )
     c = Embedding({"e": [0.0]})
-    draws = np.array([model.sample_prior(c, rng)[0] for _ in range(5000)])
+    draws = np.array([sample_prior(model, c, rng)[0] for _ in range(5000)])
     frac_minority = float(np.mean(draws > 50.0))
     assert abs(frac_minority - 0.1) < 0.02
 

@@ -15,6 +15,7 @@ from steerkit import (
     build_toy_task,
 )
 from steerkit.tasks import TOY_DELTA, TOY_K_CONSTRAINTS, TOY_N_BEADS
+from conftest import sample_prior
 
 
 def test_synthetic_task_constants():
@@ -90,7 +91,7 @@ def test_unguided_prior_mostly_violates():
     rng = np.random.default_rng(999)
     n = 300
     violated = sum(
-        task.reward.count_satisfied(task.model.sample_prior(task.c_init, rng))
+        task.reward.count_satisfied(sample_prior(task.model, task.c_init, rng))
         < TOY_K_CONSTRAINTS
         for _ in range(n)
     )
