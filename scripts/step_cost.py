@@ -8,7 +8,8 @@ task and the distance and map bead-chain toys (task seed 0); the methods are
 embedopt, dps and the unguided sampler with the reward logged. A second
 table times the synthetic histogram's fast path, `fig1_panel_samples`, for
 each panel over its 1000-step schedule at the benchmark's 10,000 seeds,
-timed the same way. Run it from a checkout with `PYTHONPATH=src python
+timed the same way, and the x_T draw those panels share, `fig1_noise`, per
+seed. Run it from a checkout with `PYTHONPATH=src python
 scripts/step_cost.py`; pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) to
 compare two checkouts.
 """
@@ -64,6 +65,17 @@ def fig1_step_cost_us(panel: str, z: np.ndarray) -> float:
     return statistics.median(times) / SYNTH_T * 1e6
 
 
+def fig1_noise_cost_us() -> float:
+    """Median microseconds per seed of one fig1_noise call over FIG1_SEEDS seeds."""
+    times = []
+    for i in range(REPEATS + 1):
+        t0 = time.perf_counter()
+        fig1_noise(range(FIG1_SEEDS))
+        if i:
+            times.append(time.perf_counter() - t0)
+    return statistics.median(times) / FIG1_SEEDS * 1e6
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--batches", default="1,3,15", help="comma-separated batch sizes")
@@ -84,6 +96,7 @@ def main() -> int:
     print(f"\nfig1 fast path: us per step (median of {REPEATS}, T = {SYNTH_T}, B = {FIG1_SEEDS})")
     for panel in (*FIG1_PANEL_SPECS, *FIG1_EXTRA_PANEL_SPECS):
         print(f"{panel:<16}{fig1_step_cost_us(panel, z):>10.1f}")
+    print(f"{'fig1_noise':<16}{fig1_noise_cost_us():>10.2f}  (us per seed, B = {FIG1_SEEDS})")
     return 0
 
 

@@ -14,25 +14,21 @@ seeds. With jobs > 1 a process pool runs contiguous chunks of those batches;
 a row does not depend on its batch, so no CSV depends on jobs.
 
 The synthetic histogram experiment keeps its own vectorized fast path,
-fig1_panel_samples: every panel is one-dimensional and deterministic, so
-all seeds integrate as a single elementwise batch without the engine's
-per-step logs (10^7 entries per panel at 10,000 seeds). At 10,000 seeds
-the engine took about 1.3 ms per step against 0.014-0.04 ms for the fast
-path's in-place loop (2-vCPU Xeon VM), and the benchmark's tracer wraps
-fig1_panel_samples by name, so it stays. The ops are ordered exactly as
-run_steered orders them, which makes the two paths bit-identical (asserted
-in the test suite). Every panel starts a seed from the same x_T, so a run
-draws the seeds' noise once (fig1_noise) and hands it to every panel.
-Besides the figure's panels, the fast path also integrates exact-likelihood
-coordinate guidance (FIG1_EXTRA_PANEL_SPECS), which the acceptance gate
-compares with the conjugate posterior; those endpoints are not part of the
-figure.
+fig1_panel_samples: every panel is one-dimensional and deterministic, so all
+seeds integrate as one elementwise batch in run_steered's order of ops,
+bit-identical to it (asserted in the test suite) and without its per-step
+logs: at 10,000 seeds a step took 0.014-0.04 ms there against about 1.3 ms in
+the engine (2-vCPU Xeon VM). Every panel starts a seed from the same x_T,
+drawn once per run by fig1_noise, which hashes all seeds' SeedSequences in one
+vectorized pass. Exact-likelihood coordinate guidance (FIG1_EXTRA_PANEL_SPECS)
+runs on the fast path for the acceptance gate, outside the figure.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -535,10 +531,50 @@ FIG1_REFERENCES = {
 }
 
 
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) for a uint64 array, as (n, 4):
+    O'Neill's seed_seq hash over NumPy's zero-padded 4-word pool, on all seeds at once."""
+    a = [0x43B0D7E5 * pow(0x931E8875, k, 1 << 32) % (1 << 32) for k in range(17)]
+    b = [0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) % (1 << 32) for k in range(9)]
+
+    def hashmix(v, k, c=a):  # the k-th hash; its constants are the same for every seed
+        v = (v ^ c[k]) * c[k + 1]
+        return v ^ (v >> 16)
+
+    zero = np.zeros(len(seeds), np.uint32)
+    words = (seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero)
+    pool = [hashmix(w, k) for k, w in enumerate(words)]
+    for k, (src, dst) in enumerate(itertools.permutations(range(4), 2), 4):
+        r = pool[dst] * 0xCA01F9DD - hashmix(pool[src], k) * 0x4973F715  # mix
+        pool[dst] = r ^ (r >> 16)
+    state = np.empty((len(seeds), 8), "<u4")
+    for i in range(8):
+        state[:, i] = hashmix(pool[i % 4], i, b)
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
 def fig1_noise(seeds: Sequence[int]) -> np.ndarray:
-    """Each seed's standard-normal x_T draw, from default_rng(seed) as the
-    engine draws it. One array serves every panel of a run."""
-    return np.array([np.random.default_rng(int(s)).standard_normal(1)[0] for s in seeds])
+    """Each seed's standard-normal x_T draw, bit for bit default_rng(seed)'s first
+    standard_normal; one array serves every panel of a run. `_seed_states` hashes all
+    seeds in [0, 2^64) at once, and a shim hands each state to NumPy's PCG64, which
+    seeds from its ISeedSequence's generate_state(4, np.uint64), the one request the
+    shim serves. Other seeds keep default_rng(s): a negative one raises ValueError."""
+    from numpy.random.bit_generator import ISeedSequence  # ~14 ms that import steerkit skips
+
+    class Shim(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, np.dtype(dtype)) != (4, np.uint64):  # else NumPy would draw other bits
+                raise ValueError(f"state is 4 uint64 words, not {n_words} {np.dtype(dtype)}")
+            return self.state
+
+    n = len(seeds)
+    states = _seed_states(np.fromiter((int(s) & (1 << 64) - 1 for s in seeds), np.uint64, n))
+    rngs = (np.random.Generator(np.random.PCG64(Shim(st))) if 0 <= int(s) < 1 << 64
+            else np.random.default_rng(int(s)) for s, st in zip(seeds, states))
+    return np.fromiter((rng.standard_normal() for rng in rngs), np.float64, n)  # (1)[0]'s bits
 
 
 def fig1_panel_samples(

@@ -582,9 +582,13 @@ def _is_buffers(n: int, D: int, K: int) -> tuple:
 
 def _select(out: np.ndarray, values: np.ndarray, masks: np.ndarray) -> None:
     """out = values[component] per draw, where masks[k - 1] marks component >= k."""
-    out.fill(values[0])
-    for k in range(1, values.size):
-        np.copyto(out, values[k], where=masks[k - 1])
+    bits, u = values.view(np.uint64), out.view(np.uint64)
+    if values.size == 1:
+        return u.fill(bits[0])
+    np.multiply(masks[0], bits[1] ^ bits[0], out=u)
+    u ^= bits[0]  # bits[0] ^ (bits[1] ^ bits[0]) ^ ... telescopes to bits[component]
+    for k in range(2, values.size):
+        np.bitwise_xor(u, bits[k] ^ bits[k - 1], out=u, where=masks[k - 1])
 
 
 def _is_posterior_mean(
@@ -676,8 +680,8 @@ def _mixture_is_posterior_mean(
     `rng.random(m)` and returns `cdf.searchsorted(u, side="right")` with
     `cdf = p.cumsum(); cdf /= cdf[-1]`; here the same uniforms become the
     K - 1 masks `cdf[k - 1] <= u`, and each draw's std and mean coordinates
-    are selected through them (`fill`, then `np.copyto(where=)`), so no index
-    array is formed. The squared distance is summed over coordinates in
+    are selected through them as bit patterns (`_select`), so no index array
+    is formed. The squared distance is summed over coordinates in
     numpy's pairwise order: a left fold built one column at a time for
     D < 8, `_bead_sum` for D >= 8. The weighted sums stay `w @ x0` BLAS
     products; x0 is squared in place for the last one.

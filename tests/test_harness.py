@@ -10,7 +10,9 @@ import functools
 import io
 import json
 import math
+import os
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -397,6 +399,63 @@ def test_fig1_panel_rows_are_independent_of_their_batch():
         batched = fig1_panel_samples(panel, z)
         alone = [fig1_panel_samples(panel, z[i : i + 1])[0] for i in range(len(z))]
         assert batched.tobytes() == np.array(alone).tobytes()
+
+
+def default_rng_noise(seeds) -> np.ndarray:
+    return np.array([np.random.default_rng(int(s)).standard_normal(1)[0] for s in seeds])
+
+
+FIG1_NOISE_EDGE_SEEDS = [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**128 + 5]
+
+
+def test_fig1_noise_is_default_rng_bit_for_bit():
+    # 2**64 and 2**128 + 5 do not fit the vectorised hash and take default_rng
+    sample = np.random.default_rng(2024).integers(0, 2**63, 2000)
+    for seeds in (FIG1_NOISE_EDGE_SEEDS, [int(s) for s in sample], list(sample), np.arange(5)):
+        got = fig1_noise(seeds)
+        assert got.dtype == np.float64
+        assert got.tobytes() == default_rng_noise(seeds).tobytes()
+
+
+def test_fig1_noise_edge_cases():
+    empty = fig1_noise([])
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+    with pytest.raises(ValueError):
+        fig1_noise([3, -1])
+
+
+def test_fig1_noise_shim_serves_only_pcg64s_request(monkeypatch):
+    real, shims = np.random.PCG64, []
+
+    def spy(seed):
+        shims.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "PCG64", spy)
+    assert fig1_noise([5]).tobytes() == default_rng_noise([5]).tobytes()
+    (shim,) = shims
+    assert shim.generate_state(4, np.uint64).tobytes() == (
+        np.random.SeedSequence(5).generate_state(4, np.uint64).tobytes()
+    )
+    with pytest.raises(ValueError):
+        shim.generate_state(8)
+    with pytest.raises(ValueError):
+        shim.generate_state(4, dtype=np.uint32)
+
+
+def test_import_and_synthetic_task_leave_numpy_random_unloaded():
+    code = (
+        "import sys, steerkit\n"
+        "from steerkit.harness import load_config\n"
+        "steerkit.build_synthetic_task()\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src}, cwd=src,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def fig1_engine_endpoint(panel: str, rng, T: int) -> float:

@@ -290,6 +290,24 @@ def test_is_posterior_mean_matches_frozen_loop_bit_for_bit(D, K, n_draws):
     assert np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("values", [
+    [-0.0, np.inf, np.nan], [np.nan, 5e-324, -0.0], [5e-324, -1.5, -np.inf],
+])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_select_writes_the_fill_copyto_bits(K, values):
+    # a strided column, as each coordinate's means reach _select; 5e-324 is subnormal
+    values = np.stack([values, values], axis=1)[:K, 0]
+    u = np.random.default_rng(K).random(1001)
+    masks = np.array([u >= k / K for k in range(1, K)], dtype=bool).reshape(K - 1, u.size)
+    want = np.empty(u.size)
+    want.fill(values[0])
+    for k in range(1, K):
+        np.copyto(want, values[k], where=masks[k - 1])
+    got = np.full(u.size, 7.0)
+    verification._select(got, values, masks)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_is_posterior_mean_peaks_below_two_chunk_buffers():
     model, c, x_t = _is_fixture(3, 2)
     chunk_bytes = 200000 * 3 * 8
