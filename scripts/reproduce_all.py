@@ -9,6 +9,7 @@ rooted at --out.
 """
 
 import argparse
+import dataclasses
 import os
 from pathlib import Path
 
@@ -38,6 +39,8 @@ def main() -> int:
     )
     ap.add_argument("--quick", action="store_true", help="small seed counts, smoke pass only")
     args = ap.parse_args()
+    if args.jobs < 1:
+        ap.error("--jobs must be at least 1")
 
     for name in CONFIG_NAMES:
         cfg = load_config(args.configs / name)
@@ -46,8 +49,9 @@ def main() -> int:
         if args.quick:
             keep = 40 if cfg.experiment == "synthetic_fig1" else 1
             seeds = cfg.seeds[:keep]
-        jobs = args.jobs if cfg.experiment in ("lr_sweep", "step_scaling") else None
-        cfg = cfg.with_overrides(out_dir=str(out_dir), seeds=seeds, jobs=jobs)
+        jobs = args.jobs if cfg.experiment in ("lr_sweep", "step_scaling") else cfg.jobs
+        # a prefix of validated seeds and a checked jobs need no second parse
+        cfg = dataclasses.replace(cfg, out_dir=str(out_dir), seeds=seeds, jobs=jobs)
         manifest = run_from_config(cfg)
         print(f"{name:>22} -> {out_dir}  (wall {manifest['wall_time_s']:.1f}s)")
     return 0

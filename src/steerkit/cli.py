@@ -78,17 +78,13 @@ def _parse_seeds(text: str) -> Sequence[int]:
 
 def _run_config_command(args) -> int:
     try:
-        cfg = load_config(args.config)
+        seeds = None if args.seeds is None else _parse_seeds(args.seeds)
+        cfg = load_config(args.config, out_dir=args.out, seeds=seeds, jobs=args.jobs)
         expected = _KIND_BY_COMMAND[args.command]
         if expected is not None and cfg.experiment != expected:
             raise ConfigValidationError(
                 f"'{args.command}' needs a {expected!r} config, got {cfg.experiment!r}"
             )
-        cfg = cfg.with_overrides(
-            out_dir=args.out,
-            seeds=None if args.seeds is None else _parse_seeds(args.seeds),
-            jobs=args.jobs,
-        )
         with np.errstate(all="ignore"):
             manifest = run_from_config(cfg)
     except ConfigParseError as e:

@@ -30,6 +30,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,7 +44,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .models import NonFiniteStateError
-from .rewards import GaussianMeasurementReward
 from .samplers import Af3SamplerParams
 from .schedules import build_linear_schedule
 from .steering import SteeringConfig, run_steered
@@ -220,121 +220,54 @@ class ExperimentConfig:
     jobs: int = 1
 
     def to_manifest(self) -> dict:
-        """The fields the experiment reads (see _READ_KEYS), tuples as lists."""
-        read = {"experiment", "out_dir"}
-        for key in _READ_KEYS[self.experiment]:
-            read.update(_KEY_FIELDS[key])
+        """The fields of the keys the experiment reads (see _KEYS), tuples as lists."""
+        read = {f for exps, fields in _KEYS.values() if self.experiment in exps for f in fields}
         out = {}
         for name in (f.name for f in dataclasses.fields(self) if f.name in read):
             v = getattr(self, name)
             out[name] = list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, dict) else v
         return out
 
-    def with_overrides(
-        self,
-        out_dir: Optional[str] = None,
-        seeds: Optional[Sequence[int]] = None,
-        jobs: Optional[int] = None,
-    ) -> "ExperimentConfig":
-        kw = {}
-        if out_dir is not None:
-            kw["out_dir"] = out_dir
-        if seeds is not None:
-            kw["seeds"] = _check_seeds(self.experiment, tuple(int(s) for s in seeds))
-        if jobs is not None:
-            if "jobs" not in _READ_KEYS[self.experiment]:
-                raise ConfigValidationError(f"{self.experiment} does not read jobs")
-            if int(jobs) < 1:
-                raise ConfigValidationError("jobs must be at least 1")
-            kw["jobs"] = int(jobs)
-        return dataclasses.replace(self, **kw) if kw else self
 
-
-# the top-level keys each experiment reads besides experiment and out_dir; any
-# other key, unknown or just unread by the chosen experiment, is rejected
-# rather than ignored
-_READ_KEYS = {
-    "synthetic_fig1": {"seeds", "n_seeds", "bins", "schedule"},
-    "lr_sweep": {
-        "seeds", "n_seeds", "task", "alphas", "methods", "schedule",
-        "dps_norm_mode", "jobs",
-    },
-    "step_scaling": {
-        "seeds", "n_seeds", "task", "methods", "T_values", "schedule",
-        "dps_norm_mode", "jobs",
-    },
-    "single_run": {"seeds", "n_seeds", "task", "schedule", "steering", "reward_w"},
-    "verify": set(),
+_RUNS = ("synthetic_fig1", "lr_sweep", "step_scaling", "single_run")
+_SWEEPS = ("lr_sweep", "step_scaling")
+# each config key: the experiments that read it and the ExperimentConfig fields
+# it sets; any other key, unknown or just unread by the chosen experiment, is
+# rejected rather than ignored
+_KEYS = {
+    "experiment": (_EXPERIMENTS, ("experiment",)),
+    "out_dir": (_EXPERIMENTS, ("out_dir",)),
+    "seeds": (_RUNS, ("seeds",)),
+    "n_seeds": (_RUNS, ("seeds",)),
+    "bins": (("synthetic_fig1",), ("bins",)),
+    "task": ((*_SWEEPS, "single_run"), ("task_kind", "task_seed")),
+    "alphas": (("lr_sweep",), ("alphas",)),
+    "methods": (_SWEEPS, ("methods",)),
+    "T_values": (("step_scaling",), ("T_values",)),
+    "schedule": (_RUNS, ("schedule_T", "schedule_sigma_max")),
+    "steering": (("single_run",), ("steering",)),
+    "reward_w": (("single_run",), ("reward_w",)),
+    "dps_norm_mode": (_SWEEPS, ("dps_norm_mode",)),
+    "jobs": (_SWEEPS, ("jobs",)),
 }
-# the ExperimentConfig fields each config key sets
-_KEY_FIELDS = {
-    "seeds": ("seeds",),
-    "n_seeds": ("seeds",),
-    "bins": ("bins",),
-    "task": ("task_kind", "task_seed"),
-    "alphas": ("alphas",),
-    "methods": ("methods",),
-    "T_values": ("T_values",),
-    "schedule": ("schedule_T", "schedule_sigma_max"),
-    "steering": ("steering",),
-    "reward_w": ("reward_w",),
-    "dps_norm_mode": ("dps_norm_mode",),
-    "jobs": ("jobs",),
-}
+_DEFAULT_N_SEEDS = {"synthetic_fig1": 2000, "lr_sweep": 3, "step_scaling": 3}  # else 1
+_REQUIRED = object()
 
 
-def _require(raw: dict, key: str, types) -> object:
+def _get(raw: dict, key: str, types, default=_REQUIRED, item=None):
+    """raw[key], checked to be of `types` and, for a list, to hold only `item`s;
+    `default` when the key is absent. A bool is never a number."""
     if key not in raw:
-        raise ConfigParseError(f"missing required field {key!r}")
-    v = raw[key]
-    if not isinstance(v, types):
-        raise ConfigParseError(f"field {key!r} has the wrong type")
-    return v
-
-
-def _optional(raw: dict, key: str, types, default):
-    if key not in raw:
+        if default is _REQUIRED:
+            raise ConfigParseError(f"missing required field {key!r}")
         return default
     v = raw[key]
-    if not isinstance(v, types) or isinstance(v, bool) and types is not bool:
+    items = v if item is not None and isinstance(v, list) else ()
+    if not isinstance(v, types) or isinstance(v, bool) or any(
+        not isinstance(x, item) or isinstance(x, bool) for x in items
+    ):
         raise ConfigParseError(f"field {key!r} has the wrong type")
     return v
-
-
-def _int_list(raw, key: str) -> Tuple[int, ...]:
-    v = raw[key]
-    if not isinstance(v, list) or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in v
-    ):
-        raise ConfigParseError(f"field {key!r} must be a list of integers")
-    return tuple(v)
-
-
-def _float_list(raw, key: str) -> Tuple[float, ...]:
-    v = raw[key]
-    if not isinstance(v, list) or not all(
-        isinstance(s, (int, float)) and not isinstance(s, bool) for s in v
-    ):
-        raise ConfigParseError(f"field {key!r} must be a list of numbers")
-    return tuple(float(s) for s in v)
-
-
-def _default_seeds(experiment: str) -> tuple:
-    if experiment == "synthetic_fig1":
-        return tuple(range(2000))
-    if experiment in ("lr_sweep", "step_scaling"):
-        return (0, 1, 2)
-    return (0,)
-
-
-def _check_seeds(experiment: str, seeds: tuple) -> tuple:
-    if not seeds:
-        raise ConfigValidationError("at least one seed is required")
-    if experiment == "synthetic_fig1" and len(seeds) < 2:
-        raise ConfigValidationError("synthetic_fig1 needs at least two seeds")
-    if min(seeds) < 0:
-        raise ConfigValidationError("seeds must be non-negative")
-    return seeds
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -346,97 +279,89 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """
     if not isinstance(raw, dict):
         raise ConfigParseError("config root must be a JSON object")
-    experiment = _require(raw, "experiment", str)
-    out_dir = _require(raw, "out_dir", str)
-
+    experiment = _get(raw, "experiment", str)
+    out_dir = _get(raw, "out_dir", str)
     if experiment not in _EXPERIMENTS:
         raise ConfigValidationError(
             f"unknown experiment {experiment!r}; expected one of {_EXPERIMENTS}"
         )
-    unread = set(raw) - _READ_KEYS[experiment] - {"experiment", "out_dir"}
+    unread = {key for key in raw if key not in _KEYS or experiment not in _KEYS[key][0]}
     if unread:
         raise ConfigValidationError(f"{experiment} does not read keys {sorted(unread)}")
 
     if "seeds" in raw and "n_seeds" in raw:
         raise ConfigValidationError("give either seeds or n_seeds, not both")
-    if "seeds" in raw:
-        seeds = _int_list(raw, "seeds")
-    elif "n_seeds" in raw:
-        n = _optional(raw, "n_seeds", int, None)
-        if n is None or n < 1:
-            raise ConfigValidationError("n_seeds must be a positive integer")
-        seeds = tuple(range(n))
-    else:
-        seeds = _default_seeds(experiment)
-    _check_seeds(experiment, seeds)
+    n_seeds = _get(raw, "n_seeds", int, _DEFAULT_N_SEEDS.get(experiment, 1))
+    if n_seeds < 1:
+        raise ConfigValidationError("n_seeds must be a positive integer")
+    seeds = tuple(_get(raw, "seeds", list, range(n_seeds), item=int))
+    if not seeds:
+        raise ConfigValidationError("at least one seed is required")
+    if experiment == "synthetic_fig1" and len(seeds) < 2:
+        raise ConfigValidationError("synthetic_fig1 needs at least two seeds")
+    if min(seeds) < 0:
+        raise ConfigValidationError("seeds must be non-negative")
 
-    bins = _optional(raw, "bins", int, 60)
+    bins = _get(raw, "bins", int, 60)
     if bins < 1:
         raise ConfigValidationError("bins must be positive")
 
-    task = _optional(raw, "task", dict, {})
-    task_kind = _optional(task, "kind", str, "synthetic" if experiment == "single_run" else "distance")
-    task_seed = _optional(task, "seed", int, 0)
+    task = _get(raw, "task", dict, {})
+    task_kind = _get(task, "kind", str, "synthetic" if experiment == "single_run" else "distance")
+    task_seed = _get(task, "seed", int, 0)
     if task_seed < 0:
         raise ConfigValidationError("task seed must be non-negative")
     if set(task) - {"kind", "seed"}:
         raise ConfigValidationError(f"unknown task keys: {sorted(set(task) - {'kind', 'seed'})}")
     if task_kind not in _TASK_KINDS:
         raise ConfigValidationError(f"unknown task kind {task_kind!r}")
-    if experiment in ("lr_sweep", "step_scaling") and task_kind == "synthetic":
+    if experiment in _SWEEPS and task_kind == "synthetic":
         raise ConfigValidationError(f"{experiment} needs a toy task (distance or map)")
-    if experiment == "single_run" and task_kind != "synthetic" and "reward_w" in raw:
+    if task_kind != "synthetic" and "reward_w" in raw:
         raise ConfigValidationError(f"the {task_kind} task does not read reward_w")
 
-    alphas = _float_list(raw, "alphas") if "alphas" in raw else DEFAULT_ALPHA_GRID
-    if experiment == "lr_sweep":
-        if len(alphas) == 0:
-            raise ConfigValidationError("alphas must be a non-empty list")
-        if any(a < 0 for a in alphas):
-            raise ConfigValidationError("alphas must be non-negative")
+    alphas = _get(raw, "alphas", list, DEFAULT_ALPHA_GRID, item=(int, float))
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise ConfigValidationError("alphas must be a non-empty list")
+    if any(a < 0 for a in alphas):
+        raise ConfigValidationError("alphas must be non-negative")
 
-    if "methods" in raw:
-        methods = raw["methods"]
-        if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
-            raise ConfigParseError("field 'methods' must be a list of strings")
-        methods = tuple(methods)
-    else:
-        methods = _SWEEP_METHODS if experiment == "lr_sweep" else ("embedopt",)
-    if experiment in ("lr_sweep", "step_scaling"):
-        if not methods:
-            raise ConfigValidationError("methods must be non-empty")
-        bad = [m for m in methods if m not in _SWEEP_METHODS]
-        if bad:
-            raise ConfigValidationError(f"unknown methods {bad}; expected subset of {_SWEEP_METHODS}")
+    default_methods = _SWEEP_METHODS if experiment == "lr_sweep" else ("embedopt",)
+    methods = tuple(_get(raw, "methods", list, default_methods, item=str))
+    if not methods:
+        raise ConfigValidationError("methods must be non-empty")
+    bad = [m for m in methods if m not in _SWEEP_METHODS]
+    if bad:
+        raise ConfigValidationError(f"unknown methods {bad}; expected subset of {_SWEEP_METHODS}")
 
-    T_values = _int_list(raw, "T_values") if "T_values" in raw else DEFAULT_T_VALUES
-    if experiment == "step_scaling":
-        if not T_values:
-            raise ConfigValidationError("T_values must be non-empty")
-        if any(T < 2 for T in T_values):
-            raise ConfigValidationError("every T must be at least 2")
+    T_values = tuple(_get(raw, "T_values", list, DEFAULT_T_VALUES, item=int))
+    if not T_values:
+        raise ConfigValidationError("T_values must be non-empty")
+    if any(T < 2 for T in T_values):
+        raise ConfigValidationError("every T must be at least 2")
 
-    schedule = _optional(raw, "schedule", dict, {})
+    schedule = _get(raw, "schedule", dict, {})
     if set(schedule) - {"T", "sigma_max"}:
         raise ConfigValidationError(
             f"unknown schedule keys: {sorted(set(schedule) - {'T', 'sigma_max'})}"
         )
     if experiment == "step_scaling" and "T" in schedule:
         raise ConfigValidationError("step_scaling takes its step counts from T_values")
-    schedule_T = _optional(schedule, "T", int, None)
+    schedule_T = _get(schedule, "T", int, None)
     if schedule_T is not None and schedule_T < 1:
         raise ConfigValidationError("schedule T must be positive")
-    schedule_sigma_max = _optional(schedule, "sigma_max", (int, float), None)
+    schedule_sigma_max = _get(schedule, "sigma_max", (int, float), None)
     if schedule_sigma_max is not None:
         schedule_sigma_max = float(schedule_sigma_max)
         if schedule_sigma_max <= 0:
             raise ConfigValidationError("schedule sigma_max must be positive")
 
-    steering = _optional(raw, "steering", dict, {})
-    reward_w = float(_optional(raw, "reward_w", (int, float), 1.0))
+    steering = _get(raw, "steering", dict, {})
+    reward_w = float(_get(raw, "reward_w", (int, float), 1.0))
     if reward_w < 0:
         raise ConfigValidationError("reward_w must be non-negative")
-    dps_norm_mode = _optional(raw, "dps_norm_mode", str, "l2_matched")
+    dps_norm_mode = _get(raw, "dps_norm_mode", str, "l2_matched")
     if dps_norm_mode not in _DPS_NORM_MODES:
         raise ConfigValidationError(f"unknown dps_norm_mode {dps_norm_mode!r}")
     # exact_likelihood needs a closed-form posterior variance, which only the
@@ -448,7 +373,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigValidationError(
             f"dps_norm_mode 'exact_likelihood' needs the synthetic task, not {task_kind!r}"
         )
-    jobs = _optional(raw, "jobs", int, 1)
+    jobs = _get(raw, "jobs", int, 1)
     if jobs < 1:
         raise ConfigValidationError("jobs must be at least 1")
 
@@ -471,21 +396,37 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
     # steering settings must construct cleanly; surface bad values now, before
     # any compute or writes
-    if experiment == "single_run":
-        try:
-            _steering_config(cfg)
-        except (TypeError, ValueError) as e:
-            raise ConfigValidationError(f"invalid steering settings: {e}") from e
+    try:
+        _steering_config(cfg)
+    except (TypeError, ValueError) as e:
+        raise ConfigValidationError(f"invalid steering settings: {e}") from e
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
+def _finite(literal: str) -> float:
+    """A JSON number or NaN/Infinity constant, which must be finite."""
+    v = float(literal)
+    if not math.isfinite(v):
+        raise ConfigParseError(f"non-finite number {literal}")
+    return v
+
+
+def load_config(path, out_dir=None, seeds=None, jobs=None) -> ExperimentConfig:
+    """Read a JSON config file and validate it with config_from_dict.
+
+    A given out_dir, seeds (a list of integers) or jobs replaces that key of
+    the file first, exactly as if it were written there; seeds drops n_seeds.
+    """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as e:
         raise ConfigParseError(f"invalid JSON: {e}") from e
+    if isinstance(raw, dict):  # config_from_dict rejects any other root
+        if seeds is not None:
+            raw.pop("n_seeds", None)
+        overrides = {"out_dir": out_dir, "seeds": seeds, "jobs": jobs}
+        raw.update((key, v) for key, v in overrides.items() if v is not None)
     return config_from_dict(raw)
 
 
@@ -863,10 +804,7 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
     """Step-count scaling table with alpha set by the alpha*T constancy rule.
 
     The constant is fixed from alpha=0.1 at T=200, so alpha(T) = 20/T; each
-    row echoes both the resolved alpha and the alpha*T product. The declared
-    margin between the T=50 and T=200 task metrics is measured from this
-    run's own T=200 reference and recorded in the manifest (post hoc, as a
-    report rather than a prespecified bound).
+    row echoes both the resolved alpha and the alpha*T product.
     """
     if cfg.experiment != "step_scaling":
         raise ConfigValidationError("config experiment kind is not step_scaling")
@@ -907,16 +845,6 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
     manifest["artifacts"] = ["scale.csv"]
     manifest["batch_runtimes_s"] = batches
     manifest["row_nfe"] = _row_nfe(rows, ("method", "T", "seed"))
-    if "embedopt" in cfg.methods and 200 in T_values and 50 in T_values:
-        m200 = {r["seed"]: r["task_metric"] for r in rows if r["method"] == "embedopt" and r["T"] == 200}
-        m50 = {r["seed"]: r["task_metric"] for r in rows if r["method"] == "embedopt" and r["T"] == 50}
-        diffs = [abs(m50[s] - m200[s]) for s in seeds]
-        margin = float(np.ceil(max(diffs) * 10.0) / 10.0)
-        manifest["t50_vs_t200"] = {
-            "per_seed_abs_diff": diffs,
-            "declared_margin_post_hoc": margin,
-            "within_margin": bool(max(diffs) <= margin),
-        }
     write_manifest(out, manifest)
     return manifest
 
@@ -935,7 +863,7 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
 
     if cfg.task_kind == "synthetic":
         task = build_synthetic_task()
-        reward = GaussianMeasurementReward(y=[SYNTH_Y], tau2=SYNTH_TAU2, w=cfg.reward_w)
+        reward = task.reward(cfg.reward_w)
         T = cfg.schedule_T if cfg.schedule_T is not None else SYNTH_T
         sigma_max = cfg.schedule_sigma_max if cfg.schedule_sigma_max is not None else SYNTH_SIGMA_MAX
         metric = None

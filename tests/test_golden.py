@@ -72,7 +72,7 @@ def assert_csv_digests(out_dir: Path, want: dict) -> None:
 
 @pytest.mark.parametrize("config,key", CASES, ids=[key for _, key in CASES])
 def test_shipped_distance_config_matches_reference_digests(tmp_path, reference, config, key):
-    cfg = load_config(ROOT / "configs" / config).with_overrides(out_dir=str(tmp_path))
+    cfg = load_config(ROOT / "configs" / config, out_dir=str(tmp_path))
     run_from_config(cfg)
     assert_csv_digests(tmp_path, reference[key])
 
