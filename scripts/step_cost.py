@@ -78,7 +78,7 @@ def fig1_noise_cost_us() -> float:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--batches", default="1,3,15", help="comma-separated batch sizes")
+    ap.add_argument("--batches", default="1,3,5,15", help="comma-separated batch sizes")
     ap.add_argument("--tasks", default=",".join(TASKS))
     ap.add_argument("--methods", default=",".join(METHODS))
     args = ap.parse_args()

@@ -39,23 +39,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .models import NonFiniteStateError
 from .samplers import Af3SamplerParams
-from .schedules import build_linear_schedule
 from .steering import SteeringConfig, run_steered
 from .tasks import (
     SYNTH_PRIOR_LOC,
     SYNTH_PRIOR_STD,
-    SYNTH_SIGMA_MAX,
-    SYNTH_T,
     SYNTH_TAU2,
     SYNTH_Y,
-    TOY_SIGMA_MAX,
-    TOY_T,
+    SyntheticTask,
+    ToyTask,
     build_synthetic_task,
     build_toy_task,
 )
@@ -521,12 +518,12 @@ def fig1_noise(seeds: Sequence[int]) -> np.ndarray:
 def fig1_panel_samples(
     panel: str,
     z: np.ndarray,
-    T: int = SYNTH_T,
-    sigma_max: float = SYNTH_SIGMA_MAX,
+    **schedule,
 ) -> np.ndarray:
     """Endpoint samples for one panel, all seeds as one batch.
 
     The panel is a figure panel or an extra endpoint (FIG1_EXTRA_PANEL_SPECS).
+    `schedule` holds `SyntheticTask.schedule`'s keywords, T and sigma_max.
     `z` holds one standard-normal draw per seed (fig1_noise); trajectory i
     starts at x_T = sigma_max * z[i]. Bit-identical to running the generic
     per-trajectory engine seed by seed: the task is one-dimensional, so every
@@ -545,7 +542,8 @@ def fig1_panel_samples(
         raise ValueError(f"unknown panel {panel!r}")
     spec = _PANEL_SPECS[panel]
     method, w, alpha = spec["method"], spec["w"], spec["alpha"]
-    sig = build_linear_schedule(T, sigma_max).sigma_values
+    sig = SyntheticTask.schedule(**schedule).sigma_values
+    T = len(sig) - 1
     s0, y, tau2 = SYNTH_PRIOR_STD, SYNTH_Y, SYNTH_TAU2
 
     x = sig[-1] * z
@@ -594,8 +592,7 @@ def run_synthetic_fig1(cfg: ExperimentConfig) -> dict:
         raise ConfigValidationError("config experiment kind is not synthetic_fig1")
     t0 = time.perf_counter()
     out = Path(cfg.out_dir)
-    T = cfg.schedule_T if cfg.schedule_T is not None else SYNTH_T
-    sigma_max = cfg.schedule_sigma_max if cfg.schedule_sigma_max is not None else SYNTH_SIGMA_MAX
+    schedule = _schedule_keys(cfg)
 
     t_draw = time.perf_counter()
     z = fig1_noise(cfg.seeds)
@@ -603,7 +600,7 @@ def run_synthetic_fig1(cfg: ExperimentConfig) -> dict:
     panels = {}
     for panel in FIG1_PANEL_SPECS:
         t_panel = time.perf_counter()
-        samples = fig1_panel_samples(panel, z, T=T, sigma_max=sigma_max)
+        samples = fig1_panel_samples(panel, z, **schedule)
         phases["integrate"][panel] = time.perf_counter() - t_panel
         if not np.isfinite(samples).all():
             raise NonFiniteStateError(f"panel {panel!r} has non-finite endpoints")
@@ -624,7 +621,7 @@ def run_synthetic_fig1(cfg: ExperimentConfig) -> dict:
         panels[panel] = entry
 
     manifest = _base_manifest(cfg, t0)
-    manifest["schedule"] = build_linear_schedule(T, sigma_max).to_manifest()
+    manifest["schedule"] = SyntheticTask.schedule(**schedule).to_manifest()
     manifest["panels"] = panels
     manifest["phases_s"] = phases
     write_manifest(out, manifest)
@@ -644,7 +641,7 @@ def _toy_batch(desc: dict) -> dict:
     costs little next to the trajectory integration.
     """
     task = build_toy_task(desc["task_kind"], desc["task_seed"])
-    schedule = task.schedule(T=desc["T"], sigma_max=desc["sigma_max"])
+    schedule = task.schedule(**desc["schedule"])
     method = desc["method"]
     if method == "unguided":
         config = SteeringConfig(method="none")
@@ -672,14 +669,14 @@ def _toy_batch(desc: dict) -> dict:
         rows.append({
             "method": method,
             "alpha": alpha,
-            "T": desc["T"],
+            "T": schedule.num_steps,
             "seed": seed,
             "final_reward": task.reward.value(x0),
             "task_metric": task.metric(x0),
             "violations": violations,
             "nfe": rec.nfe,
         })
-    batch = {"method": method, "T": desc["T"], "rows": len(rows), "runtime_s": runtime}
+    batch = {"method": method, "T": schedule.num_steps, "rows": len(rows), "runtime_s": runtime}
     return {"rows": rows, "batch": batch}
 
 
@@ -722,10 +719,10 @@ def _row_nfe(rows: List[dict], keys: Sequence[str]) -> List[dict]:
     return [dict({k: r[k] for k in keys}, nfe=r["nfe"]) for r in rows]
 
 
-def _toy_schedule_params(cfg: ExperimentConfig) -> Tuple[int, float]:
-    T = cfg.schedule_T if cfg.schedule_T is not None else TOY_T
-    sigma_max = cfg.schedule_sigma_max if cfg.schedule_sigma_max is not None else TOY_SIGMA_MAX
-    return T, sigma_max
+def _schedule_keys(cfg: ExperimentConfig) -> dict:
+    """The schedule keywords the config sets; the task's `schedule` defaults the rest."""
+    keys = {"T": cfg.schedule_T, "sigma_max": cfg.schedule_sigma_max}
+    return {k: v for k, v in keys.items() if v is not None}
 
 
 def run_lr_sweep(cfg: ExperimentConfig) -> dict:
@@ -741,15 +738,14 @@ def run_lr_sweep(cfg: ExperimentConfig) -> dict:
         raise ConfigValidationError("config experiment kind is not lr_sweep")
     t0 = time.perf_counter()
     out = Path(cfg.out_dir)
-    T, sigma_max = _toy_schedule_params(cfg)
+    schedule = _schedule_keys(cfg)
     alphas = tuple(sorted(cfg.alphas))
     seeds = tuple(sorted(cfg.seeds))
 
     base = {
         "task_kind": cfg.task_kind,
         "task_seed": cfg.task_seed,
-        "T": T,
-        "sigma_max": sigma_max,
+        "schedule": schedule,
         "dps_norm_mode": cfg.dps_norm_mode,
     }
     grid = [(alpha, seed) for alpha in alphas for seed in seeds]
@@ -788,7 +784,7 @@ def run_lr_sweep(cfg: ExperimentConfig) -> dict:
     )
 
     manifest = _base_manifest(cfg, t0)
-    manifest["schedule"] = build_linear_schedule(T, sigma_max).to_manifest()
+    manifest["schedule"] = ToyTask.schedule(**schedule).to_manifest()
     manifest["artifacts"] = ["sweep.csv", "best_achieved.csv"]
     manifest["batch_runtimes_s"] = batches
     manifest["row_nfe"] = _row_nfe(rows + baselines, ("method", "alpha", "seed"))
@@ -810,7 +806,6 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
         raise ConfigValidationError("config experiment kind is not step_scaling")
     t0 = time.perf_counter()
     out = Path(cfg.out_dir)
-    _, sigma_max = _toy_schedule_params(cfg)
     const = SCALE_ALPHA_REF * SCALE_T_REF
     seeds = tuple(sorted(cfg.seeds))
     T_values = tuple(sorted(cfg.T_values, reverse=True))
@@ -818,11 +813,11 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
     base = {
         "task_kind": cfg.task_kind,
         "task_seed": cfg.task_seed,
-        "sigma_max": sigma_max,
         "dps_norm_mode": cfg.dps_norm_mode,
     }
     descs = [
-        dict(base, method=method, T=T, alphas=[const / T] * len(seeds), seeds=list(seeds))
+        dict(base, method=method, schedule=dict(_schedule_keys(cfg), T=T),
+             alphas=[const / T] * len(seeds), seeds=list(seeds))
         for method in cfg.methods
         for T in T_values
     ]
@@ -864,15 +859,12 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
     if cfg.task_kind == "synthetic":
         task = build_synthetic_task()
         reward = task.reward(cfg.reward_w)
-        T = cfg.schedule_T if cfg.schedule_T is not None else SYNTH_T
-        sigma_max = cfg.schedule_sigma_max if cfg.schedule_sigma_max is not None else SYNTH_SIGMA_MAX
         metric = None
     else:
         task = build_toy_task(cfg.task_kind, cfg.task_seed)
         reward = task.reward
-        T, sigma_max = _toy_schedule_params(cfg)
         metric = task.metric
-    schedule = build_linear_schedule(T, sigma_max)
+    schedule = task.schedule(**_schedule_keys(cfg))
     config = _steering_config(cfg)
 
     seeds = [int(seed) for seed in cfg.seeds]
@@ -905,7 +897,7 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
     manifest["steering"] = config.to_manifest()
     manifest["runs"] = runs
     manifest["batch_runtimes_s"] = [
-        {"method": config.method, "T": T, "rows": len(seeds), "runtime_s": runtime}
+        {"method": config.method, "T": schedule.num_steps, "rows": len(seeds), "runtime_s": runtime}
     ]
     write_manifest(out, manifest)
     return manifest

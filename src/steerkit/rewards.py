@@ -23,6 +23,8 @@ its voxel terms in ascending voxel order. Factorising the splat into per-axis
 Gaussians gx*gy*gz, or a BLAS contraction, rounds differently and would
 change every map-task CSV. The exponentials and the gradient weights reuse
 the splat's buffer, so a call allocates one splat-sized array, not five.
+A batch is one splat per chunk of rows (`_render_rows`), each row a column
+block summed, normalized and weighted on its own: bit for bit the row alone.
 
 All gradients are exact, including the chain through map normalization, and
 are checked against central finite differences in the verification suite.
@@ -211,27 +213,6 @@ def render_map_raw(x: np.ndarray, grid: MapGrid, atom_width: float) -> np.ndarra
     return np.exp(-d2 / (2.0 * atom_width**2)).sum(axis=1)
 
 
-def _splat(x: np.ndarray, grid: MapGrid, atom_width: float):
-    """Per-bead splat values, shape (n_voxels, n_beads), and the offset tables.
-
-    Their sum over beads is `render_map_raw`, bit for bit, computed from the
-    per-axis tables d_a = axis_a[:, None] - pts[None, :, a] of shape
-    (n_a, n_beads).
-    The squared distance is broadcast as (x^2 + y^2) + z^2, the order in which
-    the brute-force form reduces its length-3 axis; x^2 + (y^2 + z^2) rounds
-    differently. Negation, division and exp run in the brute-force order, in
-    place: each would otherwise allocate another splat-sized array.
-    """
-    pts = np.asarray(x, dtype=np.float64).reshape(-1, 3)
-    offsets = [axis[:, None] - pts[None, :, a] for a, axis in enumerate(grid.axes())]
-    sx, sy, sz = (d * d for d in offsets)
-    d2 = (sx[:, None, None, :] + sy[None, :, None, :]) + sz[None, None, :, :]
-    splat = np.negative(d2, out=d2).reshape(grid.n_voxels, -1)
-    splat /= 2.0 * atom_width**2
-    np.exp(splat, out=splat)
-    return splat, offsets
-
-
 def _bead_sum(splat: np.ndarray) -> np.ndarray:
     """`splat.sum(axis=1)`, bit for bit, as whole-column adds.
 
@@ -257,9 +238,41 @@ def _bead_sum(splat: np.ndarray) -> np.ndarray:
     return total
 
 
+_SPLAT_CHUNK_BYTES = 1 << 21  # splat bytes per kernel pass, about one L2; part of no artifact
+
+
+def _render_rows(X: np.ndarray, grid: MapGrid, atom_width: float):
+    """Yield (lo, splat, offsets, v_raws) per chunk of rows lo, lo + 1, ... of X.
+
+    The chunk's beads, row after row, are the columns of its per-bead splat,
+    shape (n_voxels, n_beads), computed from the per-axis tables
+    d_a = axis_a[:, None] - pts[None, :, a] of shape (n_a, n_beads).
+    v_raws[r] is the `_bead_sum` of row r's block of columns: bit for bit
+    `render_map_raw` of the row alone. The squared distance is broadcast as
+    (x^2 + y^2) + z^2, the order in which the brute-force form reduces its
+    length-3 axis; x^2 + (y^2 + z^2) rounds differently. Negation, division
+    and exp run in the brute-force order, in place. A chunk holds at most
+    _SPLAT_CHUNK_BYTES (or one row), in one buffer that the next chunk
+    reuses, so a call holds about two chunk-sized buffers at most.
+    """
+    n = X.shape[1] // 3
+    step = max(1, _SPLAT_CHUNK_BYTES // (grid.n_voxels * n * 8))
+    buf, axes = np.empty(min(step, len(X)) * grid.n_voxels * n), grid.axes()
+    for lo in range(0, len(X), step):
+        pts = np.asarray(X[lo : lo + step], dtype=np.float64).reshape(-1, 3)
+        offsets = [axis[:, None] - pts[None, :, a] for a, axis in enumerate(axes)]
+        sx, sy, sz = (d * d for d in offsets)
+        d2 = buf[: grid.n_voxels * len(pts)].reshape(*grid.shape, -1)
+        np.add(sx[:, None, None, :] + sy[None, :, None, :], sz[None, None, :, :], out=d2)
+        splat = np.negative(d2, out=d2).reshape(grid.n_voxels, -1)
+        splat /= 2.0 * atom_width**2
+        np.exp(splat, out=splat)
+        yield lo, splat, offsets, [_bead_sum(splat[:, j : j + n]) for j in range(0, len(pts), n)]
+
+
 def _render_raw(x: np.ndarray, grid: MapGrid, atom_width: float) -> np.ndarray:
-    """`render_map_raw` from the per-axis kernel, bit for bit."""
-    return _bead_sum(_splat(x, grid, atom_width)[0])
+    """`render_map_raw` of one state from the kernel, bit for bit."""
+    return next(_render_rows(np.reshape(x, (1, -1)), grid, atom_width))[3][0]
 
 
 def _normalize_map(v_raw: np.ndarray):
@@ -299,13 +312,13 @@ class MapMSEReward:
     already be zero-mean unit-variance on the same grid. R lies in [-4, 0]
     and is 0 exactly when the rendered map equals the target.
 
-    Every method renders through `_splat` and `_bead_sum`, so `value`,
-    `correlation` and `from_state` return exactly what their
-    `render_map_raw` forms return. The gradient weights splat[m, b] by
-    g_vraw[m] in the splat's buffer (the map is summed by then), multiplies
+    Every method renders through one kernel, `_render_rows` (a 1-D x is a
+    batch of one), so each returns what its `render_map_raw` form returns,
+    and each row of a batch what it returns alone. The gradient weights each
+    row's splat columns by its g_vraw[m] in the splat's buffer, multiplies
     by each axis's offset table broadcast over the grid, and sums over voxels
-    in ascending order with `np.einsum` (no BLAS call, whose blocking would
-    reorder the sum).
+    in ascending order with `np.einsum` over all beads (no BLAS call, whose
+    blocking would reorder the sum).
     """
 
     grid: MapGrid
@@ -329,42 +342,35 @@ class MapMSEReward:
         return map_correlation(_render_raw(x, self.grid, self.atom_width), self.v_obs)
 
     def value(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            return np.array([self._value(row) for row in x])
-        return self._value(x)
+        vals = np.array([
+            -np.mean((_normalize_map(v_raw)[0] - self.v_obs) ** 2)
+            for *_, v_raws in _render_rows(np.atleast_2d(x), self.grid, self.atom_width)
+            for v_raw in v_raws
+        ])
+        return vals if np.ndim(x) == 2 else float(vals[0])
 
     def value_and_grad(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            rows = [self._value_and_grad(row) for row in x]
-            return np.array([v for v, _ in rows]), np.stack([g for _, g in rows])
-        return self._value_and_grad(x)
-
-    def _value(self, x: np.ndarray) -> float:
-        v = _normalize_map(_render_raw(x, self.grid, self.atom_width))[0]
-        return float(-np.mean((v - self.v_obs) ** 2))
-
-    def _value_and_grad(self, x: np.ndarray):
-        splat, offsets = _splat(x, self.grid, self.atom_width)
-        v, sd = _normalize_map(_bead_sum(splat))
-        M = v.size
-        cc = float(v @ self.v_obs) / M
-        val = 2.0 * (cc - 1.0)
-        # dcc/dV_raw = (V_obs - cc * V) / (M * sd): V_obs is zero-mean, so the
-        # mean-shift term vanishes and only the std chain survives.
-        g_vraw = 2.0 * (self.v_obs - cc * v) / (M * sd)
-        # chain through the splats: dV_raw[m]/d pts[b] = splat[m,b] * (c_m - p_b)/aw^2
-        # per bead and axis, summed over voxels in ascending order
-        w = np.multiply(splat, g_vraw[:, None], out=splat).reshape(*self.grid.shape, -1)
-        dx, dy, dz = offsets
-        cols = [
-            np.einsum("ijkb,ib->b", w, dx),
-            np.einsum("ijkb,jb->b", w, dy),
-            np.einsum("ijkb,kb->b", w, dz),
-        ]
-        grad_pts = np.stack(cols, axis=1) / self.atom_width**2
-        return val, grad_pts.ravel()
+        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        vals, grads, M = np.empty(len(X)), np.empty(X.shape), self.grid.n_voxels
+        for lo, splat, offsets, v_raws in _render_rows(X, self.grid, self.atom_width):
+            rows, g_vraw = len(v_raws), np.empty((M, len(v_raws)))
+            for r, v_raw in enumerate(v_raws):
+                v, sd = _normalize_map(v_raw)
+                cc = float(v @ self.v_obs) / M
+                vals[lo + r] = 2.0 * (cc - 1.0)
+                # dcc/dV_raw = (V_obs - cc * V) / (M * sd): V_obs is zero-mean, so the
+                # mean-shift term vanishes and only the std chain survives.
+                g_vraw[:, r] = 2.0 * (self.v_obs - cc * v) / (M * sd)
+            # chain through the splats: dV_raw[m]/d pts[b] = splat[m,b] * (c_m - p_b)/aw^2
+            # per bead and axis, summed over voxels in ascending order
+            w = splat.reshape(M, rows, -1)
+            w = np.multiply(w, g_vraw[:, :, None], out=w).reshape(*self.grid.shape, -1)
+            k = w.shape[-1]
+            if k == 1:  # einsum drops a length-1 bead axis, then sums voxels in blocks
+                w, offsets = np.concatenate([w, w], -1), [np.concatenate([d, d], 1) for d in offsets]
+            cols = [np.einsum(f"ijkb,{a}b->b", w, d)[:k] for a, d in zip("ijk", offsets)]
+            grads[lo : lo + rows] = (np.stack(cols, axis=1) / self.atom_width**2).reshape(rows, -1)
+        return (vals, grads) if np.ndim(x) == 2 else (float(vals[0]), grads[0])
 
 
 def select_top_k_constraints(

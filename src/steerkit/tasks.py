@@ -68,7 +68,8 @@ class SyntheticTask:
 
         return GaussianMeasurementReward(y=[SYNTH_Y], tau2=SYNTH_TAU2, w=w)
 
-    def schedule(self, T: int = SYNTH_T, sigma_max: float = SYNTH_SIGMA_MAX) -> NoiseSchedule:
+    @staticmethod
+    def schedule(T: int = SYNTH_T, sigma_max: float = SYNTH_SIGMA_MAX) -> NoiseSchedule:
         return build_linear_schedule(T, sigma_max)
 
 
@@ -89,7 +90,8 @@ class ToyTask:
     reward: object
     seed: int
 
-    def schedule(self, T: int = TOY_T, sigma_max: float = TOY_SIGMA_MAX) -> NoiseSchedule:
+    @staticmethod
+    def schedule(T: int = TOY_T, sigma_max: float = TOY_SIGMA_MAX) -> NoiseSchedule:
         return build_linear_schedule(T, sigma_max)
 
     def metric(self, x: np.ndarray) -> float:

@@ -28,7 +28,7 @@ from steerkit import (
     render_map_raw,
     select_top_k_constraints,
 )
-from steerkit.rewards import _bead_sum
+from steerkit.rewards import _SPLAT_CHUNK_BYTES, _bead_sum
 from steerkit.tasks import build_toy_task
 
 N_PROBES = 20
@@ -394,17 +394,86 @@ def test_bead_sum_matches_numpy_pairwise_sum(n_beads):
     assert np.array_equal(_bead_sum(splat), splat.sum(axis=1))
 
 
-@pytest.mark.parametrize("rows", [1, 3])
+def _assert_rows_match_alone(reward, X):
+    """A (B, D) call returns, row by row, the bytes of each row evaluated alone."""
+    values, grads = reward.value_and_grad(X)
+    batch_values = reward.value(X)
+    assert values.shape == batch_values.shape == (len(X),) and grads.shape == X.shape
+    for x, val, grad, batch_val in zip(X, values, grads, batch_values):
+        alone_val, alone_grad = reward.value_and_grad(x)
+        assert np.float64(alone_val).tobytes() == val.tobytes()
+        assert alone_grad.tobytes() == grad.tobytes()
+        assert np.float64(reward.value(x)).tobytes() == batch_val.tobytes()
+    # a 1-D call is the batch of one
+    (alone_val, alone_grad), (one_val, one_grad) = map(reward.value_and_grad, (X[0], X[:1]))
+    assert np.float64(alone_val).tobytes() == one_val.tobytes()
+    assert alone_grad.tobytes() == one_grad[0].tobytes()
+    assert np.float64(reward.value(X[0])).tobytes() == reward.value(X[:1]).tobytes()
+
+
+def _rows_per_chunk(reward, n_beads):
+    return max(1, _SPLAT_CHUNK_BYTES // (reward.grid.n_voxels * n_beads * 8))
+
+
+@pytest.mark.parametrize("B", [1, 2, 5, 15])
+@pytest.mark.parametrize("seed", [0, 3, 7, 2])
+def test_map_reward_batch_rows_match_rows_alone(seed, B):
+    # one task per voxel-count stratum; rows near and far from the target
+    task = build_toy_task("map", seed)
+    rng = np.random.default_rng(50 + seed)
+    scales = np.geomspace(0.1, 3.0, B)[:, None]
+    X = task.target_state + scales * rng.standard_normal((B, task.target_state.size))
+    _assert_rows_match_alone(task.reward, X)
+
+
+@pytest.mark.parametrize("n_beads", [1, 3, 13])
+@pytest.mark.parametrize("shape", [(3, 5, 7), (7, 1, 4)])
+def test_map_reward_batch_rows_match_rows_alone_on_uneven_grids(shape, n_beads):
+    grid = MapGrid(shape=shape, origin=np.array([-2.1, -1.3, -3.7]), spacing=0.9)
+    rng = np.random.default_rng(10 * n_beads + shape[0])
+    target = 1.5 * rng.standard_normal(3 * n_beads)
+    reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
+    for B in (1, 2, 5, 15):
+        _assert_rows_match_alone(reward, target + rng.standard_normal((B, 3 * n_beads)))
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_map_reward_batch_crossing_the_chunk_budget_matches_rows_alone(seed):
+    # two full chunks and a one-row tail, all splatted into one reused buffer
+    task = build_toy_task("map", seed)
+    B = 2 * _rows_per_chunk(task.reward, task.target_state.size // 3) + 1
+    X = task.target_state + 0.5 * np.random.default_rng(seed).standard_normal(
+        (B, task.target_state.size))
+    _assert_rows_match_alone(task.reward, X)
+
+
+def test_map_reward_batch_with_a_degenerate_row_raises():
+    grid = MapGrid(shape=(5, 5, 5), origin=np.full(3, -3.0), spacing=1.5)
+    rng = np.random.default_rng(4)
+    target = 2.0 * rng.standard_normal(8 * 3)
+    reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
+    X = target + rng.standard_normal((5, target.size))
+    X[3] += 1000.0  # every bead of row 3 far outside the grid: a zero map
+    with pytest.raises(DegenerateMapError):
+        reward.value_and_grad(X)
+    with pytest.raises(DegenerateMapError):
+        reward.value(X)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 5, 200])
 @pytest.mark.parametrize("seed", [0, 3, 7, 2])
 def test_map_reward_peaks_below_two_splat_buffers(seed, rows):
-    # one task per voxel-count stratum; the splat is reused in place, so a
-    # call holds about one (n_voxels, n_beads) buffer and its bead sum
+    # one task per voxel-count stratum. A call splats one chunk of rows at a
+    # time into one buffer, reused in place and from chunk to chunk, so it
+    # holds about one chunk-sized buffer and its bead sums, whatever the
+    # batch size. One row is the old bound exactly: two one-row buffers.
     task = build_toy_task("map", seed)
     reward, target = task.reward, task.target_state
     rng = np.random.default_rng(seed)
     x = target + 0.3 * rng.standard_normal((rows, target.size))
     x = x[0] if rows == 1 else x
-    splat_bytes = reward.grid.n_voxels * (target.size // 3) * 8
+    n_beads = target.size // 3
+    chunk_bytes = min(rows, _rows_per_chunk(reward, n_beads)) * reward.grid.n_voxels * n_beads * 8
     for call in (reward.value_and_grad, reward.value):
         call(x)  # warm up
         tracemalloc.start()
@@ -413,7 +482,8 @@ def test_map_reward_peaks_below_two_splat_buffers(seed, rows):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * splat_bytes, f"{call.__name__}: {peak / splat_bytes:.2f} buffers"
+        assert peak <= 2 * chunk_bytes, f"{call.__name__}: {peak / chunk_bytes:.2f} chunk buffers"
+        assert peak < 2 * _SPLAT_CHUNK_BYTES <= 8 << 20  # 200 rows unchunked: 40-62 MB
 
 
 def test_map_reward_raises_on_degenerate_rendering():
