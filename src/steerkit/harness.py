@@ -45,7 +45,7 @@ import numpy as np
 
 from .models import NonFiniteStateError
 from .samplers import Af3SamplerParams
-from .steering import SteeringConfig, run_steered
+from .steering import _DPS_NORMS, SteeringConfig, run_steered
 from .tasks import (
     SYNTH_PRIOR_LOC,
     SYNTH_PRIOR_STD,
@@ -95,7 +95,6 @@ SCALE_T_REF = 200
 _EXPERIMENTS = ("synthetic_fig1", "lr_sweep", "step_scaling", "single_run", "verify")
 _SWEEP_METHODS = ("embedopt", "dps")
 _TASK_KINDS = ("synthetic", "distance", "map")
-_DPS_NORM_MODES = ("sigma2w", "l2_matched", "exact_likelihood")
 
 
 class ConfigParseError(Exception):
@@ -359,7 +358,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if reward_w < 0:
         raise ConfigValidationError("reward_w must be non-negative")
     dps_norm_mode = _get(raw, "dps_norm_mode", str, "l2_matched")
-    if dps_norm_mode not in _DPS_NORM_MODES:
+    if dps_norm_mode not in _DPS_NORMS:
         raise ConfigValidationError(f"unknown dps_norm_mode {dps_norm_mode!r}")
     # exact_likelihood needs a closed-form posterior variance, which only the
     # synthetic task (Gaussian prior, Gaussian measurement reward) has; the
@@ -643,17 +642,11 @@ def _toy_batch(desc: dict) -> dict:
     task = build_toy_task(desc["task_kind"], desc["task_seed"])
     schedule = task.schedule(**desc["schedule"])
     method = desc["method"]
-    if method == "unguided":
-        config = SteeringConfig(method="none")
-        reward = None
-    elif method == "dps":
-        config = SteeringConfig(method="dps", dps_norm_mode=desc["dps_norm_mode"])
-        reward = task.reward
-    elif method == "embedopt":
-        config = SteeringConfig(method="embedopt")
-        reward = task.reward
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    unguided = method == "unguided"  # SteeringConfig rejects any unknown method
+    config = SteeringConfig(
+        method="none" if unguided else method, dps_norm_mode=desc["dps_norm_mode"]
+    )
+    reward = None if unguided else task.reward
     t0 = time.perf_counter()
     res = run_steered(
         task.model, reward, task.c_init, schedule, config,

@@ -13,14 +13,16 @@ eta_t * (xhat - x_t):
 The one integration loop over a schedule is steering.run_steered; its
 method "none" is the unguided sampler. It integrates a (B, D) batch with one
 generator per row, so every noise draw here comes from the row's own
-generator. The per-step trajectory log records noise level, surrogate reward
-(when a reward is attached), gradient norms and embedding drift, plus the
+generator. Its step log is one (B, T) float64 array each for the surrogate
+reward (when a reward is attached), gradient norm and embedding drift; each
+row's TrajectoryRecord holds row views of them, the noise levels and the
 trajectory's function evaluations by kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +36,12 @@ __all__ = [
     "af3_noise_inflate",
     "standard_normal_rows",
 ]
+
+
+def _require_real(name: str, value) -> None:
+    """Raise ValueError unless value is a real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,16 +60,13 @@ class Af3SamplerParams:
     eta_scale: float = 1.5
 
     def __post_init__(self):
+        for f in fields(self):
+            _require_real(f.name, getattr(self, f.name))
         if self.gamma < 0 or self.rho_noise <= 0 or self.eta_scale <= 0:
             raise ValueError("invalid sampler parameters")
 
     def to_manifest(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "gamma_min": self.gamma_min,
-            "rho_noise": self.rho_noise,
-            "eta_scale": self.eta_scale,
-        }
+        return asdict(self)
 
 
 NFE_KINDS = ("denoise", "vjp_x", "vjp_c", "reward_value_and_grad", "reward_value")
@@ -71,30 +76,35 @@ NFE_KINDS = ("denoise", "vjp_x", "vjp_c", "reward_value_and_grad", "reward_value
 class TrajectoryRecord:
     """Per-step log of one trajectory, ordered by decreasing t (sampling order).
 
-    nfe counts the trajectory's function evaluations by kind (NFE_KINDS):
-    denoiser calls, vjp products and reward calls, one per row and call.
+    steps counts T down to 1, one per entry of the (T,) sigmas. F, grad_norms
+    and embed_drifts are (T,) float64 arrays, row views of run_steered's
+    (B, T) logs; F is None when no reward was logged, and a batch total
+    (SteeringResult.record) has no per-step values. nfe counts function
+    evaluations by kind (NFE_KINDS), one per row and call.
     """
 
-    steps: list = field(default_factory=list)
-    sigmas: list = field(default_factory=list)
-    F: list = field(default_factory=list)
-    grad_norms: list = field(default_factory=list)
-    embed_drifts: list = field(default_factory=list)
+    sigmas: np.ndarray
+    F: np.ndarray | None = None
+    grad_norms: np.ndarray | None = None
+    embed_drifts: np.ndarray | None = None
     skip_counts: dict = field(default_factory=dict)
     nfe: dict = field(default_factory=lambda: dict.fromkeys(NFE_KINDS, 0))
 
     @property
+    def steps(self) -> range:
+        return range(len(self.sigmas), 0, -1)
+
+    @property
     def F_values(self) -> np.ndarray:
-        if any(f is None for f in self.F):
-            raise ValueError("trajectory has missing surrogate-reward entries")
-        return np.asarray(self.F, dtype=np.float64)
+        if self.F is None:
+            raise ValueError("trajectory has no logged surrogate reward")
+        return self.F
 
     def csv_rows(self):
-        """Rows (step, sigma, F, grad_norm, embed_drift); F empty when unrecorded."""
-        for i in range(len(self.steps)):
-            f = self.F[i]
-            yield (self.steps[i], self.sigmas[i], "" if f is None else f,
-                   self.grad_norms[i], self.embed_drifts[i])
+        """Rows (step, sigma, F, grad_norm, embed_drift) of Python numbers; F "" if unlogged."""
+        F = [""] * len(self.sigmas) if self.F is None else self.F.tolist()
+        return zip(self.steps, self.sigmas.tolist(), F,
+                   self.grad_norms.tolist(), self.embed_drifts.tolist())
 
 
 def euler_step(

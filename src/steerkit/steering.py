@@ -26,18 +26,20 @@ skipped with a logged flag rather than normalized into NaN. A trajectory that
 ends with a non-finite endpoint or log entry raises NonFiniteStateError.
 
 run_steered integrates a (B, D) batch, one generator, embedding row and
-alpha per trajectory; one generator is a batch of one. The steps take the
-batch whole and share the model's intermediates (`model.parts`) between a
-denoise and its pullback at the same (x, c, sigma). Every reduction is per
-row (np.vecdot for the norms that were scalar np.linalg.norm), so each row
-is bit-identical to the trajectory run alone. No step recomputes what
-cannot have changed (the models memoise the last embedding's means), and
+alpha per trajectory; one generator is a batch of one. Its step logs are one
+(B, T) float64 array per quantity, filled a column per step, and each row's
+TrajectoryRecord holds row views of them. The steps take the batch whole and
+share the model's intermediates (`model.parts`) between a denoise and its
+pullback at the same (x, c, sigma). Every reduction is per row (np.vecdot
+for the norms that were scalar np.linalg.norm), so each row is
+bit-identical to the trajectory run alone. No step recomputes what cannot
+have changed (the models memoise the last embedding's means), and
 rms_normalize makes one bit-identical pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -48,6 +50,7 @@ from .samplers import (
     NFE_KINDS,
     Af3SamplerParams,
     TrajectoryRecord,
+    _require_real,
     af3_noise_inflate,
     euler_step,
     standard_normal_rows,
@@ -86,6 +89,7 @@ class SteeringConfig:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        _require_real("alpha", self.alpha)
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
         if self.dps_norm_mode not in _DPS_NORMS:
@@ -96,14 +100,7 @@ class SteeringConfig:
             raise ValueError(f"unknown sampler_mode {self.sampler_mode!r}")
 
     def to_manifest(self) -> dict:
-        return {
-            "method": self.method,
-            "alpha": self.alpha,
-            "dps_norm_mode": self.dps_norm_mode,
-            "embed_norm_mode": self.embed_norm_mode,
-            "sampler_mode": self.sampler_mode,
-            "af3": self.af3.to_manifest(),
-        }
+        return asdict(self)  # af3 becomes its own field dict
 
 
 @dataclass
@@ -111,8 +108,9 @@ class SteeringResult:
     """Endpoints, final embeddings and step logs of one run_steered call.
 
     A batch has x0 of shape (B, D), a B-row c_final and one TrajectoryRecord
-    per row in records; a run from a single generator has x0 of shape (D,),
-    a single embedding and one record.
+    per row in records, each holding row views of the batch's (B, T) logs; a
+    run from a single generator has x0 of shape (D,), a single embedding and
+    one record.
     """
 
     x0: np.ndarray
@@ -124,17 +122,15 @@ class SteeringResult:
         """The log of a one-row run. For a batch, the batch's totals: the
         steps and sigmas every row shares, and skip and NFE counts summed over
         rows; per-step values are per row, in records."""
-        if len(self.records) == 1:
-            return self.records[0]
-        total = TrajectoryRecord(
-            steps=list(self.records[0].steps), sigmas=list(self.records[0].sigmas)
-        )
+        first, B = self.records[0], len(self.records)
+        if B == 1:
+            return first
+        skips = {}
         for rec in self.records:
             for name, n in rec.skip_counts.items():
-                total.skip_counts[name] = total.skip_counts.get(name, 0) + n
-            for kind, n in rec.nfe.items():
-                total.nfe[kind] += n
-        return total
+                skips[name] = skips.get(name, 0) + n
+        nfe = {kind: n * B for kind, n in first.nfe.items()}  # every row counts the same
+        return TrajectoryRecord(sigmas=first.sigmas, skip_counts=skips, nfe=nfe)
 
     def row(self, b: int) -> "SteeringResult":
         """Row b of a batch as a one-trajectory result."""
@@ -365,11 +361,13 @@ def run_steered(
     T = schedule.num_steps
     x = sig[-1] * standard_normal_rows(rngs, (B, model.D))
     c = c_init
-    zeros = np.zeros(B)
     af3 = config.af3
-    sigmas, F_log, grad_log, drift_log = [], [], [], []
+    # column-major, so each step's column is contiguous; records take row views
+    sigmas = np.empty(T)
+    grad_log, drift_log = np.zeros((B, T), order="F"), np.zeros((B, T), order="F")
+    F_log = None if reward is None else np.empty((B, T), order="F")
     skips = {}  # skip kind -> per-row counts
-    for t in range(T, 0, -1):
+    for i, t in enumerate(range(T, 0, -1)):
         sigma_t, sigma_prev = float(sig[t]), float(sig[t - 1])
         eta_scale = 1.0
         sigma_hat = sigma_t
@@ -379,7 +377,7 @@ def run_steered(
             eta_scale = af3.eta_scale
         if config.method == "embedopt":
             # ||c_t - c_T|| per row before this update, bit for bit c.add(c_init, -1).norm()
-            drift = zeros + _norm(c.flat() - c_init.flat())
+            drift_log[:, i] = _norm(c.flat() - c_init.flat())
             x_t, c_t = x, c
             x, c, info = embedopt_step(
                 model, reward, x, c, sigma_hat, sigma_prev,
@@ -389,41 +387,34 @@ def run_steered(
                 on_update(x_t, c_t, sigma_hat, c, info)
             for name, skipped in zip(c_init.names, info["skipped"].T):
                 _count_skips(skips, f"embed:{name}", skipped)
+            F_log[:, i], grad_log[:, i] = info["F"], info["grad_norm"]
         elif config.method == "dps":
             x, info = dps_step(
                 model, reward, x, c, sigma_hat, sigma_prev,
                 alpha, config.dps_norm_mode, eta_scale,
             )
             _count_skips(skips, "dps:guidance", info["skipped"])
-            drift = zeros
+            F_log[:, i], grad_log[:, i] = info["F"], info["grad_norm"]
         else:
             x_hat = model.denoise(x, c, sigma_hat)
-            F = None if reward is None else reward.value(x_hat)
-            info = {"F": F, "grad_norm": zeros}
-            drift = zeros
+            if reward is not None:
+                F_log[:, i] = reward.value(x_hat)
             x = euler_step(x, x_hat, sigma_hat, sigma_prev, eta_scale)
-        sigmas.append(sigma_hat)
-        F_log.append(info["F"])
-        grad_log.append(info["grad_norm"])
-        drift_log.append(drift)
+        sigmas[i] = sigma_hat
 
     # one end-of-run check, so no non-finite value reaches an artifact
-    logs = [np.array(grad_log).T, np.array(drift_log).T]  # (B, T) each
-    if F_log[0] is not None:
-        logs.append(np.array(F_log).T)
-    if not all(np.isfinite(a).all() for a in [x] + logs):
+    logs = [a for a in (x, F_log, grad_log, drift_log) if a is not None]
+    if not all(np.isfinite(a).all() for a in logs):
         raise NonFiniteStateError("trajectory produced a non-finite endpoint or log entry")
-    grad_rows, drift_rows = logs[0].tolist(), logs[1].tolist()
-    F_rows = logs[2].tolist() if len(logs) == 3 else [[None] * T] * B
-    nfe = dict.fromkeys(NFE_KINDS, 0)
-    for kind, n in _STEP_NFE[config.method].items():
-        if kind != "reward_value" or reward is not None:
-            nfe[kind] = n * T
+    nfe = {kind: _STEP_NFE[config.method].get(kind, 0) * T for kind in NFE_KINDS}
+    if reward is None:
+        nfe["reward_value"] = 0
+    skip_rows = {kind: n.tolist() for kind, n in skips.items()}
     records = [
         TrajectoryRecord(
-            steps=list(range(T, 0, -1)), sigmas=list(sigmas), F=list(F_rows[b]),
-            grad_norms=grad_rows[b], embed_drifts=drift_rows[b],
-            skip_counts={kind: int(n[b]) for kind, n in skips.items() if n[b]},
+            sigmas=sigmas, F=None if F_log is None else F_log[b],
+            grad_norms=grad_log[b], embed_drifts=drift_log[b],
+            skip_counts={kind: n[b] for kind, n in skip_rows.items() if n[b]},
             nfe=dict(nfe),
         )
         for b in range(B)

@@ -165,15 +165,13 @@ class MonotonicityReport:
 def check_monotone_surrogate(trajectory, tol: float = 1e-9) -> MonotonicityReport:
     """Audit the logged surrogate F for decreases larger than tol.
 
-    Accepts a TrajectoryRecord (raises if any step lacks a logged F) or a
-    plain array of F values in sampling order (earliest step first). A
-    transition from F_t to F_{t-1} counts as a violation when F_{t-1} <
-    F_t - tol.
+    Accepts a TrajectoryRecord (raises if it logged no F) or a plain array
+    of F values in sampling order (earliest step first). A transition from
+    F_t to F_{t-1} counts as a violation when F_{t-1} < F_t - tol.
     """
     if isinstance(trajectory, TrajectoryRecord):
-        F = trajectory.F_values
-    else:
-        F = np.asarray(trajectory, dtype=np.float64).ravel()
+        trajectory = trajectory.F_values
+    F = np.asarray(trajectory, dtype=np.float64).ravel()
     if F.size < 2:
         raise ValueError("need at least two surrogate values to audit")
     if not np.all(np.isfinite(F)):
@@ -421,53 +419,45 @@ def _distance_probe(rng: np.random.Generator, reward: DistanceConstraintReward, 
     raise OracleFailureError("could not sample a distance probe off the boundary")
 
 
-def _reward_fd_rows(n_probes: int, tol: float) -> List[CheckResult]:
-    rows = []
+def _gaussian_reward_probe(rng):
+    reward = GaussianMeasurementReward(
+        y=rng.standard_normal(6), tau2=float(rng.uniform(0.5, 2.0)),
+        w=float(rng.uniform(0.2, 5.0)),
+    )
+    return reward, 2.0 * rng.standard_normal(6)
 
-    worst = 0.0
-    for p in range(n_probes):
-        rng = np.random.default_rng(500 + p)
-        D = 6
-        reward = GaussianMeasurementReward(
-            y=rng.standard_normal(D), tau2=float(rng.uniform(0.5, 2.0)),
-            w=float(rng.uniform(0.2, 5.0)),
-        )
-        x = 2.0 * rng.standard_normal(D)
-        _, got = reward.value_and_grad(x)
-        worst = _nan_max(worst, rel_error(got, fd_gradient(lambda z: reward.value(z), x)))
-    rows.append(CheckResult(
-        "fd_reward_gaussian", worst < tol,
-        f"max rel err {worst:.3e} over {n_probes} probes (tol {tol:g})",
-    ))
 
-    worst = 0.0
-    n_beads = 5
-    for p in range(n_probes):
-        rng = np.random.default_rng(700 + p)
-        pairs = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
-        targets = rng.uniform(1.0, 4.0, size=len(pairs))
-        reward = DistanceConstraintReward(pairs=pairs, targets=targets, delta=2.0)
-        x = _distance_probe(rng, reward, n_beads)
-        _, got = reward.value_and_grad(x)
-        worst = _nan_max(worst, rel_error(got, fd_gradient(lambda z: reward.value(z), x)))
-    rows.append(CheckResult(
-        "fd_reward_distance", worst < tol,
-        f"max rel err {worst:.3e} over {n_probes} probes (tol {tol:g})",
-    ))
+def _distance_reward_probe(rng):
+    pairs = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
+    targets = rng.uniform(1.0, 4.0, size=len(pairs))
+    reward = DistanceConstraintReward(pairs=pairs, targets=targets, delta=2.0)
+    return reward, _distance_probe(rng, reward, n_beads=5)
 
-    worst = 0.0
+
+def _map_reward_probe(rng):
     grid = MapGrid(shape=(6, 6, 6), origin=np.array([-3.0, -3.0, -3.0]), spacing=1.2)
-    for p in range(n_probes):
-        rng = np.random.default_rng(900 + p)
-        target = 1.5 * rng.standard_normal(12)
-        reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
-        x = 1.5 * rng.standard_normal(12)
-        _, got = reward.value_and_grad(x)
-        worst = _nan_max(worst, rel_error(got, fd_gradient(lambda z: reward.value(z), x)))
-    rows.append(CheckResult(
-        "fd_reward_map", worst < tol,
-        f"max rel err {worst:.3e} over {n_probes} probes (tol {tol:g})",
-    ))
+    reward = MapMSEReward.from_state(1.5 * rng.standard_normal(12), grid, atom_width=1.5)
+    return reward, 1.5 * rng.standard_normal(12)
+
+
+def _reward_fd_rows(n_probes: int, tol: float) -> List[CheckResult]:
+    """Each reward's analytic gradient against central differences; probe p
+    of a reward draws from its own generator, seeded base + p."""
+    rows = []
+    for label, seed_base, probe in (
+        ("gaussian", 500, _gaussian_reward_probe),
+        ("distance", 700, _distance_reward_probe),
+        ("map", 900, _map_reward_probe),
+    ):
+        worst = 0.0
+        for p in range(n_probes):
+            reward, x = probe(np.random.default_rng(seed_base + p))
+            _, got = reward.value_and_grad(x)
+            worst = _nan_max(worst, rel_error(got, fd_gradient(reward.value, x)))
+        rows.append(CheckResult(
+            f"fd_reward_{label}", worst < tol,
+            f"max rel err {worst:.3e} over {n_probes} probes (tol {tol:g})",
+        ))
     return rows
 
 
@@ -771,6 +761,21 @@ def _chunk_logw_row() -> CheckResult:
     )
 
 
+def _audit_totals(audits: Sequence[AscentAudit], what: str) -> Tuple[bool, str]:
+    """(passed, detail) over a batch's ascent audits (tol 1e-9): passed when
+    some update was audited and at most 1 percent of those lowered F."""
+    updates = sum(a.updates for a in audits)
+    audited = sum(a.audited for a in audits)
+    viol = sum(a.violations for a in audits)
+    worst = max(a.max_violation_magnitude for a in audits)
+    frac = viol / audited if audited else 0.0
+    return audited > 0 and frac <= 0.01, (
+        f"{viol}/{audited} audited {what} lowered F where taken by more than "
+        f"1e-9 ({100 * frac:.1f} percent, worst {worst:.2e}; {updates - audited} "
+        f"updates outside the trust region)"
+    )
+
+
 def _monotonicity_rows(n_seeds: int) -> List[CheckResult]:
     """Audit per-update surrogate ascent on the scalar task (tol 1e-9).
 
@@ -796,22 +801,15 @@ def _monotonicity_rows(n_seeds: int) -> List[CheckResult]:
             task.model, reward, task.c_init, schedule, cfg,
             [np.random.default_rng(seed) for seed in range(n_seeds)],
         )
-        updates = sum(a.updates for a in audits)
-        audited = sum(a.audited for a in audits)
-        viol = sum(a.violations for a in audits)
-        worst = max(a.max_violation_magnitude for a in audits)
         reports = [check_monotone_surrogate(rec) for rec in res.records]
         logged_total = sum(rep.total_steps for rep in reports)
         logged_viol = sum(rep.violations for rep in reports)
         logged_worst = max(rep.max_violation_magnitude for rep in reports)
-        frac = viol / audited if audited else 0.0
         logged_frac = logged_viol / logged_total
+        passed, audit_detail = _audit_totals(audits, "updates")
         rows.append(CheckResult(
-            f"monotone_surrogate_{label}", audited > 0 and frac <= 0.01,
-            f"sign check (xhat affine in c, R quadratic): {viol}/{audited} "
-            f"audited updates lowered F where taken by more than 1e-9 "
-            f"({100 * frac:.1f} percent, worst {worst:.2e}; "
-            f"{updates - audited} updates outside the trust region); logged F "
+            f"monotone_surrogate_{label}", passed,
+            f"sign check (xhat affine in c, R quadratic): {audit_detail}; logged F "
             f"decreased on {logged_viol}/{logged_total} transitions "
             f"({100 * logged_frac:.1f} percent, worst {logged_worst:.2e}) "
             f"over {n_seeds} seeds",
@@ -837,17 +835,10 @@ def _distance_ascent_row(n_seeds: int) -> CheckResult:
         task.model, task.reward, task.c_init, schedule, cfg,
         [np.random.default_rng(seed) for seed in range(n_seeds)],
     )
-    updates = sum(a.updates for a in audits)
-    audited = sum(a.audited for a in audits)
-    viol = sum(a.violations for a in audits)
-    worst = max(a.max_violation_magnitude for a in audits)
-    frac = viol / audited if audited else 0.0
+    passed, detail = _audit_totals(audits, "raw-gradient updates on the distance task")
     return CheckResult(
-        "monotone_surrogate_distance_raw", audited > 0 and frac <= 0.01,
-        f"{viol}/{audited} audited raw-gradient updates on the distance task "
-        f"lowered F where taken by more than 1e-9 ({100 * frac:.1f} percent, "
-        f"worst {worst:.2e}; {updates - audited} updates outside the trust "
-        f"region) over {n_seeds} seeds at T = {schedule.num_steps}",
+        "monotone_surrogate_distance_raw", passed,
+        f"{detail} over {n_seeds} seeds at T = {schedule.num_steps}",
     )
 
 

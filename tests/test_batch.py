@@ -2,11 +2,14 @@
 
 Every row of a batch must be bit-identical to the same trajectory run alone
 (a single generator, B = 1): the endpoint, the final embedding and every
-logged F, grad_norm and embed_drift, compared with np.array_equal and ==.
-The batch mixes seeds and step sizes, including alpha = 0, so any coupling
-between rows (a GEMM blocked by B, a reduction over the batch axis, a shared
-generator) shows up as a mismatch.
+logged F, grad_norm and embed_drift, compared with np.array_equal, tobytes
+and ==. The batch mixes seeds and step sizes, including alpha = 0, so any
+coupling between rows (a GEMM blocked by B, a reduction over the batch
+axis, a shared generator) shows up as a mismatch.
 """
+
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,10 +67,8 @@ def assert_rows_match_single_runs(model, reward, c_init, schedule, config, alpha
         row = batch.row(b)
         assert np.array_equal(row.x0, alone.x0)
         assert np.array_equal(row.c_final.flat(), alone.c_final.flat())
-        assert row.record.F == alone.record.F
-        assert row.record.grad_norms == alone.record.grad_norms
-        assert row.record.embed_drifts == alone.record.embed_drifts
-        assert row.record.sigmas == alone.record.sigmas
+        for log in ("F", "grad_norms", "embed_drifts", "sigmas"):
+            assert getattr(row.record, log).tobytes() == getattr(alone.record, log).tobytes()
         assert row.record.skip_counts == alone.record.skip_counts
         assert row.record.nfe == alone.record.nfe
     return batch
@@ -121,7 +122,7 @@ def test_batch_record_sums_rows_for_the_benchmark_tracer():
     batch = run_steered(model, reward, c_init, schedule, config,
                         [np.random.default_rng(s) for s in SEEDS], alphas=ALPHAS)
     total = batch.record
-    assert total.steps == list(range(schedule.num_steps, 0, -1))
+    assert list(total.steps) == list(range(schedule.num_steps, 0, -1))
     for kind in NFE_KINDS:
         assert total.nfe[kind] == sum(rec.nfe[kind] for rec in batch.records)
     assert batch.records[0].nfe == {
@@ -131,6 +132,21 @@ def test_batch_record_sums_rows_for_the_benchmark_tracer():
     assert sum(total.skip_counts.values()) == sum(
         n for rec in batch.records for n in rec.skip_counts.values()
     )
+    # the tracer json-dumps the summed skip counts
+    assert all(type(n) is int for n in total.skip_counts.values())
+    json.dumps(total.skip_counts)
+
+
+def test_records_are_row_views_of_one_array_per_log():
+    model, reward, c_init, schedule = _setup("distance")
+    batch = run_steered(model, reward, c_init, schedule, SteeringConfig(method="embedopt"),
+                        [np.random.default_rng(s) for s in SEEDS], alphas=ALPHAS)
+    T = schedule.num_steps
+    for log in ("F", "grad_norms", "embed_drifts"):
+        rows = [getattr(rec, log) for rec in batch.records]
+        assert all(r.shape == (T,) and r.dtype == np.float64 for r in rows)
+        assert all(r.base is rows[0].base and r.base.shape == (len(SEEDS), T) for r in rows)
+    assert all(rec.sigmas is batch.records[0].sigmas for rec in batch.records)
 
 
 def test_batch_inputs_are_checked():
@@ -153,4 +169,23 @@ def test_unguided_noise_grid_is_shared_and_rows_use_their_seeds():
                         [np.random.default_rng(s) for s in (3, 3, 4)])
     assert np.array_equal(batch.x0[0], batch.x0[1])
     assert not np.array_equal(batch.x0[0], batch.x0[2])
-    assert all(rec.F == [None] * 5 for rec in batch.records)
+    assert all(rec.F is None for rec in batch.records)
+
+
+def test_step_logs_bound_run_steered_memory():
+    """The logs are three (B, T) float64 arrays and dominate the batch's peak
+    allocation: 2.5 times their bytes leaves room for the records and the
+    step temporaries, and per-row lists of Python floats take over 7."""
+    B, T = 2000, 50
+    task = build_synthetic_task()
+    reward, schedule = task.reward(w=1.0), task.schedule(T=T)
+    config = SteeringConfig(method="embedopt", alpha=0.1)
+    rngs = [np.random.default_rng(s) for s in range(B)]
+    tracemalloc.start()
+    try:
+        batch = run_steered(task.model, reward, task.c_init, schedule, config, rngs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 3 * B * T * 8
+    assert len(batch.records) == B

@@ -203,6 +203,26 @@ def test_removed_steering_keys_are_rejected(tmp_path, capsys, steering):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "steering",
+    [
+        {"method": "embedopt", "sampler_mode": "af3", "af3": {"gamma_min": "a"}},
+        {"method": "embedopt", "sampler_mode": "af3", "af3": {"gamma_min": None}},
+        {"method": "embedopt", "alpha": True},
+    ],
+)
+def test_non_numeric_steering_values_are_rejected(tmp_path, capsys, steering):
+    # each once passed validation: gamma_min died mid-run with a TypeError and
+    # alpha true ran as 1.0 with "alpha": true in the manifest
+    out = tmp_path / "out"
+    payload = {"experiment": "single_run", "out_dir": str(out), "schedule": {"T": 5},
+               "steering": steering}
+    assert cli_main(["run", str(write_config(tmp_path, payload))]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
+    assert not out.exists()
+
+
 def test_config_defaults_fill_in():
     cfg = config_from_dict({"experiment": "lr_sweep", "out_dir": "x"})
     assert cfg.seeds == (0, 1, 2)

@@ -9,6 +9,11 @@ untouched, which makes the reduction to the deterministic sampler exact
 rather than approximate.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,28 +77,59 @@ def test_af3_params_validation():
         Af3SamplerParams(rho_noise=0.0)
     with pytest.raises(ValueError):
         Af3SamplerParams(eta_scale=0.0)
+    for name in ("gamma", "gamma_min", "rho_noise", "eta_scale"):
+        for bad in ("a", None, True):  # a bool is not a number
+            with pytest.raises(ValueError, match=name):
+                Af3SamplerParams(**{name: bad})
+    assert Af3SamplerParams(gamma_min=np.float64(2.0), eta_scale=2).gamma_min == 2.0
     info = Af3SamplerParams().to_manifest()
     assert info == {"gamma": 0.8, "gamma_min": 1.0, "rho_noise": 1.003, "eta_scale": 1.5}
 
 
 def test_trajectory_record_logging():
     rec = TrajectoryRecord(
-        steps=[3, 2], sigmas=[1.5, 1.0], F=[-2.0, None], grad_norms=[0.1, 0.0],
-        embed_drifts=[0.0, 0.0], skip_counts={"embed:u": 2},
+        sigmas=np.array([1.5, 1.0]), grad_norms=np.array([0.1, 0.0]),
+        embed_drifts=np.zeros(2), skip_counts={"embed:u": 2},
     )
+    assert list(rec.steps) == [2, 1]  # derived from the sigmas
     assert rec.nfe == {
         "denoise": 0, "vjp_x": 0, "vjp_c": 0, "reward_value_and_grad": 0, "reward_value": 0,
     }
-    rows = list(rec.csv_rows())
-    assert rows[0] == (3, 1.5, -2.0, 0.1, 0.0)
-    assert rows[1][2] == ""  # missing F renders as an empty cell
+    # no logged F renders as empty cells
+    assert list(rec.csv_rows()) == [(2, 1.5, "", 0.1, 0.0), (1, 1.0, "", 0.0, 0.0)]
     with pytest.raises(ValueError):
         rec.F_values  # noqa: B018 - property access is the check
+    rec.F = np.array([-2.0, -1.0])
+    rows = list(rec.csv_rows())
+    assert rows[0] == (2, 1.5, -2.0, 0.1, 0.0)
+    # Python numbers, converted at write time
+    assert all(type(v) in (int, float) for row in rows for v in row)
 
 
 def test_trajectory_record_f_values_when_complete():
-    rec = TrajectoryRecord(steps=[2, 1], sigmas=[2.0, 1.0], F=[-3.0, -1.0])
+    rec = TrajectoryRecord(sigmas=np.array([2.0, 1.0]), F=np.array([-3.0, -1.0]))
+    assert rec.F_values is rec.F
     np.testing.assert_array_equal(rec.F_values, [-3.0, -1.0])
+
+
+@pytest.mark.parametrize("method", ["embedopt", "none"])
+def test_trajectory_demo_script_prints_the_log(method):
+    """scripts/trajectory_demo.py prints a row per 20th step and the last one,
+    with an empty F column when no reward is logged."""
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "trajectory_demo.py"), "--T", "20",
+         "--method", method],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    lines = out.stdout.splitlines()
+    assert lines[0].split() == ["step", "sigma", "F", "|grad|", "drift"]
+    rows = [line.split() for line in lines[1:3]]
+    assert [row[0] for row in rows] == ["20", "1"]
+    assert all(len(row) == (5 if method == "embedopt" else 4) for row in rows)
+    assert all(np.isfinite(float(v)) for row in rows for v in row)
+    assert lines[3].startswith("final reward ")
 
 
 def test_sampler_reproducibility():
@@ -102,7 +138,7 @@ def test_sampler_reproducibility():
     x_a, rec_a = sample(model, c, sched, np.random.default_rng(11))
     x_b, rec_b = sample(model, c, sched, np.random.default_rng(11))
     np.testing.assert_array_equal(x_a, x_b)
-    assert rec_a.sigmas == rec_b.sigmas
+    assert rec_a.sigmas.tobytes() == rec_b.sigmas.tobytes()
 
 
 def test_sampler_single_step_collapses_to_denoiser():
@@ -124,7 +160,7 @@ def test_sampler_logs_reward_when_given():
     assert all(f <= 0.0 for f in rec.F_values)
     x0_plain, rec_plain = sample(model, c, sched, np.random.default_rng(0))
     np.testing.assert_array_equal(x0, x0_plain)  # logging must not perturb
-    assert all(f is None for f in rec_plain.F)
+    assert rec_plain.F is None
 
 
 def test_sampler_rejects_unknown_mode():
@@ -143,7 +179,7 @@ def test_af3_gamma_zero_reduces_to_deterministic():
         model, c, sched, np.random.default_rng(3), sampler_mode="af3", af3=params
     )
     np.testing.assert_array_equal(x_det, x_af3)
-    assert rec_det.sigmas == rec_af3.sigmas
+    assert rec_det.sigmas.tobytes() == rec_af3.sigmas.tobytes()
 
 
 def test_af3_with_noise_differs_and_stays_finite():

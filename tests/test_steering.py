@@ -358,7 +358,7 @@ def test_logged_drift_equals_embedding_difference_norm(per_row):
     )
     assert len(seen) == T
     for b in range(B):
-        assert res.records[b].embed_drifts == [float(d[b]) for d in seen]
+        assert res.records[b].embed_drifts.tobytes() == np.array([d[b] for d in seen]).tobytes()
     assert any(d.any() for d in seen)
     flat_c, flat_init = res.c_final.flat(), c_init.flat()
     assert np.array_equal(_norm(flat_c - flat_init), res.c_final.add(c_init, -1.0).norm())
@@ -407,6 +407,9 @@ def test_run_steered_rejects_non_finite_trajectories(method):
     [
         dict(method="warp"),
         dict(alpha=-0.1),
+        dict(alpha=True),  # a bool is not a number
+        dict(alpha=None),
+        dict(alpha="0.1"),
         dict(dps_norm_mode="l1"),
         dict(embed_norm_mode="l2"),
         dict(sampler_mode="ancestral"),
