@@ -7,6 +7,7 @@ embedding drift from the task's initial conditioning.
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -23,6 +24,12 @@ def main() -> int:
     ap.add_argument("--T", type=int, default=200)
     ap.add_argument("--every", type=int, default=20, help="print every n-th step")
     args = ap.parse_args()
+    if args.T < 1:
+        ap.error("--T must be at least 1")
+    if not 0 <= args.alpha < math.inf:
+        ap.error("--alpha must be a finite non-negative number")
+    if args.every < 1:
+        ap.error("--every must be at least 1")
 
     task = build_toy_task(args.kind, args.task_seed)
     schedule = task.schedule(T=args.T)
@@ -36,11 +43,13 @@ def main() -> int:
         config, np.random.default_rng(args.seed),
     )
 
+    rec = res.record
     print(f"{'step':>5} {'sigma':>8} {'F':>12} {'|grad|':>10} {'drift':>8}")
-    for step, sigma, F, gnorm, drift in res.record.csv_rows():
+    for i, step in enumerate(rec.steps):
         if step % args.every == 0 or step == 1:
-            f_txt = f"{F:12.5f}" if F != "" else " " * 12
-            print(f"{step:>5} {sigma:>8.3f} {f_txt} {gnorm:>10.3e} {drift:>8.3f}")
+            f_txt = " " * 12 if rec.F is None else f"{rec.F[i]:12.5f}"  # no reward logged
+            print(f"{step:>5} {rec.sigmas[i]:>8.3f} {f_txt} {rec.grad_norms[i]:>10.3e} "
+                  f"{rec.embed_drifts[i]:>8.3f}")
     print(f"final reward {task.reward.value(res.x0):.5f}")
     print(f"{task.metric_name()} {task.metric(res.x0):g}")
     if res.record.skip_counts:

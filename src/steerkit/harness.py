@@ -2,10 +2,12 @@
 
 Reads a JSON config, dispatches on its experiment kind, and writes CSV
 artifacts plus a JSON manifest into the output directory. All CSV content is
-deterministic: identical configs give byte-identical CSV bodies, floats are
-written with repr (shortest round-trip), and anything wall-clock flavored
-(timestamps, per-batch runtimes) is confined to the manifest. Files land via
-write-to-temp-then-rename so a crashed run never leaves half an artifact.
+deterministic: identical configs give byte-identical CSV bodies, and anything
+wall-clock flavored (timestamps, per-batch runtimes) is confined to the
+manifest. write_csv takes a CSV's columns and alone decides the cell format:
+repr for floats (shortest round-trip), str for integers, a column at a time.
+Files land via write-to-temp-then-rename so a crashed run never leaves half an
+artifact.
 
 Every trajectory integrates through run_steered, as a batch: an lr_sweep runs
 one batch per method (its alpha x seed grid) plus one for the unguided
@@ -118,24 +120,22 @@ def atomic_write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _fmt_cell(v) -> str:
-    """Deterministic CSV cell: repr for floats (shortest round-trip form)."""
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+def _cells(col) -> list:
+    """One column's CSV cells: repr of each float (its shortest round-trip form),
+    str of each integer. An array is formatted in one pass; a plain sequence cell
+    by cell, where a string is written as is and None as an empty cell."""
+    if isinstance(col, np.ndarray):
+        return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
+    return ["" if v is None else v if isinstance(v, str)
+            else str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+            for v in col]
 
 
-def write_csv(path: Path, header: Sequence[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_csv(path: Path, header: Sequence[str], columns) -> None:
+    """Write a CSV from its columns, one per header name, all of one length
+    (ValueError otherwise); every cell's format is decided here (_cells)."""
+    rows = map(",".join, zip(*map(_cells, columns), strict=True))
+    atomic_write_text(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
 def _json_default(obj):
@@ -614,8 +614,9 @@ def run_synthetic_fig1(cfg: ExperimentConfig) -> dict:
         }
         if panel in FIG1_CSV_PANELS:
             name = f"fig1_{panel}.csv"
-            rows = zip(summary.bin_edges[:-1], summary.bin_edges[1:], summary.counts)
-            write_csv(out / name, ("bin_left", "bin_right", "count"), rows)
+            edges = summary.bin_edges
+            write_csv(out / name, ("bin_left", "bin_right", "count"),
+                      (edges[:-1], edges[1:], summary.counts))
             entry["csv"] = name
         panels[panel] = entry
 
@@ -653,22 +654,19 @@ def _toy_batch(desc: dict) -> dict:
         [np.random.default_rng(seed) for seed in desc["seeds"]], alphas=desc["alphas"],
     )
     runtime = time.perf_counter() - t0
-    rows = []
-    for x0, rec, alpha, seed in zip(res.x0, res.records, desc["alphas"], desc["seeds"]):
-        if task.kind == "distance":
-            violations = task.reward.K - task.reward.count_satisfied(x0)
-        else:
-            violations = None
-        rows.append({
-            "method": method,
-            "alpha": alpha,
-            "T": schedule.num_steps,
-            "seed": seed,
-            "final_reward": task.reward.value(x0),
-            "task_metric": task.metric(x0),
-            "violations": violations,
-            "nfe": rec.nfe,
-        })
+    if task.kind == "distance":  # the metric is the satisfied count: one pass gives both
+        satisfied = task.reward.count_satisfied(res.x0).tolist()
+        metrics, violations = [float(n) for n in satisfied], [task.reward.K - n for n in satisfied]
+    else:
+        metrics, violations = [task.metric(x0) for x0 in res.x0], [None] * len(res.x0)
+    rows = [
+        {"method": method, "alpha": alpha, "T": schedule.num_steps, "seed": seed,
+         "final_reward": final, "task_metric": metric, "violations": v, "nfe": rec.nfe}
+        for alpha, seed, final, metric, v, rec in zip(
+            desc["alphas"], desc["seeds"], task.reward.value(res.x0).tolist(), metrics,
+            violations, res.records, strict=True,
+        )
+    ]
     batch = {"method": method, "T": schedule.num_steps, "rows": len(rows), "runtime_s": runtime}
     return {"rows": rows, "batch": batch}
 
@@ -750,15 +748,8 @@ def run_lr_sweep(cfg: ExperimentConfig) -> dict:
     rows, batches = _run_batches(descs, cfg.jobs)
     rows, baselines = rows[: -len(seeds)], rows[-len(seeds) :]
 
-    write_csv(
-        out / "sweep.csv",
-        ("method", "alpha", "seed", "final_reward", "task_metric", "violations"),
-        (
-            (r["method"], r["alpha"], r["seed"], r["final_reward"],
-             r["task_metric"], r["violations"])
-            for r in rows
-        ),
-    )
+    header = ("method", "alpha", "seed", "final_reward", "task_metric", "violations")
+    write_csv(out / "sweep.csv", header, [[r[k] for r in rows] for k in header])
 
     baseline_by_seed = {r["seed"]: r for r in baselines}
     best_rows = []
@@ -773,7 +764,7 @@ def run_lr_sweep(cfg: ExperimentConfig) -> dict:
     write_csv(
         out / "best_achieved.csv",
         ("method", "seed", "best_alpha", "best_metric", "baseline_metric"),
-        best_rows,
+        list(zip(*best_rows)),
     )
 
     manifest = _base_manifest(cfg, t0)
@@ -820,11 +811,11 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
         out / "scale.csv",
         ("method", "T", "alpha", "alpha_times_T", "seed",
          "final_reward", "task_metric", "violations"),
-        (
+        list(zip(*(
             (r["method"], r["T"], r["alpha"], r["alpha"] * r["T"], r["seed"],
              r["final_reward"], r["task_metric"], r["violations"])
             for r in rows
-        ),
+        ))),
     )
 
     manifest = _base_manifest(cfg, t0)
@@ -867,22 +858,24 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
         [np.random.default_rng(seed) for seed in seeds],
     )
     runtime = time.perf_counter() - t_run
+    finals = reward.value(res.x0).tolist()
+    drifts = res.c_final.add(task.c_init, -1.0).norm().tolist()
+    steps = np.arange(schedule.num_steps, 0, -1)
     runs = {}
-    for b, seed in enumerate(seeds):
-        row = res.row(b)
+    for seed, x0, rec, final, drift in zip(seeds, res.x0, res.records, finals, drifts, strict=True):
         name = f"trajectory_seed{seed}.csv"
         write_csv(
             out / name,
             ("step", "sigma", "F", "grad_norm", "embed_drift"),
-            row.record.csv_rows(),
+            (steps, rec.sigmas, rec.F, rec.grad_norms, rec.embed_drifts),
         )
         runs[str(seed)] = {
             "csv": name,
-            "final_reward": float(reward.value(row.x0)),
-            "task_metric": None if metric is None else metric(row.x0),
-            "skip_counts": dict(row.record.skip_counts),
-            "embedding_drift": float(row.c_final.add(task.c_init, -1.0).norm()),
-            "nfe": row.record.nfe,
+            "final_reward": final,
+            "task_metric": None if metric is None else metric(x0),
+            "skip_counts": dict(rec.skip_counts),
+            "embedding_drift": drift,
+            "nfe": rec.nfe,
         }
 
     manifest = _base_manifest(cfg, t0)

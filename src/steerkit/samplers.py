@@ -29,12 +29,10 @@ import numpy as np
 from .schedules import step_fraction
 
 __all__ = [
-    "NFE_KINDS",
     "Af3SamplerParams",
     "TrajectoryRecord",
     "euler_step",
     "af3_noise_inflate",
-    "standard_normal_rows",
 ]
 
 
@@ -79,7 +77,8 @@ class TrajectoryRecord:
     steps counts T down to 1, one per entry of the (T,) sigmas. F, grad_norms
     and embed_drifts are (T,) float64 arrays, row views of run_steered's
     (B, T) logs; F is None when no reward was logged, and a batch total
-    (SteeringResult.record) has no per-step values. nfe counts function
+    (SteeringResult.record) has no per-step values. A single run writes the
+    arrays as the columns of its trajectory CSV. nfe counts function
     evaluations by kind (NFE_KINDS), one per row and call.
     """
 
@@ -99,12 +98,6 @@ class TrajectoryRecord:
         if self.F is None:
             raise ValueError("trajectory has no logged surrogate reward")
         return self.F
-
-    def csv_rows(self):
-        """Rows (step, sigma, F, grad_norm, embed_drift) of Python numbers; F "" if unlogged."""
-        F = [""] * len(self.sigmas) if self.F is None else self.F.tolist()
-        return zip(self.steps, self.sigmas.tolist(), F,
-                   self.grad_norms.tolist(), self.embed_drifts.tolist())
 
 
 def euler_step(

@@ -33,9 +33,6 @@ __all__ = [
     "build_synthetic_task",
     "ToyTask",
     "build_toy_task",
-    "TOY_N_BEADS",
-    "TOY_K_CONSTRAINTS",
-    "TOY_DELTA",
 ]
 
 SYNTH_PRIOR_LOC = 5.0

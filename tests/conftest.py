@@ -5,6 +5,11 @@ terminal-summary hook replays them at the end of the run so the verdicts are
 visible even when pytest captures stdout.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -55,3 +60,12 @@ def sample_prior(model, c: Embedding, rng: np.random.Generator) -> np.ndarray:
         return model.mean(c) + model.s0 * rng.standard_normal(model.D)
     k = rng.choice(model.K, p=model.weights)
     return model.mode_means(c)[k] + model.stds[k] * rng.standard_normal(model.D)
+
+
+def run_script(name: str, *args) -> subprocess.CompletedProcess:
+    """Run scripts/<name> with these arguments on the checkout's src/."""
+    root = Path(__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / name), *map(str, args)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -46,6 +47,7 @@ from steerkit.harness import (
     write_manifest,
 )
 from steerkit.harness import _chunks, _pool_size, config_from_dict
+from conftest import run_script
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -82,18 +84,43 @@ def assert_no_tmp_leftovers(out_dir: Path):
 
 def test_write_csv_formatting(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ("a", "b", "c", "d"), [(1, 0.1, None, True), (2, 2.0, "x", False)])
+    write_csv(path, ("a", "b", "c", "d"),
+              (np.array([1, 2]), np.array([0.1, 2.0]), [None, 3], ["embedopt", "x"]))
     text = path.read_text(encoding="utf-8")
-    assert text == "a,b,c,d\n1,0.1,,true\n2,2.0,x,false\n"
+    assert text == "a,b,c,d\n1,0.1,,embedopt\n2,2.0,3,x\n"
 
 
 def test_write_csv_floats_round_trip(tmp_path):
     values = [0.1 + 0.2, 1e-17, 12345.6789, float(np.float64(1) / 3)]
     path = tmp_path / "t.csv"
-    write_csv(path, ("v",), [(v,) for v in values])
-    _, rows = read_rows(path)
-    for v, row in zip(values, rows):
-        assert float(row["v"]) == v  # repr is exact under round-trip
+    for column in (np.array(values), values):  # an array column and a plain one
+        write_csv(path, ("v",), [column])
+        _, rows = read_rows(path)
+        assert [float(row["v"]) for row in rows] == values  # repr is exact under round-trip
+
+
+def test_write_csv_cell_bytes(tmp_path):
+    """Each cell is repr(float(v)) or str(int(v)), whether the column is an
+    array or a plain sequence; None is an empty cell; columns of unequal
+    length are an error, not a short file."""
+    floats = np.array([-0.0, 1e16, 1e-5, 5e-324, 0.1 + 0.2, -np.pi, 2.0**60, 1 / 3])
+    ints = np.array([0, -1, 2**62, -(2**63), 7, 1, 10**15, 3], dtype=np.int64)
+    mixed = [None, 5, None, 0, np.int64(2), None, 1, None]
+    path = tmp_path / "t.csv"
+    write_csv(path, ("f", "f_list", "i", "i_list", "v"),
+              (floats, floats.tolist(), ints, list(ints), mixed))
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "f,f_list,i,i_list,v" and lines[-1] == "" and len(lines) == 10
+    for line, f, i, v in zip(lines[1:-1], floats, ints, mixed, strict=True):
+        cell_f, cell_i = repr(float(f)), str(int(i))
+        assert line == ",".join([cell_f, cell_f, cell_i, cell_i, "" if v is None else str(v)])
+    assert lines[1].startswith("-0.0,") and lines[2].startswith("1e+16,")
+    assert lines[3].startswith("1e-05,") and lines[4].startswith("5e-324,")
+    assert lines[4].split(",")[2] == "-9223372036854775808"
+    for ragged in ((floats, ints[:-1]), (floats[:-1], mixed), (mixed, floats[:3])):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "ragged.csv", ("a", "b"), ragged)
+    assert not (tmp_path / "ragged.csv").exists()
 
 
 def test_atomic_write_replaces_existing(tmp_path):
@@ -510,6 +537,66 @@ def test_import_and_synthetic_task_leave_numpy_random_unloaded():
         env={**os.environ, "PYTHONPATH": src}, cwd=src,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_artifact_diff_script(tmp_path):
+    """Two --quick reproductions agree once run-time keys are dropped; one flipped
+    CSV byte, or one changed manifest value, is exit 1 and names what changed."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    for out_dir in (old, new):
+        run = run_script("reproduce_all.py", "--quick", "--jobs", 1, "--out", out_dir)
+        assert run.returncode == 0, run.stderr
+    same = run_script("artifact_diff.py", old, new)
+    assert same.returncode == 0, same.stdout
+    assert "SAME: 11 CSVs and 6 manifests agree" in same.stdout
+    assert same.stdout.count("listing sha256 ") == 2 and "phases_s.draw_x_T" in same.stdout
+
+    flipped = tmp_path / "flipped"
+    shutil.copytree(new, flipped)
+    csv = flipped / "sweep_map" / "sweep.csv"
+    data = bytearray(csv.read_bytes())
+    data[-2] ^= 1  # the last digit of the last cell
+    csv.write_bytes(bytes(data))
+    diff = run_script("artifact_diff.py", old, flipped)
+    assert diff.returncode == 1
+    assert [line for line in diff.stdout.splitlines() if "differs" in line] == [
+        "CSV differs: sweep_map/sweep.csv"
+    ]
+
+    edited = tmp_path / "edited"
+    shutil.copytree(new, edited)
+    path = edited / "single_synthetic" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["runs"]["0"]["final_reward"] += 1e-9
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    diff = run_script("artifact_diff.py", old, edited)
+    assert diff.returncode == 1
+    assert [line.split(": ")[:3] for line in diff.stdout.splitlines() if "differs" in line] == [
+        ["manifest differs", "single_synthetic/manifest.json", "runs.0.final_reward"]
+    ]
+
+
+def test_package_exports():
+    """steerkit.__all__ is its submodules' __all__ plus __version__: these 48
+    names, each bound in the package."""
+    import steerkit
+
+    assert sorted(steerkit.__all__) == sorted({
+        "Af3SamplerParams", "AscentAudit", "CheckResult", "DegenerateMapError",
+        "DistanceConstraintReward", "Embedding", "GaussianMeasurementReward",
+        "GaussianPriorModel", "MapGrid", "MapMSEReward", "MixturePriorModel",
+        "MonotonicityReport", "NoiseSchedule", "NonFiniteStateError", "OracleFailureError",
+        "SampleSummary", "SteeringConfig", "SteeringResult", "SyntheticTask", "ToyTask",
+        "TrajectoryRecord", "__version__", "af3_noise_inflate", "audit_embedding_ascent",
+        "build_linear_schedule", "build_synthetic_task", "build_toy_task",
+        "check_monotone_surrogate", "conjugate_posterior", "dps_step", "embedopt_step",
+        "euler_step", "fd_gradient", "make_gaussian_model", "make_mixture_model",
+        "map_correlation", "rel_error", "render_map", "render_map_raw", "rms_normalize",
+        "run_steered", "run_verification_suite", "score_from_denoiser",
+        "select_top_k_constraints", "step_fraction", "summarize_samples",
+        "taylor_gap_scaling", "taylor_predicted_step",
+    })
+    assert all(hasattr(steerkit, name) for name in steerkit.__all__)
 
 
 def fig1_engine_endpoint(panel: str, rng, T: int) -> float:

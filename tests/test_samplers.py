@@ -9,11 +9,6 @@ untouched, which makes the reduction to the deterministic sampler exact
 rather than approximate.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +25,7 @@ from steerkit import (
     euler_step,
     run_steered,
 )
-from conftest import gaussian_fixture
+from conftest import gaussian_fixture, run_script
 
 
 def sample(model, c, sched, rng, reward=None, **config):
@@ -95,15 +90,11 @@ def test_trajectory_record_logging():
     assert rec.nfe == {
         "denoise": 0, "vjp_x": 0, "vjp_c": 0, "reward_value_and_grad": 0, "reward_value": 0,
     }
-    # no logged F renders as empty cells
-    assert list(rec.csv_rows()) == [(2, 1.5, "", 0.1, 0.0), (1, 1.0, "", 0.0, 0.0)]
+    assert rec.F is None  # no reward logged
     with pytest.raises(ValueError):
         rec.F_values  # noqa: B018 - property access is the check
     rec.F = np.array([-2.0, -1.0])
-    rows = list(rec.csv_rows())
-    assert rows[0] == (2, 1.5, -2.0, 0.1, 0.0)
-    # Python numbers, converted at write time
-    assert all(type(v) in (int, float) for row in rows for v in row)
+    assert rec.F_values is rec.F
 
 
 def test_trajectory_record_f_values_when_complete():
@@ -116,13 +107,8 @@ def test_trajectory_record_f_values_when_complete():
 def test_trajectory_demo_script_prints_the_log(method):
     """scripts/trajectory_demo.py prints a row per 20th step and the last one,
     with an empty F column when no reward is logged."""
-    root = Path(__file__).resolve().parents[1]
-    out = subprocess.run(
-        [sys.executable, str(root / "scripts" / "trajectory_demo.py"), "--T", "20",
-         "--method", method],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-    )
+    out = run_script("trajectory_demo.py", "--T", "20", "--method", method)
+    assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0].split() == ["step", "sigma", "F", "|grad|", "drift"]
     rows = [line.split() for line in lines[1:3]]
@@ -130,6 +116,17 @@ def test_trajectory_demo_script_prints_the_log(method):
     assert all(len(row) == (5 if method == "embedopt" else 4) for row in rows)
     assert all(np.isfinite(float(v)) for row in rows for v in row)
     assert lines[3].startswith("final reward ")
+
+
+@pytest.mark.parametrize(
+    "bad", [("--every", "0"), ("--T", "0"), ("--alpha", "-1")], ids=["every0", "T0", "alpha-1"]
+)
+def test_trajectory_demo_script_rejects_bad_arguments(bad):
+    """A step interval or T below 1, or a negative alpha, is a usage error
+    (exit 2) raised before any compute, not a traceback after it."""
+    out = run_script("trajectory_demo.py", "--T", "5", *bad)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("usage: ") and f"error: {bad[0]} must be" in out.stderr
 
 
 def test_sampler_reproducibility():
