@@ -38,7 +38,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -197,23 +197,23 @@ def _base_manifest(cfg: "ExperimentConfig", t0: float) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment settings; one instance drives one artifact set."""
+    """Resolved experiment settings, one artifact set's; config_from_dict sets every field."""
 
     experiment: str
     out_dir: str
     seeds: tuple
-    bins: int = 60
-    task_kind: str = "distance"
-    task_seed: int = 0
-    alphas: tuple = DEFAULT_ALPHA_GRID
-    methods: tuple = _SWEEP_METHODS
-    T_values: tuple = DEFAULT_T_VALUES
-    schedule_T: Optional[int] = None
-    schedule_sigma_max: Optional[float] = None
-    steering: dict = field(default_factory=dict)
-    reward_w: float = 1.0
-    dps_norm_mode: str = "l2_matched"
-    jobs: int = 1
+    bins: int
+    task_kind: str
+    task_seed: int
+    alphas: tuple
+    methods: tuple
+    T_values: tuple
+    schedule_T: Optional[int]
+    schedule_sigma_max: Optional[float]
+    steering: dict
+    reward_w: float
+    dps_norm_mode: str
+    jobs: int
 
     def to_manifest(self) -> dict:
         """The fields of the keys the experiment reads (see _KEYS), tuples as lists."""
@@ -587,8 +587,6 @@ def run_synthetic_fig1(cfg: ExperimentConfig) -> dict:
     records the wall time of that draw and of each panel's integration under
     `phases_s`.
     """
-    if cfg.experiment != "synthetic_fig1":
-        raise ConfigValidationError("config experiment kind is not synthetic_fig1")
     t0 = time.perf_counter()
     out = Path(cfg.out_dir)
     schedule = _schedule_keys(cfg)
@@ -725,8 +723,6 @@ def run_lr_sweep(cfg: ExperimentConfig) -> dict:
     Per-batch runtimes are wall-clock and live in the manifest so the CSV
     bodies stay byte-identical across reruns.
     """
-    if cfg.experiment != "lr_sweep":
-        raise ConfigValidationError("config experiment kind is not lr_sweep")
     t0 = time.perf_counter()
     out = Path(cfg.out_dir)
     schedule = _schedule_keys(cfg)
@@ -786,8 +782,6 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
     The constant is fixed from alpha=0.1 at T=200, so alpha(T) = 20/T; each
     row echoes both the resolved alpha and the alpha*T product.
     """
-    if cfg.experiment != "step_scaling":
-        raise ConfigValidationError("config experiment kind is not step_scaling")
     t0 = time.perf_counter()
     out = Path(cfg.out_dir)
     const = SCALE_ALPHA_REF * SCALE_T_REF
@@ -835,8 +829,6 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
 def run_single_run(cfg: ExperimentConfig) -> dict:
     """One steered trajectory per seed, all seeds as one batch; emits
     per-step trajectory CSVs."""
-    if cfg.experiment != "single_run":
-        raise ConfigValidationError("config experiment kind is not single_run")
     t0 = time.perf_counter()
     out = Path(cfg.out_dir)
 
@@ -896,8 +888,6 @@ def run_verify_experiment(cfg: ExperimentConfig) -> dict:
     and the size of the importance-sampling pool (`is_workers`); the report
     holds only the checks.
     """
-    if cfg.experiment != "verify":
-        raise ConfigValidationError("config experiment kind is not verify")
     t0 = time.perf_counter()
     out = Path(cfg.out_dir)
     telemetry = {}

@@ -135,9 +135,6 @@ class Embedding:
         scale = np.asarray(scale, dtype=np.float64)
         return self._like(self._buf + scale[..., None] * other._buf)
 
-    def zeros_like(self) -> "Embedding":
-        return self._like(np.zeros_like(self._buf))
-
     def norm(self):
         """Euclidean norm: a float, or one per row of a batch."""
         return _norm(self._buf)
@@ -245,18 +242,18 @@ class GaussianPriorModel:
     def vjp_x(self, x, c: Embedding, sigma: float, v: np.ndarray, parts=None) -> np.ndarray:
         _check_coords(x, self.D)
         v = _check_coords(v, self.D)
-        k = 1.0 if sigma == 0.0 else self.shrinkage(sigma)
+        k = self.shrinkage(sigma)
         return k * v
 
     def vjp_c(self, x, c: Embedding, sigma: float, v: np.ndarray, parts=None) -> Embedding:
         _check_coords(x, self.D)
         v = _check_coords(v, self.D)
-        k = 1.0 if sigma == 0.0 else self.shrinkage(sigma)
+        k = self.shrinkage(sigma)
         return c._like((1.0 - k) * _matvec(self.W.T, v))
 
     def jvp_c(self, x, c: Embedding, sigma: float, u: Embedding, parts=None) -> np.ndarray:
         x = _check_coords(x, self.D)
-        k = 1.0 if sigma == 0.0 else self.shrinkage(sigma)
+        k = self.shrinkage(sigma)
         out = (1.0 - k) * _matvec(self.W, u.flat())
         return np.broadcast_to(out, np.broadcast_shapes(out.shape, x.shape)).copy()
 
@@ -387,18 +384,9 @@ def make_gaussian_model(
     D: int,
     s0: float,
     seed: int | None = None,
-    identity: bool = False,
 ) -> GaussianPriorModel:
-    """Build a Gaussian prior model with a seeded standard-normal mean map.
-
-    identity=True requires the total embedding dim to equal D and sets
-    W = I, b = 0 (the scalar synthetic task uses this with D = 1).
-    """
+    """Build a Gaussian prior model with a seeded standard-normal mean map W and b = 0."""
     d = sum(component_dims.values())
-    if identity:
-        if d != D:
-            raise ValueError("identity mean map needs embedding dim == D")
-        return GaussianPriorModel(W=np.eye(D), b=np.zeros(D), s0=s0)
     rng = np.random.default_rng(seed)
     return GaussianPriorModel(W=rng.standard_normal((D, d)), b=np.zeros(D), s0=s0)
 

@@ -199,9 +199,6 @@ class MapGrid:
         gx, gy, gz = np.meshgrid(*self.axes(), indexing="ij")
         return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
 
-    def to_manifest(self) -> dict:
-        return {"shape": list(self.shape), "origin": self.origin.tolist(), "spacing": self.spacing}
-
 
 def render_map_raw(x: np.ndarray, grid: MapGrid, atom_width: float) -> np.ndarray:
     """Sum of isotropic Gaussian splats evaluated at voxel centers (no normalization)."""

@@ -21,8 +21,9 @@ trajectory's function evaluations by kind.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,9 +38,9 @@ __all__ = [
 
 
 def _require_real(name: str, value) -> None:
-    """Raise ValueError unless value is a real number; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, not {value!r}")
+    """Raise ValueError unless value is a finite real number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) < math.inf:
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,9 @@ class Af3SamplerParams:
     gamma_min: gate floor; amplification applies only when sigma_{t-1} > gamma_min.
     rho_noise: scale on the injected noise standard deviation.
     eta_scale: multiplier on the Euler step fraction.
+
+    Every field is a finite number. A manifest records them as SteeringConfig's
+    `af3` entry.
     """
 
     gamma: float = 0.8
@@ -62,9 +66,6 @@ class Af3SamplerParams:
             _require_real(f.name, getattr(self, f.name))
         if self.gamma < 0 or self.rho_noise <= 0 or self.eta_scale <= 0:
             raise ValueError("invalid sampler parameters")
-
-    def to_manifest(self) -> dict:
-        return asdict(self)
 
 
 NFE_KINDS = ("denoise", "vjp_x", "vjp_c", "reward_value_and_grad", "reward_value")

@@ -44,10 +44,6 @@ class NoiseSchedule:
         if not np.all(np.diff(sig) > 0):
             raise ValueError("sigma grid must be strictly increasing")
 
-    @property
-    def sigma_max(self) -> float:
-        return float(self.sigma_values[-1])
-
     def to_manifest(self) -> dict:
         return {
             "T": self.num_steps,

@@ -353,8 +353,8 @@ def run_steered(
     rngs = [rng] if single else list(rng)
     B = len(rngs)
     alpha = np.full(B, float(config.alpha)) if alphas is None else np.asarray(alphas, dtype=np.float64)
-    if B == 0 or alpha.shape != (B,) or (alpha < 0).any():
-        raise ValueError("need one generator and one non-negative alpha per row")
+    if B == 0 or alpha.shape != (B,) or not (np.isfinite(alpha) & (alpha >= 0)).all():
+        raise ValueError("need one generator and one finite, non-negative alpha per row")
     if c_init.batch not in (None, B):
         raise ValueError("c_init must be one embedding or one row per trajectory")
     sig = schedule.sigma_values

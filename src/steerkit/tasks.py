@@ -22,6 +22,7 @@ import numpy as np
 from .models import Embedding, GaussianPriorModel, MixturePriorModel
 from .rewards import (
     DistanceConstraintReward,
+    GaussianMeasurementReward,
     MapGrid,
     MapMSEReward,
     select_top_k_constraints,
@@ -61,8 +62,6 @@ class SyntheticTask:
     c_init: Embedding
 
     def reward(self, w: float = 1.0):
-        from .rewards import GaussianMeasurementReward
-
         return GaussianMeasurementReward(y=[SYNTH_Y], tau2=SYNTH_TAU2, w=w)
 
     @staticmethod
@@ -78,14 +77,14 @@ def build_synthetic_task() -> SyntheticTask:
 
 @dataclass(frozen=True, eq=False)
 class ToyTask:
-    """Bead-chain steering task in the mismatch regime."""
+    """Bead-chain steering task in the mismatch regime. build_toy_task's seed
+    rebuilds it bit for bit; a run's manifest records that seed as task_seed."""
 
     kind: str
     model: MixturePriorModel
     c_init: Embedding
     target_state: np.ndarray
     reward: object
-    seed: int
 
     @staticmethod
     def schedule(T: int = TOY_T, sigma_max: float = TOY_SIGMA_MAX) -> NoiseSchedule:
@@ -99,25 +98,6 @@ class ToyTask:
 
     def metric_name(self) -> str:
         return "constraints_satisfied" if self.kind == "distance" else "map_cc"
-
-    def to_manifest(self) -> dict:
-        info = {
-            "kind": self.kind,
-            "seed": self.seed,
-            "n_beads": TOY_N_BEADS,
-            "mode_weights": list(self.model.weights),
-            "mode_std": TOY_MODE_STD,
-            "T": TOY_T,
-            "sigma_max": TOY_SIGMA_MAX,
-        }
-        if self.kind == "distance":
-            info["pairs"] = [list(p) for p in self.reward.pairs]
-            info["targets"] = self.reward.targets.tolist()
-            info["delta"] = self.reward.delta
-        else:
-            info["grid"] = self.reward.grid.to_manifest()
-            info["atom_width"] = self.reward.atom_width
-        return info
 
 
 def build_toy_task(kind: str, seed: int = 0) -> ToyTask:
@@ -174,5 +154,5 @@ def build_toy_task(kind: str, seed: int = 0) -> ToyTask:
         reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
     return ToyTask(
         kind=kind, model=model, c_init=c_init,
-        target_state=target, reward=reward, seed=seed,
+        target_state=target, reward=reward,
     )

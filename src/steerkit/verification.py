@@ -157,10 +157,6 @@ class MonotonicityReport:
     max_violation_magnitude: float
     tol: float
 
-    @property
-    def fraction(self) -> float:
-        return self.violations / self.total_steps if self.total_steps else 0.0
-
 
 def check_monotone_surrogate(trajectory, tol: float = 1e-9) -> MonotonicityReport:
     """Audit the logged surrogate F for decreases larger than tol.
@@ -202,10 +198,6 @@ class AscentAudit:
     violations: int
     max_violation_magnitude: float
     tol: float
-
-    @property
-    def fraction(self) -> float:
-        return self.violations / self.audited if self.audited else 0.0
 
 
 def audit_embedding_ascent(

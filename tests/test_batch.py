@@ -162,6 +162,26 @@ def test_batch_inputs_are_checked():
         run_steered(model, reward, c_init, schedule, config, [])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_alpha_is_rejected_before_any_compute(bad):
+    _, reward, c_init, schedule = _setup("synthetic")
+    used = []
+
+    class Model:  # records every attribute run_steered asks of its model
+        def __getattr__(self, name):
+            used.append(name)
+            raise AttributeError(name)
+
+    rngs = [np.random.default_rng(s) for s in SEEDS]
+    states = [g.bit_generator.state for g in rngs]
+    alphas = [0.1, bad, 0.1, 0.1]
+    with pytest.raises(ValueError, match="finite"):
+        run_steered(Model(), reward, c_init, schedule, SteeringConfig(method="embedopt"),
+                    rngs, alphas=alphas)
+    assert used == []
+    assert [g.bit_generator.state for g in rngs] == states  # no x_T was drawn
+
+
 def test_unguided_noise_grid_is_shared_and_rows_use_their_seeds():
     model, _, c_init, _ = _setup("synthetic")
     schedule = build_linear_schedule(5, 10.0)

@@ -42,7 +42,6 @@ from steerkit.harness import (
     fig1_panel_samples,
     load_config,
     run_from_config,
-    run_lr_sweep,
     write_csv,
     write_manifest,
 )
@@ -325,12 +324,6 @@ def test_load_config_bad_json(tmp_path):
         load_config(path)
 
 
-def test_runner_rejects_mismatched_kind():
-    cfg = config_from_dict({"experiment": "synthetic_fig1", "out_dir": "x"})
-    with pytest.raises(ConfigValidationError):
-        run_lr_sweep(cfg)
-
-
 # ---------------------------------------------------------------------------
 # CLI exit codes
 
@@ -574,6 +567,27 @@ def test_artifact_diff_script(tmp_path):
     assert [line.split(": ")[:3] for line in diff.stdout.splitlines() if "differs" in line] == [
         ["manifest differs", "single_synthetic/manifest.json", "runs.0.final_reward"]
     ]
+
+
+def test_traffic_lines_script(tmp_path):
+    """Given one config, the traffic trace lists the runners that config never
+    reaches and ends on the totals; a failing command is exit 1."""
+    config = tmp_path / "single.json"
+    config.write_text(json.dumps({
+        "experiment": "single_run", "out_dir": "unused", "schedule": {"T": 5},
+        "steering": {"method": "embedopt", "alpha": 0.1},
+    }), encoding="utf-8")
+    run = run_script("traffic_lines.py", config)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert "  run_lr_sweep" in lines
+    assert re.fullmatch(r"\d+ of \d+ statements never ran: \d+ raise or handle an error, "
+                        r"\d+ do not", lines[-1])
+
+    config.write_text(json.dumps({"experiment": "single_run", "out_dir": "x", "bins": 3}),
+                      encoding="utf-8")
+    run = run_script("traffic_lines.py", config)
+    assert run.returncode == 1 and "FAILED (exit 3)" in run.stderr
 
 
 def test_package_exports():

@@ -9,6 +9,8 @@ untouched, which makes the reduction to the deterministic sampler exact
 rather than approximate.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,11 +75,11 @@ def test_af3_params_validation():
     with pytest.raises(ValueError):
         Af3SamplerParams(eta_scale=0.0)
     for name in ("gamma", "gamma_min", "rho_noise", "eta_scale"):
-        for bad in ("a", None, True):  # a bool is not a number
+        for bad in ("a", None, True, float("nan"), float("inf")):  # a bool is not a number
             with pytest.raises(ValueError, match=name):
                 Af3SamplerParams(**{name: bad})
     assert Af3SamplerParams(gamma_min=np.float64(2.0), eta_scale=2).gamma_min == 2.0
-    info = Af3SamplerParams().to_manifest()
+    info = dataclasses.asdict(Af3SamplerParams())
     assert info == {"gamma": 0.8, "gamma_min": 1.0, "rho_noise": 1.003, "eta_scale": 1.5}
 
 

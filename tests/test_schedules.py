@@ -21,7 +21,7 @@ def test_linear_schedule_worked_example():
     sched = build_linear_schedule(T=4, sigma_max=2.0)
     np.testing.assert_allclose(sched.sigma_values, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert sched.num_steps == 4
-    assert sched.sigma_max == 2.0
+    assert sched.sigma_values[-1] == 2.0
 
 
 def test_linear_schedule_endpoints_exact():

@@ -413,6 +413,8 @@ def test_run_steered_rejects_non_finite_trajectories(method):
         dict(dps_norm_mode="l1"),
         dict(embed_norm_mode="l2"),
         dict(sampler_mode="ancestral"),
+        dict(alpha=float("nan")),
+        dict(alpha=float("inf")),
     ],
 )
 def test_steering_config_validation(kwargs):

@@ -28,7 +28,7 @@ def test_synthetic_task_constants():
     assert reward.w == 3.0 and reward.tau2 == 1.0
     np.testing.assert_array_equal(reward.y, [20.0])
     sched = task.schedule()
-    assert sched.num_steps == 1000 and sched.sigma_max == 100.0
+    assert sched.num_steps == 1000 and sched.sigma_values[-1] == 100.0
 
 
 def test_toy_task_reproducible_bit_for_bit():
@@ -118,16 +118,7 @@ def test_map_and_distance_tasks_share_generative_state():
     np.testing.assert_array_equal(dist.model.Ws, mapped.model.Ws)
 
 
-def test_toy_manifest_round_trip():
-    info = build_toy_task("distance", seed=2).to_manifest()
-    assert info["kind"] == "distance"
-    assert info["n_beads"] == TOY_N_BEADS
-    assert len(info["pairs"]) == TOY_K_CONSTRAINTS
-    info_map = build_toy_task("map", seed=2).to_manifest()
-    assert "grid" in info_map and info_map["atom_width"] == 1.5
-
-
 def test_toy_schedule_defaults():
     sched = build_toy_task("distance", seed=0).schedule()
     assert sched.num_steps == 200
-    assert sched.sigma_max == 12.0
+    assert sched.sigma_values[-1] == 12.0
