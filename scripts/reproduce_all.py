@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run every shipped experiment config and report where the artifacts went.
 
-Full reproduction takes about 3 s on a 2-vCPU machine, most of it the map
-sweep, whose rows run on --jobs worker processes (default: one per CPU; the
-CSVs do not depend on it). --quick shrinks the seed counts for a smoke pass.
+Full reproduction takes about 2 s with --jobs 2 on a 2-vCPU machine, most of
+it the map sweep, whose rows run on --jobs worker processes (default: one per
+CPU; the CSVs do not depend on it). --quick shrinks the seed counts for a
+smoke pass.
 Artifact directories keep the basename from each config's out_dir but are
 rooted at --out.
 """

@@ -6,7 +6,8 @@ runs the self-check suite and prints a pass/fail table. Errors exit with a
 distinct code per failure class (2 parse; 3 validation, or a non-finite,
 overflowing or degenerate result; 4 IO) and one machine-readable JSON error
 record on stderr. Numpy's floating-point warnings are silenced during a run,
-since any NaN or inf that reaches a result is reported by that record.
+since any NaN or inf that reaches a result is reported by that record. Only
+verify imports the verification suite.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .harness import (
 )
 from .models import NonFiniteStateError
 from .rewards import DegenerateMapError
-from .verification import run_verification_suite
 
 _KIND_BY_COMMAND = {
     "run": None,  # any experiment kind
@@ -104,6 +104,7 @@ def _run_config_command(args) -> int:
 
 
 def _run_verify() -> int:
+    from .verification import run_verification_suite
     results = run_verification_suite()
     width = max(len(r.name) for r in results)
     failed = 0

@@ -13,7 +13,9 @@ Every trajectory integrates through run_steered, as a batch: an lr_sweep runs
 one batch per method (its alpha x seed grid) plus one for the unguided
 baselines, step_scaling one per (method, T), and a single run one over its
 seeds. With jobs > 1 a process pool runs contiguous chunks of those batches;
-a row does not depend on its batch, so no CSV depends on jobs.
+a row does not depend on its batch, so no CSV depends on jobs. The pool and
+the verification suite are imported only by the runs that use them, so a
+command compiles only the modules it runs.
 
 The synthetic histogram experiment keeps its own vectorized fast path,
 fig1_panel_samples: every panel is one-dimensional and deterministic, so all
@@ -37,7 +39,6 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -57,8 +58,9 @@ from .tasks import (
     ToyTask,
     build_synthetic_task,
     build_toy_task,
+    conjugate_posterior,
+    summarize_samples,
 )
-from .verification import conjugate_posterior, run_verification_suite, summarize_samples
 
 __all__ = [
     "ConfigParseError",
@@ -266,6 +268,14 @@ def _get(raw: dict, key: str, types, default=_REQUIRED, item=None):
     return v
 
 
+def _float(key: str, v) -> float:
+    """float(v); an integer too large for a float is a ConfigValidationError."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigValidationError(f"{key} is too large for a float") from None
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from parsed JSON.
 
@@ -317,7 +327,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigValidationError(f"the {task_kind} task does not read reward_w")
 
     alphas = _get(raw, "alphas", list, DEFAULT_ALPHA_GRID, item=(int, float))
-    alphas = tuple(float(a) for a in alphas)
+    alphas = tuple(_float("alphas", a) for a in alphas)
     if not alphas:
         raise ConfigValidationError("alphas must be a non-empty list")
     if any(a < 0 for a in alphas):
@@ -349,12 +359,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigValidationError("schedule T must be positive")
     schedule_sigma_max = _get(schedule, "sigma_max", (int, float), None)
     if schedule_sigma_max is not None:
-        schedule_sigma_max = float(schedule_sigma_max)
+        schedule_sigma_max = _float("schedule sigma_max", schedule_sigma_max)
         if schedule_sigma_max <= 0:
             raise ConfigValidationError("schedule sigma_max must be positive")
 
     steering = _get(raw, "steering", dict, {})
-    reward_w = float(_get(raw, "reward_w", (int, float), 1.0))
+    reward_w = _float("reward_w", _get(raw, "reward_w", (int, float), 1.0))
     if reward_w < 0:
         raise ConfigValidationError("reward_w must be non-negative")
     dps_norm_mode = _get(raw, "dps_norm_mode", str, "l2_matched")
@@ -416,7 +426,7 @@ def load_config(path, out_dir=None, seeds=None, jobs=None) -> ExperimentConfig:
     text = Path(path).read_text(encoding="utf-8")
     try:
         raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer literal too long for int()
         raise ConfigParseError(f"invalid JSON: {e}") from e
     if isinstance(raw, dict):  # config_from_dict rejects any other root
         if seeds is not None:
@@ -698,6 +708,7 @@ def _run_batches(descs: List[dict], jobs: int):
     if workers == 1:
         done = [_toy_batch(d) for d in descs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         chunks = [chunk for d in descs for chunk in _chunks(d, workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_toy_batch, chunks))
@@ -888,6 +899,7 @@ def run_verify_experiment(cfg: ExperimentConfig) -> dict:
     and the size of the importance-sampling pool (`is_workers`); the report
     holds only the checks.
     """
+    from .verification import run_verification_suite
     t0 = time.perf_counter()
     out = Path(cfg.out_dir)
     telemetry = {}

@@ -38,9 +38,13 @@ __all__ = [
 
 
 def _require_real(name: str, value) -> None:
-    """Raise ValueError unless value is a finite real number; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) < math.inf:
-        raise ValueError(f"{name} must be a finite number, not {value!r}")
+    """Raise ValueError unless value is a real number with a finite float; a bool is not one."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be a finite number, not {value!r}")
 
 
 @dataclass(frozen=True)

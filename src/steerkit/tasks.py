@@ -3,7 +3,8 @@
 The synthetic task is the fully analytic testbed: a 1-D Gaussian prior
 N(loc, 0.5^2) whose location is the (identity-mapped) embedding, a Gaussian
 measurement at y=20 with tau^2=1, and a linear schedule. Every acceptance
-number for it has a closed-form or conjugate oracle.
+number for it has a closed-form or conjugate oracle: conjugate_posterior is
+that closed form, and summarize_samples the endpoint summary it is held to.
 
 The toy tasks realize the prior/measurement mismatch regime at desk scale: an
 8-bead chain drawn from a 2-mode mixture prior with a dominant mode (weight
@@ -32,6 +33,9 @@ from .schedules import NoiseSchedule, build_linear_schedule
 __all__ = [
     "SyntheticTask",
     "build_synthetic_task",
+    "conjugate_posterior",
+    "SampleSummary",
+    "summarize_samples",
     "ToyTask",
     "build_toy_task",
 ]
@@ -73,6 +77,56 @@ def build_synthetic_task() -> SyntheticTask:
     model = GaussianPriorModel(W=np.eye(1), b=np.zeros(1), s0=SYNTH_PRIOR_STD)
     c_init = Embedding({"loc": np.array([SYNTH_PRIOR_LOC])})
     return SyntheticTask(model=model, c_init=c_init)
+
+
+def conjugate_posterior(
+    prior_mean: float, prior_var: float, y: float, tau2: float = 1.0, w: float = 1.0
+) -> tuple[float, float]:
+    """Posterior mean and variance of a scalar Gaussian-Gaussian update.
+
+    Prior N(prior_mean, prior_var), likelihood exp(-w (x - y)^2 / (2 tau2)).
+    Precision adds: 1/var_post = 1/prior_var + w/tau2.
+    """
+    if prior_var <= 0 or tau2 <= 0 or w < 0:
+        raise ValueError("variances must be positive and w non-negative")
+    precision = 1.0 / prior_var + w / tau2
+    var = 1.0 / precision
+    mean = var * (prior_mean / prior_var + w * y / tau2)
+    return mean, var
+
+
+@dataclass(frozen=True)
+class SampleSummary:
+    """Per-coordinate mean/std plus a histogram of the first coordinate."""
+
+    mean: np.ndarray
+    std: np.ndarray
+    bin_edges: np.ndarray
+    counts: np.ndarray
+
+
+def summarize_samples(samples, bins: int = 60) -> SampleSummary:
+    """Summarize endpoint samples: mean, sample std (ddof=1), histogram.
+
+    The histogram covers [min, max] of the first coordinate with fixed-width
+    bins (all tasks that get histogrammed are one-dimensional). Fewer than
+    two samples is an error; identical samples occupy a single bin.
+    """
+    arr = np.asarray(samples, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.shape[0] < 2:
+        raise ValueError("need at least two samples to summarize")
+    if bins < 1:
+        raise ValueError("bins must be positive")
+    mean = arr.mean(axis=0)
+    std = arr.std(axis=0, ddof=1)
+    vals = arr[:, 0]
+    lo, hi = float(vals.min()), float(vals.max())
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    counts, edges = np.histogram(vals, bins=bins, range=(lo, hi))
+    return SampleSummary(mean=mean, std=std, bin_edges=edges, counts=counts)
 
 
 @dataclass(frozen=True, eq=False)

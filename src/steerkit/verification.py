@@ -70,20 +70,17 @@ from .steering import (
     run_steered,
     taylor_predicted_step,
 )
-from .tasks import build_synthetic_task, build_toy_task
+from .tasks import build_synthetic_task, build_toy_task, conjugate_posterior, summarize_samples
 
 __all__ = [
     "OracleFailureError",
     "fd_gradient",
     "rel_error",
-    "conjugate_posterior",
     "MonotonicityReport",
     "check_monotone_surrogate",
     "AscentAudit",
     "audit_embedding_ascent",
     "taylor_gap_scaling",
-    "SampleSummary",
-    "summarize_samples",
     "CheckResult",
     "run_verification_suite",
 ]
@@ -130,22 +127,6 @@ def _nan_max(worst: float, x: float) -> float:
     row; every running worst in the suite goes through here instead.
     """
     return x if x != x or x > worst else worst
-
-
-def conjugate_posterior(
-    prior_mean: float, prior_var: float, y: float, tau2: float = 1.0, w: float = 1.0
-) -> Tuple[float, float]:
-    """Posterior mean and variance of a scalar Gaussian-Gaussian update.
-
-    Prior N(prior_mean, prior_var), likelihood exp(-w (x - y)^2 / (2 tau2)).
-    Precision adds: 1/var_post = 1/prior_var + w/tau2.
-    """
-    if prior_var <= 0 or tau2 <= 0 or w < 0:
-        raise ValueError("variances must be positive and w non-negative")
-    precision = 1.0 / prior_var + w / tau2
-    var = 1.0 / precision
-    mean = var * (prior_mean / prior_var + w * y / tau2)
-    return mean, var
 
 
 @dataclass(frozen=True)
@@ -290,40 +271,6 @@ def taylor_gap_scaling(
         "n_exact": n_exact,
         "median_ratio": float(np.median(ratios)) if ratios else None,
     }
-
-
-@dataclass(frozen=True)
-class SampleSummary:
-    """Per-coordinate mean/std plus a histogram of the first coordinate."""
-
-    mean: np.ndarray
-    std: np.ndarray
-    bin_edges: np.ndarray
-    counts: np.ndarray
-
-
-def summarize_samples(samples, bins: int = 60) -> SampleSummary:
-    """Summarize endpoint samples: mean, sample std (ddof=1), histogram.
-
-    The histogram covers [min, max] of the first coordinate with fixed-width
-    bins (all tasks that get histogrammed are one-dimensional). Fewer than
-    two samples is an error; identical samples occupy a single bin.
-    """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.shape[0] < 2:
-        raise ValueError("need at least two samples to summarize")
-    if bins < 1:
-        raise ValueError("bins must be positive")
-    mean = arr.mean(axis=0)
-    std = arr.std(axis=0, ddof=1)
-    vals = arr[:, 0]
-    lo, hi = float(vals.min()), float(vals.max())
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    counts, edges = np.histogram(vals, bins=bins, range=(lo, hi))
-    return SampleSummary(mean=mean, std=std, bin_edges=edges, counts=counts)
 
 
 @dataclass(frozen=True)

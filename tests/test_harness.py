@@ -296,7 +296,10 @@ def test_pool_size_is_capped_by_rows_and_cpus():
     assert _pool_size(1, rows=0, cpus=4) == 1
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+@pytest.mark.parametrize("literal", [
+    "NaN", "Infinity", "-Infinity", "1e999", "-1e999",
+    pytest.param("1" + "0" * 5000, id="5001-digit"),  # past int()'s 4300-digit limit
+])
 @pytest.mark.parametrize(
     "template",
     [
@@ -315,6 +318,41 @@ def test_non_finite_number_literals_are_parse_errors(tmp_path, capsys, template,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "parse"
     assert not out.exists()  # rejected before any compute or write
+
+
+_BIG = "1" + "0" * 400  # an integer literal no float holds
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"experiment": "single_run", "steering": {"method": "embedopt", "alpha": _BIG}},
+        {"experiment": "lr_sweep", "alphas": [0.1, _BIG], "seeds": [0]},
+        {"experiment": "single_run", "reward_w": _BIG},
+        {"experiment": "single_run", "schedule": {"T": 5, "sigma_max": _BIG}},
+        {"experiment": "single_run", "steering": {
+            "method": "embedopt", "alpha": 0.1, "sampler_mode": "af3", "af3": {"gamma": _BIG}}},
+    ],
+    ids=["steering.alpha", "alphas", "reward_w", "schedule.sigma_max", "steering.af3.gamma"],
+)
+def test_integer_literals_too_large_for_a_float_are_validation_errors(
+    tmp_path, capsys, monkeypatch, payload
+):
+    """Exit 3 with error kind validation, before any task is built or file written."""
+    def no_task(*args):
+        raise AssertionError("a task was built")
+
+    monkeypatch.setattr(harness, "build_synthetic_task", no_task)
+    monkeypatch.setattr(harness, "build_toy_task", no_task)
+    out = tmp_path / "out"
+    payload = dict({"schedule": {"T": 5}}, **payload, out_dir=str(out))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload).replace(f'"{_BIG}"', _BIG), encoding="utf-8")
+    assert f'"{_BIG}"' not in path.read_text(encoding="utf-8")  # a number, not a string
+    assert cli_main(["run", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
+    assert not out.exists()
 
 
 def test_load_config_bad_json(tmp_path):
@@ -532,6 +570,69 @@ def test_import_and_synthetic_task_leave_numpy_random_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_commands_load_only_what_they_run(tmp_path):
+    """`import steerkit` loads no submodule, and sweep, scale, run and fig1 load
+    neither the verification suite nor a process pool: each command compiles
+    only the modules it runs."""
+    commands = [
+        ("sweep", {"experiment": "lr_sweep", "seeds": [0], "alphas": [0.1], "schedule": {"T": 2}}),
+        ("scale", {"experiment": "step_scaling", "seeds": [0], "T_values": [2, 3]}),
+        ("run", {"experiment": "single_run", "schedule": {"T": 2}}),
+        ("fig1", {"experiment": "synthetic_fig1", "n_seeds": 40}),
+    ]
+    argv = [
+        [command, str(write_config(tmp_path, dict(payload, out_dir=str(tmp_path / command)),
+                                   name=f"{command}.json"))]
+        for command, payload in commands
+    ]
+    code = (
+        "import json, sys\n"
+        "import steerkit\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('steerkit.'))))\n"
+        "from steerkit import cli\n"
+        "codes = [cli.main(args) for args in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(codes))\n"
+        "print(json.dumps([m for m in ('steerkit.verification', 'concurrent.futures',\n"
+        "                              'multiprocessing') if m in sys.modules]))\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path,
+    )
+    lines = out.stdout.splitlines()
+    assert json.loads(lines[0]) == []
+    assert json.loads(lines[-2]) == [EXIT_OK] * len(commands)
+    assert json.loads(lines[-1]) == []
+    assert all((tmp_path / command / "manifest.json").exists() for command, _ in commands)
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("synthetic", {"experiment": "synthetic_fig1", "n_seeds": 40}),
+        ("distance", {"experiment": "lr_sweep", "task": {"kind": "distance", "seed": 1}}),
+        ("map", {"experiment": "lr_sweep", "task": {"kind": "map", "seed": 1}}),
+    ],
+)
+def test_benchmark_setup_probe_builds_each_task_kind(tmp_path, kind, payload):
+    """The benchmark's set-up probe (perfbench/launch.py setup), which its
+    setup_s rests on, imports steerkit from src/ and builds each task kind
+    through the package's lazily resolved build_*_task."""
+    root = Path(__file__).resolve().parents[1]
+    config = write_config(tmp_path, dict(payload, out_dir=str(tmp_path / "out")))
+    run = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "launch.py"), "setup", kind, "1", str(config)],
+        capture_output=True, text=True, cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert run.returncode == 0, run.stderr
+    (line,) = run.stdout.splitlines()
+    probe = json.loads(line)
+    assert isinstance(probe["ready"], float)
+    assert Path(probe["module"]).resolve().is_relative_to(root / "src")
+
+
 def test_artifact_diff_script(tmp_path):
     """Two --quick reproductions agree once run-time keys are dropped; one flipped
     CSV byte, or one changed manifest value, is exit 1 and names what changed."""
@@ -611,6 +712,10 @@ def test_package_exports():
         "taylor_gap_scaling", "taylor_predicted_step",
     })
     assert all(hasattr(steerkit, name) for name in steerkit.__all__)
+    namespace = {}
+    exec("from steerkit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(steerkit.__all__)
+    assert set(steerkit.__all__) <= set(dir(steerkit))
 
 
 def fig1_engine_endpoint(panel: str, rng, T: int) -> float:
@@ -663,7 +768,7 @@ def test_fig1_manifest_phases_are_finite_and_within_wall_time(tmp_path):
 
 def test_verify_manifest_records_phases_and_pool_size(tmp_path, monkeypatch):
     monkeypatch.setattr(
-        harness, "run_verification_suite",
+        verification, "run_verification_suite",
         functools.partial(verification.run_verification_suite, quick=True),
     )
     out = tmp_path / "verify"

@@ -74,11 +74,14 @@ def test_af3_params_validation():
         Af3SamplerParams(rho_noise=0.0)
     with pytest.raises(ValueError):
         Af3SamplerParams(eta_scale=0.0)
+    # a bool is not a number, nor an integer no float holds: 2**1024 - 2**970 is
+    # the least that float() overflows on, and one less rounds to the largest float
     for name in ("gamma", "gamma_min", "rho_noise", "eta_scale"):
-        for bad in ("a", None, True, float("nan"), float("inf")):  # a bool is not a number
+        for bad in ("a", None, True, float("nan"), float("inf"), 10**400, 2**1024 - 2**970):
             with pytest.raises(ValueError, match=name):
                 Af3SamplerParams(**{name: bad})
     assert Af3SamplerParams(gamma_min=np.float64(2.0), eta_scale=2).gamma_min == 2.0
+    assert Af3SamplerParams(gamma_min=2**1024 - 2**970 - 1).gamma_min == 2**1024 - 2**970 - 1
     info = dataclasses.asdict(Af3SamplerParams())
     assert info == {"gamma": 0.8, "gamma_min": 1.0, "rho_noise": 1.003, "eta_scale": 1.5}
 

@@ -415,6 +415,7 @@ def test_run_steered_rejects_non_finite_trajectories(method):
         dict(sampler_mode="ancestral"),
         dict(alpha=float("nan")),
         dict(alpha=float("inf")),
+        dict(method="embedopt", alpha=10**400),  # no float holds it
     ],
 )
 def test_steering_config_validation(kwargs):

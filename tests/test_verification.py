@@ -476,7 +476,7 @@ def test_verify_cli_prints_one_line_per_check(monkeypatch, capsys, failing):
         CheckResult("fd_gaussian_vjp_x", True, "max rel err 1.000e-09 over 2 probes (tol 1e-05)"),
         CheckResult("tweedie_mixture", not failing, "max rel err 2.000e-15 over 2 probes (tol 1e-10)"),
     ]
-    monkeypatch.setattr(cli, "run_verification_suite", lambda: rows)
+    monkeypatch.setattr(verification, "run_verification_suite", lambda: rows)
     code = cli.main(["verify"])
     lines = capsys.readouterr().out.splitlines()
     status = "FAIL" if failing else "PASS"
