@@ -3,11 +3,11 @@
 Subcommands: run/sweep/scale/fig1 each take a JSON config file (the kind-
 specific subcommands assert the config's experiment kind matches); verify
 runs the self-check suite and prints a pass/fail table. Errors exit with a
-distinct code per failure class (2 parse; 3 validation, or a non-finite,
-overflowing or degenerate result; 4 IO) and one machine-readable JSON error
-record on stderr. Numpy's floating-point warnings are silenced during a run,
-since any NaN or inf that reaches a result is reported by that record. Only
-verify imports the verification suite.
+distinct code per failure class (2 parse; 3 validation, a non-finite,
+overflowing or degenerate result, or a failed allocation; 4 IO) and one
+machine-readable JSON error record on stderr. Numpy's floating-point warnings
+are silenced during a run, since any NaN or inf that reaches a result is
+reported by that record. Only verify imports the verification suite.
 """
 
 from __future__ import annotations
@@ -95,6 +95,9 @@ def _run_config_command(args) -> int:
         return EXIT_VALIDATION
     except (NonFiniteStateError, DegenerateMapError, OverflowError) as e:
         _error_record("numeric", f"{type(e).__name__}: {e}")
+        return EXIT_VALIDATION
+    except MemoryError as e:  # a count so large that its first array cannot be allocated
+        _error_record("memory", str(e) or "out of memory")
         return EXIT_VALIDATION
     except OSError as e:
         _error_record("io", str(e))

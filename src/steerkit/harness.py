@@ -252,124 +252,94 @@ _DEFAULT_N_SEEDS = {"synthetic_fig1": 2000, "lr_sweep": 3, "step_scaling": 3}  #
 _REQUIRED = object()
 
 
-def _get(raw: dict, key: str, types, default=_REQUIRED, item=None):
-    """raw[key], checked to be of `types` and, for a list, to hold only `item`s;
-    `default` when the key is absent. A bool is never a number."""
+def _get(raw: dict, key: str, types, default=_REQUIRED, item=None, least=None, among=None,
+         keys=None):
+    """raw[key], checked by every rule on it alone; `default`, unchecked, if absent.
+
+    ConfigParseError: the value is not of `types`, or a list entry not of
+    `item` (a bool is never a number). ConfigValidationError: an empty list,
+    a number (or entry) below `least`, a string (or entry) not in `among`, a
+    dict sub-key not in `keys`, or an integer too large for a float where a
+    number is read (it comes back as a float).
+    """
     if key not in raw:
         if default is _REQUIRED:
             raise ConfigParseError(f"missing required field {key!r}")
         return default
     v = raw[key]
-    items = v if item is not None and isinstance(v, list) else ()
-    if not isinstance(v, types) or isinstance(v, bool) or any(
-        not isinstance(x, item) or isinstance(x, bool) for x in items
+    entries = [v] if item is None else v
+    if not isinstance(v, types) or any(
+        not isinstance(x, item or types) or isinstance(x, bool) for x in entries
     ):
         raise ConfigParseError(f"field {key!r} has the wrong type")
+    if isinstance(v, list) and not v:
+        raise ConfigValidationError(f"{key} must be a non-empty list")
+    if (item or types) == (int, float):
+        try:
+            entries = [float(x) for x in entries]
+        except OverflowError:
+            raise ConfigValidationError(f"{key} is too large for a float") from None
+        v = entries[0] if item is None else entries
+    if least is not None and any(x < least for x in entries):
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ConfigValidationError(f"{key} must be {bound}")
+    if among is not None and any(x not in among for x in entries):
+        raise ConfigValidationError(f"{key} must be one of {list(among)}, not {v!r}")
+    if keys is not None and set(v) - set(keys):
+        raise ConfigValidationError(f"{key} takes only the keys {list(keys)}, not {sorted(v)}")
     return v
-
-
-def _float(key: str, v) -> float:
-    """float(v); an integer too large for a float is a ConfigValidationError."""
-    try:
-        return float(v)
-    except OverflowError:
-        raise ConfigValidationError(f"{key} is too large for a float") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from parsed JSON.
 
-    Structural problems (missing fields, wrong types, unparseable JSON
-    upstream) raise ConfigParseError; semantic ones (bad values) raise
-    ConfigValidationError. The CLI maps these to distinct exit codes.
+    Each key is read once by _get, which checks every rule on its value
+    alone; the checks written out here relate two keys. Structural problems
+    (missing fields, wrong types, unparseable JSON upstream) raise
+    ConfigParseError; semantic ones (bad values) raise ConfigValidationError.
+    The CLI maps these to distinct exit codes.
     """
     if not isinstance(raw, dict):
         raise ConfigParseError("config root must be a JSON object")
-    experiment = _get(raw, "experiment", str)
     out_dir = _get(raw, "out_dir", str)
-    if experiment not in _EXPERIMENTS:
-        raise ConfigValidationError(
-            f"unknown experiment {experiment!r}; expected one of {_EXPERIMENTS}"
-        )
+    experiment = _get(raw, "experiment", str, among=_EXPERIMENTS)
     unread = {key for key in raw if key not in _KEYS or experiment not in _KEYS[key][0]}
     if unread:
         raise ConfigValidationError(f"{experiment} does not read keys {sorted(unread)}")
 
     if "seeds" in raw and "n_seeds" in raw:
         raise ConfigValidationError("give either seeds or n_seeds, not both")
-    n_seeds = _get(raw, "n_seeds", int, _DEFAULT_N_SEEDS.get(experiment, 1))
-    if n_seeds < 1:
-        raise ConfigValidationError("n_seeds must be a positive integer")
-    seeds = tuple(_get(raw, "seeds", list, range(n_seeds), item=int))
-    if not seeds:
-        raise ConfigValidationError("at least one seed is required")
+    n_seeds = _get(raw, "n_seeds", int, _DEFAULT_N_SEEDS.get(experiment, 1), least=1)
+    seeds = tuple(_get(raw, "seeds", list, range(n_seeds), item=int, least=0))
     if experiment == "synthetic_fig1" and len(seeds) < 2:
         raise ConfigValidationError("synthetic_fig1 needs at least two seeds")
-    if min(seeds) < 0:
-        raise ConfigValidationError("seeds must be non-negative")
+    bins = _get(raw, "bins", int, 60, least=1)
 
-    bins = _get(raw, "bins", int, 60)
-    if bins < 1:
-        raise ConfigValidationError("bins must be positive")
-
-    task = _get(raw, "task", dict, {})
-    task_kind = _get(task, "kind", str, "synthetic" if experiment == "single_run" else "distance")
-    task_seed = _get(task, "seed", int, 0)
-    if task_seed < 0:
-        raise ConfigValidationError("task seed must be non-negative")
-    if set(task) - {"kind", "seed"}:
-        raise ConfigValidationError(f"unknown task keys: {sorted(set(task) - {'kind', 'seed'})}")
-    if task_kind not in _TASK_KINDS:
-        raise ConfigValidationError(f"unknown task kind {task_kind!r}")
+    task = _get(raw, "task", dict, {}, keys=("kind", "seed"))
+    default_kind = "synthetic" if experiment == "single_run" else "distance"
+    task_kind = _get(task, "kind", str, default_kind, among=_TASK_KINDS)
+    task_seed = _get(task, "seed", int, 0, least=0)
     if experiment in _SWEEPS and task_kind == "synthetic":
         raise ConfigValidationError(f"{experiment} needs a toy task (distance or map)")
     if task_kind != "synthetic" and "reward_w" in raw:
         raise ConfigValidationError(f"the {task_kind} task does not read reward_w")
 
-    alphas = _get(raw, "alphas", list, DEFAULT_ALPHA_GRID, item=(int, float))
-    alphas = tuple(_float("alphas", a) for a in alphas)
-    if not alphas:
-        raise ConfigValidationError("alphas must be a non-empty list")
-    if any(a < 0 for a in alphas):
-        raise ConfigValidationError("alphas must be non-negative")
-
+    alphas = tuple(_get(raw, "alphas", list, DEFAULT_ALPHA_GRID, item=(int, float), least=0))
     default_methods = _SWEEP_METHODS if experiment == "lr_sweep" else ("embedopt",)
-    methods = tuple(_get(raw, "methods", list, default_methods, item=str))
-    if not methods:
-        raise ConfigValidationError("methods must be non-empty")
-    bad = [m for m in methods if m not in _SWEEP_METHODS]
-    if bad:
-        raise ConfigValidationError(f"unknown methods {bad}; expected subset of {_SWEEP_METHODS}")
+    methods = tuple(_get(raw, "methods", list, default_methods, item=str, among=_SWEEP_METHODS))
+    T_values = tuple(_get(raw, "T_values", list, DEFAULT_T_VALUES, item=int, least=2))
 
-    T_values = tuple(_get(raw, "T_values", list, DEFAULT_T_VALUES, item=int))
-    if not T_values:
-        raise ConfigValidationError("T_values must be non-empty")
-    if any(T < 2 for T in T_values):
-        raise ConfigValidationError("every T must be at least 2")
-
-    schedule = _get(raw, "schedule", dict, {})
-    if set(schedule) - {"T", "sigma_max"}:
-        raise ConfigValidationError(
-            f"unknown schedule keys: {sorted(set(schedule) - {'T', 'sigma_max'})}"
-        )
+    schedule = _get(raw, "schedule", dict, {}, keys=("T", "sigma_max"))
     if experiment == "step_scaling" and "T" in schedule:
         raise ConfigValidationError("step_scaling takes its step counts from T_values")
-    schedule_T = _get(schedule, "T", int, None)
-    if schedule_T is not None and schedule_T < 1:
-        raise ConfigValidationError("schedule T must be positive")
+    schedule_T = _get(schedule, "T", int, None, least=1)
     schedule_sigma_max = _get(schedule, "sigma_max", (int, float), None)
-    if schedule_sigma_max is not None:
-        schedule_sigma_max = _float("schedule sigma_max", schedule_sigma_max)
-        if schedule_sigma_max <= 0:
-            raise ConfigValidationError("schedule sigma_max must be positive")
+    if schedule_sigma_max is not None and schedule_sigma_max <= 0:
+        raise ConfigValidationError("schedule sigma_max must be positive")
 
     steering = _get(raw, "steering", dict, {})
-    reward_w = _float("reward_w", _get(raw, "reward_w", (int, float), 1.0))
-    if reward_w < 0:
-        raise ConfigValidationError("reward_w must be non-negative")
-    dps_norm_mode = _get(raw, "dps_norm_mode", str, "l2_matched")
-    if dps_norm_mode not in _DPS_NORMS:
-        raise ConfigValidationError(f"unknown dps_norm_mode {dps_norm_mode!r}")
+    reward_w = _get(raw, "reward_w", (int, float), 1.0, least=0)
+    dps_norm_mode = _get(raw, "dps_norm_mode", str, "l2_matched", among=_DPS_NORMS)
     # exact_likelihood needs a closed-form posterior variance, which only the
     # synthetic task (Gaussian prior, Gaussian measurement reward) has; the
     # toy tasks pair a mixture prior with a distance or map reward
@@ -379,9 +349,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigValidationError(
             f"dps_norm_mode 'exact_likelihood' needs the synthetic task, not {task_kind!r}"
         )
-    jobs = _get(raw, "jobs", int, 1)
-    if jobs < 1:
-        raise ConfigValidationError("jobs must be at least 1")
+    jobs = _get(raw, "jobs", int, 1, least=1)
 
     cfg = ExperimentConfig(
         experiment=experiment,

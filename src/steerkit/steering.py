@@ -73,6 +73,8 @@ _METHODS = ("none", "embedopt", "dps")
 _DPS_NORMS = ("sigma2w", "l2_matched", "exact_likelihood")
 _EMBED_NORMS = ("rms_per_component", "none")
 _SAMPLER_MODES = ("deterministic", "af3")
+_CHOICES = {"method": _METHODS, "dps_norm_mode": _DPS_NORMS, "embed_norm_mode": _EMBED_NORMS,
+            "sampler_mode": _SAMPLER_MODES}  # SteeringConfig's string fields and their values
 
 
 @dataclass(frozen=True)
@@ -87,17 +89,12 @@ class SteeringConfig:
     af3: Af3SamplerParams = field(default_factory=Af3SamplerParams)
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         _require_real("alpha", self.alpha)
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
-        if self.dps_norm_mode not in _DPS_NORMS:
-            raise ValueError(f"unknown dps_norm_mode {self.dps_norm_mode!r}")
-        if self.embed_norm_mode not in _EMBED_NORMS:
-            raise ValueError(f"unknown embed_norm_mode {self.embed_norm_mode!r}")
-        if self.sampler_mode not in _SAMPLER_MODES:
-            raise ValueError(f"unknown sampler_mode {self.sampler_mode!r}")
 
     def to_manifest(self) -> dict:
         return asdict(self)  # af3 becomes its own field dict
@@ -352,6 +349,8 @@ def run_steered(
     single = isinstance(rng, np.random.Generator)
     rngs = [rng] if single else list(rng)
     B = len(rngs)
+    for a in () if alphas is None else np.asarray(alphas, dtype=object).flat:
+        _require_real("alphas", a)  # as SteeringConfig's alpha: no bool, string or overflow
     alpha = np.full(B, float(config.alpha)) if alphas is None else np.asarray(alphas, dtype=np.float64)
     if B == 0 or alpha.shape != (B,) or not (np.isfinite(alpha) & (alpha >= 0)).all():
         raise ValueError("need one generator and one finite, non-negative alpha per row")

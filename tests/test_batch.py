@@ -162,7 +162,10 @@ def test_batch_inputs_are_checked():
         run_steered(model, reward, c_init, schedule, config, [])
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "bad", [float("nan"), float("inf"), 10**400, "0.1", True],
+    ids=["nan", "inf", "10**400", "string", "bool"],
+)
 def test_non_finite_alpha_is_rejected_before_any_compute(bad):
     _, reward, c_init, schedule = _setup("synthetic")
     used = []

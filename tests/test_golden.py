@@ -1,6 +1,10 @@
 """Golden digests: the shipped configs and benchmark commands reproduce
 recorded CSVs.
 
+`scripts/reproduce_all.py` at full size must write the 12 CSVs recorded in
+FULL_SIZE_CSVS, which pins every shipped config, through the config parser,
+to its artifacts.
+
 The benchmark's reference (perfbench/reference.json) records the sha256 of
 every CSV its commands write; at task seed 0 its distance commands are the
 shipped sweep_distance, scale_distance and single_distance configs. Running
@@ -23,6 +27,7 @@ import numpy as np
 import pytest
 
 from steerkit.harness import config_from_dict, load_config, run_from_config
+from conftest import run_script
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference.json"
@@ -81,3 +86,39 @@ def test_shipped_distance_config_matches_reference_digests(tmp_path, reference, 
 def test_benchmark_command_matches_reference_digests(tmp_path, reference, command):
     run_from_config(config_from_dict({**command.config, "out_dir": str(tmp_path)}))
     assert_csv_digests(tmp_path, reference[command.key])
+
+
+# the sha256 of each CSV that `reproduce_all.py --jobs 2` writes at full size, by
+# path under --out; as sorted `sha256sum` lines they hash to 3c155a8e...
+FULL_SIZE_RECORDED_WITH = {"numpy": "2.4.6", "python": "3.11.7"}
+FULL_SIZE_CSVS = {
+    "fig1/fig1_dps_w1.csv": "25b45cae994a4a5802dc7b35b4f37559884fdc0b4d72537c8b5b72ef55fc941e",
+    "fig1/fig1_dps_w100.csv": "3af857ec9b31ad0233712efc9e8be205237ee9b16980682a4e8d73ef25091ccf",
+    "fig1/fig1_embedopt_a0.1.csv": "b6affd23e56c3aeec6c07364a906cc51a77ea176bab762290ae04cbe57f49840",
+    "fig1/fig1_unguided.csv": "3c2407d5df6aa13e6bcb5028ecb1f577d0d71140b436a990f786c37d847dd6f0",
+    "scale_distance/scale.csv": "99857de849c2d3fc589c8faec82b4319468b74ee8eb616814d326829a34e1d78",
+    "single_distance/trajectory_seed0.csv":
+        "a16b445e65a17e73c77df072f7ff76bf61bf619ffe50fcaf456365012a03b922",
+    "single_synthetic/trajectory_seed0.csv":
+        "336337ad2a2131c66858dd7bf671bf9c095017778779de04de88f94adbdd6d2c",
+    "single_synthetic/trajectory_seed1.csv":
+        "cd932aa4954b46d91414b514968cce14783687229163cde757c9d035e226f8df",
+    "sweep_distance/best_achieved.csv":
+        "3050fe3cf1647e39fbeeb486190454dbfa76a23662fdf23d5f18c0e5180aa868",
+    "sweep_distance/sweep.csv": "adb6e74d2462f2a28b28e8b37dcdb3baf19ba1699c5d1215d383aa2ce94fffd2",
+    "sweep_map/best_achieved.csv": "bf63498b48bd9b4d7e7b01efa4d91ea2fc687109cb55be04999c63b9485795d9",
+    "sweep_map/sweep.csv": "53907fa821b8d71a830836b8023b957b8802a40376a85d0148046ce3b6e36bf6",
+}
+
+
+def test_full_size_reproduction_matches_recorded_digests(tmp_path):
+    here = {"numpy": np.__version__, "python": platform.python_version()}
+    if here != FULL_SIZE_RECORDED_WITH:
+        pytest.skip(f"digests recorded with {FULL_SIZE_RECORDED_WITH}, running {here}")
+    proc = run_script("reproduce_all.py", "--jobs", "2", "--out", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    got = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.rglob("*.csv")
+    }
+    assert got == FULL_SIZE_CSVS

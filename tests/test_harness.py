@@ -143,6 +143,9 @@ def test_atomic_write_replaces_existing(tmp_path):
         {"experiment": "lr_sweep", "out_dir": "x", "seeds": [0.5]},
         {"experiment": "lr_sweep", "out_dir": "x", "alphas": "0.1"},
         {"experiment": "lr_sweep", "out_dir": "x", "methods": [1]},
+        {"experiment": "lr_sweep", "out_dir": "x", "task": {"seed": True}},
+        {"experiment": "lr_sweep", "out_dir": "x", "n_seeds": True},
+        {"experiment": "step_scaling", "out_dir": "x", "T_values": [True]},
     ],
 )
 def test_structural_problems_are_parse_errors(payload):
@@ -163,6 +166,7 @@ def test_structural_problems_are_parse_errors(payload):
         {"experiment": "lr_sweep", "out_dir": "x", "alphas": []},
         {"experiment": "lr_sweep", "out_dir": "x", "alphas": [-0.1]},
         {"experiment": "lr_sweep", "out_dir": "x", "methods": ["gradient_descent"]},
+        {"experiment": "lr_sweep", "out_dir": "x", "methods": []},
         {"experiment": "lr_sweep", "out_dir": "x", "task": {"kind": "synthetic"}},
         {"experiment": "lr_sweep", "out_dir": "x", "task": {"kind": "torsion"}},
         {"experiment": "lr_sweep", "out_dir": "x", "task": {"beads": 9}},
@@ -170,6 +174,8 @@ def test_structural_problems_are_parse_errors(payload):
         {"experiment": "step_scaling", "out_dir": "x", "T_values": []},
         {"experiment": "lr_sweep", "out_dir": "x", "schedule": {"kind": "power"}},
         {"experiment": "lr_sweep", "out_dir": "x", "schedule": {"sigma_max": -2}},
+        {"experiment": "lr_sweep", "out_dir": "x", "schedule": {"sigma_max": 0}},
+        {"experiment": "lr_sweep", "out_dir": "x", "schedule": {"T": 0}},
         {"experiment": "lr_sweep", "out_dir": "x", "dps_norm_mode": "l1"},
         {"experiment": "lr_sweep", "out_dir": "x", "jobs": 0},
         {"experiment": "single_run", "out_dir": "x", "reward_w": -1},
@@ -873,7 +879,8 @@ def test_shipped_config_manifest_blocks_are_pinned(name):
 
 def test_readme_key_table_lists_exactly_the_config_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    table = readme.split("| key | JSON type | default | read by |\n")[1].split("\n\n")[0]
+    table = readme.split("| key | JSON type | allowed values | default | read by |\n")[1]
+    table = table.split("\n\n")[0]
     rows = [line.split("|")[1:-1] for line in table.splitlines()[1:]]
     documented = {
         key.strip(" `"): set(re.findall(r"`(\w+)`", read_by)) for key, *_, read_by in rows
@@ -1157,6 +1164,25 @@ def test_overflowing_reward_exits_3_and_writes_nothing(tmp_path, capsys, method)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"experiment": "single_run", "n_seeds": 10**15},
+        {"experiment": "single_run", "schedule": {"T": 10**18}},
+        {"experiment": "step_scaling", "T_values": [10**18]},
+    ],
+    ids=["n_seeds", "schedule.T", "T_values"],
+)
+def test_counts_too_large_to_allocate_exit_3_and_write_nothing(tmp_path, capsys, payload):
+    # each count's first array is petabytes or more, so its allocation fails at once
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(payload, out_dir=str(out)))
+    assert cli_main(["run", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "memory"
+    assert not out.exists()
+
+
 def test_manifest_rejects_non_finite_numbers(tmp_path):
     with pytest.raises(NonFiniteStateError):
         write_manifest(tmp_path, {"final_reward": float("nan")})
@@ -1170,11 +1196,12 @@ _RUN_KEYS = ("seeds", "bins", "task", "alphas", "methods", "T_values", "schedule
 @st.composite
 def experiment_payloads(draw):
     """Cheap configs (T <= 5, at most four seeds, jobs 1), with overflowing
-    weights, removed steering keys, negative trajectory and task seeds and
-    keys the experiment does not read mixed in. The verify experiment is left
-    out: it takes no settings and runs for seconds."""
+    weights, removed steering keys, negative trajectory and task seeds, keys
+    the experiment does not read and counts too large to allocate (T 10**18,
+    n_seeds 10**15) mixed in. The verify experiment is left out: it takes no
+    settings and runs for seconds."""
     experiment = draw(st.sampled_from(["synthetic_fig1", "lr_sweep", "step_scaling", "single_run"]))
-    T = draw(st.integers(min_value=1, max_value=5))
+    T = draw(st.sampled_from([1, 2, 3, 4, 5, 10**18]))
     schedule = {"T": T}
     if draw(st.booleans()):
         schedule["sigma_max"] = draw(st.sampled_from([0.5, 1e150, 1e306, 1e308]))
@@ -1192,7 +1219,7 @@ def experiment_payloads(draw):
     elif experiment == "step_scaling":
         payload.update(
             seeds=seeds, task=toy_task, methods=methods,
-            T_values=draw(st.lists(st.integers(2, 5), min_size=1, max_size=2)),
+            T_values=draw(st.lists(st.sampled_from([2, 3, 4, 5, 10**18]), min_size=1, max_size=2)),
         )
     else:
         steering = {
@@ -1223,6 +1250,9 @@ def experiment_payloads(draw):
         payload.setdefault(key, {"bins": 10, "jobs": 1, "reward_w": 2.0}.get(key, [1]))
     if experiment in ("lr_sweep", "step_scaling") and draw(st.booleans()):
         payload["jobs"] = 1
+    if draw(st.integers(0, 9)) == 0:
+        del payload["seeds"]
+        payload["n_seeds"] = 10**15
     return payload
 
 
