@@ -9,7 +9,7 @@ verification suite's worker threads), the traffic that reproduces the paper:
   each through `steerkit run`;
 * `configs/sweep_distance.json` once more with two jobs, so the process-pool
   branch counts as reached (the rows a worker runs are traced at one job);
-* `steerkit verify`.
+* `steerkit verify --out`, so the report and manifest writes count too.
 
 Given config paths, it traces only those, each run as written except that its
 artifacts go to a temporary directory. Statements come from the source's
@@ -128,7 +128,7 @@ def traffic(configs, tmp: Path):
         commands.append(run(path, path.stem, *seeds, *jobs))
         if name == "sweep_distance.json":
             commands.append(run(path, f"{path.stem}_jobs2", *seeds, "--jobs", "2"))
-    commands.append(["verify"])
+    commands.append(["verify", "--out", str(tmp / "verify")])
     return commands
 
 

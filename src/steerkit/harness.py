@@ -13,9 +13,9 @@ Every trajectory integrates through run_steered, as a batch: an lr_sweep runs
 one batch per method (its alpha x seed grid) plus one for the unguided
 baselines, step_scaling one per (method, T), and a single run one over its
 seeds. With jobs > 1 a process pool runs contiguous chunks of those batches;
-a row does not depend on its batch, so no CSV depends on jobs. The pool and
-the verification suite are imported only by the runs that use them, so a
-command compiles only the modules it runs.
+a row does not depend on its batch, so no CSV depends on jobs. The pool is
+imported only by the runs that use it and the verification suite never (the
+`verify` command runs it), so a command compiles only the modules it runs.
 
 The synthetic histogram experiment keeps its own vectorized fast path,
 fig1_panel_samples: every panel is one-dimensional and deterministic, so all
@@ -72,7 +72,6 @@ __all__ = [
     "run_lr_sweep",
     "run_step_scaling",
     "run_single_run",
-    "run_verify_experiment",
     "fig1_noise",
     "fig1_panel_samples",
     "FIG1_PANEL_SPECS",
@@ -96,7 +95,7 @@ DEFAULT_T_VALUES = (200, 100, 50, 20)
 SCALE_ALPHA_REF = 0.1
 SCALE_T_REF = 200
 
-_EXPERIMENTS = ("synthetic_fig1", "lr_sweep", "step_scaling", "single_run", "verify")
+_EXPERIMENTS = ("synthetic_fig1", "lr_sweep", "step_scaling", "single_run")
 _SWEEP_METHODS = ("embedopt", "dps")
 _TASK_KINDS = ("synthetic", "distance", "map")
 
@@ -179,10 +178,10 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _base_manifest(cfg: "ExperimentConfig", t0: float) -> dict:
+def _base_manifest(experiment: str, config: dict, t0: float) -> dict:
     return {
-        "experiment": cfg.experiment,
-        "config": cfg.to_manifest(),
+        "experiment": experiment,
+        "config": config,
         "git_describe": _git_describe(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": time.perf_counter() - t0,
@@ -227,7 +226,6 @@ class ExperimentConfig:
         return out
 
 
-_RUNS = ("synthetic_fig1", "lr_sweep", "step_scaling", "single_run")
 _SWEEPS = ("lr_sweep", "step_scaling")
 # each config key: the experiments that read it and the ExperimentConfig fields
 # it sets; any other key, unknown or just unread by the chosen experiment, is
@@ -235,14 +233,14 @@ _SWEEPS = ("lr_sweep", "step_scaling")
 _KEYS = {
     "experiment": (_EXPERIMENTS, ("experiment",)),
     "out_dir": (_EXPERIMENTS, ("out_dir",)),
-    "seeds": (_RUNS, ("seeds",)),
-    "n_seeds": (_RUNS, ("seeds",)),
+    "seeds": (_EXPERIMENTS, ("seeds",)),
+    "n_seeds": (_EXPERIMENTS, ("seeds",)),
     "bins": (("synthetic_fig1",), ("bins",)),
     "task": ((*_SWEEPS, "single_run"), ("task_kind", "task_seed")),
     "alphas": (("lr_sweep",), ("alphas",)),
     "methods": (_SWEEPS, ("methods",)),
     "T_values": (("step_scaling",), ("T_values",)),
-    "schedule": (_RUNS, ("schedule_T", "schedule_sigma_max")),
+    "schedule": (_EXPERIMENTS, ("schedule_T", "schedule_sigma_max")),
     "steering": (("single_run",), ("steering",)),
     "reward_w": (("single_run",), ("reward_w",)),
     "dps_norm_mode": (_SWEEPS, ("dps_norm_mode",)),
@@ -596,7 +594,7 @@ def run_synthetic_fig1(cfg: ExperimentConfig) -> dict:
             entry["csv"] = name
         panels[panel] = entry
 
-    manifest = _base_manifest(cfg, t0)
+    manifest = _base_manifest(cfg.experiment, cfg.to_manifest(), t0)
     manifest["schedule"] = SyntheticTask.schedule(**schedule).to_manifest()
     manifest["panels"] = panels
     manifest["phases_s"] = phases
@@ -742,7 +740,7 @@ def run_lr_sweep(cfg: ExperimentConfig) -> dict:
         list(zip(*best_rows)),
     )
 
-    manifest = _base_manifest(cfg, t0)
+    manifest = _base_manifest(cfg.experiment, cfg.to_manifest(), t0)
     manifest["schedule"] = ToyTask.schedule(**schedule).to_manifest()
     manifest["artifacts"] = ["sweep.csv", "best_achieved.csv"]
     manifest["batch_runtimes_s"] = batches
@@ -791,7 +789,7 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
         ))),
     )
 
-    manifest = _base_manifest(cfg, t0)
+    manifest = _base_manifest(cfg.experiment, cfg.to_manifest(), t0)
     manifest["alpha_times_T"] = const
     manifest["alpha_by_T"] = {str(T): const / T for T in T_values}
     manifest["artifacts"] = ["scale.csv"]
@@ -802,7 +800,7 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# single runs and verification
+# single runs
 
 
 def run_single_run(cfg: ExperimentConfig) -> dict:
@@ -849,7 +847,7 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
             "nfe": rec.nfe,
         }
 
-    manifest = _base_manifest(cfg, t0)
+    manifest = _base_manifest(cfg.experiment, cfg.to_manifest(), t0)
     manifest["schedule"] = schedule.to_manifest()
     manifest["steering"] = config.to_manifest()
     manifest["runs"] = runs
@@ -860,42 +858,11 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
     return manifest
 
 
-def run_verify_experiment(cfg: ExperimentConfig) -> dict:
-    """Run the verification suite and write its report as JSON.
-
-    The manifest records the wall seconds of each check group (`phases_s`)
-    and the size of the importance-sampling pool (`is_workers`); the report
-    holds only the checks.
-    """
-    from .verification import run_verification_suite
-    t0 = time.perf_counter()
-    out = Path(cfg.out_dir)
-    telemetry = {}
-    results = run_verification_suite(telemetry=telemetry)
-    report = {
-        "all_passed": all(r.passed for r in results),
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
-    }
-    atomic_write_text(
-        out / "verify_report.json",
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-    )
-    manifest = _base_manifest(cfg, t0)
-    manifest["artifacts"] = ["verify_report.json"]
-    manifest["all_passed"] = report["all_passed"]
-    manifest.update(telemetry)
-    write_manifest(out, manifest)
-    return manifest
-
-
 _DISPATCH = {
     "synthetic_fig1": run_synthetic_fig1,
     "lr_sweep": run_lr_sweep,
     "step_scaling": run_step_scaling,
     "single_run": run_single_run,
-    "verify": run_verify_experiment,
 }
 
 

@@ -57,6 +57,8 @@ def build_linear_schedule(T: int, sigma_max: float) -> NoiseSchedule:
         raise ValueError("T must be a positive integer")
     if sigma_max <= 0:
         raise ValueError("sigma_max must be positive")
+    if 8 * (T + 1) > np.iinfo(np.intp).max:  # numpy would raise ValueError sizing the array
+        raise MemoryError(f"cannot allocate a schedule of {T} steps")
     sig = sigma_max * np.arange(T + 1, dtype=np.float64) / T
     sig[0] = 0.0
     return NoiseSchedule(sigma_values=sig)

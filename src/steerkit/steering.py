@@ -177,6 +177,15 @@ def _ascend(c: Embedding, direction: Embedding, alpha) -> Embedding:
     return moved.from_flat(np.where((alpha == 0.0)[:, None], c.flat(), moved.flat()))
 
 
+def _pulled_back(model, reward, x_t, c, sigma_t: float, pullback: str):
+    """(parts, x_hat, F, g), every step's prelude: the denoise at (x_t, c, sigma_t), the
+    reward's value there, and its gradient pulled back by model.<pullback> with those parts."""
+    parts = model.parts(x_t, c, sigma_t)
+    x_hat = model.denoise(x_t, c, sigma_t, parts)
+    F, grad_R = reward.value_and_grad(x_hat)
+    return parts, x_hat, F, getattr(model, pullback)(x_t, c, sigma_t, grad_R, parts)
+
+
 def embedopt_step(
     model,
     reward,
@@ -199,10 +208,7 @@ def embedopt_step(
     denoiser output x_hat_step that the coordinate step used, and the skipped
     components (see rms_normalize).
     """
-    parts = model.parts(x_t, c_t, sigma_t)
-    x_hat = model.denoise(x_t, c_t, sigma_t, parts)
-    F, grad_R = reward.value_and_grad(x_hat)
-    g = model.vjp_c(x_t, c_t, sigma_t, grad_R, parts)
+    _, x_hat, F, g = _pulled_back(model, reward, x_t, c_t, sigma_t, "vjp_c")
     direction, skipped = rms_normalize(g, rescale=norm_mode == "rms_per_component")
     c_prev = _ascend(c_t, direction, alpha)
     x_hat_step = model.denoise(x_t, c_prev, sigma_t)
@@ -239,10 +245,7 @@ def dps_step(
     tau^2/w + v_t). x_t may be a (B, D) batch with alpha one value per row;
     info["skipped"] is then one flag per row.
     """
-    parts = model.parts(x_t, c, sigma_t)
-    x_hat = model.denoise(x_t, c, sigma_t, parts)
-    F, grad_R = reward.value_and_grad(x_hat)
-    g = model.vjp_x(x_t, c, sigma_t, grad_R, parts)
+    _, x_hat, F, g = _pulled_back(model, reward, x_t, c, sigma_t, "vjp_x")
     gnorm = np.sqrt(np.vecdot(g, g))
     skipped = np.zeros(gnorm.shape, dtype=bool)
     if norm_mode == "sigma2w":
@@ -298,10 +301,7 @@ def taylor_predicted_step(
     times J_c^T grad R). Exact for denoisers affine in c; O(alpha^2) gap
     otherwise.
     """
-    parts = model.parts(x_t, c_t, sigma_t)
-    x_hat = model.denoise(x_t, c_t, sigma_t, parts)
-    _, grad_R = reward.value_and_grad(x_hat)
-    g = model.vjp_c(x_t, c_t, sigma_t, grad_R, parts)
+    parts, x_hat, _, g = _pulled_back(model, reward, x_t, c_t, sigma_t, "vjp_c")
     direction, _ = rms_normalize(g, rescale=norm_mode == "rms_per_component")
     delta = direction.from_flat(alpha * direction.flat())
     correction = model.jvp_c(x_t, c_t, sigma_t, delta, parts)

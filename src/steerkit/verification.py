@@ -19,8 +19,9 @@ ascent only on the two-mode distance task, where xhat is nonlinear in c and
 the reward is clipped; it runs there with the raw-gradient step.
 
 `run_verification_suite` returns one (name, passed, detail) row per check and
-never raises on a failed check; it is what the `verify` CLI prints. Failures
-are reported, not hidden: each row states its measured numbers.
+never raises on a failed check. `steerkit verify` prints them, and with --out
+writes them and the suite's telemetry. Failures are reported, not hidden:
+each row states its measured numbers.
 
 Only the mixture importance-sampling row runs on threads. Its probes are
 independent (each seeds its own generator) and each of its chunk operations
@@ -306,18 +307,20 @@ def _mixture_fixture(seed: int) -> Tuple[MixturePriorModel, Embedding]:
     return model, c
 
 
-def _probe_sigma(rng: np.random.Generator) -> float:
-    return float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
+def _probes(make_fixture, base: int, n_probes: int):
+    """Probe p of a model row: (model, c, rng, x, sigma), the fixture seeded base + p, then
+    x and a log-uniform sigma in [0.05, 3] drawn from rng, seeded base + 200 + p."""
+    for p in range(n_probes):
+        model, c = make_fixture(seed=base + p)
+        rng = np.random.default_rng(base + 200 + p)
+        x = 2.0 * rng.standard_normal(model.D)
+        yield model, c, rng, x, float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
 
 
 def _model_fd_rows(make_fixture, label: str, n_probes: int, tol: float) -> List[CheckResult]:
     """FD-check vjp_x, vjp_c, jvp_c of a denoiser family at random probes."""
     worst = {"vjp_x": 0.0, "vjp_c": 0.0, "jvp_c": 0.0}
-    for p in range(n_probes):
-        model, c = make_fixture(seed=100 + p)
-        rng = np.random.default_rng(300 + p)
-        x = 2.0 * rng.standard_normal(model.D)
-        sigma = _probe_sigma(rng)
+    for model, c, rng, x, sigma in _probes(make_fixture, 100, n_probes):
         v = rng.standard_normal(model.D)
         u = c.from_flat(rng.standard_normal(c.dim))
 
@@ -405,11 +408,7 @@ def _adjoint_rows(n_probes: int) -> List[CheckResult]:
     rows = []
     for label, make_fixture in (("gaussian", _gaussian_fixture), ("mixture", _mixture_fixture)):
         worst = 0.0
-        for p in range(n_probes):
-            model, c = make_fixture(seed=1500 + p)
-            rng = np.random.default_rng(1700 + p)
-            x = 2.0 * rng.standard_normal(model.D)
-            sigma = _probe_sigma(rng)
+        for model, c, rng, x, sigma in _probes(make_fixture, 1500, n_probes):
             v = rng.standard_normal(model.D)
             u = c.from_flat(rng.standard_normal(c.dim))
             lhs = float(v @ model.jvp_c(x, c, sigma, u))
@@ -425,11 +424,7 @@ def _adjoint_rows(n_probes: int) -> List[CheckResult]:
 def _tweedie_rows(n_probes: int) -> List[CheckResult]:
     """(xhat - x)/sigma^2 must equal the analytic marginal score."""
     worst_g = worst_m = 0.0
-    for p in range(n_probes):
-        model, c = _gaussian_fixture(seed=2100 + p)
-        rng = np.random.default_rng(2300 + p)
-        x = 2.0 * rng.standard_normal(model.D)
-        sigma = _probe_sigma(rng)
+    for p, (model, c, rng, x, sigma) in enumerate(_probes(_gaussian_fixture, 2100, n_probes)):
         got = score_from_denoiser(model.denoise(x, c, sigma), x, sigma)
         want = (model.mean(c) - x) / (model.s0**2 + sigma**2)
         worst_g = _nan_max(worst_g, rel_error(got, want))
@@ -921,9 +916,9 @@ def run_verification_suite(quick: bool = False, telemetry: Optional[dict] = None
     """Run every oracle-backed self-check; returns (name, passed, detail) rows.
 
     quick=True shrinks probe counts for smoke testing; the full run is what
-    the acceptance gate and the `verify` CLI use. A `telemetry` dict receives
+    the acceptance gate and `steerkit verify` use. A `telemetry` dict receives
     `phases_s`, the wall seconds of each check group, and `is_workers`, the
-    size of the importance-sampling pool.
+    size of the importance-sampling pool (the manifest of `verify --out`).
     """
     n_fd = 5 if quick else 20
     n_mc_probes = 3 if quick else 10

@@ -181,6 +181,7 @@ def test_structural_problems_are_parse_errors(payload):
         {"experiment": "single_run", "out_dir": "x", "reward_w": -1},
         {"experiment": "single_run", "out_dir": "x", "steering": {"method": "bogus"}},
         {"experiment": "single_run", "out_dir": "x", "steering": {"alpha": -1}},
+        {"experiment": "verify", "out_dir": "x"},  # the suite runs as `steerkit verify`
     ],
 )
 def test_semantic_problems_are_validation_errors(payload):
@@ -204,7 +205,7 @@ def test_semantic_problems_are_validation_errors(payload):
         {"experiment": "step_scaling", "schedule": {"T": 40}},
         {"experiment": "single_run", "dps_norm_mode": "sigma2w"},
         {"experiment": "single_run", "task": {"kind": "distance"}, "reward_w": 2.0},
-        {"experiment": "verify", "seeds": [0]},
+        {"experiment": "single_run", "bins": 10},
     ],
 )
 def test_unread_keys_are_rejected(tmp_path, capsys, payload):
@@ -285,14 +286,14 @@ def test_config_n_seeds_expansion_and_overrides(tmp_path):
     # an override is the same key written in the file
     written = {"experiment": "lr_sweep", "out_dir": "y", "seeds": [5, 6], "jobs": 2}
     assert over == load_config(write_config(tmp_path, written, "written.json"))
-    # so --out stands in for a missing out_dir, and --seeds is unread by verify
+    # so --out stands in for a missing out_dir, and --jobs is unread by single_run
     no_out = write_config(tmp_path, {"experiment": "lr_sweep"}, "no_out.json")
     with pytest.raises(ConfigParseError):
         load_config(no_out)
     assert load_config(no_out, out_dir="z").out_dir == "z"
-    verify = write_config(tmp_path, {"experiment": "verify", "out_dir": "x"}, "verify.json")
+    single = write_config(tmp_path, {"experiment": "single_run", "out_dir": "x"}, "single.json")
     with pytest.raises(ConfigValidationError):
-        load_config(verify, seeds=[0])
+        load_config(single, jobs=1)
 
 
 def test_pool_size_is_capped_by_rows_and_cpus():
@@ -778,8 +779,10 @@ def test_verify_manifest_records_phases_and_pool_size(tmp_path, monkeypatch):
         functools.partial(verification.run_verification_suite, quick=True),
     )
     out = tmp_path / "verify"
-    run_from_config(config_from_dict({"experiment": "verify", "out_dir": str(out)}))
+    assert cli_main(["verify", "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"] == {"experiment": "verify", "out_dir": str(out)}
+    assert manifest["artifacts"] == ["verify_report.json"] and manifest["all_passed"] is True
     phases = manifest["phases_s"]
     assert "is_mixture_mean" in phases
     assert all(math.isfinite(t) and t >= 0.0 for t in phases.values())
@@ -787,6 +790,18 @@ def test_verify_manifest_records_phases_and_pool_size(tmp_path, monkeypatch):
     assert manifest["is_workers"] == verification._is_workers(3)
     report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
     assert set(report) == {"all_passed", "checks"}
+
+
+def test_verify_out_under_a_file_exits_4_before_any_check(tmp_path, capsys, monkeypatch):
+    def suite(**kwargs):
+        raise AssertionError("the suite ran before the output directory was made")
+
+    monkeypatch.setattr(verification, "run_verification_suite", suite)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    assert cli_main(["verify", "--out", str(tmp_path / "file" / "verify")]) == EXIT_IO
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1 and json.loads(err[0])["error"] == "io"
 
 
 def test_git_describe_runs_once_per_process(tmp_path, monkeypatch):
@@ -799,8 +814,9 @@ def test_git_describe_runs_once_per_process(tmp_path, monkeypatch):
     harness._git_describe.cache_clear()
     monkeypatch.setattr(harness.subprocess, "run", fake_run)
     try:
-        cfg = config_from_dict({"experiment": "verify", "out_dir": str(tmp_path)})
-        manifests = [harness._base_manifest(cfg, 0.0) for _ in range(2)]
+        cfg = config_from_dict({"experiment": "single_run", "out_dir": str(tmp_path)})
+        manifests = [harness._base_manifest(cfg.experiment, cfg.to_manifest(), 0.0)
+                     for _ in range(2)]
     finally:
         harness._git_describe.cache_clear()
     assert len(calls) == 1
@@ -826,14 +842,11 @@ def test_fig1_manifest_config_holds_only_keys_it_reads(tmp_path):
         ("lr_sweep", {"task_kind", "task_seed", "alphas", "methods", "dps_norm_mode", "jobs"}),
         ("step_scaling", {"task_kind", "task_seed", "methods", "T_values", "dps_norm_mode", "jobs"}),
         ("single_run", {"task_kind", "task_seed", "steering", "reward_w"}),
-        ("verify", set()),
     ],
 )
 def test_manifest_config_fields_follow_read_keys(experiment, fields):
     config = config_from_dict({"experiment": experiment, "out_dir": "x"}).to_manifest()
-    common = {"experiment", "out_dir"}
-    if experiment != "verify":
-        common |= {"seeds", "schedule_T", "schedule_sigma_max"}
+    common = {"experiment", "out_dir", "seeds", "schedule_T", "schedule_sigma_max"}
     assert set(config) == common | fields
 
 
@@ -1170,8 +1183,11 @@ def test_overflowing_reward_exits_3_and_writes_nothing(tmp_path, capsys, method)
         {"experiment": "single_run", "n_seeds": 10**15},
         {"experiment": "single_run", "schedule": {"T": 10**18}},
         {"experiment": "step_scaling", "T_values": [10**18]},
+        # past what numpy can size at all: its ValueError is a memory error too
+        {"experiment": "single_run", "schedule": {"T": 10**19}},
+        {"experiment": "step_scaling", "T_values": [10**19]},
     ],
-    ids=["n_seeds", "schedule.T", "T_values"],
+    ids=["n_seeds", "schedule.T", "T_values", "schedule.T-10**19", "T_values-10**19"],
 )
 def test_counts_too_large_to_allocate_exit_3_and_write_nothing(tmp_path, capsys, payload):
     # each count's first array is petabytes or more, so its allocation fails at once
@@ -1197,11 +1213,10 @@ _RUN_KEYS = ("seeds", "bins", "task", "alphas", "methods", "T_values", "schedule
 def experiment_payloads(draw):
     """Cheap configs (T <= 5, at most four seeds, jobs 1), with overflowing
     weights, removed steering keys, negative trajectory and task seeds, keys
-    the experiment does not read and counts too large to allocate (T 10**18,
-    n_seeds 10**15) mixed in. The verify experiment is left out: it takes no
-    settings and runs for seconds."""
+    the experiment does not read and counts too large to allocate (T 10**18
+    and 10**19, n_seeds 10**15) mixed in."""
     experiment = draw(st.sampled_from(["synthetic_fig1", "lr_sweep", "step_scaling", "single_run"]))
-    T = draw(st.sampled_from([1, 2, 3, 4, 5, 10**18]))
+    T = draw(st.sampled_from([1, 2, 3, 4, 5, 10**18, 10**19]))
     schedule = {"T": T}
     if draw(st.booleans()):
         schedule["sigma_max"] = draw(st.sampled_from([0.5, 1e150, 1e306, 1e308]))
@@ -1219,7 +1234,8 @@ def experiment_payloads(draw):
     elif experiment == "step_scaling":
         payload.update(
             seeds=seeds, task=toy_task, methods=methods,
-            T_values=draw(st.lists(st.sampled_from([2, 3, 4, 5, 10**18]), min_size=1, max_size=2)),
+            T_values=draw(st.lists(st.sampled_from([2, 3, 4, 5, 10**18, 10**19]),
+                                   min_size=1, max_size=2)),
         )
     else:
         steering = {

@@ -44,6 +44,14 @@ def test_builder_rejects_bad_arguments(builder, kwargs):
         builder(**kwargs)
 
 
+@pytest.mark.parametrize("T", [10**18, 2 * 10**18, 10**19, 10**400])
+def test_step_counts_too_large_to_allocate_are_memory_errors(T):
+    # 10**18 fails in numpy's allocation; the rest are past what numpy can
+    # size, where it raises ValueError
+    with pytest.raises(MemoryError):
+        build_linear_schedule(T, 1.0)
+
+
 @pytest.mark.parametrize(
     "values",
     [

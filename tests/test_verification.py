@@ -9,6 +9,7 @@ mean (20 + 2000)/104 = 19.4230769...
 import functools
 import importlib
 import importlib.util
+import json
 import sys
 import threading
 import tracemalloc
@@ -471,18 +472,26 @@ def test_nan_max_propagates_nan():
 
 
 @pytest.mark.parametrize("failing", [False, True])
-def test_verify_cli_prints_one_line_per_check(monkeypatch, capsys, failing):
+def test_verify_cli_prints_one_line_per_check(monkeypatch, capsys, tmp_path, failing):
+    """The same table and exit code with and without --out; with it, the
+    report holds the same verdicts."""
     rows = [
         CheckResult("fd_gaussian_vjp_x", True, "max rel err 1.000e-09 over 2 probes (tol 1e-05)"),
         CheckResult("tweedie_mixture", not failing, "max rel err 2.000e-15 over 2 probes (tol 1e-10)"),
     ]
-    monkeypatch.setattr(verification, "run_verification_suite", lambda: rows)
-    code = cli.main(["verify"])
-    lines = capsys.readouterr().out.splitlines()
+    monkeypatch.setattr(verification, "run_verification_suite", lambda telemetry: rows)
+    out = tmp_path / "verify"
+    runs = []
+    for argv in (["verify"], ["verify", "--out", str(out)]):
+        code = cli.main(argv)
+        runs.append((code, capsys.readouterr().out.splitlines()))
     status = "FAIL" if failing else "PASS"
-    assert lines == [
+    lines = [
         "PASS  fd_gaussian_vjp_x  max rel err 1.000e-09 over 2 probes (tol 1e-05)",
         f"{status}  tweedie_mixture    max rel err 2.000e-15 over 2 probes (tol 1e-10)",
         f"{1 if failing else 2}/2 checks passed",
     ]
-    assert code == (1 if failing else 0)
+    assert runs == [(1 if failing else 0, lines)] * 2
+    report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
+    assert report["all_passed"] is not failing
+    assert [c["passed"] for c in report["checks"]] == [r.passed for r in rows]
