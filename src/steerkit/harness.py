@@ -48,6 +48,7 @@ import numpy as np
 
 from .models import NonFiniteStateError
 from .samplers import Af3SamplerParams
+from .schedules import _require_allocatable
 from .steering import _DPS_NORMS, SteeringConfig, run_steered
 from .tasks import (
     SYNTH_PRIOR_LOC,
@@ -308,10 +309,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "seeds" in raw and "n_seeds" in raw:
         raise ConfigValidationError("give either seeds or n_seeds, not both")
     n_seeds = _get(raw, "n_seeds", int, _DEFAULT_N_SEEDS.get(experiment, 1), least=1)
+    _require_allocatable(n_seeds, f"{n_seeds} seeds")  # else tuple(range()) overflows past 2**63
     seeds = tuple(_get(raw, "seeds", list, range(n_seeds), item=int, least=0))
     if experiment == "synthetic_fig1" and len(seeds) < 2:
         raise ConfigValidationError("synthetic_fig1 needs at least two seeds")
     bins = _get(raw, "bins", int, 60, least=1)
+    _require_allocatable(bins + 1, f"{bins} histogram bins")  # the edges, before fig1 draws x_T
 
     task = _get(raw, "task", dict, {}, keys=("kind", "seed"))
     default_kind = "synthetic" if experiment == "single_run" else "distance"

@@ -98,12 +98,6 @@ class TrajectoryRecord:
     def steps(self) -> range:
         return range(len(self.sigmas), 0, -1)
 
-    @property
-    def F_values(self) -> np.ndarray:
-        if self.F is None:
-            raise ValueError("trajectory has no logged surrogate reward")
-        return self.F
-
 
 def euler_step(
     x_t: np.ndarray,
@@ -117,34 +111,32 @@ def euler_step(
     return x_t + eta * (x_hat - x_t)
 
 
-def standard_normal_rows(rng, shape) -> np.ndarray:
-    """Standard normals of `shape` from one generator, or for a (B, D) shape
-    from a sequence of B generators, row b drawn by generator b."""
-    if isinstance(rng, np.random.Generator):
-        return rng.standard_normal(shape)
-    if len(shape) != 2 or len(rng) != shape[0]:
+def standard_normal_rows(rngs, shape) -> np.ndarray:
+    """Standard normals of a (B, D) shape from a sequence of B generators,
+    row b drawn by generator b."""
+    if len(shape) != 2 or len(rngs) != shape[0]:
         raise ValueError("need one generator per row of a (B, D) shape")
-    return np.stack([g.standard_normal(shape[1]) for g in rng])
+    return np.stack([g.standard_normal(shape[1]) for g in rngs])
 
 
 def af3_noise_inflate(
     x_t: np.ndarray,
     sigma_t: float,
     params: Af3SamplerParams,
-    rng,
+    rngs,
 ):
     """Inject noise and inflate the working level: sigma -> (gamma + 1) sigma.
 
     The injected std rho * sqrt((gamma+1)^2 - 1) * sigma_t tops the marginal
     variance up to approximately the inflated level when rho is near 1. The
     caller applies the gate (sigma_{t-1} > gamma_min); gamma = 0 injects
-    nothing and leaves the rng untouched. For a (B, D) batch, rng holds one
-    generator per row.
+    nothing and leaves the generators untouched. x_t is a (B, D) batch and
+    rngs holds one generator per row (see standard_normal_rows).
     """
     g = params.gamma
     if g == 0.0:
         return x_t, sigma_t
     noise_std = params.rho_noise * np.sqrt((g + 1.0) ** 2 - 1.0) * sigma_t
-    x = x_t + noise_std * standard_normal_rows(rng, np.shape(x_t))
+    x = x_t + noise_std * standard_normal_rows(rngs, np.shape(x_t))
     return x, (g + 1.0) * sigma_t
 

@@ -51,14 +51,19 @@ class NoiseSchedule:
         }
 
 
+def _require_allocatable(n: int, what: str) -> None:
+    """MemoryError when n 8-byte items are past what numpy can size (it would raise ValueError)."""
+    if 8 * n > np.iinfo(np.intp).max:
+        raise MemoryError(f"cannot allocate {what}")
+
+
 def build_linear_schedule(T: int, sigma_max: float) -> NoiseSchedule:
     """Uniform grid sigma_t = sigma_max * t / T, with sigma_0 = 0 exactly."""
     if T < 1:
         raise ValueError("T must be a positive integer")
     if sigma_max <= 0:
         raise ValueError("sigma_max must be positive")
-    if 8 * (T + 1) > np.iinfo(np.intp).max:  # numpy would raise ValueError sizing the array
-        raise MemoryError(f"cannot allocate a schedule of {T} steps")
+    _require_allocatable(T + 1, f"a schedule of {T} steps")
     sig = sigma_max * np.arange(T + 1, dtype=np.float64) / T
     sig[0] = 0.0
     return NoiseSchedule(sigma_values=sig)

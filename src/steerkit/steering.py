@@ -134,12 +134,12 @@ class SteeringResult:
         return SteeringResult(self.x0[b], self.c_final.row(b), [self.records[b]])
 
 
-def rms_normalize(grad: Embedding, threshold: float = SKIP_THRESHOLD, rescale: bool = True):
-    """Divide each component by its RMS; components below threshold are zeroed.
+def rms_normalize(grad: Embedding, rescale: bool = True):
+    """Divide each component by its RMS; components below SKIP_THRESHOLD are zeroed.
 
-    Returns (normalized Embedding, skipped), skipped being the list of
-    skipped component names, or for a batch (each row its own vector) a
-    (B, n_components) bool mask. Every surviving component has RMS exactly 1,
+    Returns (normalized Embedding, skipped), skipped a bool mask of shape
+    (n_components,), or (B, n_components) for a batch (each row its own
+    vector), in grad.names order. Every surviving component has RMS exactly 1,
     so a step alpha * normalized moves each component by alpha in RMS units
     independently of the others. rescale=False is the raw-gradient mode.
 
@@ -154,15 +154,12 @@ def rms_normalize(grad: Embedding, threshold: float = SKIP_THRESHOLD, rescale: b
         np.divide(np.add.reduce(sq[..., start : start + n], axis=-1), n, out=rms[..., k])
         start += n
     np.sqrt(rms, out=rms)
-    small = rms < threshold
+    small = rms < SKIP_THRESHOLD
     if rescale:
         g = g / np.repeat(np.where(small, 1.0, rms), sizes, axis=-1)
     if small.any():
         g = np.where(np.repeat(small, sizes, axis=-1), 0.0, g)
-    direction = grad.from_flat(g)
-    if grad.batch is not None:
-        return direction, small
-    return direction, [name for name, s in zip(grad.names, small) if s]
+    return grad.from_flat(g), small
 
 
 def _ascend(c: Embedding, direction: Embedding, alpha) -> Embedding:
@@ -205,8 +202,8 @@ def embedopt_step(
     the same sigma_t. x_t may be a (B, D) batch with alpha one value per row.
     Returns (x_prev, c_prev, info) where info records the pre-update
     surrogate value F, the embedding gradient grad_c F and its norm, the
-    denoiser output x_hat_step that the coordinate step used, and the skipped
-    components (see rms_normalize).
+    denoiser output x_hat_step that the coordinate step used, and the mask
+    of skipped components (see rms_normalize).
     """
     _, x_hat, F, g = _pulled_back(model, reward, x_t, c_t, sigma_t, "vjp_c")
     direction, skipped = rms_normalize(g, rescale=norm_mode == "rms_per_component")
@@ -243,7 +240,7 @@ def dps_step(
     model's posterior variance. The last factor turns sigma_t^2 times the
     DPS likelihood score into sigma_t^2 times grad_{x_t} log N(y; xhat,
     tau^2/w + v_t). x_t may be a (B, D) batch with alpha one value per row;
-    info["skipped"] is then one flag per row.
+    info's grad_norm and skipped are arrays, one entry per row (0-d for one x_t).
     """
     _, x_hat, F, g = _pulled_back(model, reward, x_t, c, sigma_t, "vjp_x")
     gnorm = np.sqrt(np.vecdot(g, g))
@@ -274,8 +271,6 @@ def dps_step(
         raise ValueError(f"unknown dps_norm_mode {norm_mode!r}")
     eta = step_fraction(sigma_t, sigma_prev) * eta_scale
     x_prev = x_t + eta * (x_hat - x_t + guidance)
-    if gnorm.ndim == 0:
-        gnorm, skipped = float(gnorm), bool(skipped)
     info = {"F": F, "grad_norm": gnorm, "skipped": skipped}
     return x_prev, info
 

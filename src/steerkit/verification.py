@@ -23,16 +23,16 @@ never raises on a failed check. `steerkit verify` prints them, and with --out
 writes them and the suite's telemetry. Failures are reported, not hidden:
 each row states its measured numbers.
 
-Only the mixture importance-sampling row runs on threads. Its probes are
-independent (each seeds its own generator) and each of its chunk operations
-is a 200,000-element RNG fill or numpy call that releases the interpreter
-lock, so the probes share the CPUs with the same bits (`_run_is_probes`).
-Every other row is many small calls that hold the lock; a two-thread
-prototype of such a loop was no faster and used more CPU. The workers call
-no model method and nothing the benchmark's tracer wraps: the models'
-memo of the last embedding's means and the tracer's span stack are not
-thread-safe, so the mode means are formed, and the denoiser called, on the
-calling thread.
+Only the two importance-sampling rows run on threads, both through
+`_run_is_probes`. Their probes are independent (each seeds its own
+generator) and each chunk operation is a 200,000-element RNG fill or numpy
+call that releases the interpreter lock, so the probes share the CPUs with
+the same bits. Every other row is many small calls that hold the lock; a
+two-thread prototype of such a loop was no faster and used more CPU. The
+workers call no model method and nothing the benchmark's tracer wraps: the
+models' memo of the last embedding's means and the tracer's span stack are
+not thread-safe, so the mode means are formed, and the denoiser called, on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from .rewards import (
     map_correlation,
     render_map,
 )
-from .samplers import Af3SamplerParams, TrajectoryRecord, af3_noise_inflate
+from .samplers import Af3SamplerParams, af3_noise_inflate
 from .steering import (
     SteeringConfig,
     embedopt_step,
@@ -94,16 +94,14 @@ class OracleFailureError(RuntimeError):
 def fd_gradient(
     f: Callable[[np.ndarray], float],
     point: np.ndarray,
-    h: Optional[float] = None,
 ) -> np.ndarray:
     """Central-difference gradient of a scalar function of a flat vector.
 
-    Step size defaults to 1e-5 * (1 + ||point||), a good float64 compromise
-    between truncation (O(h^2)) and cancellation (O(eps/h)) error.
+    The step is h = 1e-5 * (1 + ||point||), a good float64 compromise between
+    truncation (O(h^2)) and cancellation (O(eps/h)) error.
     """
     point = np.asarray(point, dtype=np.float64).ravel()
-    if h is None:
-        h = 1e-5 * (1.0 + float(np.linalg.norm(point)))
+    h = 1e-5 * (1.0 + float(np.linalg.norm(point)))
     g = np.empty_like(point)
     for i in range(point.size):
         e = np.zeros_like(point)
@@ -140,16 +138,16 @@ class MonotonicityReport:
     tol: float
 
 
-def check_monotone_surrogate(trajectory, tol: float = 1e-9) -> MonotonicityReport:
-    """Audit the logged surrogate F for decreases larger than tol.
+def check_monotone_surrogate(F: np.ndarray, tol: float = 1e-9) -> MonotonicityReport:
+    """Audit a trajectory's logged surrogate F for decreases larger than tol.
 
-    Accepts a TrajectoryRecord (raises if it logged no F) or a plain array
-    of F values in sampling order (earliest step first). A transition from
-    F_t to F_{t-1} counts as a violation when F_{t-1} < F_t - tol.
+    F is a TrajectoryRecord's F: values in sampling order (earliest step
+    first), or None, which raises ValueError, when no reward was logged. A
+    transition from F_t to F_{t-1} counts as a violation when F_{t-1} < F_t - tol.
     """
-    if isinstance(trajectory, TrajectoryRecord):
-        trajectory = trajectory.F_values
-    F = np.asarray(trajectory, dtype=np.float64).ravel()
+    if F is None:
+        raise ValueError("trajectory has no logged surrogate reward")
+    F = np.asarray(F, dtype=np.float64).ravel()
     if F.size < 2:
         raise ValueError("need at least two surrogate values to audit")
     if not np.all(np.isfinite(F)):
@@ -184,9 +182,9 @@ class AscentAudit:
 
 def audit_embedding_ascent(
     model, reward, c_init: Embedding, schedule, config: SteeringConfig,
-    rng, tol: float = 1e-9,
+    rngs: Sequence[np.random.Generator], tol: float = 1e-9,
 ):
-    """Run embedopt trajectories and audit every update where it is taken.
+    """Run a batch of embedopt trajectories and audit every update where it is taken.
 
     An update c_t -> c_{t-1} at (x_t, sigma_t) violates when
     F(x_t, c_{t-1}, sigma_t) < F(x_t, c_t, sigma_t) - tol. Only updates in
@@ -200,16 +198,15 @@ def audit_embedding_ascent(
     The deterministic sampler re-evaluates the denoiser at (x_t, c_{t-1},
     sigma_t) for its coordinate step, so the audit only adds a reward
     evaluation of that output for the audited rows, and only here, never in
-    runs that write artifacts. rng is one generator, or one per row of a
-    batch (see run_steered). Returns (SteeringResult, AscentAudit), or for a
-    batch (SteeringResult, one AscentAudit per row).
+    runs that write artifacts. rngs holds one generator per row (see
+    run_steered). Returns the batch's SteeringResult and one AscentAudit per
+    row.
     """
     if config.method != "embedopt":
         raise ValueError("the ascent audit needs config.method 'embedopt'")
     if config.sampler_mode != "deterministic":
         raise ValueError("the ascent audit needs the deterministic sampler")
-    single = isinstance(rng, np.random.Generator)
-    B = 1 if single else len(rng)
+    B = len(rngs)
     audited = np.zeros(B, dtype=int)
     violations = np.zeros(B, dtype=int)
     worst = np.zeros(B)
@@ -228,12 +225,12 @@ def audit_embedding_ascent(
         violations[bad] += 1
         worst[bad] = np.maximum(worst[bad], drop[drop > tol])
 
-    res = run_steered(model, reward, c_init, schedule, config, rng, on_update=on_update)
+    res = run_steered(model, reward, c_init, schedule, config, rngs, on_update=on_update)
     audits = [
         AscentAudit(schedule.num_steps, int(audited[b]), int(violations[b]), float(worst[b]), tol)
         for b in range(B)
     ]
-    return (res, audits[0]) if single else (res, audits)
+    return res, audits
 
 
 def taylor_gap_scaling(
@@ -283,6 +280,11 @@ class CheckResult:
     def __post_init__(self):
         # a numpy comparison gives np.bool_, which the JSON report cannot hold
         object.__setattr__(self, "passed", bool(self.passed))
+
+
+def _worst_row(name: str, worst: float, tol: float, what: str, n: int, unit: str = "probes") -> CheckResult:
+    """The row of a check that passes when its worst error over n probes is below tol (NaN fails)."""
+    return CheckResult(name, worst < tol, f"{what} {worst:.3e} over {n} {unit} (tol {tol:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +343,7 @@ def _model_fd_rows(make_fixture, label: str, n_probes: int, tol: float) -> List[
         ) / (2.0 * h)
         worst["jvp_c"] = _nan_max(worst["jvp_c"], rel_error(got, want))
     return [
-        CheckResult(
-            name=f"fd_{label}_{kind}",
-            passed=err < tol,
-            detail=f"max rel err {err:.3e} over {n_probes} probes (tol {tol:g})",
-        )
+        _worst_row(f"fd_{label}_{kind}", err, tol, "max rel err", n_probes)
         for kind, err in worst.items()
     ]
 
@@ -396,10 +394,7 @@ def _reward_fd_rows(n_probes: int, tol: float) -> List[CheckResult]:
             reward, x = probe(np.random.default_rng(seed_base + p))
             _, got = reward.value_and_grad(x)
             worst = _nan_max(worst, rel_error(got, fd_gradient(reward.value, x)))
-        rows.append(CheckResult(
-            f"fd_reward_{label}", worst < tol,
-            f"max rel err {worst:.3e} over {n_probes} probes (tol {tol:g})",
-        ))
+        rows.append(_worst_row(f"fd_reward_{label}", worst, tol, "max rel err", n_probes))
     return rows
 
 
@@ -414,10 +409,8 @@ def _adjoint_rows(n_probes: int) -> List[CheckResult]:
             lhs = float(v @ model.jvp_c(x, c, sigma, u))
             rhs = float(model.vjp_c(x, c, sigma, v).flat() @ u.flat())
             worst = _nan_max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-        rows.append(CheckResult(
-            f"adjoint_identity_{label}", worst < 1e-10,
-            f"max scaled mismatch {worst:.3e} over {n_probes} probes (tol 1e-10)",
-        ))
+        rows.append(_worst_row(f"adjoint_identity_{label}", worst, 1e-10,
+                               "max scaled mismatch", n_probes))
     return rows
 
 
@@ -438,10 +431,8 @@ def _tweedie_rows(n_probes: int) -> List[CheckResult]:
         want = ((m - xm[None, :]) / a[:, None] * r[:, None]).sum(axis=0)
         worst_m = _nan_max(worst_m, rel_error(got, want))
     return [
-        CheckResult("tweedie_gaussian", worst_g < 1e-10,
-                    f"max rel err {worst_g:.3e} over {n_probes} probes (tol 1e-10)"),
-        CheckResult("tweedie_mixture", worst_m < 1e-10,
-                    f"max rel err {worst_m:.3e} over {n_probes} probes (tol 1e-10)"),
+        _worst_row("tweedie_gaussian", worst_g, 1e-10, "max rel err", n_probes),
+        _worst_row("tweedie_mixture", worst_m, 1e-10, "max rel err", n_probes),
     ]
 
 
@@ -524,8 +515,31 @@ def _is_posterior_mean(
     n_draws: int,
     bufs: tuple,
 ):
-    """`_mixture_is_posterior_mean` in a caller's buffer set, given the
-    mode means; safe to run on a worker thread (it calls no model method)."""
+    """Importance-sampled E[x0 | x_t] with the prior as proposal, given the mode
+    means and a buffer set; safe on a worker thread (it calls no model method).
+
+    Weights are the Gaussian likelihood N(x_t; x0, sigma^2 I) up to a
+    constant. Returns (estimate, per-coordinate standard errors) using the
+    standard self-normalized-IS variance estimate.
+
+    The draws and the arithmetic on them are pinned, so the estimate is the
+    same bits as `rng.choice` of the components followed by the standard
+    normals, in chunks of 200,000 draws. `Generator.choice(K, m, p=p)` draws
+    `rng.random(m)` and returns `cdf.searchsorted(u, side="right")` with
+    `cdf = p.cumsum(); cdf /= cdf[-1]`; here the same uniforms become the
+    K - 1 masks `cdf[k - 1] <= u`, and each draw's std and mean coordinates
+    are selected through them as bit patterns (`_select`), so no index array
+    is formed. The squared distance is summed over coordinates in
+    numpy's pairwise order: a left fold built one column at a time for
+    D < 8, `_bead_sum` for D >= 8. The weighted sums stay `w @ x0` BLAS
+    products; x0 is squared in place for the last one.
+
+    Each chunk runs in the one buffer set `bufs` (`_is_buffers`: x0, two
+    chunk-length columns, the masks), so nothing chunk-sized is allocated per
+    chunk below D = 8. The first column holds the uniforms, then each
+    coordinate's means and squared distance; the second holds the stds, then
+    the weights.
+    """
     x0_buf, g_buf, w_buf, mask_buf, sq_buf = bufs
     D = model.D
     cdf = model.weights.cumsum()  # as Generator.choice forms it
@@ -582,42 +596,6 @@ def _is_posterior_mean(
     var_terms = sw2x2 - 2.0 * est * sw2x + est**2 * sw2
     se = np.sqrt(np.maximum(var_terms, 0.0)) / sw
     return est, se
-
-
-def _mixture_is_posterior_mean(
-    model: MixturePriorModel,
-    c: Embedding,
-    x_t: np.ndarray,
-    sigma: float,
-    rng: np.random.Generator,
-    n_draws: int,
-):
-    """Importance-sampled E[x0 | x_t] with the prior as proposal.
-
-    Weights are the Gaussian likelihood N(x_t; x0, sigma^2 I) up to a
-    constant. Returns (estimate, per-coordinate standard errors) using the
-    standard self-normalized-IS variance estimate.
-
-    The draws and the arithmetic on them are pinned, so the estimate is the
-    same bits as `rng.choice` of the components followed by the standard
-    normals, in chunks of 200,000 draws. `Generator.choice(K, m, p=p)` draws
-    `rng.random(m)` and returns `cdf.searchsorted(u, side="right")` with
-    `cdf = p.cumsum(); cdf /= cdf[-1]`; here the same uniforms become the
-    K - 1 masks `cdf[k - 1] <= u`, and each draw's std and mean coordinates
-    are selected through them as bit patterns (`_select`), so no index array
-    is formed. The squared distance is summed over coordinates in
-    numpy's pairwise order: a left fold built one column at a time for
-    D < 8, `_bead_sum` for D >= 8. The weighted sums stay `w @ x0` BLAS
-    products; x0 is squared in place for the last one.
-
-    Each chunk runs in one buffer set (`_is_buffers`: x0, two chunk-length
-    columns, the masks), allocated once per call, so nothing chunk-sized is
-    allocated per chunk below D = 8. The first column holds the uniforms,
-    then each coordinate's means and squared distance; the second holds the
-    stds, then the weights.
-    """
-    bufs = _is_buffers(min(_IS_CHUNK, n_draws), model.D, model.K)
-    return _is_posterior_mean(model, model.mode_means(c), x_t, sigma, rng, n_draws, bufs)
 
 
 def _run_is_probes(model: MixturePriorModel, means: np.ndarray, probes, n_draws: int):
@@ -685,7 +663,7 @@ def _chunk_logw_row() -> CheckResult:
     sigma = 1.3
     x_t = np.array([m0 + 1.7])
     rng = np.random.default_rng(555)
-    est, se = _mixture_is_posterior_mean(model, c, x_t, sigma, rng, 400000)
+    est, se = _run_is_probes(model, model.mode_means(c), [(x_t, sigma, rng)], 400000)[0]
     k = 0.25 / (0.25 + sigma**2)
     want = m0 + k * (x_t[0] - m0)
     z = abs(float(est[0]) - want) / max(float(se[0]), 1e-12)
@@ -735,7 +713,7 @@ def _monotonicity_rows(n_seeds: int) -> List[CheckResult]:
             task.model, reward, task.c_init, schedule, cfg,
             [np.random.default_rng(seed) for seed in range(n_seeds)],
         )
-        reports = [check_monotone_surrogate(rec) for rec in res.records]
+        reports = [check_monotone_surrogate(rec.F) for rec in res.records]
         logged_total = sum(rep.total_steps for rep in reports)
         logged_viol = sum(rep.violations for rep in reports)
         logged_worst = max(rep.max_violation_magnitude for rep in reports)
@@ -790,10 +768,7 @@ def _taylor_rows(n_affine: int, n_mixture: int) -> List[CheckResult]:
         x_step, _, _ = embedopt_step(model, reward, x, c, sigma_t, sigma_prev, 1e-2)
         x_pred = taylor_predicted_step(model, reward, x, c, sigma_t, sigma_prev, 1e-2)
         worst = _nan_max(worst, float(np.linalg.norm(x_step - x_pred)) / (1.0 + float(np.linalg.norm(x_step))))
-    rows.append(CheckResult(
-        "taylor_affine_exact", worst < 1e-10,
-        f"max scaled gap {worst:.3e} over {n_affine} probes (tol 1e-10)",
-    ))
+    rows.append(_worst_row("taylor_affine_exact", worst, 1e-10, "max scaled gap", n_affine))
 
     probes = []
     model, c = _mixture_fixture(seed=4500)
@@ -874,10 +849,8 @@ def _map_identity_rows(n_configs: int) -> List[CheckResult]:
         x = 2.0 * rng.standard_normal(3 * 7)
         cc = map_correlation(render_map(x, grid, 1.5), reward.v_obs)
         worst = _nan_max(worst, abs(reward.value(x) - 2.0 * (cc - 1.0)))
-    rows = [CheckResult(
-        "map_mse_correlation_identity", worst < 1e-10,
-        f"max |R - 2(cc-1)| = {worst:.3e} over {n_configs} configs (tol 1e-10)",
-    )]
+    rows = [_worst_row("map_mse_correlation_identity", worst, 1e-10,
+                       "max |R - 2(cc-1)| =", n_configs, "configs")]
 
     rng = np.random.default_rng(6500)
     grid = MapGrid(shape=(6, 6, 6), origin=np.array([-3.0, -3.0, -3.0]), spacing=1.1)
@@ -899,8 +872,8 @@ def _af3_bookkeeping_row() -> CheckResult:
     sigma = 2.0
     n = 200000
     rng = np.random.default_rng(808)
-    x = np.zeros(n)
-    x_out, sigma_hat = af3_noise_inflate(x, sigma, params, rng)
+    x = np.zeros((1, n))
+    x_out, sigma_hat = af3_noise_inflate(x, sigma, params, [rng])
     want_std = params.rho_noise * sigma * np.sqrt((params.gamma + 1.0) ** 2 - 1.0)
     got_std = float(x_out.std())
     se = want_std / np.sqrt(2.0 * n)

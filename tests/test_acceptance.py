@@ -17,6 +17,8 @@ often the logged pre-update surrogate falls across a whole trajectory, which
 it does on many steps because x_t and sigma_t move between them.
 """
 
+import platform
+
 import numpy as np
 import pytest
 
@@ -270,3 +272,64 @@ def test_criterion_8_step_scaling_bookkeeping(scale_rows, criterion_report):
         f"{'no' if nan_free else 'FOUND'} NaN cells ({len(scale_rows)} rows)"
     )
     assert ok
+
+
+# `steerkit verify`'s 28 rows (name, passed, detail), in order, as recorded with
+# numpy 2.4.6 on Python 3.11.7; the printed table is these rows and the total
+VERIFY_RECORDED_WITH = {"numpy": "2.4.6", "python": "3.11.7"}
+VERIFY_TABLE = (
+    ("fd_gaussian_vjp_x", True, "max rel err 6.692e-11 over 20 probes (tol 1e-05)"),
+    ("fd_gaussian_vjp_c", True, "max rel err 8.098e-10 over 20 probes (tol 1e-05)"),
+    ("fd_gaussian_jvp_c", True, "max rel err 4.799e-10 over 20 probes (tol 1e-05)"),
+    ("fd_mixture_vjp_x", True, "max rel err 1.253e-08 over 20 probes (tol 1e-05)"),
+    ("fd_mixture_vjp_c", True, "max rel err 4.827e-08 over 20 probes (tol 1e-05)"),
+    ("fd_mixture_jvp_c", True, "max rel err 1.644e-08 over 20 probes (tol 1e-05)"),
+    ("fd_reward_gaussian", True, "max rel err 8.474e-12 over 20 probes (tol 1e-06)"),
+    ("fd_reward_distance", True, "max rel err 3.640e-09 over 20 probes (tol 1e-06)"),
+    ("fd_reward_map", True, "max rel err 7.610e-10 over 20 probes (tol 1e-06)"),
+    ("adjoint_identity_gaussian", True, "max scaled mismatch 5.639e-16 over 20 probes (tol 1e-10)"),
+    ("adjoint_identity_mixture", True, "max scaled mismatch 1.784e-15 over 20 probes (tol 1e-10)"),
+    ("tweedie_gaussian", True, "max rel err 1.201e-14 over 20 probes (tol 1e-10)"),
+    ("tweedie_mixture", True, "max rel err 3.141e-14 over 20 probes (tol 1e-10)"),
+    ("conjugate_worked_examples", True,
+     "w=1 -> (8.000000, 0.200000), w=100 -> (19.423077, 0.009615)"),
+    ("conjugate_sampling_mc", True,
+     "direct posterior draws: mean 8.00055 vs 8.00000, std 0.44771 vs 0.44721 (4 SE)"),
+    ("is_oracle_gaussian_limit", True, "single-mode IS vs shrinkage formula: 0.65 SE"),
+    ("mixture_posterior_mean_mc", True,
+     "max |analytic - IS| = 1.97 standard errors over 10 probes x 1000000 draws (tol 3 SE)"),
+    ("monotone_surrogate_rms", True,
+     "sign check (xhat affine in c, R quadratic): 0/3028 audited updates lowered F where "
+     "taken by more than 1e-9 (0.0 percent, worst 0.00e+00; 16972 updates outside the "
+     "trust region); logged F decreased on 8507/19980 transitions (42.6 percent, worst "
+     "1.46e-02) over 20 seeds"),
+    ("monotone_surrogate_raw", True,
+     "sign check (xhat affine in c, R quadratic): 0/20000 audited updates lowered F where "
+     "taken by more than 1e-9 (0.0 percent, worst 0.00e+00; 0 updates outside the trust "
+     "region); logged F decreased on 4218/19980 transitions (21.1 percent, worst 3.30e-02) "
+     "over 20 seeds"),
+    ("monotone_surrogate_distance_raw", True,
+     "0/799 audited raw-gradient updates on the distance task lowered F where taken by "
+     "more than 1e-9 (0.0 percent, worst 0.00e+00; 1 updates outside the trust region) "
+     "over 4 seeds at T = 200"),
+    ("taylor_affine_exact", True, "max scaled gap 1.379e-16 over 20 probes (tol 1e-10)"),
+    ("taylor_mixture_quadratic", True,
+     "median gap ratio 4.037 over 49 probes (1 exact, window [3.5, 4.5])"),
+    ("reduction_unguided_identity", True,
+     "max endpoint deviation 0.00e+00 across alpha=0 / w=0 variants (tol 1e-12)"),
+    ("reduction_af3_gamma0_none", True, "gamma=0, eta_scale=1 endpoint diff 0.00e+00 (tol 1e-12)"),
+    ("reduction_af3_gamma0_embedopt", True,
+     "gamma=0, eta_scale=1 endpoint diff 0.00e+00 (tol 1e-12)"),
+    ("map_mse_correlation_identity", True,
+     "max |R - 2(cc-1)| = 4.441e-16 over 20 configs (tol 1e-10)"),
+    ("map_self_render", True, "R(target) = -0.00e+00, cc(target) = 1.000000000000"),
+    ("af3_noise_bookkeeping", True,
+     "injected std 3.01232 vs 3.00231 (4 SE), sigma_hat 3.600 vs 3.600"),
+)
+
+
+def test_verify_table_matches_recorded_rows(suite):
+    here = {"numpy": np.__version__, "python": platform.python_version()}
+    if here != VERIFY_RECORDED_WITH:
+        pytest.skip(f"table recorded with {VERIFY_RECORDED_WITH}, running {here}")
+    assert [(r.name, r.passed, r.detail) for r in suite.values()] == list(VERIFY_TABLE)

@@ -1186,8 +1186,11 @@ def test_overflowing_reward_exits_3_and_writes_nothing(tmp_path, capsys, method)
         # past what numpy can size at all: its ValueError is a memory error too
         {"experiment": "single_run", "schedule": {"T": 10**19}},
         {"experiment": "step_scaling", "T_values": [10**19]},
+        {"experiment": "single_run", "n_seeds": 10**19},
+        {"experiment": "synthetic_fig1", "n_seeds": 40, "bins": 10**19},
     ],
-    ids=["n_seeds", "schedule.T", "T_values", "schedule.T-10**19", "T_values-10**19"],
+    ids=["n_seeds", "schedule.T", "T_values", "schedule.T-10**19", "T_values-10**19",
+         "n_seeds-10**19", "bins-10**19"],
 )
 def test_counts_too_large_to_allocate_exit_3_and_write_nothing(tmp_path, capsys, payload):
     # each count's first array is petabytes or more, so its allocation fails at once
@@ -1214,7 +1217,7 @@ def experiment_payloads(draw):
     """Cheap configs (T <= 5, at most four seeds, jobs 1), with overflowing
     weights, removed steering keys, negative trajectory and task seeds, keys
     the experiment does not read and counts too large to allocate (T 10**18
-    and 10**19, n_seeds 10**15) mixed in."""
+    and 10**19, n_seeds 10**15 and 10**19, bins 10**19) mixed in."""
     experiment = draw(st.sampled_from(["synthetic_fig1", "lr_sweep", "step_scaling", "single_run"]))
     T = draw(st.sampled_from([1, 2, 3, 4, 5, 10**18, 10**19]))
     schedule = {"T": T}
@@ -1226,6 +1229,8 @@ def experiment_payloads(draw):
     payload = {"experiment": experiment}
     if experiment == "synthetic_fig1":
         payload.update(seeds=list(range(draw(st.integers(2, 4)))) + seeds[1:], schedule=schedule)
+        if draw(st.integers(0, 4)) == 0:
+            payload["bins"] = 10**19
     elif experiment == "lr_sweep":
         payload.update(
             seeds=seeds, task=toy_task, methods=methods, schedule=schedule,
@@ -1268,7 +1273,7 @@ def experiment_payloads(draw):
         payload["jobs"] = 1
     if draw(st.integers(0, 9)) == 0:
         del payload["seeds"]
-        payload["n_seeds"] = 10**15
+        payload["n_seeds"] = draw(st.sampled_from([10**15, 10**19]))
     return payload
 
 

@@ -108,11 +108,11 @@ def test_monotone_check_respects_tolerance():
 
 def test_monotone_check_accepts_trajectory_record():
     rec = TrajectoryRecord(sigmas=np.array([3.0, 2.0, 1.0]), F=np.array([-5.0, -4.0, -4.5]))
-    report = check_monotone_surrogate(rec)
+    report = check_monotone_surrogate(rec.F)
     assert report.violations == 1
     missing = TrajectoryRecord(sigmas=np.array([1.0, 0.5]))  # no reward logged
     with pytest.raises(ValueError):
-        check_monotone_surrogate(missing)
+        check_monotone_surrogate(missing.F)
 
 
 def test_monotone_check_needs_two_values():
@@ -125,14 +125,15 @@ def _audit(norm_mode, seed, T=1000):
     cfg = SteeringConfig(method="embedopt", alpha=0.1, embed_norm_mode=norm_mode)
     return audit_embedding_ascent(
         task.model, task.reward(w=1.0), task.c_init, task.schedule(T=T), cfg,
-        np.random.default_rng(seed),
+        [np.random.default_rng(seed)],
     )
 
 
 @pytest.mark.parametrize("norm_mode", ["rms_per_component", "none"])
 def test_ascent_audit_counts_every_update(norm_mode):
-    res, audit = _audit(norm_mode, seed=3, T=300)
-    assert isinstance(audit, AscentAudit)
+    res, audits = _audit(norm_mode, seed=3, T=300)
+    audit = audits[0]
+    assert len(audits) == 1 and isinstance(audit, AscentAudit)
     assert audit.updates == 300 == len(res.record.F)
     assert 0 < audit.audited <= audit.updates
     assert audit.violations == 0
@@ -153,7 +154,7 @@ def test_ascent_audit_rejects_configs_it_cannot_audit(changes):
     with pytest.raises(ValueError):
         audit_embedding_ascent(
             task.model, task.reward(), task.c_init, task.schedule(T=10), cfg,
-            np.random.default_rng(0),
+            [np.random.default_rng(0)],
         )
 
 
@@ -163,10 +164,11 @@ def test_ascent_audit_can_fail_correctly_signed_updates():
     signed to ascend, lower F at many audited updates."""
     task = build_toy_task("distance", seed=0)
     cfg = SteeringConfig(method="embedopt", alpha=0.1)
-    _, audit = audit_embedding_ascent(
+    _, audits = audit_embedding_ascent(
         task.model, task.reward, task.c_init, task.schedule(), cfg,
-        np.random.default_rng(0),
+        [np.random.default_rng(0)],
     )
+    audit = audits[0]
     assert audit.audited > 0
     assert audit.violations / audit.audited > 0.01
 
@@ -181,7 +183,7 @@ def test_ascent_audit_flags_wrong_sign_updates(monkeypatch):
     audited update, so criterion 3 can still fail."""
     monkeypatch.setattr(steering, "embedopt_step", _wrong_sign_step)
     for norm_mode in ("rms_per_component", "none"):
-        _, audit = _audit(norm_mode, seed=0)
+        audit = _audit(norm_mode, seed=0)[1][0]
         assert audit.audited > 0
         assert audit.violations == audit.audited
         assert audit.max_violation_magnitude > 1e-9
@@ -269,6 +271,11 @@ def _is_fixture(D, K):
     return model, c, x_t
 
 
+def _one_is_probe(model, c, x_t, sigma, rng, n_draws):
+    """One probe through the suite's IS path: the thread pool, one buffer set."""
+    return verification._run_is_probes(model, model.mode_means(c), [(x_t, sigma, rng)], n_draws)[0]
+
+
 @pytest.mark.parametrize("n_draws", [17, 250001])
 @pytest.mark.parametrize("K", [1, 2, 3])
 @pytest.mark.parametrize("D", [1, 3, 6, 9])
@@ -276,9 +283,7 @@ def test_is_posterior_mean_matches_frozen_loop_bit_for_bit(D, K, n_draws):
     # 250,001 draws end in a one-draw chunk after a full one
     model, c, x_t = _is_fixture(D, K)
     want = _frozen_is_posterior_mean(model, c, x_t, 0.9, np.random.default_rng(D + K), n_draws)
-    got = verification._mixture_is_posterior_mean(
-        model, c, x_t, 0.9, np.random.default_rng(D + K), n_draws,
-    )
+    got = _one_is_probe(model, c, x_t, 0.9, np.random.default_rng(D + K), n_draws)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
@@ -304,12 +309,10 @@ def test_select_writes_the_fill_copyto_bits(K, values):
 def test_is_posterior_mean_peaks_below_two_chunk_buffers():
     model, c, x_t = _is_fixture(3, 2)
     chunk_bytes = 200000 * 3 * 8
-    verification._mixture_is_posterior_mean(model, c, x_t, 0.9, np.random.default_rng(0), 1000)
+    _one_is_probe(model, c, x_t, 0.9, np.random.default_rng(0), 1000)
     tracemalloc.start()
     try:
-        verification._mixture_is_posterior_mean(
-            model, c, x_t, 0.9, np.random.default_rng(1), 1000000,
-        )
+        _one_is_probe(model, c, x_t, 0.9, np.random.default_rng(1), 1000000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -320,9 +323,7 @@ def test_is_posterior_mean_peaks_below_two_chunk_buffers():
 def test_is_posterior_mean_raises_on_unusable_weights(x_t):
     model, c, _ = _is_fixture(3, 2)
     with pytest.raises(OracleFailureError):
-        verification._mixture_is_posterior_mean(
-            model, c, np.array(x_t), 0.9, np.random.default_rng(0), 1000,
-        )
+        _one_is_probe(model, c, np.array(x_t), 0.9, np.random.default_rng(0), 1000)
 
 
 def test_nan_measurement_fails_model_fd_row(monkeypatch):
