@@ -9,13 +9,15 @@ repr for floats (shortest round-trip), str for integers, a column at a time.
 Files land via write-to-temp-then-rename so a crashed run never leaves half an
 artifact.
 
-Every trajectory integrates through run_steered, as a batch: an lr_sweep runs
-one batch per method (its alpha x seed grid) plus one for the unguided
-baselines, step_scaling one per (method, T), and a single run one over its
-seeds. With jobs > 1 a process pool runs contiguous chunks of those batches;
-a row does not depend on its batch, so no CSV depends on jobs. The pool is
-imported only by the runs that use it and the verification suite never (the
-`verify` command runs it), so a command compiles only the modules it runs.
+Every trajectory experiment is a list of batch descriptors (a task, a
+SteeringConfig, one (alpha, seed) pair per row) that _run_batches hands to
+_batch, the one caller of run_steered: an lr_sweep has one per method (its
+alpha x seed grid) plus one for the unguided baselines, step_scaling one per
+(method, T), and a single run one over its seeds. With jobs > 1 a process
+pool runs contiguous chunks of them; a row does not depend on its batch, so
+no CSV depends on jobs. The pool is imported only by the runs that use it and
+the verification suite never (the `verify` command runs it), so a command
+compiles only the modules it runs.
 
 The synthetic histogram experiment keeps its own vectorized fast path,
 fig1_panel_samples: every panel is one-dimensional and deterministic, so all
@@ -140,21 +142,11 @@ def write_csv(path: Path, header: Sequence[str], columns) -> None:
     atomic_write_text(path, "\n".join([",".join(header), *rows]) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def write_manifest(out_dir: Path, manifest: dict) -> None:
     """Write manifest.json as strict JSON; a NaN or inf in it is an error."""
     try:
         text = json.dumps(
-            manifest, indent=2, sort_keys=True, default=_json_default, allow_nan=False
+            manifest, indent=2, sort_keys=True, allow_nan=False
         )
     except ValueError as e:
         raise NonFiniteStateError(f"manifest holds a non-finite number: {e}") from e
@@ -606,42 +598,51 @@ def run_synthetic_fig1(cfg: ExperimentConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# toy-task tables (sweep and step scaling)
+# trajectory experiments (sweep, step scaling, single runs)
 
 
-def _toy_batch(desc: dict) -> dict:
-    """Run one batch of toy-task rows: one method and T, one (alpha, seed)
-    pair per row. Returns the rows in order and the batch's telemetry.
+def _batch(desc: dict) -> dict:
+    """Run one batch descriptor: its SteeringConfig on the synthetic task (at
+    weight reward_w) or a toy task, one (alpha, seed) pair per row. Returns the
+    rows in order and the batch's telemetry.
 
-    Module-level and dict-driven so a process pool can pickle it. Each batch
-    rebuilds its task from the task seed, which keeps workers stateless and
-    costs little next to the trajectory integration.
+    Each row carries what any runner reads: final reward, task metric (None on
+    the synthetic task), violated constraints (None off the distance task),
+    NFE, TrajectoryRecord and embedding drift. Rows labelled "unguided" run
+    method "none" without a reward; a single "none" run logs F. Module-level
+    and dict-driven so a process pool can pickle it. Each batch rebuilds its
+    task from the task seed, which keeps workers stateless and costs little
+    next to the trajectory integration.
     """
-    task = build_toy_task(desc["task_kind"], desc["task_seed"])
+    kind = desc["task_kind"]
+    if kind == "synthetic":
+        task = build_synthetic_task()
+        reward = task.reward(desc["reward_w"])
+    else:
+        task = build_toy_task(kind, desc["task_seed"])
+        reward = task.reward
     schedule = task.schedule(**desc["schedule"])
     method = desc["method"]
-    unguided = method == "unguided"  # SteeringConfig rejects any unknown method
-    config = SteeringConfig(
-        method="none" if unguided else method, dps_norm_mode=desc["dps_norm_mode"]
-    )
-    reward = None if unguided else task.reward
     t0 = time.perf_counter()
     res = run_steered(
-        task.model, reward, task.c_init, schedule, config,
-        [np.random.default_rng(seed) for seed in desc["seeds"]], alphas=desc["alphas"],
+        task.model, None if method == "unguided" else reward, task.c_init, schedule,
+        desc["config"], [np.random.default_rng(seed) for seed in desc["seeds"]],
+        alphas=desc["alphas"],
     )
     runtime = time.perf_counter() - t0
-    if task.kind == "distance":  # the metric is the satisfied count: one pass gives both
-        satisfied = task.reward.count_satisfied(res.x0).tolist()
-        metrics, violations = [float(n) for n in satisfied], [task.reward.K - n for n in satisfied]
-    else:
-        metrics, violations = [task.metric(x0) for x0 in res.x0], [None] * len(res.x0)
+    metrics = violations = [None] * len(res.x0)  # the synthetic task has neither
+    if kind == "distance":  # the metric is the satisfied count: one pass gives both
+        satisfied = reward.count_satisfied(res.x0).tolist()
+        metrics, violations = [float(n) for n in satisfied], [reward.K - n for n in satisfied]
+    elif kind == "map":
+        metrics = [task.metric(x0) for x0 in res.x0]
     rows = [
         {"method": method, "alpha": alpha, "T": schedule.num_steps, "seed": seed,
-         "final_reward": final, "task_metric": metric, "violations": v, "nfe": rec.nfe}
-        for alpha, seed, final, metric, v, rec in zip(
-            desc["alphas"], desc["seeds"], task.reward.value(res.x0).tolist(), metrics,
-            violations, res.records, strict=True,
+         "final_reward": final, "task_metric": metric, "violations": v, "nfe": rec.nfe,
+         "alpha_times_T": alpha * schedule.num_steps, "record": rec, "embedding_drift": drift}
+        for alpha, seed, final, metric, v, rec, drift in zip(
+            desc["alphas"], desc["seeds"], reward.value(res.x0).tolist(), metrics, violations,
+            res.records, res.c_final.add(task.c_init, -1.0).norm().tolist(), strict=True,
         )
     ]
     batch = {"method": method, "T": schedule.num_steps, "rows": len(rows), "runtime_s": runtime}
@@ -675,12 +676,12 @@ def _run_batches(descs: List[dict], jobs: int):
     """
     workers = _pool_size(jobs, sum(len(d["seeds"]) for d in descs), os.cpu_count() or 1)
     if workers == 1:
-        done = [_toy_batch(d) for d in descs]
+        done = [_batch(d) for d in descs]
     else:
         from concurrent.futures import ProcessPoolExecutor
         chunks = [chunk for d in descs for chunk in _chunks(d, workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_toy_batch, chunks))
+            done = list(pool.map(_batch, chunks))
     return [r for out in done for r in out["rows"]], [out["batch"] for out in done]
 
 
@@ -709,18 +710,15 @@ def run_lr_sweep(cfg: ExperimentConfig) -> dict:
     alphas = tuple(sorted(cfg.alphas))
     seeds = tuple(sorted(cfg.seeds))
 
-    base = {
-        "task_kind": cfg.task_kind,
-        "task_seed": cfg.task_seed,
-        "schedule": schedule,
-        "dps_norm_mode": cfg.dps_norm_mode,
-    }
+    base = {"task_kind": cfg.task_kind, "task_seed": cfg.task_seed, "schedule": schedule}
     grid = [(alpha, seed) for alpha in alphas for seed in seeds]
     descs = [
-        dict(base, method=method, alphas=[a for a, _ in grid], seeds=[s for _, s in grid])
+        dict(base, method=method, alphas=[a for a, _ in grid], seeds=[s for _, s in grid],
+             config=SteeringConfig(method=method, dps_norm_mode=cfg.dps_norm_mode))
         for method in cfg.methods
     ]
-    descs.append(dict(base, method="unguided", alphas=[0.0] * len(seeds), seeds=list(seeds)))
+    descs.append(dict(base, method="unguided", config=SteeringConfig(),
+                      alphas=[0.0] * len(seeds), seeds=list(seeds)))
     rows, batches = _run_batches(descs, cfg.jobs)
     rows, baselines = rows[: -len(seeds)], rows[-len(seeds) :]
 
@@ -768,29 +766,19 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
     seeds = tuple(sorted(cfg.seeds))
     T_values = tuple(sorted(cfg.T_values, reverse=True))
 
-    base = {
-        "task_kind": cfg.task_kind,
-        "task_seed": cfg.task_seed,
-        "dps_norm_mode": cfg.dps_norm_mode,
-    }
+    base = {"task_kind": cfg.task_kind, "task_seed": cfg.task_seed}
     descs = [
         dict(base, method=method, schedule=dict(_schedule_keys(cfg), T=T),
+             config=SteeringConfig(method=method, dps_norm_mode=cfg.dps_norm_mode),
              alphas=[const / T] * len(seeds), seeds=list(seeds))
         for method in cfg.methods
         for T in T_values
     ]
     rows, batches = _run_batches(descs, cfg.jobs)
 
-    write_csv(
-        out / "scale.csv",
-        ("method", "T", "alpha", "alpha_times_T", "seed",
-         "final_reward", "task_metric", "violations"),
-        list(zip(*(
-            (r["method"], r["T"], r["alpha"], r["alpha"] * r["T"], r["seed"],
-             r["final_reward"], r["task_metric"], r["violations"])
-            for r in rows
-        ))),
-    )
+    header = ("method", "T", "alpha", "alpha_times_T", "seed",
+              "final_reward", "task_metric", "violations")
+    write_csv(out / "scale.csv", header, [[r[k] for r in rows] for k in header])
 
     manifest = _base_manifest(cfg.experiment, cfg.to_manifest(), t0)
     manifest["alpha_times_T"] = const
@@ -811,52 +799,34 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
     per-step trajectory CSVs."""
     t0 = time.perf_counter()
     out = Path(cfg.out_dir)
-
-    if cfg.task_kind == "synthetic":
-        task = build_synthetic_task()
-        reward = task.reward(cfg.reward_w)
-        metric = None
-    else:
-        task = build_toy_task(cfg.task_kind, cfg.task_seed)
-        reward = task.reward
-        metric = task.metric
-    schedule = task.schedule(**_schedule_keys(cfg))
+    schedule = _schedule_keys(cfg)
     config = _steering_config(cfg)
-
-    seeds = [int(seed) for seed in cfg.seeds]
-    t_run = time.perf_counter()
-    res = run_steered(
-        task.model, reward, task.c_init, schedule, config,
-        [np.random.default_rng(seed) for seed in seeds],
-    )
-    runtime = time.perf_counter() - t_run
-    finals = reward.value(res.x0).tolist()
-    drifts = res.c_final.add(task.c_init, -1.0).norm().tolist()
-    steps = np.arange(schedule.num_steps, 0, -1)
+    desc = {
+        "task_kind": cfg.task_kind, "task_seed": cfg.task_seed, "reward_w": cfg.reward_w,
+        "schedule": schedule, "method": config.method, "config": config,
+        "alphas": [config.alpha] * len(cfg.seeds), "seeds": list(cfg.seeds),
+    }
+    rows, batches = _run_batches([desc], cfg.jobs)
     runs = {}
-    for seed, x0, rec, final, drift in zip(seeds, res.x0, res.records, finals, drifts, strict=True):
-        name = f"trajectory_seed{seed}.csv"
+    for r in rows:
+        rec = r["record"]
+        name = f"trajectory_seed{r['seed']}.csv"
         write_csv(
             out / name,
             ("step", "sigma", "F", "grad_norm", "embed_drift"),
-            (steps, rec.sigmas, rec.F, rec.grad_norms, rec.embed_drifts),
+            (rec.steps, rec.sigmas, rec.F, rec.grad_norms, rec.embed_drifts),
         )
-        runs[str(seed)] = {
-            "csv": name,
-            "final_reward": final,
-            "task_metric": None if metric is None else metric(x0),
-            "skip_counts": dict(rec.skip_counts),
-            "embedding_drift": drift,
-            "nfe": rec.nfe,
-        }
+        runs[str(r["seed"])] = dict(
+            {k: r[k] for k in ("final_reward", "task_metric", "embedding_drift", "nfe")},
+            csv=name, skip_counts=dict(rec.skip_counts),
+        )
 
+    task = SyntheticTask if cfg.task_kind == "synthetic" else ToyTask
     manifest = _base_manifest(cfg.experiment, cfg.to_manifest(), t0)
-    manifest["schedule"] = schedule.to_manifest()
+    manifest["schedule"] = task.schedule(**schedule).to_manifest()
     manifest["steering"] = config.to_manifest()
     manifest["runs"] = runs
-    manifest["batch_runtimes_s"] = [
-        {"method": config.method, "T": schedule.num_steps, "rows": len(seeds), "runtime_s": runtime}
-    ]
+    manifest["batch_runtimes_s"] = batches
     write_manifest(out, manifest)
     return manifest
 

@@ -52,9 +52,12 @@ class NoiseSchedule:
 
 
 def _require_allocatable(n: int, what: str) -> None:
-    """MemoryError when n 8-byte items are past what numpy can size (it would raise ValueError)."""
-    if 8 * n > np.iinfo(np.intp).max:
-        raise MemoryError(f"cannot allocate {what}")
+    """MemoryError unless numpy can allocate n float64 entries: it allocates them
+    once, untouched, and frees them (past what numpy can size it raises ValueError)."""
+    try:
+        np.empty(n)
+    except (ValueError, MemoryError):
+        raise MemoryError(f"cannot allocate {what}") from None
 
 
 def build_linear_schedule(T: int, sigma_max: float) -> NoiseSchedule:

@@ -2,8 +2,8 @@
 recorded CSVs.
 
 `scripts/reproduce_all.py` at full size must write the 12 CSVs recorded in
-FULL_SIZE_CSVS, which pins every shipped config, through the config parser,
-to its artifacts.
+FULL_SIZE_CSVS and the 6 manifests recorded in FULL_SIZE_MANIFESTS, which
+pins every shipped config, through the config parser, to its artifacts.
 
 The benchmark's reference (perfbench/reference.json) records the sha256 of
 every CSV its commands write; at task seed 0 its distance commands are the
@@ -19,6 +19,7 @@ the reference was recorded with, and says so when it skips.
 import hashlib
 import importlib.util
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -38,17 +39,16 @@ CASES = [
 ]
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
+def _load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load_module("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+artifact_diff = _load_module("artifact_diff", ROOT / "scripts" / "artifact_diff.py")
 COMMANDS = [
     workloads.fig1(0)[0],
     *(workloads.lr_sweep("map", stratum[0], [stratum[0]], workloads.MAP_T)[0]
@@ -111,10 +111,34 @@ FULL_SIZE_CSVS = {
 }
 
 
+# the sha256 of each manifest.json of the same run, by path under --out, taken of
+# json.dumps(strip_runtime(manifest), sort_keys=True): artifact_diff.py's
+# comparison, without the keys that say when, where or how fast the run went
+FULL_SIZE_MANIFESTS = {
+    "fig1/manifest.json": "8a3582ee2870d2283cc7d51a799b212950680532c889ed03724fca3b7b14aef2",
+    "scale_distance/manifest.json":
+        "69087638aad8339f04004e8c9fafd7c268b95e98c35eb620372e3ad2801ba481",
+    "single_distance/manifest.json":
+        "198da3bfae2b90c61727de728ab0124688af4b559f220fe2ebcfc48ce05b0f3e",
+    "single_synthetic/manifest.json":
+        "5c6b7390006cf40f32554547810ead1c0905243fd15c8ac6f7169b7a2a8622a8",
+    "sweep_distance/manifest.json":
+        "db984c30b5bd3fee19fc9ea5aae024308c697dcfd4168ad1beb29b7739cb3b86",
+    "sweep_map/manifest.json": "f819a3673f8ea6e66740d9eba9a7dd01b890d85a2efb1967969c606fcdf4bde0",
+}
+
+
+def _manifest_digest(path: Path) -> str:
+    manifest = artifact_diff.strip_runtime(json.loads(path.read_text(encoding="utf-8")))
+    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+
+
 def test_full_size_reproduction_matches_recorded_digests(tmp_path):
     here = {"numpy": np.__version__, "python": platform.python_version()}
     if here != FULL_SIZE_RECORDED_WITH:
         pytest.skip(f"digests recorded with {FULL_SIZE_RECORDED_WITH}, running {here}")
+    if (os.cpu_count() or 1) < 2:  # one worker: one batch_runtimes_s entry per batch, unchunked
+        pytest.skip("the manifests' batch_runtimes_s follow a two-worker pool's chunking")
     proc = run_script("reproduce_all.py", "--jobs", "2", "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr
     got = {
@@ -122,3 +146,6 @@ def test_full_size_reproduction_matches_recorded_digests(tmp_path):
         for p in tmp_path.rglob("*.csv")
     }
     assert got == FULL_SIZE_CSVS
+    got = {p.relative_to(tmp_path).as_posix(): _manifest_digest(p)
+           for p in tmp_path.rglob("manifest.json")}
+    assert got == FULL_SIZE_MANIFESTS

@@ -1097,6 +1097,32 @@ def test_single_run_seeds_run_as_one_batch_matching_separate_runs(tmp_path):
         assert together["runs"][str(seed)] == alone["runs"][str(seed)]
 
 
+@pytest.mark.parametrize("method", ["embedopt", "dps"])
+@pytest.mark.parametrize("kind", ["distance", "map"])
+def test_single_run_matches_the_sweep_row_of_its_method_alpha_and_seed(tmp_path, kind, method):
+    base = {"task": {"kind": kind, "seed": 0}, "schedule": {"T": 20}}
+    steering = {"method": method, "alpha": 0.1}
+    if method == "dps":
+        steering["dps_norm_mode"] = "l2_matched"  # the sweeps' norm
+    single = run_from_config(config_from_dict(dict(
+        base, experiment="single_run", out_dir=str(tmp_path / "single"), seeds=[1],
+        steering=steering,
+    )))
+    sweep = run_from_config(config_from_dict(dict(
+        base, experiment="lr_sweep", out_dir=str(tmp_path / "sweep"), seeds=[0, 1],
+        alphas=[0.1, 1.0], methods=[method],
+    )))
+    _, rows = read_rows(tmp_path / "sweep" / "sweep.csv")
+    [row] = [r for r in rows if (r["alpha"], r["seed"]) == ("0.1", "1")]
+    run = single["runs"]["1"]
+    assert (repr(run["final_reward"]), repr(run["task_metric"])) == (
+        row["final_reward"], row["task_metric"]
+    )
+    [nfe] = [r["nfe"] for r in sweep["row_nfe"]
+             if (r["method"], r["alpha"], r["seed"]) == (method, 0.1, 1)]
+    assert run["nfe"] == nfe
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -1188,12 +1214,20 @@ def test_overflowing_reward_exits_3_and_writes_nothing(tmp_path, capsys, method)
         {"experiment": "step_scaling", "T_values": [10**19]},
         {"experiment": "single_run", "n_seeds": 10**19},
         {"experiment": "synthetic_fig1", "n_seeds": 40, "bins": 10**19},
+        # sized by numpy but not allocatable: rejected with the config, before x_T is drawn
+        {"experiment": "synthetic_fig1", "n_seeds": 40, "bins": 10**15},
     ],
     ids=["n_seeds", "schedule.T", "T_values", "schedule.T-10**19", "T_values-10**19",
-         "n_seeds-10**19", "bins-10**19"],
+         "n_seeds-10**19", "bins-10**19", "bins-10**15"],
 )
-def test_counts_too_large_to_allocate_exit_3_and_write_nothing(tmp_path, capsys, payload):
+def test_counts_too_large_to_allocate_exit_3_and_write_nothing(
+    tmp_path, capsys, monkeypatch, payload
+):
     # each count's first array is petabytes or more, so its allocation fails at once
+    def no_draw(seeds):
+        raise AssertionError("x_T drawn for a config that must be rejected")
+
+    monkeypatch.setattr(harness, "fig1_noise", no_draw)
     out = tmp_path / "out"
     path = write_config(tmp_path, dict(payload, out_dir=str(out)))
     assert cli_main(["run", str(path)]) == EXIT_VALIDATION
@@ -1217,7 +1251,7 @@ def experiment_payloads(draw):
     """Cheap configs (T <= 5, at most four seeds, jobs 1), with overflowing
     weights, removed steering keys, negative trajectory and task seeds, keys
     the experiment does not read and counts too large to allocate (T 10**18
-    and 10**19, n_seeds 10**15 and 10**19, bins 10**19) mixed in."""
+    and 10**19, n_seeds 10**15 and 10**19, bins 10**15 and 10**19) mixed in."""
     experiment = draw(st.sampled_from(["synthetic_fig1", "lr_sweep", "step_scaling", "single_run"]))
     T = draw(st.sampled_from([1, 2, 3, 4, 5, 10**18, 10**19]))
     schedule = {"T": T}
@@ -1230,7 +1264,7 @@ def experiment_payloads(draw):
     if experiment == "synthetic_fig1":
         payload.update(seeds=list(range(draw(st.integers(2, 4)))) + seeds[1:], schedule=schedule)
         if draw(st.integers(0, 4)) == 0:
-            payload["bins"] = 10**19
+            payload["bins"] = draw(st.sampled_from([10**15, 10**19]))
     elif experiment == "lr_sweep":
         payload.update(
             seeds=seeds, task=toy_task, methods=methods, schedule=schedule,
