@@ -9,26 +9,32 @@ embedopt, dps and the unguided sampler with the reward logged. A second
 table times the synthetic histogram's fast path, `fig1_panel_samples`, for
 each panel over its 1000-step schedule at the benchmark's 10,000 seeds,
 timed the same way, and the x_T draw those panels share, `fig1_noise`, per
-seed. Run it from a checkout with `PYTHONPATH=src python
-scripts/step_cost.py`; pin BLAS to one thread (OPENBLAS_NUM_THREADS=1) to
-compare two checkouts.
+seed. A last line times one 10^6-draw probe of the importance-sampling
+oracle (`steerkit verify`'s mixture_posterior_mean_mc fixture) on one worker
+thread, the same way, and gives that probe's tracemalloc peak. Run it from a
+checkout with `PYTHONPATH=src python scripts/step_cost.py`; pin BLAS to one
+thread (OPENBLAS_NUM_THREADS=1) to compare two checkouts.
 """
 
 import argparse
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
 from steerkit import SteeringConfig, build_synthetic_task, build_toy_task, run_steered
 from steerkit.harness import FIG1_EXTRA_PANEL_SPECS, FIG1_PANEL_SPECS, fig1_noise, fig1_panel_samples
+from steerkit.models import Embedding, make_mixture_model
 from steerkit.tasks import SYNTH_T
+from steerkit.verification import _run_is_probes
 
 T = 50  # steps per run
 REPEATS = 5  # timed runs per cell
 TASKS = ("synthetic", "distance", "map")
 METHODS = ("embedopt", "dps", "none")
 FIG1_SEEDS = 10_000  # trajectories per fig1 panel, as in the benchmark's fig1_batch
+IS_DRAWS = 1_000_000  # draws per importance-sampling probe, as in `steerkit verify`
 
 
 def _setup(kind: str):
@@ -76,6 +82,34 @@ def fig1_noise_cost_us() -> float:
     return statistics.median(times) / FIG1_SEEDS * 1e6
 
 
+def is_probe_cost() -> tuple:
+    """(median milliseconds, tracemalloc peak MiB) of one IS_DRAWS-draw probe of
+    the mixture_posterior_mean_mc fixture (D = 3, K = 2) on one worker thread."""
+    model = make_mixture_model(
+        {"u": 2, "v": 2}, D=3, weights=(0.65, 0.35), stds=(0.5, 0.8), seed=31, mean_scale=1.0,
+    )
+    rng_c = np.random.default_rng(32)
+    means = model.mode_means(Embedding({"u": rng_c.standard_normal(2), "v": rng_c.standard_normal(2)}))
+    x_t, sigma = means[0] + 0.5, 0.9
+
+    def probe(seed):
+        _run_is_probes(model, means, [(x_t, sigma, np.random.default_rng(seed))], IS_DRAWS)
+
+    times = []
+    for i in range(REPEATS + 1):
+        t0 = time.perf_counter()
+        probe(i)
+        if i:
+            times.append(time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        probe(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return statistics.median(times) * 1e3, peak / 2**20
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--batches", default="1,3,5,15", help="comma-separated batch sizes")
@@ -97,6 +131,9 @@ def main() -> int:
     for panel in (*FIG1_PANEL_SPECS, *FIG1_EXTRA_PANEL_SPECS):
         print(f"{panel:<16}{fig1_step_cost_us(panel, z):>10.1f}")
     print(f"{'fig1_noise':<16}{fig1_noise_cost_us():>10.2f}  (us per seed, B = {FIG1_SEEDS})")
+    ms, mib = is_probe_cost()
+    print(f"\nIS oracle: {ms:.1f} ms per {IS_DRAWS:,}-draw probe on one worker "
+          f"(median of {REPEATS}), tracemalloc peak {mib:.1f} MiB")
     return 0
 
 

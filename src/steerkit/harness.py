@@ -248,10 +248,10 @@ def _get(raw: dict, key: str, types, default=_REQUIRED, item=None, least=None, a
     """raw[key], checked by every rule on it alone; `default`, unchecked, if absent.
 
     ConfigParseError: the value is not of `types`, or a list entry not of
-    `item` (a bool is never a number). ConfigValidationError: an empty list,
-    a number (or entry) below `least`, a string (or entry) not in `among`, a
-    dict sub-key not in `keys`, or an integer too large for a float where a
-    number is read (it comes back as a float).
+    `item` (a bool is never a number). ConfigValidationError: an empty list, a
+    repeated entry, a number (or entry) below `least`, a string (or entry) not
+    in `among`, a dict sub-key not in `keys`, or an integer too large for a
+    float where a number is read (it comes back as a float).
     """
     if key not in raw:
         if default is _REQUIRED:
@@ -271,6 +271,8 @@ def _get(raw: dict, key: str, types, default=_REQUIRED, item=None, least=None, a
         except OverflowError:
             raise ConfigValidationError(f"{key} is too large for a float") from None
         v = entries[0] if item is None else entries
+    if item is not None and len(set(entries)) < len(entries):  # numbers as floats
+        raise ConfigValidationError(f"{key} repeats an entry")
     if least is not None and any(x < least for x in entries):
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise ConfigValidationError(f"{key} must be {bound}")

@@ -470,6 +470,7 @@ def _conjugate_rows() -> List[CheckResult]:
 
 
 _IS_CHUNK = 200000  # draws per importance-sampling chunk; part of the bit contract
+_IS_BLOCK = 32768  # rows per elementwise pass over a chunk; part of no result
 
 
 def _usable_cpus() -> int:
@@ -488,11 +489,12 @@ def _is_workers(n_probes: int) -> int:
 def _is_buffers(n: int, D: int, K: int) -> tuple:
     """One importance-sampling buffer set for chunks of up to n draws.
 
-    x0 (n, D); two n-length columns; K - 1 boolean component masks; and, for
-    D >= 8 only, an (n, D) buffer of squared distances for `_bead_sum`.
+    x0 (n, D), the weights (n), K - 1 boolean component masks, a column of
+    b = min(n, _IS_BLOCK) and, for D >= 8 only, (b, D) squares for `_bead_sum`.
     """
-    sq = np.empty((n, D)) if D >= 8 else None
-    return np.empty((n, D)), np.empty(n), np.empty(n), np.empty((K - 1, n), dtype=bool), sq
+    b = min(n, _IS_BLOCK)
+    sq = np.empty((b, D)) if D >= 8 else None
+    return np.empty((n, D)), np.empty(n), np.empty((K - 1, n), dtype=bool), np.empty(b), sq
 
 
 def _select(out: np.ndarray, values: np.ndarray, masks: np.ndarray) -> None:
@@ -534,13 +536,12 @@ def _is_posterior_mean(
     D < 8, `_bead_sum` for D >= 8. The weighted sums stay `w @ x0` BLAS
     products; x0 is squared in place for the last one.
 
-    Each chunk runs in the one buffer set `bufs` (`_is_buffers`: x0, two
-    chunk-length columns, the masks), so nothing chunk-sized is allocated per
-    chunk below D = 8. The first column holds the uniforms, then each
-    coordinate's means and squared distance; the second holds the stds, then
-    the weights.
+    Each chunk runs in the one buffer set `bufs` (`_is_buffers`). Its uniforms
+    go into the weights and become the masks; then each block of _IS_BLOCK rows
+    draws its normals (one stream across fills) and forms its weights in place.
+    The sums read the whole chunk.
     """
-    x0_buf, g_buf, w_buf, mask_buf, sq_buf = bufs
+    x0_buf, w_buf, mask_buf, g_buf, sq_buf = bufs
     D = model.D
     cdf = model.weights.cumsum()  # as Generator.choice forms it
     cdf /= cdf[-1]
@@ -552,37 +553,40 @@ def _is_posterior_mean(
     done = 0
     while done < n_draws:
         m = min(_IS_CHUNK, n_draws - done)
-        x0, g, w, masks = x0_buf[:m], g_buf[:m], w_buf[:m], mask_buf[:, :m]
+        x0, w, masks = x0_buf[:m], w_buf[:m], mask_buf[:, :m]
         # rng.choice(K, m, p=weights) is cdf.searchsorted(u, side="right"):
         # the component is >= k exactly where cdf[k - 1] <= u
-        rng.random(out=g)
+        rng.random(out=w)
         for k in range(1, model.K):
-            np.less_equal(cdf[k - 1], g, out=masks[k - 1])
-        rng.standard_normal(out=x0)
-        _select(w, model.stds, masks)
-        # by column: a length-D broadcast runs a D-element loop per row
-        for j in range(D):
-            x0[:, j] *= w
-        for j in range(D):
-            _select(g, means[:, j], masks)
-            x0[:, j] += g
+            np.less_equal(cdf[k - 1], w, out=masks[k - 1])
+        for lo in range(0, m, _IS_BLOCK):
+            hi = min(lo + _IS_BLOCK, m)
+            xb, wb, mb, g = x0[lo:hi], w[lo:hi], masks[:, lo:hi], g_buf[:hi - lo]
+            rng.standard_normal(out=xb)
+            _select(wb, model.stds, mb)
+            # by column: a length-D broadcast runs a D-element loop per row
+            for j in range(D):
+                xb[:, j] *= wb
+            for j in range(D):
+                _select(g, means[:, j], mb)
+                xb[:, j] += g
+                if sq_buf is not None:
+                    np.subtract(x_t[j], xb[:, j], out=sq_buf[:hi - lo, j])
+                elif j == 0:
+                    np.subtract(x_t[0], xb[:, 0], out=wb)
+                    np.square(wb, out=wb)
+                else:
+                    # under 8 terms numpy's pairwise sum is a left fold
+                    np.subtract(x_t[j], xb[:, j], out=g)
+                    np.square(g, out=g)
+                    wb += g
             if sq_buf is not None:
-                np.subtract(x_t[j], x0[:, j], out=sq_buf[:m, j])
-            elif j == 0:
-                np.subtract(x_t[0], x0[:, 0], out=w)
-                np.square(w, out=w)
-            else:
-                # under 8 terms numpy's pairwise sum is a left fold
-                np.subtract(x_t[j], x0[:, j], out=g)
-                np.square(g, out=g)
-                w += g
-        if sq_buf is not None:
-            w = _bead_sum(np.square(sq_buf[:m], out=sq_buf[:m]))
-        # logw <= 0 by construction, so exp never overflows; weights from all
-        # chunks share the same (unit) scale and can be pooled directly.
-        np.negative(w, out=w)
-        w /= 2.0 * sigma**2
-        np.exp(w, out=w)
+                wb[:] = _bead_sum(np.square(sq_buf[:hi - lo], out=sq_buf[:hi - lo]))
+            # logw <= 0 by construction, so exp never overflows; weights from all
+            # chunks share the same (unit) scale and can be pooled directly.
+            np.negative(wb, out=wb)
+            wb /= 2.0 * sigma**2
+            np.exp(wb, out=wb)
         sw += w.sum()
         swx += w @ x0
         np.square(w, out=w)
@@ -655,7 +659,7 @@ def _mixture_mc_row(n_probes: int, n_draws: int) -> CheckResult:
     )
 
 
-def _chunk_logw_row() -> CheckResult:
+def _is_gaussian_limit_row() -> CheckResult:
     """Sanity: the IS oracle reproduces a pure-Gaussian conjugate mean."""
     model = make_mixture_model({"u": 1}, D=1, weights=(1.0,), stds=(0.5,), seed=77)
     c = Embedding({"u": np.array([2.0])})
@@ -906,7 +910,7 @@ def run_verification_suite(quick: bool = False, telemetry: Optional[dict] = None
         ("adjoint", lambda: _adjoint_rows(n_fd)),
         ("tweedie", lambda: _tweedie_rows(n_fd)),
         ("conjugate", _conjugate_rows),
-        ("is_gaussian_limit", lambda: [_chunk_logw_row()]),
+        ("is_gaussian_limit", lambda: [_is_gaussian_limit_row()]),
         ("is_mixture_mean", lambda: [_mixture_mc_row(n_mc_probes, n_mc_draws)]),
         ("monotone_scalar", lambda: _monotonicity_rows(n_mono_seeds)),
         ("monotone_distance", lambda: [_distance_ascent_row(1 if quick else 4)]),

@@ -182,6 +182,14 @@ def test_structural_problems_are_parse_errors(payload):
         {"experiment": "single_run", "out_dir": "x", "steering": {"method": "bogus"}},
         {"experiment": "single_run", "out_dir": "x", "steering": {"alpha": -1}},
         {"experiment": "verify", "out_dir": "x"},  # the suite runs as `steerkit verify`
+        # rows are keys: a repeated list entry is rejected, never deduplicated
+        {"experiment": "single_run", "out_dir": "x", "seeds": [1, 1]},
+        {"experiment": "lr_sweep", "out_dir": "x", "seeds": [0, 0]},
+        {"experiment": "lr_sweep", "out_dir": "x", "alphas": [0.1, 0.10000000000000001]},
+        {"experiment": "lr_sweep", "out_dir": "x", "alphas": [10**17 + 1, 1e17]},  # equal as floats
+        {"experiment": "lr_sweep", "out_dir": "x", "methods": ["dps", "dps"]},
+        {"experiment": "step_scaling", "out_dir": "x", "T_values": [20, 20]},
+        {"experiment": "synthetic_fig1", "out_dir": "x", "seeds": [3, 3]},
     ],
 )
 def test_semantic_problems_are_validation_errors(payload):
@@ -460,6 +468,20 @@ def test_negative_seeds_exit_with_one_validation_line(tmp_path, capsys, command,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
     assert "non-negative" in json.loads(err[0])["message"]
+    assert not out.exists()
+
+
+def test_repeated_cli_seeds_exit_3_before_any_compute(tmp_path, capsys, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("a repeated seed reached the integrator")
+
+    monkeypatch.setattr(harness, "_run_batches", no_run)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"experiment": "single_run", "out_dir": str(out)})
+    assert cli_main(["run", str(path), "--seeds", "1,1"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "validation"
+    assert "repeats" in json.loads(err[0])["message"]
     assert not out.exists()
 
 
@@ -1249,16 +1271,17 @@ _RUN_KEYS = ("seeds", "bins", "task", "alphas", "methods", "T_values", "schedule
 @st.composite
 def experiment_payloads(draw):
     """Cheap configs (T <= 5, at most four seeds, jobs 1), with overflowing
-    weights, removed steering keys, negative trajectory and task seeds, keys
-    the experiment does not read and counts too large to allocate (T 10**18
-    and 10**19, n_seeds 10**15 and 10**19, bins 10**15 and 10**19) mixed in."""
+    weights, removed steering keys, negative trajectory and task seeds, repeated
+    seeds, alphas and T values, keys the experiment does not read and counts too
+    large to allocate (T 10**18 and 10**19, n_seeds 10**15 and 10**19, bins
+    10**15 and 10**19) mixed in."""
     experiment = draw(st.sampled_from(["synthetic_fig1", "lr_sweep", "step_scaling", "single_run"]))
     T = draw(st.sampled_from([1, 2, 3, 4, 5, 10**18, 10**19]))
     schedule = {"T": T}
     if draw(st.booleans()):
         schedule["sigma_max"] = draw(st.sampled_from([0.5, 1e150, 1e306, 1e308]))
     toy_task = {"kind": draw(st.sampled_from(["distance", "map"])), "seed": draw(st.integers(-2, 3))}
-    seeds = draw(st.sampled_from([[0], [0], [0, -2], [-1]]))
+    seeds = draw(st.sampled_from([[0], [0], [0, -2], [-1], [0, 0]]))
     methods = draw(st.lists(st.sampled_from(["embedopt", "dps"]), min_size=1, max_size=2, unique=True))
     payload = {"experiment": experiment}
     if experiment == "synthetic_fig1":
@@ -1317,7 +1340,7 @@ def experiment_payloads(draw):
     overrides=st.lists(
         st.sampled_from([
             ("--jobs", "0"), ("--jobs", "1"), ("--seeds", ""), ("--seeds", "0,1"),
-            ("--seeds", "0,-2"), ("--seeds=-5",),
+            ("--seeds", "0,-2"), ("--seeds=-5",), ("--seeds", "1,1"),
         ]),
         max_size=2, unique_by=lambda o: o[0].split("=")[0],
     ),
