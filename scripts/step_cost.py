@@ -9,7 +9,9 @@ embedopt, dps and the unguided sampler with the reward logged. A second
 table times the synthetic histogram's fast path, `fig1_panel_samples`, for
 each panel over its 1000-step schedule at the benchmark's 10,000 seeds,
 timed the same way, and the x_T draw those panels share, `fig1_noise`, per
-seed. A last line times one 10^6-draw probe of the importance-sampling
+seed. Two rows time the engine, `run_steered`, on exact-likelihood DPS at
+w = 1 and w = 100 over 2,000 seeds and 1000 steps, as acceptance criteria 1b
+and 1c integrate them. A last line times one 10^6-draw probe of the importance-sampling
 oracle (`steerkit verify`'s mixture_posterior_mean_mc fixture) on one worker
 thread, the same way, and gives that probe's tracemalloc peak. Run it from a
 checkout with `PYTHONPATH=src python scripts/step_cost.py`; pin BLAS to one
@@ -24,7 +26,7 @@ import tracemalloc
 import numpy as np
 
 from steerkit import SteeringConfig, build_synthetic_task, build_toy_task, run_steered
-from steerkit.harness import FIG1_EXTRA_PANEL_SPECS, FIG1_PANEL_SPECS, fig1_noise, fig1_panel_samples
+from steerkit.harness import FIG1_PANEL_SPECS, fig1_noise, fig1_panel_samples
 from steerkit.models import Embedding, make_mixture_model
 from steerkit.tasks import SYNTH_T
 from steerkit.verification import _run_is_probes
@@ -34,6 +36,7 @@ REPEATS = 5  # timed runs per cell
 TASKS = ("synthetic", "distance", "map")
 METHODS = ("embedopt", "dps", "none")
 FIG1_SEEDS = 10_000  # trajectories per fig1 panel, as in the benchmark's fig1_batch
+EXACT_SEEDS = 2_000  # trajectories per exact-likelihood run, as in criteria 1b and 1c
 IS_DRAWS = 1_000_000  # draws per importance-sampling probe, as in `steerkit verify`
 
 
@@ -66,6 +69,21 @@ def fig1_step_cost_us(panel: str, z: np.ndarray) -> float:
     for i in range(REPEATS + 1):
         t0 = time.perf_counter()
         fig1_panel_samples(panel, z)
+        if i:
+            times.append(time.perf_counter() - t0)
+    return statistics.median(times) / SYNTH_T * 1e6
+
+
+def exact_step_cost_us(w: float) -> float:
+    """Median microseconds per step of one run_steered call integrating
+    exact-likelihood DPS at weight w, one default_rng(s) per seed s < EXACT_SEEDS."""
+    task = build_synthetic_task()
+    config = SteeringConfig(method="dps", alpha=0.0, dps_norm_mode="exact_likelihood")
+    times = []
+    for i in range(REPEATS + 1):
+        rngs = [np.random.default_rng(seed) for seed in range(EXACT_SEEDS)]
+        t0 = time.perf_counter()
+        run_steered(task.model, task.reward(w=w), task.c_init, task.schedule(), config, rngs)
         if i:
             times.append(time.perf_counter() - t0)
     return statistics.median(times) / SYNTH_T * 1e6
@@ -128,9 +146,13 @@ def main() -> int:
             print(f"{kind:<10} {method:<9}" + "".join(f"{c:>10.1f}" for c in cells))
     z = fig1_noise(range(FIG1_SEEDS))
     print(f"\nfig1 fast path: us per step (median of {REPEATS}, T = {SYNTH_T}, B = {FIG1_SEEDS})")
-    for panel in (*FIG1_PANEL_SPECS, *FIG1_EXTRA_PANEL_SPECS):
+    for panel in FIG1_PANEL_SPECS:
         print(f"{panel:<16}{fig1_step_cost_us(panel, z):>10.1f}")
     print(f"{'fig1_noise':<16}{fig1_noise_cost_us():>10.2f}  (us per seed, B = {FIG1_SEEDS})")
+    print(f"\nengine, exact-likelihood dps: us per step (median of {REPEATS}, T = {SYNTH_T}, "
+          f"B = {EXACT_SEEDS})")
+    for w in (1.0, 100.0):
+        print(f"{f'dps_exact_w{w:g}':<16}{exact_step_cost_us(w):>10.1f}")
     ms, mib = is_probe_cost()
     print(f"\nIS oracle: {ms:.1f} ms per {IS_DRAWS:,}-draw probe on one worker "
           f"(median of {REPEATS}), tracemalloc peak {mib:.1f} MiB")

@@ -26,8 +26,7 @@ bit-identical to it (asserted in the test suite) and without its per-step
 logs: at 10,000 seeds a step took 0.014-0.04 ms there against about 1.3 ms in
 the engine (2-vCPU Xeon VM). Every panel starts a seed from the same x_T,
 drawn once per run by fig1_noise, which hashes all seeds' SeedSequences in one
-vectorized pass. Exact-likelihood coordinate guidance (FIG1_EXTRA_PANEL_SPECS)
-runs on the fast path for the acceptance gate, outside the figure.
+vectorized pass.
 """
 
 from __future__ import annotations
@@ -71,14 +70,9 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "run_from_config",
-    "run_synthetic_fig1",
-    "run_lr_sweep",
-    "run_step_scaling",
-    "run_single_run",
     "fig1_noise",
     "fig1_panel_samples",
     "FIG1_PANEL_SPECS",
-    "FIG1_EXTRA_PANEL_SPECS",
     "FIG1_CSV_PANELS",
     "write_csv",
     "atomic_write_text",
@@ -415,20 +409,14 @@ _CONJ_W100 = conjugate_posterior(SYNTH_PRIOR_LOC, SYNTH_PRIOR_STD**2, SYNTH_Y, S
 
 FIG1_PANEL_SPECS = {
     "unguided": {"method": "none", "w": 1.0, "alpha": 0.0},
-    "dps_w1": {"method": "dps", "w": 1.0, "alpha": 0.0, "norm": "sigma2w"},
-    "dps_w100": {"method": "dps", "w": 100.0, "alpha": 0.0, "norm": "sigma2w"},
+    "dps_w1": {"method": "dps", "w": 1.0, "alpha": 0.0},
+    "dps_w100": {"method": "dps", "w": 100.0, "alpha": 0.0},
     "embedopt_a0.1": {"method": "embedopt", "w": 1.0, "alpha": 0.1},
     "embedopt_a0.05": {"method": "embedopt", "w": 1.0, "alpha": 0.05},
     "embedopt_a0.5": {"method": "embedopt", "w": 1.0, "alpha": 0.5},
     "embedopt_a5": {"method": "embedopt", "w": 1.0, "alpha": 5.0},
 }
 FIG1_CSV_PANELS = ("unguided", "dps_w1", "dps_w100", "embedopt_a0.1")
-# endpoints the fast path integrates but the figure does not draw
-FIG1_EXTRA_PANEL_SPECS = {
-    "dps_exact_w1": {"method": "dps", "w": 1.0, "alpha": 0.0, "norm": "exact_likelihood"},
-    "dps_exact_w100": {"method": "dps", "w": 100.0, "alpha": 0.0, "norm": "exact_likelihood"},
-}
-_PANEL_SPECS = {**FIG1_PANEL_SPECS, **FIG1_EXTRA_PANEL_SPECS}
 
 FIG1_REFERENCES = {
     "unguided": (SYNTH_PRIOR_LOC, SYNTH_PRIOR_STD),
@@ -494,8 +482,8 @@ def fig1_panel_samples(
 ) -> np.ndarray:
     """Endpoint samples for one panel, all seeds as one batch.
 
-    The panel is a figure panel or an extra endpoint (FIG1_EXTRA_PANEL_SPECS).
-    `schedule` holds `SyntheticTask.schedule`'s keywords, T and sigma_max.
+    The panel is one of FIG1_PANEL_SPECS. `schedule` holds
+    `SyntheticTask.schedule`'s keywords, T and sigma_max.
     `z` holds one standard-normal draw per seed (fig1_noise); trajectory i
     starts at x_T = sigma_max * z[i]. Bit-identical to running the generic
     per-trajectory engine seed by seed: the task is one-dimensional, so every
@@ -510,9 +498,9 @@ def fig1_panel_samples(
     raises NonFiniteStateError while this step stays finite; standard-normal
     z never gets there.
     """
-    if panel not in _PANEL_SPECS:
+    if panel not in FIG1_PANEL_SPECS:
         raise ValueError(f"unknown panel {panel!r}")
-    spec = _PANEL_SPECS[panel]
+    spec = FIG1_PANEL_SPECS[panel]
     method, w, alpha = spec["method"], spec["w"], spec["alpha"]
     sig = SyntheticTask.schedule(**schedule).sigma_values
     T = len(sig) - 1
@@ -531,8 +519,7 @@ def fig1_panel_samples(
             # guidance g = st^2 (k grad), grad = -(w/tau2)(xh - y)
             np.multiply(np.subtract(xh, y, out=g), -(w / tau2), out=g)
             g *= k
-            # sigma2w, or the exact likelihood N(y; xh, tau2/w + k st^2) as in dps_step
-            g *= st**2 if spec["norm"] == "sigma2w" else st**2 * tau2 / (tau2 + w * (k * st**2))
+            g *= st**2
             xh -= x
             xh += g
         elif method == "embedopt":
@@ -554,13 +541,12 @@ def fig1_panel_samples(
 
 
 def run_synthetic_fig1(cfg: ExperimentConfig) -> dict:
-    """Emit the four histogram CSVs plus a manifest with oracle comparisons.
+    """Emit the four histogram CSVs; return the manifest's oracle comparisons.
 
     The seeds' x_T noise is drawn once and shared by every panel. The manifest
     records the wall time of that draw and of each panel's integration under
     `phases_s`.
     """
-    t0 = time.perf_counter()
     out = Path(cfg.out_dir)
     schedule = _schedule_keys(cfg)
 
@@ -591,12 +577,8 @@ def run_synthetic_fig1(cfg: ExperimentConfig) -> dict:
             entry["csv"] = name
         panels[panel] = entry
 
-    manifest = _base_manifest(cfg.experiment, cfg.to_manifest(), t0)
-    manifest["schedule"] = SyntheticTask.schedule(**schedule).to_manifest()
-    manifest["panels"] = panels
-    manifest["phases_s"] = phases
-    write_manifest(out, manifest)
-    return manifest
+    return {"schedule": SyntheticTask.schedule(**schedule).to_manifest(), "panels": panels,
+            "phases_s": phases}
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +688,6 @@ def run_lr_sweep(cfg: ExperimentConfig) -> dict:
     Per-batch runtimes are wall-clock and live in the manifest so the CSV
     bodies stay byte-identical across reruns.
     """
-    t0 = time.perf_counter()
     out = Path(cfg.out_dir)
     schedule = _schedule_keys(cfg)
     alphas = tuple(sorted(cfg.alphas))
@@ -743,17 +724,16 @@ def run_lr_sweep(cfg: ExperimentConfig) -> dict:
         list(zip(*best_rows)),
     )
 
-    manifest = _base_manifest(cfg.experiment, cfg.to_manifest(), t0)
-    manifest["schedule"] = ToyTask.schedule(**schedule).to_manifest()
-    manifest["artifacts"] = ["sweep.csv", "best_achieved.csv"]
-    manifest["batch_runtimes_s"] = batches
-    manifest["row_nfe"] = _row_nfe(rows + baselines, ("method", "alpha", "seed"))
-    manifest["baselines"] = [
-        {"seed": r["seed"], "task_metric": r["task_metric"], "final_reward": r["final_reward"]}
-        for r in baselines
-    ]
-    write_manifest(out, manifest)
-    return manifest
+    return {
+        "schedule": ToyTask.schedule(**schedule).to_manifest(),
+        "artifacts": ["sweep.csv", "best_achieved.csv"],
+        "batch_runtimes_s": batches,
+        "row_nfe": _row_nfe(rows + baselines, ("method", "alpha", "seed")),
+        "baselines": [
+            {"seed": r["seed"], "task_metric": r["task_metric"], "final_reward": r["final_reward"]}
+            for r in baselines
+        ],
+    }
 
 
 def run_step_scaling(cfg: ExperimentConfig) -> dict:
@@ -762,7 +742,6 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
     The constant is fixed from alpha=0.1 at T=200, so alpha(T) = 20/T; each
     row echoes both the resolved alpha and the alpha*T product.
     """
-    t0 = time.perf_counter()
     out = Path(cfg.out_dir)
     const = SCALE_ALPHA_REF * SCALE_T_REF
     seeds = tuple(sorted(cfg.seeds))
@@ -782,14 +761,13 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
               "final_reward", "task_metric", "violations")
     write_csv(out / "scale.csv", header, [[r[k] for r in rows] for k in header])
 
-    manifest = _base_manifest(cfg.experiment, cfg.to_manifest(), t0)
-    manifest["alpha_times_T"] = const
-    manifest["alpha_by_T"] = {str(T): const / T for T in T_values}
-    manifest["artifacts"] = ["scale.csv"]
-    manifest["batch_runtimes_s"] = batches
-    manifest["row_nfe"] = _row_nfe(rows, ("method", "T", "seed"))
-    write_manifest(out, manifest)
-    return manifest
+    return {
+        "alpha_times_T": const,
+        "alpha_by_T": {str(T): const / T for T in T_values},
+        "artifacts": ["scale.csv"],
+        "batch_runtimes_s": batches,
+        "row_nfe": _row_nfe(rows, ("method", "T", "seed")),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +777,6 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
 def run_single_run(cfg: ExperimentConfig) -> dict:
     """One steered trajectory per seed, all seeds as one batch; emits
     per-step trajectory CSVs."""
-    t0 = time.perf_counter()
     out = Path(cfg.out_dir)
     schedule = _schedule_keys(cfg)
     config = _steering_config(cfg)
@@ -824,13 +801,8 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
         )
 
     task = SyntheticTask if cfg.task_kind == "synthetic" else ToyTask
-    manifest = _base_manifest(cfg.experiment, cfg.to_manifest(), t0)
-    manifest["schedule"] = task.schedule(**schedule).to_manifest()
-    manifest["steering"] = config.to_manifest()
-    manifest["runs"] = runs
-    manifest["batch_runtimes_s"] = batches
-    write_manifest(out, manifest)
-    return manifest
+    return {"schedule": task.schedule(**schedule).to_manifest(),
+            "steering": config.to_manifest(), "runs": runs, "batch_runtimes_s": batches}
 
 
 _DISPATCH = {
@@ -842,5 +814,10 @@ _DISPATCH = {
 
 
 def run_from_config(cfg: ExperimentConfig) -> dict:
-    """Dispatch a validated config to its experiment runner."""
-    return _DISPATCH[cfg.experiment](cfg)
+    """Run a validated config's experiment, which writes its CSVs and returns its
+    own manifest entries, then write and return the manifest: base keys plus those."""
+    t0 = time.perf_counter()
+    entries = _DISPATCH[cfg.experiment](cfg)
+    manifest = dict(_base_manifest(cfg.experiment, cfg.to_manifest(), t0), **entries)
+    write_manifest(cfg.out_dir, manifest)
+    return manifest

@@ -29,6 +29,8 @@ log(weights) and stds**2 once, at construction.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict
 
@@ -48,6 +50,19 @@ __all__ = [
 class NonFiniteStateError(ValueError):
     """A computed value is NaN or inf: a noise grid, an embedding, or a
     trajectory's endpoint or logged values."""
+
+
+def _require_real(name: str, value, least=None, above=None) -> None:
+    """Raise ValueError unless value is a real number with a finite float (a bool is
+    not one), at least `least` and above `above` where given, so NaN never passes."""
+    try:
+        if (not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+                and (least is None or value >= least) and (above is None or value > above)):
+            return
+    except OverflowError:
+        pass
+    raise ValueError(f"{name} must be a finite number" + ("" if least is None else f" >= {least}")
+                     + ("" if above is None else f" > {above}") + f", not {value!r}")
 
 
 class Embedding:
@@ -207,8 +222,7 @@ class GaussianPriorModel:
         b = np.asarray(self.b, dtype=np.float64).ravel()
         if W.shape[0] != b.size:
             raise ValueError("W row count must match b length")
-        if self.s0 <= 0:
-            raise ValueError("prior std s0 must be positive")
+        _require_real("prior std s0", self.s0, above=0)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_last_mean", [None, None])
@@ -288,9 +302,9 @@ class MixturePriorModel:
         K = pi.size
         if Ws.ndim != 3 or Ws.shape[0] != K or bs.shape != (K, Ws.shape[1]):
             raise ValueError("per-mode shapes inconsistent")
-        if s.shape != (K,) or np.any(s <= 0):
+        if s.shape != (K,) or not np.all(s > 0):
             raise ValueError("per-mode stds must be positive")
-        if np.any(pi <= 0) or abs(pi.sum() - 1.0) > 1e-12:
+        if not np.all(pi > 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError("mode weights must be positive and sum to 1")
         object.__setattr__(self, "weights", pi)
         object.__setattr__(self, "Ws", Ws)

@@ -38,6 +38,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .models import _require_real
+
 __all__ = [
     "DegenerateMapError",
     "GaussianMeasurementReward",
@@ -65,10 +67,8 @@ class GaussianMeasurementReward:
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=np.float64)))
-        if self.tau2 <= 0:
-            raise ValueError("tau2 must be positive")
-        if self.w < 0:
-            raise ValueError("weight w must be non-negative")
+        _require_real("tau2", self.tau2, above=0)
+        _require_real("weight w", self.w, least=0)
 
     def value(self, x: np.ndarray):
         d = np.asarray(x, dtype=np.float64) - self.y
@@ -111,8 +111,7 @@ class DistanceConstraintReward:
         targets = np.asarray(self.targets, dtype=np.float64).ravel()
         if len(pairs) != targets.size:
             raise ValueError("pairs and targets length mismatch")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        _require_real("delta", self.delta, above=0)
         if any(i == j or i < 0 or j < 0 for i, j in pairs):
             raise ValueError("pairs must index distinct non-negative beads")
         object.__setattr__(self, "pairs", pairs)
@@ -178,8 +177,7 @@ class MapGrid:
         shape = tuple(int(n) for n in self.shape)
         if len(shape) != 3 or any(n < 1 for n in shape):
             raise ValueError("grid shape must be three positive counts")
-        if self.spacing <= 0:
-            raise ValueError("voxel spacing must be positive")
+        _require_real("voxel spacing", self.spacing, above=0)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(
             self, "origin", np.asarray(self.origin, dtype=np.float64).reshape(3)
@@ -202,8 +200,7 @@ class MapGrid:
 
 def render_map_raw(x: np.ndarray, grid: MapGrid, atom_width: float) -> np.ndarray:
     """Sum of isotropic Gaussian splats evaluated at voxel centers (no normalization)."""
-    if atom_width <= 0:
-        raise ValueError("atom_width must be positive")
+    _require_real("atom_width", atom_width, above=0)
     pts = np.asarray(x, dtype=np.float64).reshape(-1, 3)
     centers = grid.voxel_centers()  # (M, 3)
     d2 = ((centers[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)  # (M, n_beads)

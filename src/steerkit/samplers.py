@@ -21,12 +21,11 @@ trajectory's function evaluations by kind.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .models import _require_real
 from .schedules import step_fraction
 
 __all__ = [
@@ -35,16 +34,6 @@ __all__ = [
     "euler_step",
     "af3_noise_inflate",
 ]
-
-
-def _require_real(name: str, value) -> None:
-    """Raise ValueError unless value is a real number with a finite float; a bool is not one."""
-    try:
-        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
-            return
-    except OverflowError:
-        pass
-    raise ValueError(f"{name} must be a finite number, not {value!r}")
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .models import Embedding, NonFiniteStateError, _norm
+from .models import Embedding, NonFiniteStateError, _norm, _require_real
 from .rewards import GaussianMeasurementReward
 from .samplers import (
     NFE_KINDS,
     Af3SamplerParams,
     TrajectoryRecord,
-    _require_real,
     af3_noise_inflate,
     euler_step,
     standard_normal_rows,
@@ -283,7 +282,6 @@ def taylor_predicted_step(
     sigma_t: float,
     sigma_prev: float,
     alpha: float,
-    norm_mode: str = "rms_per_component",
 ) -> np.ndarray:
     """First-order prediction of the embedding-ascent coordinate step.
 
@@ -291,13 +289,13 @@ def taylor_predicted_step(
 
         x_t + eta_t [ xhat - x_t + J_c (c_{t-1} - c_t) ],
 
-    where c_{t-1} - c_t is the exact update embedopt_step applies (alpha
-    times the normalized gradient, i.e. the effective post-normalization rate
-    times J_c^T grad R). Exact for denoisers affine in c; O(alpha^2) gap
-    otherwise.
+    where c_{t-1} - c_t is the exact update embedopt_step applies in its
+    default mode (alpha times the RMS-normalized gradient, i.e. the effective
+    post-normalization rate times J_c^T grad R). Exact for denoisers affine
+    in c; O(alpha^2) gap otherwise.
     """
     parts, x_hat, _, g = _pulled_back(model, reward, x_t, c_t, sigma_t, "vjp_c")
-    direction, _ = rms_normalize(g, rescale=norm_mode == "rms_per_component")
+    direction, _ = rms_normalize(g)
     delta = direction.from_flat(alpha * direction.flat())
     correction = model.jvp_c(x_t, c_t, sigma_t, delta, parts)
     eta = step_fraction(sigma_t, sigma_prev)

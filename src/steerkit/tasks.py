@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Embedding, GaussianPriorModel, MixturePriorModel
+from .models import Embedding, GaussianPriorModel, MixturePriorModel, _require_real
 from .rewards import (
     DistanceConstraintReward,
     GaussianMeasurementReward,
@@ -87,8 +87,9 @@ def conjugate_posterior(
     Prior N(prior_mean, prior_var), likelihood exp(-w (x - y)^2 / (2 tau2)).
     Precision adds: 1/var_post = 1/prior_var + w/tau2.
     """
-    if prior_var <= 0 or tau2 <= 0 or w < 0:
-        raise ValueError("variances must be positive and w non-negative")
+    _require_real("prior_var", prior_var, above=0)
+    _require_real("tau2", tau2, above=0)
+    _require_real("w", w, least=0)
     precision = 1.0 / prior_var + w / tau2
     var = 1.0 / precision
     mean = var * (prior_mean / prior_var + w * y / tau2)

@@ -170,7 +170,7 @@ class AscentAudit:
 
     updates counts every embedding update, audited those inside the trust
     region, and violations the audited updates that lowered the surrogate at
-    the point where they were taken by more than tol.
+    the point where they were taken by more than tol (1e-9).
     """
 
     updates: int
@@ -182,12 +182,12 @@ class AscentAudit:
 
 def audit_embedding_ascent(
     model, reward, c_init: Embedding, schedule, config: SteeringConfig,
-    rngs: Sequence[np.random.Generator], tol: float = 1e-9,
+    rngs: Sequence[np.random.Generator],
 ):
     """Run a batch of embedopt trajectories and audit every update where it is taken.
 
     An update c_t -> c_{t-1} at (x_t, sigma_t) violates when
-    F(x_t, c_{t-1}, sigma_t) < F(x_t, c_t, sigma_t) - tol. Only updates in
+    F(x_t, c_{t-1}, sigma_t) < F(x_t, c_t, sigma_t) - 1e-9. Only updates in
     the trust region are audited: those whose first-order gain
     <grad_c F, c_{t-1} - c_t> is no larger than the gap -F to the reward's
     supremum (every reward here is <= 0). A fixed-length step outside it can
@@ -207,6 +207,7 @@ def audit_embedding_ascent(
     if config.sampler_mode != "deterministic":
         raise ValueError("the ascent audit needs the deterministic sampler")
     B = len(rngs)
+    tol = 1e-9
     audited = np.zeros(B, dtype=int)
     violations = np.zeros(B, dtype=int)
     worst = np.zeros(B)
@@ -238,27 +239,22 @@ def taylor_gap_scaling(
     reward,
     probes: Sequence[tuple],
     alpha: float = 1e-2,
-    norm_mode: str = "rms_per_component",
 ) -> dict:
     """Measure how the step-vs-linearization gap scales when alpha halves.
 
     For each probe (x, c, sigma_t, sigma_prev) the gap is the norm between
-    the actual embedding-ascent coordinate step and its first-order
-    prediction, evaluated at alpha and alpha/2. Quadratic remainders give a
-    ratio near 4. Probes where both gaps sit below 1e-14 are counted as
-    exact (affine case) and excluded from the ratio statistics.
+    the actual RMS-normalized embedding-ascent coordinate step and its
+    first-order prediction, evaluated at alpha and alpha/2. Quadratic
+    remainders give a ratio near 4. Probes where both gaps sit below 1e-14
+    are counted as exact (affine case) and excluded from the ratio statistics.
     """
     ratios: List[float] = []
     n_exact = 0
     for x, c, sigma_t, sigma_prev in probes:
         gaps = []
         for a in (alpha, alpha / 2.0):
-            x_step, _, _ = embedopt_step(
-                model, reward, x, c, sigma_t, sigma_prev, a, norm_mode,
-            )
-            x_pred = taylor_predicted_step(
-                model, reward, x, c, sigma_t, sigma_prev, a, norm_mode,
-            )
+            x_step, _, _ = embedopt_step(model, reward, x, c, sigma_t, sigma_prev, a)
+            x_pred = taylor_predicted_step(model, reward, x, c, sigma_t, sigma_prev, a)
             gaps.append(float(np.linalg.norm(x_step - x_pred)))
         if gaps[0] < 1e-14 and gaps[1] < 1e-14:
             n_exact += 1

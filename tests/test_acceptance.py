@@ -22,14 +22,8 @@ import platform
 import numpy as np
 import pytest
 
-from steerkit.harness import (
-    FIG1_EXTRA_PANEL_SPECS,
-    config_from_dict,
-    fig1_noise,
-    fig1_panel_samples,
-    run_lr_sweep,
-    run_step_scaling,
-)
+from steerkit import SteeringConfig, build_synthetic_task, run_steered
+from steerkit.harness import config_from_dict, fig1_noise, fig1_panel_samples, run_from_config
 from steerkit.verification import conjugate_posterior, run_verification_suite
 
 N_SAMPLES = 2000
@@ -65,11 +59,20 @@ def _read_rows(path):
 
 @pytest.fixture(scope="module")
 def fig1():
-    """Endpoint samples for every histogram panel and every extra endpoint,
-    2000 seeds each, all from the same x_T draws."""
-    panels = FIG1_PANELS + tuple(FIG1_EXTRA_PANEL_SPECS)
+    """Endpoint samples for every histogram panel, and exact-likelihood
+    coordinate guidance at w=1 and w=100 ("dps_exact_w1", "dps_exact_w100")
+    from the engine, `dps_step`'s exact branch: 2000 seeds each at T=1000,
+    seed s drawing x_T from default_rng(s) as every panel does."""
     z = fig1_noise(range(N_SAMPLES))
-    return {p: fig1_panel_samples(p, z) for p in panels}
+    samples = {p: fig1_panel_samples(p, z) for p in FIG1_PANELS}
+    task = build_synthetic_task()
+    exact = SteeringConfig(method="dps", alpha=0.0, dps_norm_mode="exact_likelihood")
+    for w in (1, 100):
+        rngs = [np.random.default_rng(s) for s in range(N_SAMPLES)]
+        res = run_steered(task.model, task.reward(w=float(w)), task.c_init,
+                          task.schedule(T=1000), exact, rngs)
+        samples[f"dps_exact_w{w}"] = np.ravel(res.x0)
+    return samples
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +90,7 @@ def best_rows(tmp_path_factory):
         "out_dir": str(out),
         "task": {"kind": "distance", "seed": 0},
     })
-    run_lr_sweep(cfg)
+    run_from_config(cfg)
     return _read_rows(out / "best_achieved.csv")
 
 
@@ -100,7 +103,7 @@ def scale_rows(tmp_path_factory):
         "seeds": [0, 1, 2],
         "task": {"kind": "distance", "seed": 0},
     })
-    run_step_scaling(cfg)
+    run_from_config(cfg)
     return _read_rows(out / "scale.csv")
 
 
@@ -207,7 +210,7 @@ def test_criterion_5_reductions_and_determinism(suite, tmp_path, criterion_repor
     bodies = []
     for sub in ("a", "b"):
         cfg = config_from_dict(dict(payload, out_dir=str(tmp_path / sub)))
-        run_lr_sweep(cfg)
+        run_from_config(cfg)
         bodies.append(tuple(
             (tmp_path / sub / name).read_bytes()
             for name in ("sweep.csv", "best_achieved.csv")

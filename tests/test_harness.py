@@ -35,7 +35,6 @@ from steerkit.harness import (
     ConfigValidationError,
     ExperimentConfig,
     FIG1_CSV_PANELS,
-    FIG1_EXTRA_PANEL_SPECS,
     FIG1_PANEL_SPECS,
     atomic_write_text,
     fig1_noise,
@@ -502,10 +501,7 @@ def test_cli_run_and_overrides(tmp_path, capsys):
 # histogram experiment
 
 
-FIG1_ALL_PANELS = [*FIG1_PANEL_SPECS, *FIG1_EXTRA_PANEL_SPECS]
-
-
-@pytest.mark.parametrize("panel", FIG1_ALL_PANELS)
+@pytest.mark.parametrize("panel", FIG1_PANEL_SPECS)
 @pytest.mark.parametrize("seed", [0, 7])
 def test_fig1_fast_path_matches_engine(panel, seed):
     batched = fig1_panel_samples(panel, fig1_noise([seed]), T=150)
@@ -527,7 +523,7 @@ class FixedNormal:
 # the first embedding gradient is -0.0, at 6000.199999999999 it is about
 # 3.6e-15, so the engine skips that update (rms_normalize's threshold is 1e-12)
 @pytest.mark.parametrize("z", [6000.2, 6000.199999999999])
-@pytest.mark.parametrize("panel", [p for p in FIG1_ALL_PANELS if p != "unguided"])
+@pytest.mark.parametrize("panel", [p for p in FIG1_PANEL_SPECS if p != "unguided"])
 def test_fig1_fast_path_matches_engine_at_zero_gradient(panel, z):
     fast = fig1_panel_samples(panel, np.array([z]), T=150)
     assert fast[0] == fig1_engine_endpoint(panel, [FixedNormal(z)], T=150)
@@ -536,10 +532,17 @@ def test_fig1_fast_path_matches_engine_at_zero_gradient(panel, z):
 def test_fig1_panel_rows_are_independent_of_their_batch():
     # the reused buffers must not leak across rows, also where one row skips
     z = np.concatenate([fig1_noise(range(3)), [6000.2, -3.0]])
-    for panel in FIG1_ALL_PANELS:
+    for panel in FIG1_PANEL_SPECS:
         batched = fig1_panel_samples(panel, z)
         alone = [fig1_panel_samples(panel, z[i : i + 1])[0] for i in range(len(z))]
         assert batched.tobytes() == np.array(alone).tobytes()
+
+
+def test_fig1_panel_samples_takes_only_the_figure_panels():
+    # exact-likelihood guidance runs in the engine (run_steered), not here
+    for panel in ("dps_exact_w1", "dps_exact_w100", "DPS_W1"):
+        with pytest.raises(ValueError, match="unknown panel"):
+            fig1_panel_samples(panel, np.zeros(2))
 
 
 def default_rng_noise(seeds) -> np.ndarray:
@@ -750,12 +753,9 @@ def test_package_exports():
 def fig1_engine_endpoint(panel: str, rng, T: int) -> float:
     """Reference endpoint from the generic engine (one trajectory drawing
     x_T from rng, a generator or a one-element list of one)."""
-    spec = {**FIG1_PANEL_SPECS, **FIG1_EXTRA_PANEL_SPECS}[panel]
+    spec = FIG1_PANEL_SPECS[panel]
     task = build_synthetic_task()
-    config = SteeringConfig(
-        method=spec["method"], alpha=spec["alpha"],
-        dps_norm_mode=spec.get("norm", "sigma2w"),
-    )
+    config = SteeringConfig(method=spec["method"], alpha=spec["alpha"], dps_norm_mode="sigma2w")
     res = run_steered(
         task.model, task.reward(w=spec["w"]), task.c_init, task.schedule(T=T), config, rng
     )
@@ -782,17 +782,38 @@ def test_fig1_artifacts(tmp_path):
     assert_no_tmp_leftovers(out)
 
 
+_SMALL_RUNS = {
+    "synthetic_fig1": {"n_seeds": 50},
+    "lr_sweep": {"seeds": [0, 1], "alphas": [0.1], "schedule": {"T": 8}},
+    "step_scaling": {"seeds": [0], "T_values": [8, 4]},
+    "single_run": {"seeds": [0, 1], "schedule": {"T": 8}},
+}
+
+
 def test_fig1_manifest_phases_are_finite_and_within_wall_time(tmp_path):
-    out = tmp_path / "fig1"
-    cfg = config_from_dict({"experiment": "synthetic_fig1", "out_dir": str(out), "n_seeds": 50})
-    run_from_config(cfg)
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    phases = manifest["phases_s"]
-    assert set(phases) == {"draw_x_T", "integrate"}
-    assert set(phases["integrate"]) == set(FIG1_PANEL_SPECS)
-    times = [phases["draw_x_T"], *phases["integrate"].values()]
-    assert all(math.isfinite(t) and t >= 0.0 for t in times)
-    assert sum(times) <= manifest["wall_time_s"]
+    """Every experiment's manifest, written once by run_from_config, holds the
+    base keys, and its wall time covers what the run timed inside it: fig1's
+    phases_s, or each batch's runtime_s."""
+    for experiment, payload in _SMALL_RUNS.items():
+        out = tmp_path / experiment
+        returned = run_from_config(config_from_dict(
+            dict(payload, experiment=experiment, out_dir=str(out))
+        ))
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest == json.loads(json.dumps(returned))
+        assert {"experiment", "config", "git_describe", "created_utc", "wall_time_s",
+                "versions"} <= set(manifest)
+        assert manifest["experiment"] == manifest["config"]["experiment"] == experiment
+        assert set(manifest["versions"]) == {"python", "numpy"}
+        if experiment == "synthetic_fig1":
+            phases = manifest["phases_s"]
+            assert set(phases) == {"draw_x_T", "integrate"}
+            assert set(phases["integrate"]) == set(FIG1_PANEL_SPECS)
+            times = [phases["draw_x_T"], *phases["integrate"].values()]
+        else:
+            times = [batch["runtime_s"] for batch in manifest["batch_runtimes_s"]]
+        assert times and all(math.isfinite(t) and t >= 0.0 for t in times)
+        assert sum(times) <= manifest["wall_time_s"]
 
 
 def test_verify_manifest_records_phases_and_pool_size(tmp_path, monkeypatch):

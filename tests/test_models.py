@@ -18,10 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerkit import (
+    DistanceConstraintReward,
     Embedding,
+    GaussianMeasurementReward,
     GaussianPriorModel,
+    MapGrid,
     MixturePriorModel,
     NonFiniteStateError,
+    build_linear_schedule,
+    conjugate_posterior,
     fd_gradient,
     make_mixture_model,
     rel_error,
@@ -502,3 +507,31 @@ def test_mixture_responsibilities_simplex(seed):
     r = model.responsibilities(x, c, sigma)
     assert np.all(r >= 0.0)
     assert r.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+NAN = float("nan")
+_MIXTURE = dict(component_dims={"u": 1}, D=2, seed=0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GaussianMeasurementReward(y=[1.0], tau2=NAN),
+    lambda: GaussianMeasurementReward(y=[1.0], w=NAN),
+    lambda: GaussianMeasurementReward(y=[1.0], w=float("inf")),
+    lambda: DistanceConstraintReward(pairs=[(0, 1)], targets=[1.0], delta=NAN),
+    lambda: MapGrid(shape=(2, 2, 2), origin=np.zeros(3), spacing=NAN),
+    lambda: GaussianPriorModel(W=np.eye(2), b=np.zeros(2), s0=NAN),
+    lambda: make_mixture_model(weights=(0.5, 0.5), stds=(0.5, NAN), **_MIXTURE),
+    lambda: make_mixture_model(weights=(1.0, NAN), stds=(0.5, 0.5), **_MIXTURE),
+    lambda: conjugate_posterior(5.0, NAN, 20.0),
+    lambda: build_linear_schedule(True, 1.0),
+    lambda: build_linear_schedule(2.5, 1.0),
+    lambda: build_linear_schedule("3", 1.0),
+    lambda: build_linear_schedule(5, 10**400),
+], ids=["tau2-nan", "w-nan", "w-inf", "delta-nan", "spacing-nan", "s0-nan", "std-nan",
+        "weight-nan", "prior_var-nan", "T-bool", "T-float", "T-str", "sigma_max-10**400"])
+def test_library_boundary_rejects_nan_inf_and_non_integer_steps(build):
+    """A comparison such as x <= 0 is False on NaN, and a float, string or
+    bool T is no step count: each of these is a ValueError, not a NaN result,
+    a TypeError or an OverflowError."""
+    with pytest.raises(ValueError):
+        build()
