@@ -40,20 +40,20 @@ def main() -> int:
     reward = None if args.method == "none" else task.reward
     res = run_steered(
         task.model, reward, task.c_init, schedule,
-        config, np.random.default_rng(args.seed),
+        config, [np.random.default_rng(args.seed)],  # a batch of one trajectory
     )
 
-    rec = res.record
+    x0, rec = res.x0[0], res.records[0]
     print(f"{'step':>5} {'sigma':>8} {'F':>12} {'|grad|':>10} {'drift':>8}")
     for i, step in enumerate(rec.steps):
         if step % args.every == 0 or step == 1:
             f_txt = " " * 12 if rec.F is None else f"{rec.F[i]:12.5f}"  # no reward logged
             print(f"{step:>5} {rec.sigmas[i]:>8.3f} {f_txt} {rec.grad_norms[i]:>10.3e} "
                   f"{rec.embed_drifts[i]:>8.3f}")
-    print(f"final reward {task.reward.value(res.x0):.5f}")
-    print(f"{task.metric_name()} {task.metric(res.x0):g}")
-    if res.record.skip_counts:
-        print(f"skipped updates: {dict(res.record.skip_counts)}")
+    print(f"final reward {task.reward.value(x0):.5f}")
+    print(f"{task.metric_name()} {task.metric(x0):g}")
+    if rec.skip_counts:
+        print(f"skipped updates: {dict(rec.skip_counts)}")
     return 0
 
 

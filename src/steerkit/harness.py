@@ -50,7 +50,7 @@ import numpy as np
 from .models import NonFiniteStateError
 from .samplers import Af3SamplerParams
 from .schedules import _require_allocatable
-from .steering import _DPS_NORMS, SteeringConfig, run_steered
+from .steering import _DPS_NORMS, SKIP_THRESHOLD, SteeringConfig, run_steered
 from .tasks import (
     SYNTH_PRIOR_LOC,
     SYNTH_PRIOR_STD,
@@ -526,7 +526,7 @@ def fig1_panel_samples(
             # g = (1 - k)(-(w/tau2)(xh - y)), then the step alpha * rms_normalize(g)
             np.multiply(np.subtract(xh, y, out=g), -(w / tau2), out=g)
             g *= 1.0 - k
-            np.less(np.abs(g, out=xh), 1e-12, out=small)
+            np.less(np.abs(g, out=xh), SKIP_THRESHOLD, out=small)
             np.copysign(alpha, g, out=g)
             g[small] = 0.0
             c += g

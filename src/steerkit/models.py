@@ -128,10 +128,6 @@ class Embedding:
         """The read-only buffer, shape (d,) or (B, d)."""
         return self._buf
 
-    def row(self, b: int) -> "Embedding":
-        """Row b of a batch as a single embedding (a view)."""
-        return self._like(self._buf[b])
-
     def broadcast(self, B: int) -> "Embedding":
         """This embedding as a B-row batch (a view); a batch must have B rows."""
         return self._like(np.broadcast_to(self._buf, (B, self.dim)))

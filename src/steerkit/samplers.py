@@ -71,8 +71,8 @@ class TrajectoryRecord:
     steps counts T down to 1, one per entry of the (T,) sigmas. F, grad_norms
     and embed_drifts are (T,) float64 arrays, row views of run_steered's
     (B, T) logs; F is None when no reward was logged, and a batch total
-    (SteeringResult.record) has no per-step values. A single run writes the
-    arrays as the columns of its trajectory CSV. nfe counts function
+    (SteeringResult.record) has no per-step values. The single_run experiment
+    writes the arrays as the columns of its trajectory CSV. nfe counts function
     evaluations by kind (NFE_KINDS), one per row and call.
     """
 

@@ -73,6 +73,6 @@ def build_linear_schedule(T: int, sigma_max: float) -> NoiseSchedule:
 
 def step_fraction(sigma_t: float, sigma_prev: float) -> float:
     """Euler fraction eta_t = (sigma_t - sigma_{t-1}) / sigma_t for one step."""
-    if sigma_prev >= sigma_t:
-        raise ValueError("sigma_prev must be strictly below sigma_t")
+    if not 0 <= sigma_prev < sigma_t < np.inf:  # False on NaN
+        raise ValueError("need 0 <= sigma_prev < sigma_t < inf")
     return (sigma_t - sigma_prev) / sigma_t

@@ -26,7 +26,7 @@ skipped with a logged flag rather than normalized into NaN. A trajectory that
 ends with a non-finite endpoint or log entry raises NonFiniteStateError.
 
 run_steered integrates a (B, D) batch, one generator, embedding row and
-alpha per trajectory; one generator is a batch of one. Its step logs are one
+alpha per trajectory; one trajectory is a batch of one. Its step logs are one
 (B, T) float64 array per quantity, filled a column per step, and each row's
 TrajectoryRecord holds row views of them. The steps take the batch whole and
 share the model's intermediates (`model.parts`) between a denoise and its
@@ -101,12 +101,9 @@ class SteeringConfig:
 
 @dataclass
 class SteeringResult:
-    """Endpoints, final embeddings and step logs of one run_steered call.
-
-    A batch has x0 of shape (B, D), a B-row c_final and one TrajectoryRecord
-    per row in records, each holding row views of the batch's (B, T) logs; a
-    run from a single generator has x0 of shape (D,), a single embedding and
-    one record.
+    """Endpoints, final embeddings and step logs of one run_steered call:
+    x0 of shape (B, D), a B-row c_final and one TrajectoryRecord per row in
+    records, each holding row views of the batch's (B, T) logs.
     """
 
     x0: np.ndarray
@@ -115,22 +112,15 @@ class SteeringResult:
 
     @property
     def record(self) -> TrajectoryRecord:
-        """The log of a one-row run. For a batch, the batch's totals: the
-        steps and sigmas every row shares, and skip and NFE counts summed over
-        rows; per-step values are per row, in records."""
+        """The batch's totals: the steps and sigmas every row shares, and skip
+        and NFE counts summed over rows; per-step values are per row, in records."""
         first, B = self.records[0], len(self.records)
-        if B == 1:
-            return first
         skips = {}
         for rec in self.records:
             for name, n in rec.skip_counts.items():
                 skips[name] = skips.get(name, 0) + n
         nfe = {kind: n * B for kind, n in first.nfe.items()}  # every row counts the same
         return TrajectoryRecord(sigmas=first.sigmas, skip_counts=skips, nfe=nfe)
-
-    def row(self, b: int) -> "SteeringResult":
-        """Row b of a batch as a one-trajectory result."""
-        return SteeringResult(self.x0[b], self.c_final.row(b), [self.records[b]])
 
 
 def rms_normalize(grad: Embedding, rescale: bool = True):
@@ -322,13 +312,13 @@ def run_steered(
 ) -> SteeringResult:
     """Integrate a batch of steered trajectories from x_T ~ N(0, sigma_T^2 I).
 
-    The one step loop of the package. rng holds one np.random.Generator per
-    trajectory: B generators integrate a (B, D) batch, row b drawing x_T and
-    every af3 noise draw from rng[b]. A single generator is a batch of one
-    whose result is returned unbatched. c_init is one embedding for every
-    row, or one row per trajectory; alphas gives each row its step size
-    (default config.alpha for all). Rows never mix, so every row is
-    bit-identical to the same trajectory run alone.
+    The one step loop of the package. rng is a sequence of one
+    np.random.Generator per trajectory: B generators integrate a (B, D)
+    batch, row b drawing x_T and every af3 noise draw from rng[b]; one
+    trajectory is [rng], and a bare generator is a ValueError. c_init is one
+    embedding for every row, or one row per trajectory; alphas gives each row
+    its step size (default config.alpha for all). Rows never mix, so every
+    row is bit-identical to the same trajectory run as a batch of one.
 
     Dispatches on config.method ("none" runs the unguided sampler, logging
     the surrogate when a reward is given). The af3 sampler mode wraps every
@@ -339,8 +329,9 @@ def run_steered(
     surrogate there. Raises NonFiniteStateError, after the last step, when
     any x_0 or logged value is NaN or inf.
     """
-    single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else list(rng)
+    if isinstance(rng, np.random.Generator):
+        raise ValueError("rng is one generator per row: pass [rng] for one trajectory")
+    rngs = list(rng)
     B = len(rngs)
     for a in () if alphas is None else np.asarray(alphas, dtype=object).flat:
         _require_real("alphas", a)  # as SteeringConfig's alpha: no bool, string or overflow
@@ -411,8 +402,7 @@ def run_steered(
         )
         for b in range(B)
     ]
-    result = SteeringResult(x0=x, c_final=c.broadcast(B), records=records)
-    return result.row(0) if single else result
+    return SteeringResult(x0=x, c_final=c.broadcast(B), records=records)
 
 
 def _count_skips(skips: dict, kind: str, skipped: np.ndarray) -> None:

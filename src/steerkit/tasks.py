@@ -118,8 +118,8 @@ def summarize_samples(samples, bins: int = 60) -> SampleSummary:
         arr = arr[:, None]
     if arr.shape[0] < 2:
         raise ValueError("need at least two samples to summarize")
-    if bins < 1:
-        raise ValueError("bins must be positive")
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValueError(f"bins must be an integer of at least 1, not {bins!r}")
     mean = arr.mean(axis=0)
     std = arr.std(axis=0, ddof=1)
     vals = arr[:, 0]

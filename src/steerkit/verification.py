@@ -130,20 +130,19 @@ def _nan_max(worst: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class MonotonicityReport:
-    """Count of surrogate decreases along a trajectory beyond a tolerance."""
+    """Count of surrogate decreases along a trajectory beyond 1e-9."""
 
     total_steps: int
     violations: int
     max_violation_magnitude: float
-    tol: float
 
 
-def check_monotone_surrogate(F: np.ndarray, tol: float = 1e-9) -> MonotonicityReport:
-    """Audit a trajectory's logged surrogate F for decreases larger than tol.
+def check_monotone_surrogate(F: np.ndarray) -> MonotonicityReport:
+    """Audit a trajectory's logged surrogate F for decreases larger than 1e-9.
 
     F is a TrajectoryRecord's F: values in sampling order (earliest step
     first), or None, which raises ValueError, when no reward was logged. A
-    transition from F_t to F_{t-1} counts as a violation when F_{t-1} < F_t - tol.
+    transition from F_t to F_{t-1} counts as a violation when F_{t-1} < F_t - 1e-9.
     """
     if F is None:
         raise ValueError("trajectory has no logged surrogate reward")
@@ -153,14 +152,13 @@ def check_monotone_surrogate(F: np.ndarray, tol: float = 1e-9) -> MonotonicityRe
     if not np.all(np.isfinite(F)):
         raise ValueError("surrogate trajectory contains non-finite values")
     decreases = F[:-1] - F[1:]
-    mask = decreases > tol
+    mask = decreases > 1e-9
     violations = int(mask.sum())
     worst = float(decreases[mask].max()) if violations else 0.0
     return MonotonicityReport(
         total_steps=F.size - 1,
         violations=violations,
         max_violation_magnitude=worst,
-        tol=tol,
     )
 
 
@@ -170,14 +168,13 @@ class AscentAudit:
 
     updates counts every embedding update, audited those inside the trust
     region, and violations the audited updates that lowered the surrogate at
-    the point where they were taken by more than tol (1e-9).
+    the point where they were taken by more than 1e-9.
     """
 
     updates: int
     audited: int
     violations: int
     max_violation_magnitude: float
-    tol: float
 
 
 def audit_embedding_ascent(
@@ -228,7 +225,7 @@ def audit_embedding_ascent(
 
     res = run_steered(model, reward, c_init, schedule, config, rngs, on_update=on_update)
     audits = [
-        AscentAudit(schedule.num_steps, int(audited[b]), int(violations[b]), float(worst[b]), tol)
+        AscentAudit(schedule.num_steps, int(audited[b]), int(violations[b]), float(worst[b]))
         for b in range(B)
     ]
     return res, audits
@@ -805,8 +802,8 @@ def _reduction_rows() -> List[CheckResult]:
          task.reward(w=1.0)),
     ):
         res = run_steered(task.model, reward, task.c_init, schedule, cfg,
-                          np.random.default_rng(7))
-        endpoints[label] = float(res.x0[0])
+                          [np.random.default_rng(7)])
+        endpoints[label] = float(res.x0[0, 0])
     base = endpoints["none"]
     worst = 0.0
     for v in endpoints.values():
@@ -820,12 +817,12 @@ def _reduction_rows() -> List[CheckResult]:
     for method, alpha in (("none", 0.0), ("embedopt", 0.1)):
         a = run_steered(
             task.model, task.reward(1.0), task.c_init, schedule,
-            SteeringConfig(method=method, alpha=alpha), np.random.default_rng(11),
+            SteeringConfig(method=method, alpha=alpha), [np.random.default_rng(11)],
         )
         b = run_steered(
             task.model, task.reward(1.0), task.c_init, schedule,
             SteeringConfig(method=method, alpha=alpha, sampler_mode="af3", af3=af3_off),
-            np.random.default_rng(11),
+            [np.random.default_rng(11)],
         )
         diff = float(np.max(np.abs(a.x0 - b.x0)))
         rows.append(CheckResult(
@@ -885,19 +882,16 @@ def _af3_bookkeeping_row() -> CheckResult:
     )
 
 
-def run_verification_suite(quick: bool = False, telemetry: Optional[dict] = None) -> List[CheckResult]:
+def run_verification_suite(telemetry: Optional[dict] = None) -> List[CheckResult]:
     """Run every oracle-backed self-check; returns (name, passed, detail) rows.
 
-    quick=True shrinks probe counts for smoke testing; the full run is what
-    the acceptance gate and `steerkit verify` use. A `telemetry` dict receives
-    `phases_s`, the wall seconds of each check group, and `is_workers`, the
-    size of the importance-sampling pool (the manifest of `verify --out`).
+    One size, the one `steerkit verify` and the acceptance gate use. A
+    `telemetry` dict receives `phases_s`, the wall seconds of each check
+    group, and `is_workers`, the size of the importance-sampling pool (the
+    manifest of `verify --out`).
     """
-    n_fd = 5 if quick else 20
-    n_mc_probes = 3 if quick else 10
-    n_mc_draws = 100000 if quick else 1000000
-    n_mono_seeds = 3 if quick else 20
-    n_taylor = 10 if quick else 50
+    n_fd = 20
+    n_mc_probes = 10
 
     groups = (
         ("model_fd", lambda: _model_fd_rows(_gaussian_fixture, "gaussian", n_fd, 1e-5)
@@ -907,12 +901,12 @@ def run_verification_suite(quick: bool = False, telemetry: Optional[dict] = None
         ("tweedie", lambda: _tweedie_rows(n_fd)),
         ("conjugate", _conjugate_rows),
         ("is_gaussian_limit", lambda: [_is_gaussian_limit_row()]),
-        ("is_mixture_mean", lambda: [_mixture_mc_row(n_mc_probes, n_mc_draws)]),
-        ("monotone_scalar", lambda: _monotonicity_rows(n_mono_seeds)),
-        ("monotone_distance", lambda: [_distance_ascent_row(1 if quick else 4)]),
-        ("taylor", lambda: _taylor_rows(n_fd, n_taylor)),
+        ("is_mixture_mean", lambda: [_mixture_mc_row(n_mc_probes, 1000000)]),
+        ("monotone_scalar", lambda: _monotonicity_rows(20)),
+        ("monotone_distance", lambda: [_distance_ascent_row(4)]),
+        ("taylor", lambda: _taylor_rows(n_fd, 50)),
         ("reduction", _reduction_rows),
-        ("map_identity", lambda: _map_identity_rows(5 if quick else 20)),
+        ("map_identity", lambda: _map_identity_rows(20)),
         ("af3_noise", lambda: [_af3_bookkeeping_row()]),
     )
     rows: List[CheckResult] = []

@@ -5,15 +5,20 @@ terminal-summary hook replays them at the end of the run so the verdicts are
 visible even when pytest captures stdout.
 """
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from steerkit import Embedding, GaussianPriorModel, make_gaussian_model, make_mixture_model
+from steerkit import Embedding, GaussianPriorModel, cli, make_gaussian_model, make_mixture_model
+from steerkit.verification import CheckResult
 
 ACCEPTANCE_LINES = []
 
@@ -32,6 +37,20 @@ def criterion_report():
         print(line)
 
     return _report
+
+
+@pytest.fixture(scope="session")
+def verify_run(tmp_path_factory):
+    """One `steerkit verify --out DIR` run, the suite at its one size, shared by
+    every test that reads its outcome: the exit code, the printed lines, the
+    output directory and the report's rows as CheckResults."""
+    out = tmp_path_factory.mktemp("verify_run") / "verify"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = cli.main(["verify", "--out", str(out)])
+    report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
+    rows = [CheckResult(**row) for row in report["checks"]]
+    return SimpleNamespace(code=code, lines=printed.getvalue().splitlines(), out=out, rows=rows)
 
 
 def gaussian_fixture(seed: int):

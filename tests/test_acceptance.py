@@ -24,7 +24,7 @@ import pytest
 
 from steerkit import SteeringConfig, build_synthetic_task, run_steered
 from steerkit.harness import config_from_dict, fig1_noise, fig1_panel_samples, run_from_config
-from steerkit.verification import conjugate_posterior, run_verification_suite
+from steerkit.verification import conjugate_posterior
 
 N_SAMPLES = 2000
 
@@ -76,9 +76,9 @@ def fig1():
 
 
 @pytest.fixture(scope="module")
-def suite():
-    """Full verification suite, keyed by check name."""
-    return {r.name: r for r in run_verification_suite()}
+def suite(verify_run):
+    """The verification suite as `steerkit verify` runs it, keyed by check name."""
+    return {r.name: r for r in verify_run.rows}
 
 
 @pytest.fixture(scope="module")

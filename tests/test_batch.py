@@ -1,7 +1,7 @@
 """Batch invariance of the one integrator: run_steered over a (B, D) batch.
 
 Every row of a batch must be bit-identical to the same trajectory run alone
-(a single generator, B = 1): the endpoint, the final embedding and every
+(a batch of one, B = 1): the endpoint, the final embedding and every
 logged F, grad_norm and embed_drift, compared with np.array_equal, tobytes
 and ==. The batch mixes seeds and step sizes, including alpha = 0, so any
 coupling between rows (a GEMM blocked by B, a reduction over the batch
@@ -52,6 +52,18 @@ def _setup(kind: str):
     return task.model, task.reward, task.c_init, task.schedule(T=T)
 
 
+class AttributeLog:
+    """A model stand-in that records every attribute run_steered asks of it
+    and has none, so a rejected input shows as an empty log."""
+
+    def __init__(self):
+        self.used = []
+
+    def __getattr__(self, name):
+        self.used.append(name)
+        raise AttributeError(name)
+
+
 def assert_rows_match_single_runs(model, reward, c_init, schedule, config, alphas=ALPHAS, rows_c=None):
     batch = run_steered(
         model, reward, c_init if rows_c is None else stack(rows_c), schedule,
@@ -62,15 +74,16 @@ def assert_rows_match_single_runs(model, reward, c_init, schedule, config, alpha
     for b, seed in enumerate(SEEDS):
         alone = run_steered(
             model, reward, c_init if rows_c is None else rows_c[b], schedule,
-            config, np.random.default_rng(seed), alphas=[alphas[b]],
+            config, [np.random.default_rng(seed)], alphas=[alphas[b]],
         )
-        row = batch.row(b)
-        assert np.array_equal(row.x0, alone.x0)
-        assert np.array_equal(row.c_final.flat(), alone.c_final.flat())
+        assert alone.x0.shape == (1, model.D) and alone.c_final.batch == 1
+        assert np.array_equal(batch.x0[b], alone.x0[0])
+        assert np.array_equal(batch.c_final.flat()[b], alone.c_final.flat()[0])
+        row, one = batch.records[b], alone.records[0]
         for log in ("F", "grad_norms", "embed_drifts", "sigmas"):
-            assert getattr(row.record, log).tobytes() == getattr(alone.record, log).tobytes()
-        assert row.record.skip_counts == alone.record.skip_counts
-        assert row.record.nfe == alone.record.nfe
+            assert getattr(row, log).tobytes() == getattr(one, log).tobytes()
+        assert row.skip_counts == one.skip_counts
+        assert row.nfe == one.nfe
     return batch
 
 
@@ -135,6 +148,23 @@ def test_batch_record_sums_rows_for_the_benchmark_tracer():
     # the tracer json-dumps the summed skip counts
     assert all(type(n) is int for n in total.skip_counts.values())
     json.dumps(total.skip_counts)
+    # a batch of one is a batch too: its record is the totals, with no per-step values
+    one = run_steered(model, reward, c_init, schedule, config,
+                      [np.random.default_rng(SEEDS[0])], alphas=ALPHAS[:1])
+    assert one.record.F is None and one.record.skip_counts == one.records[0].skip_counts
+
+
+def test_a_bare_generator_is_rejected_before_anything_is_drawn():
+    """rng takes only a sequence of generators; one trajectory is [rng]."""
+    _, reward, c_init, schedule = _setup("synthetic")
+    model = AttributeLog()
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for config in (SteeringConfig(), SteeringConfig(method="embedopt", alpha=0.1)):
+        with pytest.raises(ValueError, match=r"\[rng\]"):
+            run_steered(model, reward, c_init, schedule, config, rng)
+    assert model.used == []
+    assert rng.bit_generator.state == state  # no x_T was drawn
 
 
 def test_records_are_row_views_of_one_array_per_log():
@@ -168,20 +198,14 @@ def test_batch_inputs_are_checked():
 )
 def test_non_finite_alpha_is_rejected_before_any_compute(bad):
     _, reward, c_init, schedule = _setup("synthetic")
-    used = []
-
-    class Model:  # records every attribute run_steered asks of its model
-        def __getattr__(self, name):
-            used.append(name)
-            raise AttributeError(name)
-
+    model = AttributeLog()
     rngs = [np.random.default_rng(s) for s in SEEDS]
     states = [g.bit_generator.state for g in rngs]
     alphas = [0.1, bad, 0.1, 0.1]
     with pytest.raises(ValueError, match="finite"):
-        run_steered(Model(), reward, c_init, schedule, SteeringConfig(method="embedopt"),
+        run_steered(model, reward, c_init, schedule, SteeringConfig(method="embedopt"),
                     rngs, alphas=alphas)
-    assert used == []
+    assert model.used == []
     assert [g.bit_generator.state for g in rngs] == states  # no x_T was drawn
 
 

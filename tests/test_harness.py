@@ -6,7 +6,6 @@ process pool, with everything wall-clock flavored confined to the manifest.
 """
 
 import contextlib
-import functools
 import io
 import json
 import math
@@ -526,7 +525,7 @@ class FixedNormal:
 @pytest.mark.parametrize("panel", [p for p in FIG1_PANEL_SPECS if p != "unguided"])
 def test_fig1_fast_path_matches_engine_at_zero_gradient(panel, z):
     fast = fig1_panel_samples(panel, np.array([z]), T=150)
-    assert fast[0] == fig1_engine_endpoint(panel, [FixedNormal(z)], T=150)
+    assert fast[0] == fig1_engine_endpoint(panel, FixedNormal(z), T=150)
 
 
 def test_fig1_panel_rows_are_independent_of_their_batch():
@@ -751,15 +750,15 @@ def test_package_exports():
 
 
 def fig1_engine_endpoint(panel: str, rng, T: int) -> float:
-    """Reference endpoint from the generic engine (one trajectory drawing
-    x_T from rng, a generator or a one-element list of one)."""
+    """Reference endpoint from the generic engine: one trajectory, a batch of
+    one drawing x_T from rng."""
     spec = FIG1_PANEL_SPECS[panel]
     task = build_synthetic_task()
     config = SteeringConfig(method=spec["method"], alpha=spec["alpha"], dps_norm_mode="sigma2w")
     res = run_steered(
-        task.model, task.reward(w=spec["w"]), task.c_init, task.schedule(T=T), config, rng
+        task.model, task.reward(w=spec["w"]), task.c_init, task.schedule(T=T), config, [rng]
     )
-    return float(np.ravel(res.x0)[0])
+    return float(res.x0[0, 0])
 
 
 def test_fig1_artifacts(tmp_path):
@@ -816,13 +815,9 @@ def test_fig1_manifest_phases_are_finite_and_within_wall_time(tmp_path):
         assert sum(times) <= manifest["wall_time_s"]
 
 
-def test_verify_manifest_records_phases_and_pool_size(tmp_path, monkeypatch):
-    monkeypatch.setattr(
-        verification, "run_verification_suite",
-        functools.partial(verification.run_verification_suite, quick=True),
-    )
-    out = tmp_path / "verify"
-    assert cli_main(["verify", "--out", str(out)]) == EXIT_OK
+def test_verify_manifest_records_phases_and_pool_size(verify_run):
+    out = verify_run.out
+    assert verify_run.code == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["config"] == {"experiment": "verify", "out_dir": str(out)}
     assert manifest["artifacts"] == ["verify_report.json"] and manifest["all_passed"] is True
@@ -830,7 +825,7 @@ def test_verify_manifest_records_phases_and_pool_size(tmp_path, monkeypatch):
     assert "is_mixture_mean" in phases
     assert all(math.isfinite(t) and t >= 0.0 for t in phases.values())
     assert sum(phases.values()) <= manifest["wall_time_s"]
-    assert manifest["is_workers"] == verification._is_workers(3)
+    assert manifest["is_workers"] == verification._is_workers(10)
     report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
     assert set(report) == {"all_passed", "checks"}
 
@@ -942,6 +937,25 @@ def test_readme_key_table_lists_exactly_the_config_keys():
         key.strip(" `"): set(re.findall(r"`(\w+)`", read_by)) for key, *_, read_by in rows
     }
     assert documented == {key: set(exps) for key, (exps, _) in harness._KEYS.items()}
+
+
+def test_readme_quick_start_blocks_run_as_written():
+    """The Quick start's two Python blocks (one trajectory, then a batch) run
+    in one namespace, in order, and give what their comments say."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    assert len(blocks) == 2
+    namespace, printed = {}, io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+    task, result, batch = namespace["task"], namespace["result"], namespace["batch"]
+    lines = printed.getvalue().splitlines()
+    assert len(lines) == 2 and lines[0].startswith(task.metric_name() + " ")
+    assert result.x0.shape == (1, task.model.D) and len(result.records) == 1
+    assert batch.x0.shape == (3, 24) == (3, task.model.D)
+    assert batch.records[1].F.base.shape == (3, task.schedule().num_steps)
 
 
 def test_fig1_reruns_byte_identical(tmp_path):

@@ -104,7 +104,7 @@ def test_embedding_batch_rows():
     batch = stack(rows)
     assert batch.batch == 2 and rows[0].batch is None
     np.testing.assert_array_equal(batch.components["b"], [[3.0], [6.0]])
-    np.testing.assert_array_equal(batch.row(1).flat(), rows[1].flat())
+    np.testing.assert_array_equal(batch.flat()[1], rows[1].flat())
     moved = rows[0].add(rows[1], np.array([1.0, 0.5]))  # one scale per row
     np.testing.assert_array_equal(moved.flat(), [[5.0, 7.0, 9.0], [3.0, 4.5, 6.0]])
     assert list(batch.norm()) == [rows[0].norm(), rows[1].norm()]
@@ -194,7 +194,7 @@ def test_batched_products_equal_each_row_alone(make_fixture):
                 cb = row_emb(b)
                 assert np.array_equal(den[b], model.denoise(X[b], cb, sigma))
                 assert np.array_equal(vx[b], model.vjp_x(X[b], cb, sigma, V[b]))
-                assert np.array_equal(vc.row(b).flat(), model.vjp_c(X[b], cb, sigma, V[b]).flat())
+                assert np.array_equal(vc.flat()[b], model.vjp_c(X[b], cb, sigma, V[b]).flat())
                 assert np.array_equal(jc[b], model.jvp_c(X[b], cb, sigma, u))
 
 

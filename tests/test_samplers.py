@@ -31,9 +31,9 @@ from conftest import gaussian_fixture, run_script
 
 
 def sample(model, c, sched, rng, reward=None, **config):
-    """Unguided trajectory: (x_0, TrajectoryRecord)."""
-    res = run_steered(model, reward, c, sched, SteeringConfig(method="none", **config), rng)
-    return res.x0, res.record
+    """Unguided trajectory, a batch of one drawing from rng: (x_0, TrajectoryRecord)."""
+    res = run_steered(model, reward, c, sched, SteeringConfig(method="none", **config), [rng])
+    return res.x0[0], res.records[0]
 
 
 def test_euler_step_worked_example():

@@ -80,6 +80,11 @@ def test_step_fraction_rejects_bad_inputs():
         step_fraction(1.0, 1.0)
     with pytest.raises(ValueError):
         step_fraction(1.0, 2.0)
+    # NaN fails every comparison and inf / inf is NaN: each must raise, not return NaN
+    nan, inf = float("nan"), float("inf")
+    for sigma_t, sigma_prev in ((nan, 0.0), (1.0, nan), (inf, 1.0), (1.0, -0.5)):
+        with pytest.raises(ValueError):
+            step_fraction(sigma_t, sigma_prev)
 
 
 def test_linear_step_fractions_are_one_over_t():

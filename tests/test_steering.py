@@ -281,17 +281,17 @@ def test_run_steered_alpha_zero_matches_unguided():
     reward = make_reward_for(model)
     sched = build_linear_schedule(T=40, sigma_max=6.0)
     ref = run_steered(model, None, c, sched, SteeringConfig(method="none"),
-                      np.random.default_rng(9))
+                      [np.random.default_rng(9)])
     for config in (
         SteeringConfig(method="embedopt", alpha=0.0),
         SteeringConfig(method="dps", alpha=0.0, dps_norm_mode="l2_matched"),
     ):
-        res = run_steered(model, reward, c, sched, config, np.random.default_rng(9))
+        res = run_steered(model, reward, c, sched, config, [np.random.default_rng(9)])
         assert float(np.max(np.abs(res.x0 - ref.x0))) <= 1e-12
     # dps in sigma2w mode reduces through w = 0 instead of alpha
     res = run_steered(
         model, GaussianMeasurementReward(y=np.zeros(model.D), w=0.0), c, sched,
-        SteeringConfig(method="dps", dps_norm_mode="sigma2w"), np.random.default_rng(9),
+        SteeringConfig(method="dps", dps_norm_mode="sigma2w"), [np.random.default_rng(9)],
     )
     assert float(np.max(np.abs(res.x0 - ref.x0))) <= 1e-12
 
@@ -304,12 +304,12 @@ def test_run_steered_af3_gamma_zero_reduction():
     for method, rwd in (("none", None), ("embedopt", reward), ("dps", reward)):
         det = run_steered(
             model, rwd, c, sched,
-            SteeringConfig(method=method, alpha=0.1), np.random.default_rng(4),
+            SteeringConfig(method=method, alpha=0.1), [np.random.default_rng(4)],
         )
         af3 = run_steered(
             model, rwd, c, sched,
             SteeringConfig(method=method, alpha=0.1, sampler_mode="af3", af3=params),
-            np.random.default_rng(4),
+            [np.random.default_rng(4)],
         )
         np.testing.assert_array_equal(det.x0, af3.x0)
 
@@ -323,14 +323,14 @@ def test_embedding_drift_bound():
     sched = build_linear_schedule(T=T, sigma_max=6.0)
     res = run_steered(
         model, reward, c, sched,
-        SteeringConfig(method="embedopt", alpha=alpha), np.random.default_rng(0),
+        SteeringConfig(method="embedopt", alpha=alpha), [np.random.default_rng(0)],
     )
     per_step = alpha * np.sqrt(c.dim)
-    drifts = res.record.embed_drifts
+    drifts = res.records[0].embed_drifts
     assert drifts[0] == 0.0  # logged before the first update
     for i, d in enumerate(drifts):
         assert d <= per_step * i + 1e-12
-    assert res.c_final.add(c, -1.0).norm() <= per_step * T + 1e-12
+    assert res.c_final.add(c, -1.0).norm()[0] <= per_step * T + 1e-12
 
 
 @pytest.mark.parametrize("per_row", [False, True])
@@ -365,11 +365,11 @@ def test_surrogate_logged_before_update():
     sched = build_linear_schedule(T=10, sigma_max=4.0)
     res = run_steered(
         model, reward, c, sched,
-        SteeringConfig(method="embedopt", alpha=0.5), np.random.default_rng(1),
+        SteeringConfig(method="embedopt", alpha=0.5), [np.random.default_rng(1)],
     )
     x_T = 4.0 * np.random.default_rng(1).standard_normal(model.D)
     expected_first_F = reward.value(model.denoise(x_T, c, 4.0))
-    assert res.record.F[0] == pytest.approx(expected_first_F, rel=1e-12)
+    assert res.records[0].F[0] == pytest.approx(expected_first_F, rel=1e-12)
 
 
 def test_flat_reward_skips_every_step():
@@ -379,11 +379,11 @@ def test_flat_reward_skips_every_step():
     sched = build_linear_schedule(T=T, sigma_max=4.0)
     res = run_steered(
         model, flat, c, sched,
-        SteeringConfig(method="embedopt", alpha=0.5), np.random.default_rng(2),
+        SteeringConfig(method="embedopt", alpha=0.5), [np.random.default_rng(2)],
     )
-    assert res.record.skip_counts == {"embed:u": T, "embed:v": T}
-    np.testing.assert_array_equal(res.c_final.flat(), c.flat())
-    assert all(g == 0.0 for g in res.record.grad_norms)
+    assert res.records[0].skip_counts == {"embed:u": T, "embed:v": T}
+    np.testing.assert_array_equal(res.c_final.flat()[0], c.flat())
+    assert all(g == 0.0 for g in res.records[0].grad_norms)
 
 
 @pytest.mark.parametrize("method", ["none", "dps", "embedopt"])
@@ -394,7 +394,7 @@ def test_run_steered_rejects_non_finite_trajectories(method):
     sched = build_linear_schedule(T=5, sigma_max=4.0)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteStateError):
         run_steered(model, reward, c, sched, SteeringConfig(method=method, alpha=0.1),
-                    np.random.default_rng(0))
+                    [np.random.default_rng(0)])
 
 
 @pytest.mark.parametrize(
@@ -446,7 +446,7 @@ def test_embedopt_trajectories_stay_finite(alpha, seed):
     sched = build_linear_schedule(T=20, sigma_max=5.0)
     res = run_steered(
         model, reward, c, sched,
-        SteeringConfig(method="embedopt", alpha=alpha), np.random.default_rng(seed),
+        SteeringConfig(method="embedopt", alpha=alpha), [np.random.default_rng(seed)],
     )
     assert np.all(np.isfinite(res.x0))
     assert np.all(np.isfinite(res.c_final.flat()))

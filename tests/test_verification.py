@@ -37,7 +37,6 @@ from steerkit import (
     fd_gradient,
     make_mixture_model,
     rel_error,
-    run_verification_suite,
     summarize_samples,
 )
 from steerkit.steering import embedopt_step
@@ -101,9 +100,9 @@ def test_monotone_check_worked_examples():
 
 
 def test_monotone_check_respects_tolerance():
-    wiggle = np.array([0.0, -5e-10, 1.0])  # decrease below tol does not count
-    assert check_monotone_surrogate(wiggle, tol=1e-9).violations == 0
-    assert check_monotone_surrogate(wiggle, tol=1e-11).violations == 1
+    # the tolerance is 1e-9: a decrease of 5e-10 does not count, one of 2e-9 does
+    assert check_monotone_surrogate(np.array([0.0, -5e-10, 1.0])).violations == 0
+    assert check_monotone_surrogate(np.array([0.0, -2e-9, 1.0])).violations == 1
 
 
 def test_monotone_check_accepts_trajectory_record():
@@ -134,7 +133,7 @@ def test_ascent_audit_counts_every_update(norm_mode):
     res, audits = _audit(norm_mode, seed=3, T=300)
     audit = audits[0]
     assert len(audits) == 1 and isinstance(audit, AscentAudit)
-    assert audit.updates == 300 == len(res.record.F)
+    assert audit.updates == 300 == len(res.records[0].F)
     assert 0 < audit.audited <= audit.updates
     assert audit.violations == 0
     if norm_mode == "none":
@@ -217,18 +216,28 @@ def test_summarize_samples_needs_two():
         summarize_samples(np.array([1.0]))
 
 
-def test_quick_suite_outcomes():
-    """The self-check suite is deterministic and every check passes,
-    including the per-update surrogate ascent audits (see
-    audit_embedding_ascent).
-    """
-    results = run_verification_suite(quick=True)
+@pytest.mark.parametrize("bins", [2.5, True, "60", 0], ids=["float", "bool", "string", "zero"])
+def test_summarize_samples_takes_an_integer_bin_count(bins):
+    # the rule build_linear_schedule applies to T: a non-bool integer of at least 1
+    with pytest.raises(ValueError, match="bins"):
+        summarize_samples(np.array([1.0, 2.0, 3.0]), bins=bins)
+    assert summarize_samples(np.array([1.0, 2.0, 3.0]), bins=np.int64(2)).counts.tolist() == [1, 2]
+
+
+def test_full_suite_outcomes(verify_run):
+    """Every check of the self-check suite passes, including the per-update
+    surrogate ascent audits (see audit_embedding_ascent), and `steerkit
+    verify` prints one line per check and the count."""
+    results = verify_run.rows
     outcomes = {r.name: r.passed for r in results}
     failing = sorted(name for name, ok in outcomes.items() if not ok)
     assert failing == []
     assert len(results) >= 25
     for r in results:
         assert r.detail  # every check explains itself
+    assert verify_run.code == 0
+    assert verify_run.lines[-1] == f"{len(results)}/{len(results)} checks passed"
+    assert len(verify_run.lines) == len(results) + 1
 
 
 def _frozen_is_posterior_mean(model, c, x_t, sigma, rng, n_draws, chunk=200000):
