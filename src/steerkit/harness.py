@@ -615,11 +615,10 @@ def _batch(desc: dict) -> dict:
     )
     runtime = time.perf_counter() - t0
     metrics = violations = [None] * len(res.x0)  # the synthetic task has neither
-    if kind == "distance":  # the metric is the satisfied count: one pass gives both
-        satisfied = reward.count_satisfied(res.x0).tolist()
-        metrics, violations = [float(n) for n in satisfied], [reward.K - n for n in satisfied]
-    elif kind == "map":
-        metrics = [task.metric(x0) for x0 in res.x0]
+    if kind != "synthetic":
+        metrics = task.metric(res.x0).tolist()
+    if kind == "distance":  # the metric is the satisfied count
+        violations = [reward.K - int(n) for n in metrics]
     rows = [
         {"method": method, "alpha": alpha, "T": schedule.num_steps, "seed": seed,
          "final_reward": final, "task_metric": metric, "violations": v, "nfe": rec.nfe,

@@ -8,16 +8,16 @@ transposed-Jacobian (vjp) and Jacobian (jvp) products with respect to both
 the coordinates x and the embedding c. Every derivative here is checked
 against central finite differences in the verification suite.
 
-Coordinates are float64 vectors of dimension D, or a (B, D) batch of them,
-one trajectory per row. Embeddings are ordered named components stored in
-one flat buffer, of shape (d,) or (B, d); affine maps consume that buffer.
-An unbatched embedding serves every row of a batch.
+Every product takes coordinates as a (B, D) float64 batch, one trajectory
+per row, and returns one result row per row; any other shape, a single
+(D,) vector included, is a ValueError. Embeddings are ordered named
+components stored in one flat buffer, of shape (d,) or (B, d); affine maps
+consume that buffer. An unbatched embedding serves every row of a batch.
 
 Batched products are written so that every row is bit-identical to the same
-product on that row alone: np.matmul over a stack (one BLAS call per row,
-equal to the 1-D call), np.vecdot where the 1-D form is a dot product or a
-scalar norm (both use the same dot kernel), and einsum with the batch as an
-extra free index. A (B, D) @ (D, d) GEMM would block by B and round
+product on that row as a batch of one: np.matmul over a stack (one BLAS call
+per row), np.vecdot for dot products and norms, and einsum with the batch as
+an extra free index. A (B, D) @ (D, d) GEMM would block by B and round
 differently. `parts` computes the intermediates a step shares between the
 denoiser and its pullback at one (x, c, sigma).
 
@@ -63,6 +63,25 @@ def _require_real(name: str, value, least=None, above=None) -> None:
         pass
     raise ValueError(f"{name} must be a finite number" + ("" if least is None else f" >= {least}")
                      + ("" if above is None else f" > {above}") + f", not {value!r}")
+
+
+def _finite_array(name: str, value) -> np.ndarray:
+    """value as a float64 array; ValueError unless it converts (a word, an object or
+    10**400 does not, and None becomes NaN) and every entry is finite."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+        if np.isfinite(arr).all():
+            return arr
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an array of finite numbers")
+
+
+def _require_int(name: str, value, least: int = 1) -> int:
+    """value as an int; ValueError unless it is an integer (a bool is not one) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, not {value!r}")
+    return int(value)
 
 
 class Embedding:
@@ -185,17 +204,12 @@ def _memo_affine(last: list, A: np.ndarray, b: np.ndarray, c: Embedding) -> np.n
     return last[1]
 
 
-def _check_coords(x: np.ndarray, D: int) -> np.ndarray:
+def _check_coords(x: np.ndarray, D: int | None = None) -> np.ndarray:
+    """x as a (B, D) float64 batch, of any width D when D is None; ValueError otherwise."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1:] != (D,) or x.ndim > 2:
-        raise ValueError(f"expected coordinates of shape ({D},) or (B, {D}), got {x.shape}")
+    if x.ndim != 2 or x.shape[1] != (D or x.shape[1]):
+        raise ValueError(f"expected coordinates of shape (B, {D or 'D'}), got {x.shape}")
     return x
-
-
-def _rows(x: np.ndarray, D: int):
-    """(x as a (B, D) batch, whether x was a single vector)."""
-    x = _check_coords(x, D)
-    return (x[None, :], True) if x.ndim == 1 else (x, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,8 +228,8 @@ class GaussianPriorModel:
     s0: float
 
     def __post_init__(self):
-        W = np.atleast_2d(np.asarray(self.W, dtype=np.float64))
-        b = np.asarray(self.b, dtype=np.float64).ravel()
+        W = np.atleast_2d(_finite_array("W", self.W))
+        b = _finite_array("b", self.b).ravel()
         if W.shape[0] != b.size:
             raise ValueError("W row count must match b length")
         _require_real("prior std s0", self.s0, above=0)
@@ -265,7 +279,7 @@ class GaussianPriorModel:
         x = _check_coords(x, self.D)
         k = self.shrinkage(sigma)
         out = (1.0 - k) * _matvec(self.W, u.flat())
-        return np.broadcast_to(out, np.broadcast_shapes(out.shape, x.shape)).copy()
+        return np.broadcast_to(out, x.shape).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,8 +295,7 @@ class MixturePriorModel:
     with a_k = s_k^2 + sigma^2 and k_k = s_k^2 / a_k. vjp/jvp include the
     responsibility derivatives (r_k depends on x directly and on c through
     every m_k). Responsibilities are formed in log-space so large ||x|| cannot
-    overflow. Every method computes on a (B, D) batch; a single vector is a
-    batch of one, returned unbatched.
+    overflow.
     """
 
     weights: np.ndarray
@@ -291,10 +304,10 @@ class MixturePriorModel:
     stds: np.ndarray
 
     def __post_init__(self):
-        pi = np.asarray(self.weights, dtype=np.float64).ravel()
-        Ws = np.asarray(self.Ws, dtype=np.float64)
-        bs = np.atleast_2d(np.asarray(self.bs, dtype=np.float64))
-        s = np.asarray(self.stds, dtype=np.float64).ravel()
+        pi = _finite_array("weights", self.weights).ravel()
+        Ws = _finite_array("Ws", self.Ws)
+        bs = np.atleast_2d(_finite_array("bs", self.bs))
+        s = _finite_array("stds", self.stds).ravel()
         K = pi.size
         if Ws.ndim != 3 or Ws.shape[0] != K or bs.shape != (K, Ws.shape[1]):
             raise ValueError("per-mode shapes inconsistent")
@@ -326,7 +339,7 @@ class MixturePriorModel:
         """Intermediates that denoise and the vjps/jvp share at (x, c, sigma):
         means, variances, shrinkages, offsets, responsibilities and per-mode
         posterior means, each with a leading batch axis."""
-        x, _ = _rows(x, self.D)
+        x = _check_coords(x, self.D)
         m = self.mode_means(c)
         a = self._s2 + sigma**2  # (K,)
         kk = self._s2 / a
@@ -340,26 +353,23 @@ class MixturePriorModel:
         return m, a, kk, diff, r, h
 
     def responsibilities(self, x, c: Embedding, sigma: float) -> np.ndarray:
-        r = self.parts(x, c, sigma)[4]
-        return r if np.ndim(x) == 2 else r[0]
+        return self.parts(x, c, sigma)[4]
 
     def denoise(self, x: np.ndarray, c: Embedding, sigma: float, parts=None) -> np.ndarray:
         _, _, _, _, r, h = parts or self.parts(x, c, sigma)
-        out = _vecmat(r, h)
-        return out if np.ndim(x) == 2 else out[0]
+        return _vecmat(r, h)
 
     def vjp_x(self, x, c: Embedding, sigma: float, v: np.ndarray, parts=None) -> np.ndarray:
-        v, single = _rows(v, self.D)
+        v = _check_coords(v, self.D)
         _, a, kk, diff, r, h = parts or self.parts(x, c, sigma)
         # d log N_k / dx = -(x - m_k)/a_k
         u = -diff / a[:, None]  # (B, K, D)
         ubar = _vecmat(r, u)
         hv = np.matmul(h, v[:, :, None])[..., 0]  # (B, K)
-        out = np.vecdot(r, kk)[:, None] * v + _vecmat(hv * r, u - ubar[:, None, :])
-        return out[0] if single else out
+        return np.vecdot(r, kk)[:, None] * v + _vecmat(hv * r, u - ubar[:, None, :])
 
     def vjp_c(self, x, c: Embedding, sigma: float, v: np.ndarray, parts=None) -> Embedding:
-        v, single = _rows(v, self.D)
+        v = _check_coords(v, self.D)
         _, a, kk, diff, r, h = parts or self.parts(x, c, sigma)
         # d log N_k / dc = W_k^T (x - m_k)/a_k
         wk = np.einsum("kdp,bkd->bkp", self.Ws, diff / a[:, None])  # (B, K, d)
@@ -367,8 +377,7 @@ class MixturePriorModel:
         hv = np.matmul(h, v[:, :, None])[..., 0]
         direct = np.einsum("bk,kdp,bd->bp", r * (1.0 - kk), self.Ws, v)
         resp = _vecmat(hv * r, wk - wbar[:, None, :])
-        out = direct + resp
-        return c._like(out[0] if single else out)
+        return c._like(direct + resp)
 
     def jvp_c(self, x, c: Embedding, sigma: float, u: Embedding, parts=None) -> np.ndarray:
         uf = u.flat()
@@ -378,8 +387,7 @@ class MixturePriorModel:
         wbar = _vecmat(r, wk)
         direct = np.einsum("bk,kdp,bp->bd", r * (1.0 - kk), self.Ws, uf)
         resp = _vecmat(np.matmul(wk - wbar[:, None, :], uf[:, :, None])[..., 0] * r, h)
-        out = direct + resp
-        return out if np.ndim(x) == 2 else out[0]
+        return direct + resp
 
 
 def score_from_denoiser(x_hat: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:

@@ -28,7 +28,8 @@ block summed, normalized and weighted on its own: bit for bit the row alone.
 
 All gradients are exact, including the chain through map normalization, and
 are checked against central finite differences in the verification suite.
-Coordinates for bead tasks are flat vectors of length 3 * n_beads.
+Every reward takes a (B, D) batch, one state per row (a bead state is 3 *
+n_beads coordinates), and returns one value, count or gradient row per row.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .models import _require_real
+from .models import _check_coords, _finite_array, _require_int, _require_real
 
 __all__ = [
     "DegenerateMapError",
@@ -66,23 +67,17 @@ class GaussianMeasurementReward:
     w: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "y", np.atleast_1d(np.asarray(self.y, dtype=np.float64)))
+        object.__setattr__(self, "y", np.atleast_1d(_finite_array("measurement y", self.y)))
         _require_real("tau2", self.tau2, above=0)
         _require_real("weight w", self.w, least=0)
 
-    def value(self, x: np.ndarray):
-        d = np.asarray(x, dtype=np.float64) - self.y
-        return _scalar(np.vecdot(-0.5 * self.w / self.tau2 * d, d))
+    def value(self, x: np.ndarray) -> np.ndarray:
+        d = _check_coords(x, self.y.size) - self.y
+        return np.vecdot(-0.5 * self.w / self.tau2 * d, d)
 
     def value_and_grad(self, x: np.ndarray):
-        d = np.asarray(x, dtype=np.float64) - self.y
-        val = _scalar(np.vecdot(-0.5 * self.w / self.tau2 * d, d))
-        return val, -(self.w / self.tau2) * d
-
-
-def _scalar(v):
-    """A 0-d result as a Python float; one value per row stays an array."""
-    return float(v) if np.ndim(v) == 0 else v
+        d = _check_coords(x, self.y.size) - self.y
+        return np.vecdot(-0.5 * self.w / self.tau2 * d, d), -(self.w / self.tau2) * d
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,13 +102,13 @@ class DistanceConstraintReward:
     delta: float
 
     def __post_init__(self):
-        pairs = tuple((int(i), int(j)) for i, j in self.pairs)
-        targets = np.asarray(self.targets, dtype=np.float64).ravel()
+        pairs = tuple(tuple(_require_int("bead index", i, least=0) for i in p) for p in self.pairs)
+        targets = _finite_array("targets", self.targets).ravel()
         if len(pairs) != targets.size:
             raise ValueError("pairs and targets length mismatch")
         _require_real("delta", self.delta, above=0)
-        if any(i == j or i < 0 or j < 0 for i, j in pairs):
-            raise ValueError("pairs must index distinct non-negative beads")
+        if any(len(p) != 2 or p[0] == p[1] or max(p) > np.iinfo(np.intp).max for p in pairs):
+            raise ValueError("pairs must index two distinct beads, each an intp")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "targets", targets)
         idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
@@ -126,27 +121,25 @@ class DistanceConstraintReward:
         return len(self.pairs)
 
     def _bonds(self, x: np.ndarray) -> np.ndarray:
-        """x_i - x_j for every pair, shape (..., K, 3)."""
-        x = np.asarray(x, dtype=np.float64)
-        pts = x.reshape(x.shape[:-1] + (-1, 3))
-        return np.take(pts, self._ii, axis=-2) - np.take(pts, self._jj, axis=-2)
+        """x_i - x_j for every pair of every row, shape (B, K, 3)."""
+        pts = _check_coords(x).reshape(len(x), -1, 3)
+        return np.take(pts, self._ii, axis=1) - np.take(pts, self._jj, axis=1)
 
     def distances(self, x: np.ndarray) -> np.ndarray:
         return np.linalg.norm(self._bonds(x), axis=-1)
 
-    def count_satisfied(self, x: np.ndarray):
-        """Constraints with |d - target| <= delta (inside the tolerance)."""
+    def count_satisfied(self, x: np.ndarray) -> np.ndarray:
+        """Constraints with |d - target| <= delta (inside the tolerance), per row."""
         dev = np.abs(self.distances(x) - self.targets)
-        n = np.sum(dev <= self.delta, axis=-1)
-        return int(n) if np.ndim(n) == 0 else n
+        return np.sum(dev <= self.delta, axis=-1)
 
-    def value(self, x: np.ndarray):
+    def value(self, x: np.ndarray) -> np.ndarray:
         dev = np.abs(self.distances(x) - self.targets)
-        return _scalar(-np.sum(np.minimum(dev, self.delta) ** 2, axis=-1))
+        return -np.sum(np.minimum(dev, self.delta) ** 2, axis=-1)
 
     def value_and_grad(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        bond = self._bonds(x)  # (..., K, 3)
+        x = _check_coords(x)
+        bond = self._bonds(x)  # (B, K, 3)
         d = np.sqrt(np.vecdot(bond, bond))
         dev = d - self.targets
         abs_dev = np.abs(dev)
@@ -162,7 +155,7 @@ class DistanceConstraintReward:
         np.negative(term, out=signed[..., 1::2, :])
         grad = np.zeros(x.shape[:-1] + (x.shape[-1] // 3, 3))
         np.add.at(grad, (..., self._idx, slice(None)), signed)
-        return _scalar(val), grad.reshape(x.shape)
+        return val, grad.reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,14 +167,12 @@ class MapGrid:
     spacing: float
 
     def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
-        if len(shape) != 3 or any(n < 1 for n in shape):
+        shape = tuple(_require_int("grid shape", n) for n in self.shape)
+        if len(shape) != 3:
             raise ValueError("grid shape must be three positive counts")
         _require_real("voxel spacing", self.spacing, above=0)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(
-            self, "origin", np.asarray(self.origin, dtype=np.float64).reshape(3)
-        )
+        object.__setattr__(self, "origin", _finite_array("grid origin", self.origin).reshape(3))
 
     @property
     def n_voxels(self) -> int:
@@ -264,11 +255,6 @@ def _render_rows(X: np.ndarray, grid: MapGrid, atom_width: float):
         yield lo, splat, offsets, [_bead_sum(splat[:, j : j + n]) for j in range(0, len(pts), n)]
 
 
-def _render_raw(x: np.ndarray, grid: MapGrid, atom_width: float) -> np.ndarray:
-    """`render_map_raw` of one state from the kernel, bit for bit."""
-    return next(_render_rows(np.reshape(x, (1, -1)), grid, atom_width))[3][0]
-
-
 def _normalize_map(v_raw: np.ndarray):
     """(v_raw - mean) / std and std, in the operations `ndarray.mean`/`std` do."""
     dv = v_raw - v_raw.sum() / v_raw.size
@@ -306,9 +292,9 @@ class MapMSEReward:
     already be zero-mean unit-variance on the same grid. R lies in [-4, 0]
     and is 0 exactly when the rendered map equals the target.
 
-    Every method renders through one kernel, `_render_rows` (a 1-D x is a
-    batch of one), so each returns what its `render_map_raw` form returns,
-    and each row of a batch what it returns alone. The gradient weights each
+    Every method takes a (B, 3 * n_beads) batch and renders it through one
+    kernel, `_render_rows`, so each row's raw map is its `render_map_raw`,
+    and each row gets what it gets as a batch of one. The gradient weights each
     row's splat columns by its g_vraw[m] in the splat's buffer, multiplies
     by each axis's offset table broadcast over the grid, and sums over voxels
     in ascending order with `np.einsum` over all beads (no BLAS call, whose
@@ -320,7 +306,8 @@ class MapMSEReward:
     atom_width: float = 1.5
 
     def __post_init__(self):
-        v = np.asarray(self.v_obs, dtype=np.float64).ravel()
+        v = _finite_array("target map v_obs", self.v_obs).ravel()
+        _require_real("atom_width", self.atom_width, above=0)
         if v.size != self.grid.n_voxels:
             raise ValueError("target map size does not match grid")
         if abs(v.mean()) > 1e-8 or abs(v.std() - 1.0) > 1e-8:
@@ -329,22 +316,21 @@ class MapMSEReward:
 
     @classmethod
     def from_state(cls, x_target: np.ndarray, grid: MapGrid, atom_width: float = 1.5):
-        v_obs = _normalize_map(_render_raw(x_target, grid, atom_width))[0]
-        return cls(grid=grid, v_obs=v_obs, atom_width=atom_width)
+        v_raw = next(_render_rows(np.reshape(x_target, (1, -1)), grid, atom_width))[3][0]
+        return cls(grid=grid, v_obs=_normalize_map(v_raw)[0], atom_width=atom_width)
 
-    def correlation(self, x: np.ndarray) -> float:
-        return map_correlation(_render_raw(x, self.grid, self.atom_width), self.v_obs)
+    def correlation(self, x: np.ndarray) -> np.ndarray:
+        """Each row's `map_correlation` of its raw map with V_obs, from one render pass."""
+        chunks = _render_rows(_check_coords(x), self.grid, self.atom_width)
+        return np.array([map_correlation(v, self.v_obs) for *_, v_raws in chunks for v in v_raws])
 
-    def value(self, x: np.ndarray):
-        vals = np.array([
-            -np.mean((_normalize_map(v_raw)[0] - self.v_obs) ** 2)
-            for *_, v_raws in _render_rows(np.atleast_2d(x), self.grid, self.atom_width)
-            for v_raw in v_raws
-        ])
-        return vals if np.ndim(x) == 2 else float(vals[0])
+    def value(self, x: np.ndarray) -> np.ndarray:
+        chunks = _render_rows(_check_coords(x), self.grid, self.atom_width)
+        return np.array([-np.mean((_normalize_map(v)[0] - self.v_obs) ** 2)
+                         for *_, v_raws in chunks for v in v_raws])
 
     def value_and_grad(self, x: np.ndarray):
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        X = _check_coords(x)
         vals, grads, M = np.empty(len(X)), np.empty(X.shape), self.grid.n_voxels
         for lo, splat, offsets, v_raws in _render_rows(X, self.grid, self.atom_width):
             rows, g_vraw = len(v_raws), np.empty((M, len(v_raws)))
@@ -364,7 +350,7 @@ class MapMSEReward:
                 w, offsets = np.concatenate([w, w], -1), [np.concatenate([d, d], 1) for d in offsets]
             cols = [np.einsum(f"ijkb,{a}b->b", w, d)[:k] for a, d in zip("ijk", offsets)]
             grads[lo : lo + rows] = (np.stack(cols, axis=1) / self.atom_width**2).reshape(rows, -1)
-        return (vals, grads) if np.ndim(x) == 2 else (float(vals[0]), grads[0])
+        return vals, grads
 
 
 def select_top_k_constraints(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import NonFiniteStateError, _require_real
+from .models import NonFiniteStateError, _require_int, _require_real
 
 __all__ = [
     "NoiseSchedule",
@@ -62,8 +62,7 @@ def _require_allocatable(n: int, what: str) -> None:
 
 def build_linear_schedule(T: int, sigma_max: float) -> NoiseSchedule:
     """Uniform grid sigma_t = sigma_max * t / T, with sigma_0 = 0 exactly."""
-    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 1:
-        raise ValueError(f"T must be an integer of at least 1, not {T!r}")
+    _require_int("T", T)
     _require_real("sigma_max", sigma_max, above=0)
     _require_allocatable(T + 1, f"a schedule of {T} steps")
     sig = sigma_max * np.arange(T + 1, dtype=np.float64) / T

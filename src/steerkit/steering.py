@@ -188,7 +188,7 @@ def embedopt_step(
     The surrogate gradient is pulled back through the denoiser at (x_t, c_t,
     sigma_t), sharing the model's intermediates with that denoise; the
     coordinate step re-evaluates the denoiser at the updated embedding and
-    the same sigma_t. x_t may be a (B, D) batch with alpha one value per row.
+    the same sigma_t. x_t is a (B, D) batch; alpha is one value or one per row.
     Returns (x_prev, c_prev, info) where info records the pre-update
     surrogate value F, the embedding gradient grad_c F and its norm, the
     denoiser output x_hat_step that the coordinate step used, and the mask
@@ -228,8 +228,8 @@ def dps_step(
     exact_likelihood mode, g = J_x^T grad R(xhat) and v_t = k sigma_t^2 the
     model's posterior variance. The last factor turns sigma_t^2 times the
     DPS likelihood score into sigma_t^2 times grad_{x_t} log N(y; xhat,
-    tau^2/w + v_t). x_t may be a (B, D) batch with alpha one value per row;
-    info's grad_norm and skipped are arrays, one entry per row (0-d for one x_t).
+    tau^2/w + v_t). x_t is a (B, D) batch; alpha is one value or one per row;
+    info's grad_norm and skipped are arrays, one entry per row.
     """
     _, x_hat, F, g = _pulled_back(model, reward, x_t, c, sigma_t, "vjp_x")
     gnorm = np.sqrt(np.vecdot(g, g))
@@ -239,7 +239,7 @@ def dps_step(
     elif norm_mode == "l2_matched":
         skipped = gnorm < SKIP_THRESHOLD
         d = x_hat - x_t
-        step = np.asarray(alpha * np.sqrt(np.vecdot(d, d)))
+        step = alpha * np.sqrt(np.vecdot(d, d))
         guidance = np.where(
             skipped[..., None], 0.0,
             step[..., None] * g / np.where(skipped, 1.0, gnorm)[..., None],
@@ -282,7 +282,7 @@ def taylor_predicted_step(
     where c_{t-1} - c_t is the exact update embedopt_step applies in its
     default mode (alpha times the RMS-normalized gradient, i.e. the effective
     post-normalization rate times J_c^T grad R). Exact for denoisers affine
-    in c; O(alpha^2) gap otherwise.
+    in c; O(alpha^2) gap otherwise. x_t is a (B, D) batch.
     """
     parts, x_hat, _, g = _pulled_back(model, reward, x_t, c_t, sigma_t, "vjp_c")
     direction, _ = rms_normalize(g)

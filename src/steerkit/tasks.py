@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Embedding, GaussianPriorModel, MixturePriorModel, _require_real
+from .models import Embedding, GaussianPriorModel, MixturePriorModel, _require_int, _require_real
 from .rewards import (
     DistanceConstraintReward,
     GaussianMeasurementReward,
@@ -118,8 +118,7 @@ def summarize_samples(samples, bins: int = 60) -> SampleSummary:
         arr = arr[:, None]
     if arr.shape[0] < 2:
         raise ValueError("need at least two samples to summarize")
-    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
-        raise ValueError(f"bins must be an integer of at least 1, not {bins!r}")
+    _require_int("bins", bins)
     mean = arr.mean(axis=0)
     std = arr.std(axis=0, ddof=1)
     vals = arr[:, 0]
@@ -145,11 +144,11 @@ class ToyTask:
     def schedule(T: int = TOY_T, sigma_max: float = TOY_SIGMA_MAX) -> NoiseSchedule:
         return build_linear_schedule(T, sigma_max)
 
-    def metric(self, x: np.ndarray) -> float:
-        """Task score: satisfied-constraint count, or map correlation."""
+    def metric(self, x: np.ndarray) -> np.ndarray:
+        """Task score per row of a batch: satisfied-constraint count, or map correlation."""
         if self.kind == "distance":
-            return float(self.reward.count_satisfied(x))
-        return float(self.reward.correlation(x))
+            return self.reward.count_satisfied(x).astype(np.float64)
+        return self.reward.correlation(x)
 
     def metric_name(self) -> str:
         return "constraints_satisfied" if self.kind == "distance" else "map_cc"

@@ -304,11 +304,11 @@ def _mixture_fixture(seed: int) -> Tuple[MixturePriorModel, Embedding]:
 
 def _probes(make_fixture, base: int, n_probes: int):
     """Probe p of a model row: (model, c, rng, x, sigma), the fixture seeded base + p, then
-    x and a log-uniform sigma in [0.05, 3] drawn from rng, seeded base + 200 + p."""
+    x (a batch of one) and a log-uniform sigma in [0.05, 3] from rng, seeded base + 200 + p."""
     for p in range(n_probes):
         model, c = make_fixture(seed=base + p)
         rng = np.random.default_rng(base + 200 + p)
-        x = 2.0 * rng.standard_normal(model.D)
+        x = 2.0 * rng.standard_normal((1, model.D))
         yield model, c, rng, x, float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
 
 
@@ -316,16 +316,16 @@ def _model_fd_rows(make_fixture, label: str, n_probes: int, tol: float) -> List[
     """FD-check vjp_x, vjp_c, jvp_c of a denoiser family at random probes."""
     worst = {"vjp_x": 0.0, "vjp_c": 0.0, "jvp_c": 0.0}
     for model, c, rng, x, sigma in _probes(make_fixture, 100, n_probes):
-        v = rng.standard_normal(model.D)
+        v = rng.standard_normal((1, model.D))
         u = c.from_flat(rng.standard_normal(c.dim))
 
         got = model.vjp_x(x, c, sigma, v)
-        want = fd_gradient(lambda z: float(v @ model.denoise(z, c, sigma)), x)
+        want = fd_gradient(lambda z: float(v[0] @ model.denoise(z[None], c, sigma)[0]), x)
         worst["vjp_x"] = _nan_max(worst["vjp_x"], rel_error(got, want))
 
         got = model.vjp_c(x, c, sigma, v).flat()
         want = fd_gradient(
-            lambda z: float(v @ model.denoise(x, c.from_flat(z), sigma)), c.flat()
+            lambda z: float(v[0] @ model.denoise(x, c.from_flat(z), sigma)[0]), c.flat()
         )
         worst["vjp_c"] = _nan_max(worst["vjp_c"], rel_error(got, want))
 
@@ -344,8 +344,8 @@ def _model_fd_rows(make_fixture, label: str, n_probes: int, tol: float) -> List[
 def _distance_probe(rng: np.random.Generator, reward: DistanceConstraintReward, n_beads: int):
     """Bead configuration away from the plateau boundary and coincidence."""
     for _ in range(200):
-        x = 3.0 * rng.standard_normal(3 * n_beads)
-        d = reward.distances(x)
+        x = 3.0 * rng.standard_normal((1, 3 * n_beads))
+        d = reward.distances(x)[0]
         dev = np.abs(d - reward.targets)
         if np.all(np.abs(dev - reward.delta) > 0.05) and np.all(d > 0.3):
             return x
@@ -357,7 +357,7 @@ def _gaussian_reward_probe(rng):
         y=rng.standard_normal(6), tau2=float(rng.uniform(0.5, 2.0)),
         w=float(rng.uniform(0.2, 5.0)),
     )
-    return reward, 2.0 * rng.standard_normal(6)
+    return reward, 2.0 * rng.standard_normal((1, 6))
 
 
 def _distance_reward_probe(rng):
@@ -370,12 +370,12 @@ def _distance_reward_probe(rng):
 def _map_reward_probe(rng):
     grid = MapGrid(shape=(6, 6, 6), origin=np.array([-3.0, -3.0, -3.0]), spacing=1.2)
     reward = MapMSEReward.from_state(1.5 * rng.standard_normal(12), grid, atom_width=1.5)
-    return reward, 1.5 * rng.standard_normal(12)
+    return reward, 1.5 * rng.standard_normal((1, 12))
 
 
 def _reward_fd_rows(n_probes: int, tol: float) -> List[CheckResult]:
-    """Each reward's analytic gradient against central differences; probe p
-    of a reward draws from its own generator, seeded base + p."""
+    """Each reward's analytic gradient against central differences at a batch
+    of one; probe p of a reward draws from its own generator, seeded base + p."""
     rows = []
     for label, seed_base, probe in (
         ("gaussian", 500, _gaussian_reward_probe),
@@ -386,7 +386,8 @@ def _reward_fd_rows(n_probes: int, tol: float) -> List[CheckResult]:
         for p in range(n_probes):
             reward, x = probe(np.random.default_rng(seed_base + p))
             _, got = reward.value_and_grad(x)
-            worst = _nan_max(worst, rel_error(got, fd_gradient(reward.value, x)))
+            want = fd_gradient(lambda z: reward.value(z[None])[0], x)
+            worst = _nan_max(worst, rel_error(got, want))
         rows.append(_worst_row(f"fd_reward_{label}", worst, tol, "max rel err", n_probes))
     return rows
 
@@ -397,10 +398,10 @@ def _adjoint_rows(n_probes: int) -> List[CheckResult]:
     for label, make_fixture in (("gaussian", _gaussian_fixture), ("mixture", _mixture_fixture)):
         worst = 0.0
         for model, c, rng, x, sigma in _probes(make_fixture, 1500, n_probes):
-            v = rng.standard_normal(model.D)
+            v = rng.standard_normal((1, model.D))
             u = c.from_flat(rng.standard_normal(c.dim))
-            lhs = float(v @ model.jvp_c(x, c, sigma, u))
-            rhs = float(model.vjp_c(x, c, sigma, v).flat() @ u.flat())
+            lhs = float(v[0] @ model.jvp_c(x, c, sigma, u)[0])
+            rhs = float(model.vjp_c(x, c, sigma, v).flat()[0] @ u.flat())
             worst = _nan_max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
         rows.append(_worst_row(f"adjoint_identity_{label}", worst, 1e-10,
                                "max scaled mismatch", n_probes))
@@ -416,12 +417,12 @@ def _tweedie_rows(n_probes: int) -> List[CheckResult]:
         worst_g = _nan_max(worst_g, rel_error(got, want))
 
         mix, cm = _mixture_fixture(seed=2100 + p)
-        xm = 2.0 * rng.standard_normal(mix.D)
+        xm = 2.0 * rng.standard_normal((1, mix.D))
         got = score_from_denoiser(mix.denoise(xm, cm, sigma), xm, sigma)
         m = mix.mode_means(cm)
         a = mix.stds**2 + sigma**2
-        r = mix.responsibilities(xm, cm, sigma)
-        want = ((m - xm[None, :]) / a[:, None] * r[:, None]).sum(axis=0)
+        r = mix.responsibilities(xm, cm, sigma)[0]
+        want = ((m - xm) / a[:, None] * r[:, None]).sum(axis=0)
         worst_m = _nan_max(worst_m, rel_error(got, want))
     return [
         _worst_row("tweedie_gaussian", worst_g, 1e-10, "max rel err", n_probes),
@@ -642,7 +643,7 @@ def _mixture_mc_row(n_probes: int, n_draws: int) -> CheckResult:
         probes.append((x_t, sigma, rng))
     worst_z = 0.0
     for (x_t, sigma, _), (est, se) in zip(probes, _run_is_probes(model, means, probes, n_draws)):
-        got = model.denoise(x_t, c, sigma)
+        got = model.denoise(x_t[None], c, sigma)[0]
         z = np.max(np.abs(got - est) / np.maximum(se, 1e-12))
         worst_z = _nan_max(worst_z, float(z))
     return CheckResult(
@@ -758,7 +759,7 @@ def _taylor_rows(n_affine: int, n_mixture: int) -> List[CheckResult]:
     for p in range(n_affine):
         model, c = _gaussian_fixture(seed=4100 + p)
         rng = np.random.default_rng(4300 + p)
-        x = 2.0 * rng.standard_normal(model.D)
+        x = 2.0 * rng.standard_normal((1, model.D))
         sigma_t = float(rng.uniform(0.3, 3.0))
         sigma_prev = sigma_t * float(rng.uniform(0.5, 0.95))
         reward = GaussianMeasurementReward(y=rng.standard_normal(model.D))
@@ -772,7 +773,7 @@ def _taylor_rows(n_affine: int, n_mixture: int) -> List[CheckResult]:
     reward = GaussianMeasurementReward(y=np.full(model.D, 1.5))
     for p in range(n_mixture):
         rng = np.random.default_rng(4700 + p)
-        x = 2.0 * rng.standard_normal(model.D)
+        x = 2.0 * rng.standard_normal((1, model.D))
         sigma_t = float(rng.uniform(0.3, 2.0))
         sigma_prev = sigma_t * float(rng.uniform(0.5, 0.95))
         probes.append((x, c, sigma_t, sigma_prev))
@@ -843,9 +844,9 @@ def _map_identity_rows(n_configs: int) -> List[CheckResult]:
         )
         target = 2.0 * rng.standard_normal(3 * 7)
         reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
-        x = 2.0 * rng.standard_normal(3 * 7)
+        x = 2.0 * rng.standard_normal((1, 3 * 7))
         cc = map_correlation(render_map(x, grid, 1.5), reward.v_obs)
-        worst = _nan_max(worst, abs(reward.value(x) - 2.0 * (cc - 1.0)))
+        worst = _nan_max(worst, abs(reward.value(x)[0] - 2.0 * (cc - 1.0)))
     rows = [_worst_row("map_mse_correlation_identity", worst, 1e-10,
                        "max |R - 2(cc-1)| =", n_configs, "configs")]
 
@@ -853,8 +854,8 @@ def _map_identity_rows(n_configs: int) -> List[CheckResult]:
     grid = MapGrid(shape=(6, 6, 6), origin=np.array([-3.0, -3.0, -3.0]), spacing=1.1)
     target = 1.5 * rng.standard_normal(3 * 6)
     reward = MapMSEReward.from_state(target, grid)
-    self_val = reward.value(target)
-    self_cc = reward.correlation(target)
+    self_val = reward.value(target[None])[0]
+    self_cc = reward.correlation(target[None])[0]
     ok = abs(self_val) < 1e-12 and abs(self_cc - 1.0) < 1e-12
     rows.append(CheckResult(
         "map_self_render", ok,

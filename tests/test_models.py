@@ -18,18 +18,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerkit import (
+    Af3SamplerParams,
     DistanceConstraintReward,
     Embedding,
     GaussianMeasurementReward,
     GaussianPriorModel,
     MapGrid,
+    MapMSEReward,
     MixturePriorModel,
     NonFiniteStateError,
+    SteeringConfig,
+    SteeringResult,
     build_linear_schedule,
     conjugate_posterior,
     fd_gradient,
     make_mixture_model,
     rel_error,
+    run_steered,
     score_from_denoiser,
 )
 from conftest import gaussian_fixture, mixture_fixture, sample_prior
@@ -130,14 +135,14 @@ def test_gaussian_denoise_worked_example():
     # 1-D, m = c = 3, s0 = 0.5, sigma = 1: k = 0.25/1.25 = 0.2
     model = GaussianPriorModel(W=np.eye(1), b=np.zeros(1), s0=0.5)
     c = Embedding({"loc": [3.0]})
-    x = np.array([8.0])
+    x = np.array([[8.0]])
     assert model.shrinkage(1.0) == pytest.approx(0.2)
-    np.testing.assert_allclose(model.denoise(x, c, 1.0), [3.0 + 0.2 * 5.0])
+    np.testing.assert_allclose(model.denoise(x, c, 1.0), [[3.0 + 0.2 * 5.0]])
 
 
 def test_gaussian_denoise_sigma_zero_is_identity():
     model, c = gaussian_fixture(0)
-    x = np.arange(6.0)
+    x = np.arange(6.0)[None]
     np.testing.assert_array_equal(model.denoise(x, c, 0.0), x)
 
 
@@ -145,7 +150,7 @@ def test_gaussian_denoiser_is_affine_in_c():
     model, c1 = gaussian_fixture(3)
     rng = np.random.default_rng(7)
     c2 = random_embedding_like(c1, rng)
-    x = rng.standard_normal(model.D)
+    x = rng.standard_normal((1, model.D))
     sigma = 0.9
     for t in (0.25, 0.5, 2.0):
         mix = c1.add(c2.add(c1, -1.0), t)
@@ -169,12 +174,41 @@ def test_coordinate_shape_checked():
         model.denoise(np.zeros(5), c, 1.0)
 
 
+_PRODUCTS = {
+    "denoise": lambda m, c, x, v: m.denoise(x, c, 0.7),
+    "vjp_x": lambda m, c, x, v: m.vjp_x(x, c, 0.7, v),
+    "vjp_c": lambda m, c, x, v: m.vjp_c(x, c, 0.7, v),
+    "jvp_c": lambda m, c, x, v: m.jvp_c(x, c, 0.7, c),
+    "parts": lambda m, c, x, v: m.parts(x, c, 0.7),
+    "responsibilities": lambda m, c, x, v: m.responsibilities(x, c, 0.7),
+}
+
+
+@pytest.mark.parametrize("make_fixture, product", [
+    *((gaussian_fixture, name) for name in ("denoise", "vjp_x", "vjp_c", "jvp_c")),
+    *((mixture_fixture, name) for name in _PRODUCTS),
+], ids=lambda p: p if isinstance(p, str) else p.__name__.split("_")[0])
+def test_products_reject_a_single_vector_before_any_compute(make_fixture, product):
+    """A (D,) vector, as x or as the cotangent v, is a ValueError raised before
+    the model forms its means: the memo of a fresh model stays empty. (The
+    Gaussian model's `parts` shares nothing and has no responsibilities.)"""
+    model, c = make_fixture(seed=5)
+    X = np.ones((2, model.D))
+    for x, v in ((X[0], X), (X, X[0])):
+        if product in ("vjp_x", "vjp_c") or x.ndim == 1:
+            fresh = _fresh(model)
+            with pytest.raises(ValueError, match="shape"):
+                _PRODUCTS[product](fresh, c, x, v)
+            memo = fresh._last_means if isinstance(fresh, MixturePriorModel) else fresh._last_mean
+            assert memo == [None, None]
+
+
 @pytest.mark.parametrize("make_fixture", [gaussian_fixture, mixture_fixture],
                          ids=["gaussian", "mixture"])
 def test_batched_products_equal_each_row_alone(make_fixture):
     """Every product on a (B, D) batch returns, row by row, exactly what the
-    row gives alone, with one shared embedding or one embedding per row, and
-    with the intermediates from `parts` passed in or recomputed."""
+    row gives as a batch of one, with one shared embedding or one embedding
+    per row, and with the intermediates from `parts` passed in or recomputed."""
     model, c = make_fixture(seed=42)
     rng = np.random.default_rng(9)
     X = 2.0 * rng.standard_normal((5, model.D))
@@ -191,11 +225,11 @@ def test_batched_products_equal_each_row_alone(make_fixture):
             jc = model.jvp_c(X, emb, sigma, u, p)
             assert vc.batch == 5
             for b in range(5):
-                cb = row_emb(b)
-                assert np.array_equal(den[b], model.denoise(X[b], cb, sigma))
-                assert np.array_equal(vx[b], model.vjp_x(X[b], cb, sigma, V[b]))
-                assert np.array_equal(vc.flat()[b], model.vjp_c(X[b], cb, sigma, V[b]).flat())
-                assert np.array_equal(jc[b], model.jvp_c(X[b], cb, sigma, u))
+                cb, xb, vb = row_emb(b), X[b : b + 1], V[b : b + 1]
+                assert np.array_equal(den[b], model.denoise(xb, cb, sigma)[0])
+                assert np.array_equal(vx[b], model.vjp_x(xb, cb, sigma, vb)[0])
+                assert np.array_equal(vc.flat()[b], model.vjp_c(xb, cb, sigma, vb).flat()[0])
+                assert np.array_equal(jc[b], model.jvp_c(xb, cb, sigma, u)[0])
 
 
 def _fresh(model):
@@ -252,11 +286,11 @@ def test_vjp_x_matches_finite_differences(make_fixture, tol):
     for p in range(N_PROBES):
         model, c = make_fixture(seed=100 + p)
         rng = np.random.default_rng(p)
-        x = 2.0 * rng.standard_normal(model.D)
-        v = rng.standard_normal(model.D)
+        x = 2.0 * rng.standard_normal((1, model.D))
+        v = rng.standard_normal((1, model.D))
         sigma = probe_sigma(rng)
         analytic = model.vjp_x(x, c, sigma, v)
-        numeric = fd_gradient(lambda z: float(v @ model.denoise(z, c, sigma)), x)
+        numeric = fd_gradient(lambda z: float(v[0] @ model.denoise(z[None], c, sigma)[0]), x)
         worst = max(worst, rel_error(analytic, numeric))
     assert worst < tol, f"worst rel err {worst:.3e}"
 
@@ -271,12 +305,12 @@ def test_vjp_c_matches_finite_differences(make_fixture, tol):
     for p in range(N_PROBES):
         model, c = make_fixture(seed=200 + p)
         rng = np.random.default_rng(p)
-        x = 2.0 * rng.standard_normal(model.D)
-        v = rng.standard_normal(model.D)
+        x = 2.0 * rng.standard_normal((1, model.D))
+        v = rng.standard_normal((1, model.D))
         sigma = probe_sigma(rng)
         analytic = model.vjp_c(x, c, sigma, v).flat()
         numeric = fd_gradient(
-            lambda cf: float(v @ model.denoise(x, c.from_flat(cf), sigma)), c.flat()
+            lambda cf: float(v[0] @ model.denoise(x, c.from_flat(cf), sigma)[0]), c.flat()
         )
         worst = max(worst, rel_error(analytic, numeric))
     assert worst < tol, f"worst rel err {worst:.3e}"
@@ -292,7 +326,7 @@ def test_jvp_c_matches_directional_differences(make_fixture, tol):
     for p in range(N_PROBES):
         model, c = make_fixture(seed=300 + p)
         rng = np.random.default_rng(p)
-        x = 2.0 * rng.standard_normal(model.D)
+        x = 2.0 * rng.standard_normal((1, model.D))
         u = random_embedding_like(c, rng)
         sigma = probe_sigma(rng)
         analytic = model.jvp_c(x, c, sigma, u)
@@ -313,12 +347,12 @@ def test_adjoint_identity(make_fixture):
     for p in range(N_PROBES):
         model, c = make_fixture(seed=400 + p)
         rng = np.random.default_rng(p)
-        x = 2.0 * rng.standard_normal(model.D)
-        v = rng.standard_normal(model.D)
+        x = 2.0 * rng.standard_normal((1, model.D))
+        v = rng.standard_normal((1, model.D))
         u = random_embedding_like(c, rng)
         sigma = probe_sigma(rng)
-        lhs = float(v @ model.jvp_c(x, c, sigma, u))
-        rhs = float(model.vjp_c(x, c, sigma, v).flat() @ u.flat())
+        lhs = float(v[0] @ model.jvp_c(x, c, sigma, u)[0])
+        rhs = float(model.vjp_c(x, c, sigma, v).flat()[0] @ u.flat())
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     assert worst < 1e-10, f"worst scaled mismatch {worst:.3e}"
 
@@ -332,7 +366,7 @@ def test_tweedie_gaussian():
     for p in range(N_PROBES):
         model, c = gaussian_fixture(seed=500 + p)
         rng = np.random.default_rng(p)
-        x = 2.0 * rng.standard_normal(model.D)
+        x = 2.0 * rng.standard_normal((1, model.D))
         sigma = probe_sigma(rng)
         est = score_from_denoiser(model.denoise(x, c, sigma), x, sigma)
         # marginal is N(m, (s0^2 + sigma^2) I)
@@ -354,14 +388,14 @@ def test_tweedie_mixture():
     for p in range(N_PROBES):
         model, c = mixture_fixture(seed=600 + p)
         rng = np.random.default_rng(p)
-        x = 2.0 * rng.standard_normal(model.D)
+        x = 2.0 * rng.standard_normal((1, model.D))
         sigma = probe_sigma(rng)
         est = score_from_denoiser(model.denoise(x, c, sigma), x, sigma)
         # responsibility-weighted sum of per-mode marginal scores
         m = model.mode_means(c)
         a = model.stds**2 + sigma**2
-        r = model.responsibilities(x, c, sigma)
-        exact = (r / a) @ (m - x[None, :])
+        r = model.responsibilities(x, c, sigma)[0]
+        exact = (r / a) @ (m - x)
         worst = max(worst, rel_error(est, exact))
     assert worst < 1e-10
 
@@ -400,7 +434,7 @@ def test_mixture_denoiser_matches_quadrature():
         lik = np.exp(-((pts - x_t) ** 2).sum(axis=1) / (2 * sigma**2))
         w = prior * lik
         oracle = (w[:, None] * pts).sum(axis=0) / w.sum()
-        ours = model.denoise(x_t, c, sigma)
+        ours = model.denoise(x_t[None], c, sigma)[0]
         assert rel_error(ours, oracle) < 1e-6, f"sigma={sigma}"
 
 
@@ -413,7 +447,7 @@ def test_single_mode_mixture_equals_gaussian():
         weights=np.array([1.0]), Ws=W[None], bs=b[None], stds=np.array([0.8])
     )
     c = Embedding({"e": rng.standard_normal(3)})
-    x = rng.standard_normal(4)
+    x = rng.standard_normal((1, 4))
     for sigma in (0.1, 1.0, 10.0):
         np.testing.assert_allclose(
             mix.denoise(x, c, sigma), gauss.denoise(x, c, sigma), atol=1e-12
@@ -422,11 +456,11 @@ def test_single_mode_mixture_equals_gaussian():
 
 def test_mixture_log_space_stability_at_huge_inputs():
     model, c = mixture_fixture(seed=0)
-    x = np.full(model.D, 1e8)
-    r = model.responsibilities(x, c, 2.0)
+    x = np.full((1, model.D), 1e8)
+    r = model.responsibilities(x, c, 2.0)[0]
     assert np.all(np.isfinite(r)) and r.sum() == pytest.approx(1.0)
     assert np.all(np.isfinite(model.denoise(x, c, 2.0)))
-    assert np.all(np.isfinite(model.vjp_x(x, c, 2.0, np.ones(model.D))))
+    assert np.all(np.isfinite(model.vjp_x(x, c, 2.0, np.ones((1, model.D)))))
 
 
 def test_mixture_validation():
@@ -489,7 +523,7 @@ def test_shrinkage_in_unit_interval(sigma, s0):
 def test_gaussian_denoiser_between_mean_and_input(seed, sigma):
     model, c = gaussian_fixture(seed % 7)
     rng = np.random.default_rng(seed)
-    x = 3.0 * rng.standard_normal(model.D)
+    x = 3.0 * rng.standard_normal((1, model.D))
     xhat = model.denoise(x, c, sigma)
     m = model.mean(c)
     lo = np.minimum(m, x) - 1e-9
@@ -502,15 +536,24 @@ def test_gaussian_denoiser_between_mean_and_input(seed, sigma):
 def test_mixture_responsibilities_simplex(seed):
     model, c = mixture_fixture(seed % 5)
     rng = np.random.default_rng(seed)
-    x = 5.0 * rng.standard_normal(model.D)
+    x = 5.0 * rng.standard_normal((1, model.D))
     sigma = probe_sigma(rng)
-    r = model.responsibilities(x, c, sigma)
+    r = model.responsibilities(x, c, sigma)[0]
     assert np.all(r >= 0.0)
     assert r.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 NAN = float("nan")
+INF = float("inf")
 _MIXTURE = dict(component_dims={"u": 1}, D=2, seed=0)
+_GRID = MapGrid(shape=(2, 2, 2), origin=np.zeros(3), spacing=1.0)
+_V_OBS = np.tile([1.0, -1.0], 4)  # zero mean, unit variance on _GRID
+
+
+def _mixture(**fields):
+    """A one-mode mixture in one dimension, with `fields` replaced."""
+    return MixturePriorModel(**{"weights": [1.0], "Ws": [[[1.0]]], "bs": [[0.0]], "stds": [1.0],
+                                **fields})
 
 
 @pytest.mark.parametrize("build", [
@@ -527,11 +570,108 @@ _MIXTURE = dict(component_dims={"u": 1}, D=2, seed=0)
     lambda: build_linear_schedule(2.5, 1.0),
     lambda: build_linear_schedule("3", 1.0),
     lambda: build_linear_schedule(5, 10**400),
+    lambda: GaussianMeasurementReward(y=[NAN]),
+    lambda: GaussianMeasurementReward(y=[INF]),
+    lambda: DistanceConstraintReward(pairs=[(0, 1)], targets=[NAN], delta=1.0),
+    lambda: DistanceConstraintReward(pairs=[(0, 1.5)], targets=[1.0], delta=1.0),
+    lambda: DistanceConstraintReward(pairs=[(0, True)], targets=[1.0], delta=1.0),
+    lambda: DistanceConstraintReward(pairs=[(0, 10**400)], targets=[1.0], delta=1.0),
+    lambda: MapGrid(shape=(2, 2, 2), origin=[NAN, 0.0, 0.0], spacing=1.0),
+    lambda: MapGrid(shape=(2.7, 3, 3), origin=np.zeros(3), spacing=1.0),
+    lambda: MapGrid(shape=(INF, 2, 2), origin=np.zeros(3), spacing=1.0),
+    lambda: MapMSEReward(grid=_GRID, v_obs=np.full(8, NAN)),
+    lambda: MapMSEReward(grid=_GRID, v_obs=_V_OBS, atom_width=NAN),
+    lambda: GaussianPriorModel(W=[[NAN]], b=[0.0], s0=1.0),
+    lambda: GaussianPriorModel(W=[[1.0]], b=[NAN], s0=1.0),
+    lambda: _mixture(Ws=[[[NAN]]]),
+    lambda: _mixture(bs=[[NAN]]),
+    lambda: _mixture(stds=[INF]),
 ], ids=["tau2-nan", "w-nan", "w-inf", "delta-nan", "spacing-nan", "s0-nan", "std-nan",
-        "weight-nan", "prior_var-nan", "T-bool", "T-float", "T-str", "sigma_max-10**400"])
+        "weight-nan", "prior_var-nan", "T-bool", "T-float", "T-str", "sigma_max-10**400",
+        "y-nan", "y-inf", "targets-nan", "index-1.5", "index-True", "index-10**400",
+        "origin-nan", "shape-2.7", "shape-inf", "v_obs-nan", "atom_width-nan", "W-nan", "b-nan",
+        "Ws-nan", "bs-nan", "stds-inf"])
 def test_library_boundary_rejects_nan_inf_and_non_integer_steps(build):
-    """A comparison such as x <= 0 is False on NaN, and a float, string or
-    bool T is no step count: each of these is a ValueError, not a NaN result,
-    a TypeError or an OverflowError."""
+    """A comparison such as x <= 0 is False on NaN, a float, string or bool T
+    is no step count, every array a constructor stores must be finite, and a
+    bead index or grid count must be a non-bool integer in range: each of
+    these is a ValueError, not a NaN result, a truncated index, a TypeError or
+    an OverflowError."""
     with pytest.raises(ValueError):
         build()
+
+
+def _alphas_run(value):
+    """A two-row embedopt batch on the scalar task with row 1's step size `value`."""
+    model = GaussianPriorModel(W=np.eye(1), b=np.zeros(1), s0=1.0)
+    return run_steered(
+        model, GaussianMeasurementReward(y=[2.0]), Embedding({"loc": [0.0]}),
+        build_linear_schedule(2, 3.0), SteeringConfig(method="embedopt"),
+        [np.random.default_rng(0), np.random.default_rng(1)], alphas=[0.1, value],
+    )
+
+
+# one library input per slot, with the drawn value put in it
+_SLOTS = {
+    "y": lambda v: GaussianMeasurementReward(y=[0.0, v]),
+    "tau2": lambda v: GaussianMeasurementReward(y=[0.0], tau2=v),
+    "w": lambda v: GaussianMeasurementReward(y=[0.0], w=v),
+    "bead index": lambda v: DistanceConstraintReward(pairs=[(0, v)], targets=[1.0], delta=1.0),
+    "targets": lambda v: DistanceConstraintReward(pairs=[(0, 1)], targets=[v], delta=1.0),
+    "delta": lambda v: DistanceConstraintReward(pairs=[(0, 1)], targets=[1.0], delta=v),
+    "grid shape": lambda v: MapGrid(shape=(2, v, 2), origin=np.zeros(3), spacing=1.0),
+    "grid origin": lambda v: MapGrid(shape=(2, 2, 2), origin=[0.0, v, 0.0], spacing=1.0),
+    "spacing": lambda v: MapGrid(shape=(2, 2, 2), origin=np.zeros(3), spacing=v),
+    "v_obs": lambda v: MapMSEReward(grid=_GRID, v_obs=[*_V_OBS[:-1], v]),
+    "atom_width": lambda v: MapMSEReward(grid=_GRID, v_obs=_V_OBS, atom_width=v),
+    "W": lambda v: GaussianPriorModel(W=[[1.0], [v]], b=[0.0, 0.0], s0=1.0),
+    "b": lambda v: GaussianPriorModel(W=[[1.0]], b=[v], s0=1.0),
+    "s0": lambda v: GaussianPriorModel(W=[[1.0]], b=[0.0], s0=v),
+    "weights": lambda v: _mixture(weights=[0.5, v], Ws=np.zeros((2, 1, 1)), bs=np.zeros((2, 1)),
+                                  stds=[1.0, 1.0]),
+    "Ws": lambda v: _mixture(Ws=[[[v]]]),
+    "bs": lambda v: _mixture(bs=[[v]]),
+    "stds": lambda v: _mixture(stds=[v]),
+    "method": lambda v: SteeringConfig(method=v),
+    "alpha": lambda v: SteeringConfig(alpha=v),
+    **{f"af3 {name}": lambda v, name=name: Af3SamplerParams(**{name: v})
+       for name in ("gamma", "gamma_min", "rho_noise", "eta_scale")},
+    "T": lambda v: build_linear_schedule(v, 1.0),
+    "sigma_max": lambda v: build_linear_schedule(3, v),
+    "alphas": _alphas_run,
+}
+
+# integers stay small or are at least 10**19, which no float64 array can hold:
+# a schedule of T steps in between would be allocated
+_WILD = st.one_of(
+    st.sampled_from([NAN, INF, -INF, True, False, None, 0, 1, -1, 10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-1000, 1000),
+    st.integers(10**19, 10**400) | st.integers(-(10**400), -(10**19)),
+    st.text(alphabet="0123456789.-+eEinfaINFA x", max_size=4),  # "1", "inf", "nan", "1e9", ...
+)
+
+
+def _arrays(result):
+    if isinstance(result, SteeringResult):
+        return [result.x0]
+    return [v for v in vars(result).values() if isinstance(v, np.ndarray)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot=st.sampled_from(sorted(_SLOTS)), value=_WILD)
+def test_library_boundary_returns_finite_arrays_or_raises_value_error(slot, value):
+    """NaN, inf, bools, strings, None and integers up to 10**400 in any slot
+    of the library's constructors, the schedule builder or run_steered's
+    alphas: each call returns finite arrays or raises ValueError, never
+    OverflowError or TypeError. A schedule whose T cannot be allocated raises
+    MemoryError, which the CLI maps to its own exit code."""
+    with np.errstate(all="ignore"):
+        try:
+            result = _SLOTS[slot](value)
+        except ValueError:
+            return
+        except MemoryError:
+            assert slot == "T" and value >= 10**19
+            return
+    assert all(np.isfinite(a).all() for a in _arrays(result)), (slot, value)

@@ -28,6 +28,7 @@ from steerkit import (
     render_map_raw,
     select_top_k_constraints,
 )
+from steerkit import rewards as rewards_module
 from steerkit.rewards import _SPLAT_CHUNK_BYTES, _bead_sum
 from steerkit.tasks import build_toy_task
 
@@ -49,12 +50,17 @@ def make_distance_reward(rng, n_beads=6, K=4, delta=1.0):
     return DistanceConstraintReward(pairs=tuple(pairs), targets=np.array(targets), delta=delta)
 
 
+def at_one(f):
+    """f of a flat vector z as a batch of one: the scalar function fd_gradient differentiates."""
+    return lambda z: f(z[None])[0]
+
+
 def probe_off_boundary(rng, reward, n_beads):
-    """Configuration with every |deviation| clear of the clip boundary and
-    no near-coincident pair, so central differences see a smooth function."""
+    """Configuration, a batch of one, with every |deviation| clear of the clip
+    boundary and no near-coincident pair, so central differences see a smooth function."""
     for _ in range(500):
-        x = 3.0 * rng.standard_normal(3 * n_beads)
-        d = reward.distances(x)
+        x = 3.0 * rng.standard_normal((1, 3 * n_beads))
+        d = reward.distances(x)[0]
         dev = np.abs(d - reward.targets)
         if np.all(np.abs(dev - reward.delta) > 0.05) and np.all(d > 0.3):
             return x
@@ -67,14 +73,14 @@ def probe_off_boundary(rng, reward, n_beads):
 
 def test_gaussian_reward_worked_example():
     r = GaussianMeasurementReward(y=[0.0, 0.0], tau2=1.0, w=2.0)
-    val, grad = r.value_and_grad(np.array([3.0, 4.0]))
-    assert val == pytest.approx(-25.0)
-    np.testing.assert_allclose(grad, [-6.0, -8.0])
-    assert r.value(np.array([0.0, 0.0])) == 0.0
+    val, grad = r.value_and_grad(np.array([[3.0, 4.0]]))
+    assert val.shape == (1,) and val[0] == pytest.approx(-25.0)
+    np.testing.assert_allclose(grad, [[-6.0, -8.0]])
+    assert r.value(np.zeros((1, 2)))[0] == 0.0
 
 
 def test_gaussian_reward_scales_linearly_in_w():
-    x = np.array([1.0, -2.0, 0.5])
+    x = np.array([[1.0, -2.0, 0.5]])
     y = np.array([0.3, 0.3, 0.3])
     r1 = GaussianMeasurementReward(y=y, tau2=2.0, w=1.0)
     r3 = GaussianMeasurementReward(y=y, tau2=2.0, w=3.0)
@@ -94,9 +100,9 @@ def test_gaussian_reward_fd():
     for p in range(N_PROBES):
         rng = np.random.default_rng(p)
         r = GaussianMeasurementReward(y=rng.standard_normal(4), tau2=0.7, w=2.5)
-        x = rng.standard_normal(4)
+        x = rng.standard_normal((1, 4))
         _, grad = r.value_and_grad(x)
-        worst = max(worst, rel_error(grad, fd_gradient(r.value, x)))
+        worst = max(worst, rel_error(grad, fd_gradient(at_one(r.value), x)))
     assert worst < 1e-6
 
 
@@ -106,36 +112,36 @@ def test_gaussian_reward_fd():
 
 def test_distance_reward_worked_example_inside_tolerance():
     r = DistanceConstraintReward(pairs=((0, 1),), targets=[2.0], delta=2.0)
-    x = np.array([0.0, 0.0, 0.0, 3.0, 0.0, 0.0])
+    x = np.array([[0.0, 0.0, 0.0, 3.0, 0.0, 0.0]])
     val, grad = r.value_and_grad(x)
-    assert val == pytest.approx(-1.0)
-    np.testing.assert_allclose(grad, [2.0, 0, 0, -2.0, 0, 0])
-    assert r.count_satisfied(x) == 1
+    assert val[0] == pytest.approx(-1.0)
+    np.testing.assert_allclose(grad, [[2.0, 0, 0, -2.0, 0, 0]])
+    assert r.count_satisfied(x)[0] == 1
 
 
 def test_distance_reward_worked_example_clipped():
     r = DistanceConstraintReward(pairs=((0, 1),), targets=[2.0], delta=2.0)
-    x = np.array([0.0, 0.0, 0.0, 7.0, 0.0, 0.0])
+    x = np.array([[0.0, 0.0, 0.0, 7.0, 0.0, 0.0]])
     val, grad = r.value_and_grad(x)
-    assert val == pytest.approx(-4.0)
-    np.testing.assert_array_equal(grad, np.zeros(6))
-    assert r.count_satisfied(x) == 0
+    assert val[0] == pytest.approx(-4.0)
+    np.testing.assert_array_equal(grad, np.zeros((1, 6)))
+    assert r.count_satisfied(x)[0] == 0
 
 
 def test_distance_reward_zero_gradient_at_coincident_beads():
     r = DistanceConstraintReward(pairs=((0, 1),), targets=[1.0], delta=2.0)
-    x = np.zeros(6)
+    x = np.zeros((1, 6))
     val, grad = r.value_and_grad(x)
-    assert val == pytest.approx(-1.0)  # dev = 1, inside clip
-    np.testing.assert_array_equal(grad, np.zeros(6))
+    assert val[0] == pytest.approx(-1.0)  # dev = 1, inside clip
+    np.testing.assert_array_equal(grad, np.zeros((1, 6)))
 
 
 def test_distance_reward_exact_target_is_stationary():
     r = DistanceConstraintReward(pairs=((0, 1),), targets=[3.0], delta=2.0)
-    x = np.array([0.0, 0.0, 0.0, 3.0, 0.0, 0.0])
+    x = np.array([[0.0, 0.0, 0.0, 3.0, 0.0, 0.0]])
     val, grad = r.value_and_grad(x)
-    assert val == 0.0
-    np.testing.assert_array_equal(grad, np.zeros(6))
+    assert val[0] == 0.0
+    np.testing.assert_array_equal(grad, np.zeros((1, 6)))
 
 
 def test_distance_reward_fd_off_boundaries():
@@ -146,7 +152,7 @@ def test_distance_reward_fd_off_boundaries():
         r = make_distance_reward(rng, n_beads=n_beads)
         x = probe_off_boundary(rng, r, n_beads)
         _, grad = r.value_and_grad(x)
-        worst = max(worst, rel_error(grad, fd_gradient(r.value, x)))
+        worst = max(worst, rel_error(grad, fd_gradient(at_one(r.value), x)))
     assert worst < 1e-6, f"worst rel err {worst:.3e}"
 
 
@@ -154,11 +160,11 @@ def test_distance_reward_rigid_motion_invariance():
     rng = np.random.default_rng(3)
     r = make_distance_reward(rng, n_beads=6)
     for p in range(10):
-        x = 3.0 * rng.standard_normal(18)
+        x = 3.0 * rng.standard_normal((1, 18))
         Q = random_rotation(rng)
         shift = rng.standard_normal(3)
-        moved = (x.reshape(-1, 3) @ Q.T + shift).ravel()
-        assert abs(r.value(moved) - r.value(x)) < 1e-9
+        moved = (x.reshape(-1, 3) @ Q.T + shift).reshape(1, -1)
+        assert abs(r.value(moved)[0] - r.value(x)[0]) < 1e-9
         # the gradient moves covariantly with the rotation
         g = r.value_and_grad(x)[1].reshape(-1, 3)
         g_moved = r.value_and_grad(moved)[1].reshape(-1, 3)
@@ -181,10 +187,10 @@ def test_distance_reward_validation():
 def test_distance_reward_bounded(seed):
     rng = np.random.default_rng(seed)
     r = make_distance_reward(rng, n_beads=6, K=4, delta=1.5)
-    x = 5.0 * rng.standard_normal(18)
-    val = r.value(x)
+    x = 5.0 * rng.standard_normal((1, 18))
+    val = r.value(x)[0]
     assert -r.K * r.delta**2 <= val <= 0.0
-    assert 0 <= r.count_satisfied(x) <= r.K
+    assert 0 <= r.count_satisfied(x)[0] <= r.K
 
 
 def _loop_value_and_grad(reward, x):
@@ -216,12 +222,13 @@ def test_distance_reward_bit_identical_to_pair_loop_on_tasks(seed):
     for scale in (0.1, 0.3, 1.0, 3.0, 10.0):
         X = task.target_state + scale * rng.standard_normal((12, task.target_state.size))
         values, grads = reward.value_and_grad(X)
-        for x, batch_val, batch_grad in zip(X, values, grads):
+        batch_values = reward.value(X)
+        for b, x in enumerate(X):
             want_val, want_grad = _loop_value_and_grad(reward, x)
-            val, grad = reward.value_and_grad(x)
-            assert val == want_val and batch_val == want_val
-            assert np.array_equal(grad, want_grad) and np.array_equal(batch_grad, want_grad)
-            assert reward.value(x) == reward.value(x[None, :])[0]
+            val, grad = reward.value_and_grad(X[b : b + 1])
+            assert val[0] == want_val and values[b] == want_val
+            assert np.array_equal(grad[0], want_grad) and np.array_equal(grads[b], want_grad)
+            assert reward.value(X[b : b + 1])[0] == batch_values[b]
 
 
 def test_distance_reward_batch_shapes_and_shared_beads():
@@ -232,12 +239,13 @@ def test_distance_reward_batch_shapes_and_shared_beads():
     X = np.random.default_rng(3).standard_normal((5, 12))
     values, grads = reward.value_and_grad(X)
     assert values.shape == (5,) and grads.shape == (5, 12)
-    assert reward.count_satisfied(X).shape == (5,)
-    for x, v, g in zip(X, values, grads):
+    counts = reward.count_satisfied(X)
+    assert counts.shape == (5,)
+    for b, (x, v, g) in enumerate(zip(X, values, grads)):
         want_val, want_grad = _loop_value_and_grad(reward, x)
         assert v == want_val and np.array_equal(g, want_grad)
-        assert reward.count_satisfied(x) == int(np.sum(
-            np.abs(reward.distances(x) - reward.targets) <= reward.delta))
+        assert counts[b] == reward.count_satisfied(X[b : b + 1])[0] == int(np.sum(
+            np.abs(reward.distances(X[b : b + 1])[0] - reward.targets) <= reward.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +284,9 @@ def test_map_reward_equals_correlation_identity():
     reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
     worst = 0.0
     for _ in range(20):
-        x = 2.0 * rng.standard_normal(12 * 3)
-        val = reward.value(x)
-        cc = reward.correlation(x)
+        x = 2.0 * rng.standard_normal((1, 12 * 3))
+        val = reward.value(x)[0]
+        cc = reward.correlation(x)[0]
         worst = max(worst, abs(val - 2.0 * (cc - 1.0)))
     assert worst < 1e-10
 
@@ -288,8 +296,8 @@ def test_map_reward_self_render_is_perfect():
     rng = np.random.default_rng(2)
     target = 2.0 * rng.standard_normal(8 * 3)
     reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
-    assert abs(reward.correlation(target) - 1.0) < 1e-12
-    assert abs(reward.value(target)) < 1e-12
+    assert abs(reward.correlation(target[None])[0] - 1.0) < 1e-12
+    assert abs(reward.value(target[None])[0]) < 1e-12
 
 
 def test_map_reward_fd():
@@ -299,10 +307,10 @@ def test_map_reward_fd():
         rng = np.random.default_rng(2000 + p)
         target = 2.0 * rng.standard_normal(12 * 3)
         reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
-        x = 2.0 * rng.standard_normal(12 * 3)
+        x = 2.0 * rng.standard_normal((1, 12 * 3))
         val, grad = reward.value_and_grad(x)
-        assert val == pytest.approx(reward.value(x), abs=1e-12)
-        worst = max(worst, rel_error(grad, fd_gradient(reward.value, x)))
+        assert val[0] == pytest.approx(reward.value(x)[0], abs=1e-12)
+        worst = max(worst, rel_error(grad, fd_gradient(at_one(reward.value), x)))
     assert worst < 1e-6, f"worst rel err {worst:.3e}"
 
 
@@ -337,8 +345,8 @@ def _assert_matches_render_map_raw(reward, x):
     v_raw = render_map_raw(x, reward.grid, reward.atom_width)
     v = _frozen_normalize(v_raw)[0]
     assert np.array_equal(render_map(x, reward.grid, reward.atom_width), v)
-    assert reward.value(x) == float(-np.mean((v - reward.v_obs) ** 2))
-    assert reward.correlation(x) == map_correlation(v_raw, reward.v_obs)
+    assert reward.value(x[None])[0] == float(-np.mean((v - reward.v_obs) ** 2))
+    assert reward.correlation(x[None])[0] == map_correlation(v_raw, reward.v_obs)
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -354,10 +362,10 @@ def test_map_reward_bit_identical_to_brute_force_on_tasks(seed):
     for scale in (0.0, 0.1, 1.0, 3.0):
         for _ in range(1 if scale == 0.0 else 3):
             x = target + scale * rng.standard_normal(target.size)
-            val, grad = reward.value_and_grad(x)
+            val, grad = reward.value_and_grad(x[None])
             val_ref, grad_ref, _ = _brute_force_value_and_grad(reward, x)
-            assert val == val_ref
-            assert np.array_equal(grad, grad_ref)
+            assert val[0] == val_ref
+            assert np.array_equal(grad[0], grad_ref)
             _assert_matches_render_map_raw(reward, x)
 
 
@@ -372,7 +380,7 @@ def test_map_reward_bit_identical_on_uneven_grids(shape, n_beads):
     assert np.array_equal(reward.v_obs, render_map(target, grid, 1.5))
     for _ in range(5):
         x = target + rng.standard_normal(3 * n_beads)
-        val, grad = reward.value_and_grad(x)
+        (val,), (grad,) = reward.value_and_grad(x[None])
         val_ref, grad_ref, abs_terms = _brute_force_value_and_grad(reward, x)
         assert val == val_ref
         _assert_matches_render_map_raw(reward, x)
@@ -395,20 +403,19 @@ def test_bead_sum_matches_numpy_pairwise_sum(n_beads):
 
 
 def _assert_rows_match_alone(reward, X):
-    """A (B, D) call returns, row by row, the bytes of each row evaluated alone."""
+    """A (B, D) call returns, row by row, the bytes of that row as a batch of
+    one, and each row's correlation is `map_correlation` of its `render_map_raw`."""
     values, grads = reward.value_and_grad(X)
-    batch_values = reward.value(X)
-    assert values.shape == batch_values.shape == (len(X),) and grads.shape == X.shape
-    for x, val, grad, batch_val in zip(X, values, grads, batch_values):
-        alone_val, alone_grad = reward.value_and_grad(x)
-        assert np.float64(alone_val).tobytes() == val.tobytes()
-        assert alone_grad.tobytes() == grad.tobytes()
-        assert np.float64(reward.value(x)).tobytes() == batch_val.tobytes()
-    # a 1-D call is the batch of one
-    (alone_val, alone_grad), (one_val, one_grad) = map(reward.value_and_grad, (X[0], X[:1]))
-    assert np.float64(alone_val).tobytes() == one_val.tobytes()
-    assert alone_grad.tobytes() == one_grad[0].tobytes()
-    assert np.float64(reward.value(X[0])).tobytes() == reward.value(X[:1]).tobytes()
+    batch_values, corrs = reward.value(X), reward.correlation(X)
+    assert values.shape == batch_values.shape == corrs.shape == (len(X),)
+    assert grads.shape == X.shape
+    for b, x in enumerate(X):
+        one_val, one_grad = reward.value_and_grad(X[b : b + 1])
+        assert one_val.tobytes() == values[b : b + 1].tobytes()
+        assert one_grad.tobytes() == grads[b : b + 1].tobytes()
+        assert reward.value(X[b : b + 1]).tobytes() == batch_values[b : b + 1].tobytes()
+        want = map_correlation(render_map_raw(x, reward.grid, reward.atom_width), reward.v_obs)
+        assert np.float64(want).tobytes() == corrs[b].tobytes()
 
 
 def _rows_per_chunk(reward, n_beads):
@@ -471,7 +478,6 @@ def test_map_reward_peaks_below_two_splat_buffers(seed, rows):
     reward, target = task.reward, task.target_state
     rng = np.random.default_rng(seed)
     x = target + 0.3 * rng.standard_normal((rows, target.size))
-    x = x[0] if rows == 1 else x
     n_beads = target.size // 3
     chunk_bytes = min(rows, _rows_per_chunk(reward, n_beads)) * reward.grid.n_voxels * n_beads * 8
     for call in (reward.value_and_grad, reward.value):
@@ -486,13 +492,36 @@ def test_map_reward_peaks_below_two_splat_buffers(seed, rows):
         assert peak < 2 * _SPLAT_CHUNK_BYTES <= 8 << 20  # 200 rows unchunked: 40-62 MB
 
 
+def _reward_methods():
+    task = build_toy_task("map", seed=0)
+    gaussian = GaussianMeasurementReward(y=np.zeros(6))
+    distance = DistanceConstraintReward(pairs=((0, 1),), targets=[1.0], delta=2.0)
+    return [
+        (task.reward, "value"), (task.reward, "value_and_grad"), (task.reward, "correlation"),
+        (gaussian, "value"), (gaussian, "value_and_grad"),
+        (distance, "value"), (distance, "value_and_grad"), (distance, "count_satisfied"),
+    ]
+
+
+@pytest.mark.parametrize("reward, method", _reward_methods(),
+                         ids=lambda p: p if isinstance(p, str) else type(p).__name__)
+def test_reward_methods_reject_a_single_vector_before_rendering(reward, method, monkeypatch):
+    """A (D,) vector is a ValueError; the map reward raises it before it renders anything."""
+    def no_render(*args):
+        raise AssertionError("rendered a single vector")
+
+    monkeypatch.setattr(rewards_module, "_render_rows", no_render)
+    with pytest.raises(ValueError, match="shape"):
+        getattr(reward, method)(np.zeros(6))  # two beads, or six Gaussian coordinates
+
+
 def test_map_reward_raises_on_degenerate_rendering():
     grid = MapGrid(shape=(5, 5, 5), origin=np.full(3, -3.0), spacing=1.5)
     rng = np.random.default_rng(4)
     target = 2.0 * rng.standard_normal(8 * 3)
     reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
     # every bead a thousand units outside the grid renders a zero map
-    far = target + 1000.0
+    far = (target + 1000.0)[None]
     with pytest.raises(DegenerateMapError):
         reward.value_and_grad(far)
     with pytest.raises(DegenerateMapError):
@@ -506,11 +535,11 @@ def test_map_reward_range_and_gradient_at_optimum():
     rng = np.random.default_rng(3)
     target = 2.0 * rng.standard_normal(8 * 3)
     reward = MapMSEReward.from_state(target, grid, atom_width=1.5)
-    _, grad = reward.value_and_grad(target)
+    _, grad = reward.value_and_grad(target[None])
     np.testing.assert_allclose(grad, np.zeros_like(grad), atol=1e-10)
     for _ in range(10):
-        x = 3.0 * rng.standard_normal(8 * 3)
-        assert -4.0 - 1e-12 <= reward.value(x) <= 0.0
+        x = 3.0 * rng.standard_normal((1, 8 * 3))
+        assert -4.0 - 1e-12 <= reward.value(x)[0] <= 0.0
 
 
 def test_degenerate_map_raises():

@@ -139,8 +139,8 @@ def test_sampler_single_step_collapses_to_denoiser():
     sched = build_linear_schedule(T=1, sigma_max=4.0)
     seed = 5
     x0, _ = sample(model, c, sched, np.random.default_rng(seed))
-    x_T = 4.0 * np.random.default_rng(seed).standard_normal(model.D)
-    np.testing.assert_allclose(x0, model.denoise(x_T, c, 4.0), atol=1e-14)
+    x_T = 4.0 * np.random.default_rng(seed).standard_normal((1, model.D))
+    np.testing.assert_allclose(x0, model.denoise(x_T, c, 4.0)[0], atol=1e-14)
 
 
 def test_sampler_logs_reward_when_given():

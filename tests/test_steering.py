@@ -124,39 +124,39 @@ def test_embedopt_step_scalar_worked_example():
     model, c, reward = scalar_setup()
     alpha = 0.3
     x_prev, c_prev, info = embedopt_step(
-        model, reward, np.array([6.0]), c, sigma_t=1.0, sigma_prev=0.5, alpha=alpha
+        model, reward, np.array([[6.0]]), c, sigma_t=1.0, sigma_prev=0.5, alpha=alpha
     )
-    assert c_prev.components["loc"][0] == pytest.approx(5.3)
-    assert info["grad_norm"] == pytest.approx(11.84)
-    assert info["F"] == pytest.approx(-0.5 * 14.8**2)  # logged before the update
+    assert c_prev.components["loc"][0, 0] == pytest.approx(5.3)
+    assert info["grad_norm"][0] == pytest.approx(11.84)
+    assert info["F"][0] == pytest.approx(-0.5 * 14.8**2)  # logged before the update
     xhat2 = 5.3 + 0.2 * (6.0 - 5.3)
-    assert info["x_hat_step"][0] == pytest.approx(xhat2)  # at the updated embedding
-    assert x_prev[0] == pytest.approx(6.0 + 0.5 * (xhat2 - 6.0))
+    assert info["x_hat_step"][0, 0] == pytest.approx(xhat2)  # at the updated embedding
+    assert x_prev[0, 0] == pytest.approx(6.0 + 0.5 * (xhat2 - 6.0))
 
 
 def test_embedopt_alpha_zero_keeps_embedding():
     model, c, reward = scalar_setup()
     x_prev, c_prev, _ = embedopt_step(
-        model, reward, np.array([6.0]), c, 1.0, 0.5, alpha=0.0
+        model, reward, np.array([[6.0]]), c, 1.0, 0.5, alpha=0.0
     )
     assert c_prev.components["loc"][0] == 5.0
     # identical to the unguided Euler step
     xhat = 5.0 + 0.2 * 1.0
-    assert x_prev[0] == pytest.approx(6.0 + 0.5 * (xhat - 6.0), abs=1e-15)
+    assert x_prev[0, 0] == pytest.approx(6.0 + 0.5 * (xhat - 6.0), abs=1e-15)
 
 
 def test_embedopt_skips_flat_gradient():
     model, c = gaussian_fixture(0)
     flat = GaussianMeasurementReward(y=np.zeros(model.D), w=0.0)
-    x = np.ones(model.D)
+    x = np.ones((1, model.D))
     x_prev, c_prev, info = embedopt_step(model, flat, x, c, 1.0, 0.5, alpha=0.7)
-    assert info["skipped"].tolist() == [True, True]  # both components, u and v
-    np.testing.assert_array_equal(c_prev.flat(), c.flat())
+    assert info["skipped"].tolist() == [[True, True]]  # both components, u and v
+    np.testing.assert_array_equal(c_prev.flat(), c.flat()[None])
 
 
 def test_dps_sigma2w_guidance_linear_in_weight():
     model, c = gaussian_fixture(1)
-    x = 2.0 * np.ones(model.D)
+    x = 2.0 * np.ones((1, model.D))
     base, _ = dps_step(
         model, GaussianMeasurementReward(y=np.zeros(model.D), w=0.0), x, c, 1.2, 0.9, alpha=0.0
     )
@@ -172,7 +172,7 @@ def test_dps_sigma2w_guidance_linear_in_weight():
 def test_dps_l2_matched_guidance_length():
     model, c = gaussian_fixture(2)
     rng = np.random.default_rng(0)
-    x = 2.0 * rng.standard_normal(model.D)
+    x = 2.0 * rng.standard_normal((1, model.D))
     reward = make_reward_for(model)
     alpha = 0.25
     sigma_t, sigma_prev = 1.5, 1.0
@@ -183,15 +183,15 @@ def test_dps_l2_matched_guidance_length():
     assert np.linalg.norm(x_guided - plain) == pytest.approx(
         eta * alpha * float(np.linalg.norm(xhat - x)), rel=1e-12
     )
-    assert not info["skipped"]
+    assert info["skipped"].tolist() == [False]
 
 
 def test_dps_l2_matched_skips_zero_gradient():
     model, c = gaussian_fixture(2)
-    x = np.ones(model.D)
+    x = np.ones((1, model.D))
     flat = GaussianMeasurementReward(y=np.zeros(model.D), w=0.0)
     x_guided, info = dps_step(model, flat, x, c, 1.5, 1.0, alpha=0.25, norm_mode="l2_matched")
-    assert info["skipped"]
+    assert info["skipped"].tolist() == [True]
     xhat = model.denoise(x, c, 1.5)
     np.testing.assert_allclose(x_guided, x + (1.0 / 3.0) * (xhat - x), atol=1e-14)
 
@@ -201,11 +201,11 @@ def test_dps_exact_likelihood_scalar_worked_example():
     # sigma^2 * k (y - xhat) / (tau2/w + 0.2) = 0.2 * 14.8 / 1.2
     model, c, reward = scalar_setup()
     x_prev, info = dps_step(
-        model, reward, np.array([6.0]), c, 1.0, 0.5, alpha=0.0,
+        model, reward, np.array([[6.0]]), c, 1.0, 0.5, alpha=0.0,
         norm_mode="exact_likelihood",
     )
-    assert x_prev[0] == pytest.approx(6.0 + 0.5 * (5.2 - 6.0 + 0.2 * 14.8 / 1.2), abs=1e-12)
-    assert not info["skipped"]
+    assert x_prev[0, 0] == pytest.approx(6.0 + 0.5 * (5.2 - 6.0 + 0.2 * 14.8 / 1.2), abs=1e-12)
+    assert info["skipped"].tolist() == [False]
 
 
 def test_dps_exact_likelihood_follows_likelihood_score():
@@ -215,12 +215,12 @@ def test_dps_exact_likelihood_follows_likelihood_score():
     rng = np.random.default_rng(5)
     y = rng.standard_normal(model.D)
     reward = GaussianMeasurementReward(y=y, tau2=0.5, w=2.0)
-    x = 2.0 * rng.standard_normal(model.D)
+    x = 2.0 * rng.standard_normal((1, model.D))
     sigma_t, sigma_prev = 1.3, 0.8
     var = reward.tau2 / reward.w + model.posterior_variance(sigma_t)
 
     def log_lik(z):
-        d = y - model.denoise(z, c, sigma_t)
+        d = y - model.denoise(z[None], c, sigma_t)[0]
         return float(-0.5 * d @ d / var)
 
     guided, _ = dps_step(
@@ -228,18 +228,18 @@ def test_dps_exact_likelihood_follows_likelihood_score():
     )
     eta = (sigma_t - sigma_prev) / sigma_t
     guidance = (guided - x) / eta - (model.denoise(x, c, sigma_t) - x)
-    np.testing.assert_allclose(guidance, sigma_t**2 * fd_gradient(log_lik, x), rtol=1e-7)
+    np.testing.assert_allclose(guidance[0], sigma_t**2 * fd_gradient(log_lik, x), rtol=1e-7)
 
 
 def test_dps_exact_likelihood_needs_closed_form_posterior():
     mix, c = mixture_fixture(0)
     with pytest.raises(ValueError, match="exact_likelihood"):
-        dps_step(mix, make_reward_for(mix), np.ones(mix.D), c, 1.0, 0.5, 0.0,
+        dps_step(mix, make_reward_for(mix), np.ones((1, mix.D)), c, 1.0, 0.5, 0.0,
                  norm_mode="exact_likelihood")
     model, c = gaussian_fixture(0)
     distance = DistanceConstraintReward(pairs=((0, 1),), targets=[1.0], delta=2.0)
     with pytest.raises(ValueError, match="exact_likelihood"):
-        dps_step(model, distance, np.ones(model.D), c, 1.0, 0.5, 0.0,
+        dps_step(model, distance, np.ones((1, model.D)), c, 1.0, 0.5, 0.0,
                  norm_mode="exact_likelihood")
 
 
@@ -253,7 +253,7 @@ def test_taylor_prediction_exact_for_affine_model():
         model, c = gaussian_fixture(seed=700 + p)
         reward = make_reward_for(model)
         rng = np.random.default_rng(p)
-        x = 2.0 * rng.standard_normal(model.D)
+        x = 2.0 * rng.standard_normal((1, model.D))
         actual, _, _ = embedopt_step(model, reward, x, c, 1.3, 0.9, alpha=0.05)
         predicted = taylor_predicted_step(model, reward, x, c, 1.3, 0.9, alpha=0.05)
         worst = max(worst, float(np.linalg.norm(actual - predicted)))
@@ -265,7 +265,7 @@ def test_taylor_gap_quadratic_in_alpha_for_mixture():
     reward = make_reward_for(model)
     rng = np.random.default_rng(1)
     probes = [
-        (2.0 * rng.standard_normal(model.D), c, 1.2, 0.8) for _ in range(10)
+        (2.0 * rng.standard_normal((1, model.D)), c, 1.2, 0.8) for _ in range(10)
     ]
     out = taylor_gap_scaling(model, reward, probes, alpha=1e-2)
     assert out["median_ratio"] is not None
@@ -367,8 +367,8 @@ def test_surrogate_logged_before_update():
         model, reward, c, sched,
         SteeringConfig(method="embedopt", alpha=0.5), [np.random.default_rng(1)],
     )
-    x_T = 4.0 * np.random.default_rng(1).standard_normal(model.D)
-    expected_first_F = reward.value(model.denoise(x_T, c, 4.0))
+    x_T = 4.0 * np.random.default_rng(1).standard_normal((1, model.D))
+    expected_first_F = reward.value(model.denoise(x_T, c, 4.0))[0]
     assert res.records[0].F[0] == pytest.approx(expected_first_F, rel=1e-12)
 
 

@@ -82,7 +82,7 @@ def test_distance_task_constraints():
     for (i, j), t in zip(task.reward.pairs, task.reward.targets):
         assert t == pytest.approx(float(np.linalg.norm(pts[i] - pts[j])))
     # the target itself satisfies everything
-    assert task.metric(task.target_state) == TOY_K_CONSTRAINTS
+    assert task.metric(task.target_state[None]).tolist() == [TOY_K_CONSTRAINTS]
     assert task.metric_name() == "constraints_satisfied"
 
 
@@ -90,11 +90,8 @@ def test_unguided_prior_mostly_violates():
     task = build_toy_task("distance", seed=0)
     rng = np.random.default_rng(999)
     n = 300
-    violated = sum(
-        task.reward.count_satisfied(sample_prior(task.model, task.c_init, rng))
-        < TOY_K_CONSTRAINTS
-        for _ in range(n)
-    )
+    X = np.array([sample_prior(task.model, task.c_init, rng) for _ in range(n)])
+    violated = int(np.sum(task.reward.count_satisfied(X) < TOY_K_CONSTRAINTS))
     assert violated / n >= 0.8
 
 
@@ -102,8 +99,8 @@ def test_map_task_self_consistency():
     task = build_toy_task("map", seed=0)
     assert isinstance(task.reward, MapMSEReward)
     assert task.metric_name() == "map_cc"
-    assert task.metric(task.target_state) == pytest.approx(1.0, abs=1e-12)
-    assert task.reward.value(task.target_state) == pytest.approx(0.0, abs=1e-12)
+    assert task.metric(task.target_state[None])[0] == pytest.approx(1.0, abs=1e-12)
+    assert task.reward.value(task.target_state[None])[0] == pytest.approx(0.0, abs=1e-12)
     # grid covers every bead of the target with margin
     lo = task.reward.grid.origin
     hi = lo + task.reward.grid.spacing * (np.array(task.reward.grid.shape) - 1)
