@@ -15,6 +15,7 @@ suite.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -31,7 +32,7 @@ from .harness import (
     ConfigParseError,
     ConfigValidationError,
     _base_manifest,
-    atomic_write_text,
+    atomic_write,
     load_config,
     run_from_config,
     write_manifest,
@@ -114,8 +115,8 @@ def _run_verify(out: Optional[str]) -> int:
     print(f"{passed}/{len(results)} checks passed")
     if out is not None:
         report = {"all_passed": passed == len(results), "checks": [vars(r) for r in results]}
-        atomic_write_text(Path(out) / "verify_report.json",
-                          json.dumps(report, indent=2, sort_keys=True) + "\n")
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        atomic_write(Path(out) / "verify_report.json", itertools.chain(chunks, ["\n"]))
         manifest = _base_manifest("verify", {"experiment": "verify", "out_dir": out}, t0)
         manifest.update(telemetry, artifacts=["verify_report.json"], all_passed=report["all_passed"])
         write_manifest(out, manifest)

@@ -6,8 +6,10 @@ deterministic: identical configs give byte-identical CSV bodies, and anything
 wall-clock flavored (timestamps, per-batch runtimes) is confined to the
 manifest. write_csv takes a CSV's columns and alone decides the cell format:
 repr for floats (shortest round-trip), str for integers, a column at a time.
-Files land via write-to-temp-then-rename so a crashed run never leaves half an
-artifact.
+Every artifact streams, chunk by chunk, to a same-directory temp file that is
+renamed into place on success and removed on any error (atomic_write), so no
+run leaves half an artifact: a CSV is joined a row at a time from its
+formatted columns, and a manifest is written as the JSON encoder yields it.
 
 Every trajectory experiment is a list of batch descriptors (a task, a
 SteeringConfig, one (alpha, seed) pair per row) that _run_batches hands to
@@ -43,7 +45,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -75,7 +77,7 @@ __all__ = [
     "FIG1_PANEL_SPECS",
     "FIG1_CSV_PANELS",
     "write_csv",
-    "atomic_write_text",
+    "atomic_write",
     "EXIT_OK",
     "EXIT_PARSE",
     "EXIT_VALIDATION",
@@ -109,13 +111,21 @@ class ConfigValidationError(Exception):
 # artifact plumbing
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write UTF-8 text via a same-directory temp file and atomic rename."""
+def atomic_write(path: Path, chunks: Iterable[str]) -> None:
+    """Write UTF-8 `chunks` as they come to a same-directory temp file, renamed
+    over `path` at the end and removed on any error. A bare str is a TypeError."""
+    if isinstance(chunks, str):
+        raise TypeError("atomic_write takes an iterable of text chunks, not a str")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cells(col) -> list:
@@ -131,20 +141,21 @@ def _cells(col) -> list:
 
 def write_csv(path: Path, header: Sequence[str], columns) -> None:
     """Write a CSV from its columns, one per header name, all of one length
-    (ValueError otherwise); every cell's format is decided here (_cells)."""
+    (ValueError otherwise); every cell's format is decided here (_cells). Rows
+    stream to the file as they are joined."""
     rows = map(",".join, zip(*map(_cells, columns), strict=True))
-    atomic_write_text(path, "\n".join([",".join(header), *rows]) + "\n")
+    atomic_write(path, (line + "\n" for line in itertools.chain([",".join(header)], rows)))
 
 
 def write_manifest(out_dir: Path, manifest: dict) -> None:
-    """Write manifest.json as strict JSON; a NaN or inf in it is an error."""
+    """Write manifest.json as strict JSON, streamed from the encoder; a NaN or
+    inf in it is an error."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
     try:
-        text = json.dumps(
-            manifest, indent=2, sort_keys=True, allow_nan=False
-        )
+        atomic_write(Path(out_dir) / "manifest.json",
+                     itertools.chain(encoder.iterencode(manifest), ["\n"]))
     except ValueError as e:
         raise NonFiniteStateError(f"manifest holds a non-finite number: {e}") from e
-    atomic_write_text(Path(out_dir) / "manifest.json", text + "\n")
 
 
 @functools.lru_cache(maxsize=1)

@@ -311,8 +311,10 @@ class MixturePriorModel:
         K = pi.size
         if Ws.ndim != 3 or Ws.shape[0] != K or bs.shape != (K, Ws.shape[1]):
             raise ValueError("per-mode shapes inconsistent")
-        if s.shape != (K,) or not np.all(s > 0):
-            raise ValueError("per-mode stds must be positive")
+        with np.errstate(over="ignore"):
+            s2 = s**2
+        if s.shape != (K,) or not np.all(s > 0) or not np.isfinite(s2).all():
+            raise ValueError("per-mode stds must be positive with a finite square")
         if not np.all(pi > 0) or abs(pi.sum() - 1.0) > 1e-12:
             raise ValueError("mode weights must be positive and sum to 1")
         object.__setattr__(self, "weights", pi)
@@ -320,7 +322,7 @@ class MixturePriorModel:
         object.__setattr__(self, "bs", bs)
         object.__setattr__(self, "stds", s)
         object.__setattr__(self, "_log_w", np.log(pi))
-        object.__setattr__(self, "_s2", s**2)
+        object.__setattr__(self, "_s2", s2)
         object.__setattr__(self, "_last_means", [None, None])
 
     @property

@@ -92,21 +92,21 @@ class OracleFailureError(RuntimeError):
 
 
 def fd_gradient(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     point: np.ndarray,
 ) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector.
+    """Central-difference gradient at a flat vector of n entries, for f over an
+    (m, n) batch that returns one value per row.
 
     The step is h = 1e-5 * (1 + ||point||), a good float64 compromise between
-    truncation (O(h^2)) and cancellation (O(eps/h)) error.
+    truncation (O(h^2)) and cancellation (O(eps/h)) error. The 2n perturbed
+    points, each coordinate stepped up and then down, go to f as one batch.
     """
     point = np.asarray(point, dtype=np.float64).ravel()
     h = 1e-5 * (1.0 + float(np.linalg.norm(point)))
-    g = np.empty_like(point)
-    for i in range(point.size):
-        e = np.zeros_like(point)
-        e[i] = h
-        g[i] = (f(point + e) - f(point - e)) / (2.0 * h)
+    steps = h * np.eye(point.size)
+    values = np.asarray(f(np.concatenate([point + steps, point - steps])), dtype=np.float64)
+    g = (values[: point.size] - values[point.size :]) / (2.0 * h)
     if not np.all(np.isfinite(g)):
         raise OracleFailureError("finite-difference gradient is not finite")
     return g
@@ -320,12 +320,12 @@ def _model_fd_rows(make_fixture, label: str, n_probes: int, tol: float) -> List[
         u = c.from_flat(rng.standard_normal(c.dim))
 
         got = model.vjp_x(x, c, sigma, v)
-        want = fd_gradient(lambda z: float(v[0] @ model.denoise(z[None], c, sigma)[0]), x)
+        want = fd_gradient(lambda z: np.vecdot(model.denoise(z, c, sigma), v[0]), x)
         worst["vjp_x"] = _nan_max(worst["vjp_x"], rel_error(got, want))
 
         got = model.vjp_c(x, c, sigma, v).flat()
         want = fd_gradient(
-            lambda z: float(v[0] @ model.denoise(x, c.from_flat(z), sigma)[0]), c.flat()
+            lambda z: np.vecdot(model.denoise(x, c.from_flat(z), sigma), v[0]), c.flat()
         )
         worst["vjp_c"] = _nan_max(worst["vjp_c"], rel_error(got, want))
 
@@ -386,7 +386,7 @@ def _reward_fd_rows(n_probes: int, tol: float) -> List[CheckResult]:
         for p in range(n_probes):
             reward, x = probe(np.random.default_rng(seed_base + p))
             _, got = reward.value_and_grad(x)
-            want = fd_gradient(lambda z: reward.value(z[None])[0], x)
+            want = fd_gradient(reward.value, x)
             worst = _nan_max(worst, rel_error(got, want))
         rows.append(_worst_row(f"fd_reward_{label}", worst, tol, "max rel err", n_probes))
     return rows
@@ -483,12 +483,13 @@ def _is_workers(n_probes: int) -> int:
 def _is_buffers(n: int, D: int, K: int) -> tuple:
     """One importance-sampling buffer set for chunks of up to n draws.
 
-    x0 (n, D), the weights (n), K - 1 boolean component masks, a column of
-    b = min(n, _IS_BLOCK) and, for D >= 8 only, (b, D) squares for `_bead_sum`.
+    x0 (n, D) and the weights (n) span a chunk; with b = min(n, _IS_BLOCK), the
+    K - 1 boolean component masks (K - 1, b), a column of b and, for D >= 8 only,
+    (b, D) squares for `_bead_sum` span one block.
     """
     b = min(n, _IS_BLOCK)
     sq = np.empty((b, D)) if D >= 8 else None
-    return np.empty((n, D)), np.empty(n), np.empty((K - 1, n), dtype=bool), np.empty(b), sq
+    return np.empty((n, D)), np.empty(n), np.empty((K - 1, b), dtype=bool), np.empty(b), sq
 
 
 def _select(out: np.ndarray, values: np.ndarray, masks: np.ndarray) -> None:
@@ -531,9 +532,10 @@ def _is_posterior_mean(
     products; x0 is squared in place for the last one.
 
     Each chunk runs in the one buffer set `bufs` (`_is_buffers`). Its uniforms
-    go into the weights and become the masks; then each block of _IS_BLOCK rows
-    draws its normals (one stream across fills) and forms its weights in place.
-    The sums read the whole chunk.
+    go into the weights; then each block of _IS_BLOCK rows turns its uniforms
+    into the block's masks, draws its normals (one stream across fills) and
+    forms its weights in place over the uniforms. Only x0 and the weights span
+    the chunk, and the sums read all of it.
     """
     x0_buf, w_buf, mask_buf, g_buf, sq_buf = bufs
     D = model.D
@@ -547,15 +549,15 @@ def _is_posterior_mean(
     done = 0
     while done < n_draws:
         m = min(_IS_CHUNK, n_draws - done)
-        x0, w, masks = x0_buf[:m], w_buf[:m], mask_buf[:, :m]
-        # rng.choice(K, m, p=weights) is cdf.searchsorted(u, side="right"):
-        # the component is >= k exactly where cdf[k - 1] <= u
+        x0, w = x0_buf[:m], w_buf[:m]
         rng.random(out=w)
-        for k in range(1, model.K):
-            np.less_equal(cdf[k - 1], w, out=masks[k - 1])
         for lo in range(0, m, _IS_BLOCK):
             hi = min(lo + _IS_BLOCK, m)
-            xb, wb, mb, g = x0[lo:hi], w[lo:hi], masks[:, lo:hi], g_buf[:hi - lo]
+            xb, wb, mb, g = x0[lo:hi], w[lo:hi], mask_buf[:, :hi - lo], g_buf[:hi - lo]
+            # rng.choice(K, m, p=weights) is cdf.searchsorted(u, side="right"):
+            # the component is >= k exactly where cdf[k - 1] <= u
+            for k in range(1, model.K):
+                np.less_equal(cdf[k - 1], wb, out=mb[k - 1])
             rng.standard_normal(out=xb)
             _select(wb, model.stds, mb)
             # by column: a length-D broadcast runs a D-element loop per row

@@ -167,6 +167,35 @@ def test_a_bare_generator_is_rejected_before_anything_is_drawn():
     assert rng.bit_generator.state == state  # no x_T was drawn
 
 
+@pytest.mark.parametrize("case", [
+    "bare_generator", "short_alphas", "long_alphas", "nan_alpha", "negative_alpha",
+    "c_init_rows",
+])
+def test_a_rejected_run_touches_nothing(case):
+    """Every ValueError run_steered raises on its own inputs comes before any
+    draw and any model or reward call: each generator's state is unchanged and
+    the spies record nothing."""
+    _, _, c_init, schedule = _setup("synthetic")
+    model, reward = AttributeLog(), AttributeLog()
+    rngs = [np.random.default_rng(s) for s in SEEDS]
+    states = [g.bit_generator.state for g in rngs]
+    args = {"rng": rngs, "alphas": list(ALPHAS), "c_init": c_init}
+    args.update({
+        "bare_generator": {"rng": rngs[0]},
+        "short_alphas": {"alphas": ALPHAS[:-1]},
+        "long_alphas": {"alphas": [*ALPHAS, 0.1]},
+        "nan_alpha": {"alphas": [0.1, float("nan"), 0.1, 0.1]},
+        "negative_alpha": {"alphas": [0.1, 0.1, -0.1, 0.1]},
+        "c_init_rows": {"c_init": stack([c_init] * (len(SEEDS) - 1))},
+    }[case])
+    with pytest.raises(ValueError):
+        run_steered(model, reward, args["c_init"], schedule,
+                    SteeringConfig(method="embedopt", alpha=0.1), args["rng"],
+                    alphas=args["alphas"])
+    assert model.used == [] and reward.used == []
+    assert [g.bit_generator.state for g in rngs] == states
+
+
 def test_records_are_row_views_of_one_array_per_log():
     model, reward, c_init, schedule = _setup("distance")
     batch = run_steered(model, reward, c_init, schedule, SteeringConfig(method="embedopt"),

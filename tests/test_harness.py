@@ -6,6 +6,7 @@ process pool, with everything wall-clock flavored confined to the manifest.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -15,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +37,7 @@ from steerkit.harness import (
     ExperimentConfig,
     FIG1_CSV_PANELS,
     FIG1_PANEL_SPECS,
-    atomic_write_text,
+    atomic_write,
     fig1_noise,
     fig1_panel_samples,
     load_config,
@@ -118,14 +120,57 @@ def test_write_csv_cell_bytes(tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "ragged.csv", ("a", "b"), ragged)
     assert not (tmp_path / "ragged.csv").exists()
+    assert_no_tmp_leftovers(tmp_path)
 
 
 def test_atomic_write_replaces_existing(tmp_path):
     path = tmp_path / "f.txt"
-    atomic_write_text(path, "first")
-    atomic_write_text(path, "second")
+    atomic_write(path, ["first"])
+    atomic_write(path, iter(["sec", "", "ond"]))
     assert path.read_text(encoding="utf-8") == "second"
     assert_no_tmp_leftovers(tmp_path)
+
+
+def test_atomic_write_takes_chunks_and_a_failed_write_leaves_nothing(tmp_path):
+    """A bare str is a TypeError; an error raised while the chunks stream in
+    removes the temp file and leaves an existing artifact as it was."""
+    path = tmp_path / "f.txt"
+    with pytest.raises(TypeError):
+        atomic_write(path, "text")
+    assert not path.exists()
+    atomic_write(path, ["kept\n"])
+
+    def failing():
+        yield "half of a new artifact\n"
+        assert (tmp_path / "f.txt.tmp").exists()  # the chunk went to the temp file
+        raise KeyError("boom")
+
+    with pytest.raises(KeyError):
+        atomic_write(path, failing())
+    assert path.read_text(encoding="utf-8") == "kept\n"
+    assert_no_tmp_leftovers(tmp_path)
+
+
+def test_manifest_streams_in_less_memory_than_its_own_size(tmp_path):
+    """write_manifest streams the encoder's chunks to disk: writing a
+    10,000-seed fig1 manifest allocates less than the file holds. Joined into
+    one text first, the peak is about 0.93 MB for a 0.13 MB file."""
+    out = tmp_path / "fig1"
+    run_from_config(config_from_dict({
+        "experiment": "synthetic_fig1", "seeds": list(range(10000)), "bins": 60,
+        "out_dir": str(out),
+    }))
+    path = out / "manifest.json"
+    text = path.read_text(encoding="utf-8")
+    manifest = json.loads(text)
+    tracemalloc.start()
+    try:
+        write_manifest(out, manifest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == text
+    assert peak < path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +744,66 @@ def test_artifact_diff_script(tmp_path):
     assert [line.split(": ")[:3] for line in diff.stdout.splitlines() if "differs" in line] == [
         ["manifest differs", "single_synthetic/manifest.json", "runs.0.final_reward"]
     ]
+
+
+def _ab_bench():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "ab_bench.py"
+    spec = importlib.util.spec_from_file_location("ab_bench", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_bench_rule_on_recorded_pairs():
+    """scripts/ab_bench.py's claim rule, on the pairs BENCH_19.json and
+    BENCH_26.json recorded, reproduces their medians, pair counts and verdicts
+    (and BENCH_19.json's exclusive-method IQRs) without running the
+    benchmark; a tree against itself claims nothing."""
+    ab = _ab_bench()
+    root = Path(__file__).resolve().parents[1]
+    directions = ab.metric_directions(root)
+    assert directions == {"setup_s": "lower", "wall_s": "lower", "steps_per_s": "higher",
+                          "cpu_s": "lower", "peak_rss_mb": "lower"}
+    for bench, workload in (("BENCH_19.json", "distance_sweep"),
+                            ("BENCH_26.json", "oracle_suite")):
+        recorded = json.loads((root / bench).read_text(encoding="utf-8"))
+        block = recorded["trace0"]["workloads"][workload]
+        for name, better in directions.items():
+            got = ab.compare(block["runs"]["parent"][name], block["runs"]["change"][name], better)
+            want = block["summary"][name]
+            assert got["better_pairs"] == want["better_pairs"], (bench, name)
+            for key in ("median_parent", "median_change"):
+                assert got[key] == pytest.approx(want[key], abs=1e-4), (bench, name, key)
+            if bench == "BENCH_19.json":  # BENCH_26.json took inclusive quartiles
+                assert got["parent_iqr"] == pytest.approx(want["parent_iqr"], abs=1e-4)
+            assert got["met"] == (name == "peak_rss_mb"), (bench, name)
+            same = block["runs"]["parent"][name]
+            assert not ab.compare(same, same, better)["met"]
+
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]  # IQR 0.225
+    for shift, wins, met in ((-1.0, 10, True), (-0.2, 10, False), (1.0, 0, False)):
+        change = [p + shift for p in parent]
+        got = ab.compare(parent, change, "lower")
+        assert (got["better_pairs"], got["met"]) == (f"{wins}/10", met)
+        assert ab.compare(parent, change, "higher")["met"] == (shift == 1.0)
+    # nine wins are enough, eight are not
+    nine = [p - 1.0 for p in parent[:9]] + [parent[9] + 1.0]
+    eight = nine[:8] + [parent[8] + 1.0, parent[9] + 1.0]
+    assert ab.compare(parent, nine, "lower")["met"]
+    assert not ab.compare(parent, eight, "lower")["met"]
+
+    # a failed operation in the change, or a pair without metrics, refuses the claim
+    def run(value, failed=0):
+        return {"attempted": 10, "failed": failed, "metrics": {"wall_s": {"value": value}}}
+
+    seeds = range(10)
+    runs = {"parent": [run(p) for p in parent], "change": [run(p - 1.0) for p in parent]}
+    assert ab.summarize(seeds, runs, {"wall_s": "lower"})["summary"]["wall_s"]["met"]
+    runs["change"][3] = run(parent[3] - 1.0, failed=1)
+    assert not ab.summarize(seeds, runs, {"wall_s": "lower"})["summary"]["wall_s"]["met"]
+    runs["change"][3] = {"attempted": 0, "failed": 0, "metrics": None}
+    block = ab.summarize(seeds, runs, {"wall_s": "lower"})
+    assert block["complete_pairs"] == 9 and not block["summary"]["wall_s"]["met"]
 
 
 def test_traffic_lines_script(tmp_path):
@@ -1295,8 +1400,9 @@ def test_counts_too_large_to_allocate_exit_3_and_write_nothing(
 
 def test_manifest_rejects_non_finite_numbers(tmp_path):
     with pytest.raises(NonFiniteStateError):
-        write_manifest(tmp_path, {"final_reward": float("nan")})
+        write_manifest(tmp_path, {"a": list(range(1000)), "final_reward": float("nan")})
     assert not (tmp_path / "manifest.json").exists()
+    assert_no_tmp_leftovers(tmp_path)
 
 
 _RUN_KEYS = ("seeds", "bins", "task", "alphas", "methods", "T_values", "schedule",

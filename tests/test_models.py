@@ -290,7 +290,7 @@ def test_vjp_x_matches_finite_differences(make_fixture, tol):
         v = rng.standard_normal((1, model.D))
         sigma = probe_sigma(rng)
         analytic = model.vjp_x(x, c, sigma, v)
-        numeric = fd_gradient(lambda z: float(v[0] @ model.denoise(z[None], c, sigma)[0]), x)
+        numeric = fd_gradient(lambda z: np.vecdot(model.denoise(z, c, sigma), v[0]), x)
         worst = max(worst, rel_error(analytic, numeric))
     assert worst < tol, f"worst rel err {worst:.3e}"
 
@@ -310,7 +310,7 @@ def test_vjp_c_matches_finite_differences(make_fixture, tol):
         sigma = probe_sigma(rng)
         analytic = model.vjp_c(x, c, sigma, v).flat()
         numeric = fd_gradient(
-            lambda cf: float(v[0] @ model.denoise(x, c.from_flat(cf), sigma)[0]), c.flat()
+            lambda cf: np.vecdot(model.denoise(x, c.from_flat(cf), sigma), v[0]), c.flat()
         )
         worst = max(worst, rel_error(analytic, numeric))
     assert worst < tol, f"worst rel err {worst:.3e}"
@@ -586,11 +586,12 @@ def _mixture(**fields):
     lambda: _mixture(Ws=[[[NAN]]]),
     lambda: _mixture(bs=[[NAN]]),
     lambda: _mixture(stds=[INF]),
+    lambda: _mixture(stds=[1.3407807929942597e154]),  # finite, but its square is inf
 ], ids=["tau2-nan", "w-nan", "w-inf", "delta-nan", "spacing-nan", "s0-nan", "std-nan",
         "weight-nan", "prior_var-nan", "T-bool", "T-float", "T-str", "sigma_max-10**400",
         "y-nan", "y-inf", "targets-nan", "index-1.5", "index-True", "index-10**400",
         "origin-nan", "shape-2.7", "shape-inf", "v_obs-nan", "atom_width-nan", "W-nan", "b-nan",
-        "Ws-nan", "bs-nan", "stds-inf"])
+        "Ws-nan", "bs-nan", "stds-inf", "stds-1.34e154"])
 def test_library_boundary_rejects_nan_inf_and_non_integer_steps(build):
     """A comparison such as x <= 0 is False on NaN, a float, string or bool T
     is no step count, every array a constructor stores must be finite, and a

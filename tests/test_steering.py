@@ -220,8 +220,8 @@ def test_dps_exact_likelihood_follows_likelihood_score():
     var = reward.tau2 / reward.w + model.posterior_variance(sigma_t)
 
     def log_lik(z):
-        d = y - model.denoise(z[None], c, sigma_t)[0]
-        return float(-0.5 * d @ d / var)
+        d = y - model.denoise(z, c, sigma_t)
+        return -0.5 * np.vecdot(d, d) / var
 
     guided, _ = dps_step(
         model, reward, x, c, sigma_t, sigma_prev, alpha=0.0, norm_mode="exact_likelihood"

@@ -67,20 +67,20 @@ def test_conjugate_posterior_validation():
 
 def test_fd_gradient_on_polynomial():
     point = np.array([1.0, -2.0, 0.5])
-    grad = fd_gradient(lambda x: float(np.sum(x**3)), point)
+    grad = fd_gradient(lambda x: np.sum(x**3, axis=1), point)
     np.testing.assert_allclose(grad, 3.0 * point**2, rtol=1e-8)
 
 
 def test_fd_gradient_quadratic_near_exact():
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
     point = np.array([0.3, -0.7])
-    grad = fd_gradient(lambda x: float(x @ A @ x), point)
+    grad = fd_gradient(lambda x: np.vecdot(x @ A, x), point)
     np.testing.assert_allclose(grad, 2.0 * A @ point, atol=1e-9)
 
 
 def test_fd_gradient_flags_non_finite_oracle():
     with pytest.raises(OracleFailureError):
-        fd_gradient(lambda x: float("nan"), np.zeros(2))
+        fd_gradient(lambda x: np.full(len(x), np.nan), np.zeros(2))
 
 
 def test_rel_error_basics():
@@ -299,6 +299,16 @@ def test_is_posterior_mean_matches_frozen_loop_bit_for_bit(D, K, n_draws):
     got = _one_is_probe(model, c, x_t, 0.9, np.random.default_rng(D + K), n_draws)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+
+
+def test_is_masks_span_one_block_and_only_x0_and_weights_a_chunk():
+    x0, w, masks, g, sq = verification._is_buffers(verification._IS_CHUNK, 3, 2)
+    assert x0.shape == (verification._IS_CHUNK, 3) and w.shape == (verification._IS_CHUNK,)
+    assert masks.shape == (1, verification._IS_BLOCK) and masks.dtype == bool
+    assert g.shape == (verification._IS_BLOCK,) and sq is None
+    # a chunk shorter than a block sizes every block buffer to the chunk
+    assert verification._is_buffers(17, 9, 3)[2].shape == (2, 17)
+    assert verification._is_buffers(17, 9, 3)[4].shape == (17, 9)
 
 
 @pytest.mark.parametrize("values", [
