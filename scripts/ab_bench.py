@@ -15,6 +15,13 @@ of the claim rule:
     parent's interquartile range; and every pair completed, with no more
     failed operations in the change's runs than in the parent's.
 
+Each metric also gets the median of the per-pair ratios change / parent and
+a bootstrap 95% interval of that median (Kalibera and Jones, "Rigorous
+Benchmarking in Reasonable Time", ISMM 2013): the pairs are resampled with
+replacement BOOT_RESAMPLES times from a generator seeded with BOOT_SEED, and
+the interval runs between the 2.5th and 97.5th percentiles of the resampled
+medians. It is reported beside the claim rule and does not enter it.
+
 Quartiles are `statistics.quantiles(n=4)` (the exclusive method). With
 --out FILE it writes a JSON file holding the `claim` and `trace0` blocks in
 the layout of BENCH_19.json; `claim` is the block of the --claim metric.
@@ -29,6 +36,7 @@ An A/A run (one tree as both PARENT and CHANGE) should refuse every claim.
 
 import argparse
 import json
+import random
 import statistics
 import subprocess
 import sys
@@ -37,12 +45,29 @@ from pathlib import Path
 RULE = ("change better in at least 9 of 10 pairs and the median difference "
         "larger than the parent's interquartile range")
 ORDER = "parent first on even pair indices (0, 2, ...), change first on odd"
+BOOT_RESAMPLES = 10000
+BOOT_SEED = 2013
 
 
 def metric_directions(tree: Path) -> dict:
     """{metric: "lower" or "higher"} for the end-to-end metrics of a tree's BENCHMARK.json."""
     bench = json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))
     return {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+
+def ratio_interval(parent: list, change: list) -> tuple:
+    """(median of the per-pair ratios change / parent, [2.5th, 97.5th]
+    percentiles of that median over BOOT_RESAMPLES pair resamples), or
+    (None, None) when a parent value is 0. The same pairs give the same
+    interval: the resampling generator is seeded with BOOT_SEED on every call."""
+    if 0 in parent:
+        return None, None
+    ratios = [c / p for p, c in zip(parent, change)]
+    rng = random.Random(BOOT_SEED)
+    medians = [statistics.median(rng.choices(ratios, k=len(ratios)))
+               for _ in range(BOOT_RESAMPLES)]
+    cuts = statistics.quantiles(medians, n=40)  # cuts[0] is 2.5%, cuts[-1] 97.5%
+    return statistics.median(ratios), [cuts[0], cuts[-1]]
 
 
 def compare(parent: list, change: list, better: str) -> dict:
@@ -60,6 +85,7 @@ def compare(parent: list, change: list, better: str) -> dict:
     med_p, med_c = statistics.median(parent), statistics.median(change)
     iqr = q_parent[2] - q_parent[0]
     gain = sign * (med_p - med_c)
+    ratio, interval = ratio_interval(parent, change)
     return {
         "median_parent": round(med_p, 4),
         "median_change": round(med_c, 4),
@@ -68,6 +94,8 @@ def compare(parent: list, change: list, better: str) -> dict:
         "change_pct": round(100.0 * (med_c - med_p) / med_p, 2) if med_p else None,
         "better_pairs": f"{won}/{len(parent)}",
         "parent_iqr": round(iqr, 4),
+        "ratio_median": None if ratio is None else round(ratio, 5),
+        "ratio_ci95": None if interval is None else [round(r, 5) for r in interval],
         "met": won >= 0.9 * len(parent) and gain > iqr,
     }
 
@@ -159,7 +187,8 @@ def main(argv=None) -> int:
     for name, s in block["summary"].items():
         print(f"{name}: parent {s['median_parent']} {s['quartiles_parent']}, change "
               f"{s['median_change']} {s['quartiles_change']}, {s['change_pct']}%, won "
-              f"{s['better_pairs']}, parent IQR {s['parent_iqr']}: "
+              f"{s['better_pairs']}, parent IQR {s['parent_iqr']}, ratio "
+              f"{s['ratio_median']} (95% CI {s['ratio_ci95']}): "
               f"{'claim met' if s['met'] else 'no claim'}")
     print(f"ops: attempted {block['attempted_ops']}, failed {block['failed_ops']}; "
           f"{block['complete_pairs']}/{block['pairs']} pairs complete")

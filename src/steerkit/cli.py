@@ -3,13 +3,13 @@
 Subcommands: run/sweep/scale/fig1 each take a JSON config file (the kind-
 specific subcommands assert the config's experiment kind matches); verify
 runs the self-check suite and prints a pass/fail table, and with --out DIR
-writes its report and a manifest with the suite's telemetry there. Errors
-exit with a distinct code per failure class (2 parse; 3 validation, a
-non-finite, overflowing or degenerate result, or a failed allocation; 4 IO)
-and one machine-readable JSON error record on stderr. Numpy's floating-point
-warnings are silenced during a config run, since any NaN or inf that reaches
-a result is reported by that record. Only verify imports the verification
-suite.
+writes its report and a manifest there: the suite's telemetry and the BLAS
+and OpenMP thread variables it ran under. Errors exit with a distinct code
+per failure class (2 parse; 3 validation, a non-finite, overflowing or
+degenerate result, or a failed allocation; 4 IO) and one machine-readable
+JSON error record on stderr. Numpy's floating-point warnings are silenced
+during a config run, since any NaN or inf that reaches a result is reported
+by that record. Only verify imports the verification suite.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -39,6 +40,10 @@ from .harness import (
 )
 from .models import NonFiniteStateError
 from .rewards import DegenerateMapError
+
+# the variables that size BLAS's and OpenMP's own thread pools, which run inside
+# each thread of verify's importance-sampling pool
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 _KIND_BY_COMMAND = {
     "run": None,  # any experiment kind
@@ -119,6 +124,7 @@ def _run_verify(out: Optional[str]) -> int:
         atomic_write(Path(out) / "verify_report.json", itertools.chain(chunks, ["\n"]))
         manifest = _base_manifest("verify", {"experiment": "verify", "out_dir": out}, t0)
         manifest.update(telemetry, artifacts=["verify_report.json"], all_passed=report["all_passed"])
+        manifest["blas_threads"] = {v: os.environ.get(v) for v in _THREAD_VARS}
         write_manifest(out, manifest)
     return EXIT_OK if passed == len(results) else 1
 

@@ -464,7 +464,7 @@ def _conjugate_rows() -> List[CheckResult]:
 
 
 _IS_CHUNK = 200000  # draws per importance-sampling chunk; part of the bit contract
-_IS_BLOCK = 32768  # rows per elementwise pass over a chunk; part of no result
+_IS_BLOCK = 32768  # rows per pass over a chunk, each summed as it ends; part of the bit contract
 
 
 def _usable_cpus() -> int:
@@ -483,13 +483,14 @@ def _is_workers(n_probes: int) -> int:
 def _is_buffers(n: int, D: int, K: int) -> tuple:
     """One importance-sampling buffer set for chunks of up to n draws.
 
-    x0 (n, D) and the weights (n) span a chunk; with b = min(n, _IS_BLOCK), the
-    K - 1 boolean component masks (K - 1, b), a column of b and, for D >= 8 only,
-    (b, D) squares for `_bead_sum` span one block.
+    Only the weights (n), which first hold the chunk's uniforms, span a chunk.
+    With b = min(n, _IS_BLOCK), x0 (b, D), the K - 1 boolean component masks
+    (K - 1, b), a column of b and, for D >= 8 only, (b, D) squares for
+    `_bead_sum` span one block.
     """
     b = min(n, _IS_BLOCK)
     sq = np.empty((b, D)) if D >= 8 else None
-    return np.empty((n, D)), np.empty(n), np.empty((K - 1, b), dtype=bool), np.empty(b), sq
+    return np.empty((b, D)), np.empty(n), np.empty((K - 1, b), dtype=bool), np.empty(b), sq
 
 
 def _select(out: np.ndarray, values: np.ndarray, masks: np.ndarray) -> None:
@@ -528,14 +529,15 @@ def _is_posterior_mean(
     are selected through them as bit patterns (`_select`), so no index array
     is formed. The squared distance is summed over coordinates in
     numpy's pairwise order: a left fold built one column at a time for
-    D < 8, `_bead_sum` for D >= 8. The weighted sums stay `w @ x0` BLAS
-    products; x0 is squared in place for the last one.
+    D < 8, `_bead_sum` for D >= 8. The five running sums take each block's
+    terms in block order, so the bits also depend on _IS_BLOCK; the weighted
+    terms stay `w @ x0` BLAS products, with x0 squared in place for the last.
 
     Each chunk runs in the one buffer set `bufs` (`_is_buffers`). Its uniforms
     go into the weights; then each block of _IS_BLOCK rows turns its uniforms
-    into the block's masks, draws its normals (one stream across fills) and
-    forms its weights in place over the uniforms. Only x0 and the weights span
-    the chunk, and the sums read all of it.
+    into the block's masks, draws its normals into the block-sized x0 (one
+    stream across fills), forms its weights in place over the uniforms and adds
+    its terms to the sums. Only the weights span the chunk.
     """
     x0_buf, w_buf, mask_buf, g_buf, sq_buf = bufs
     D = model.D
@@ -549,11 +551,11 @@ def _is_posterior_mean(
     done = 0
     while done < n_draws:
         m = min(_IS_CHUNK, n_draws - done)
-        x0, w = x0_buf[:m], w_buf[:m]
+        w = w_buf[:m]
         rng.random(out=w)
         for lo in range(0, m, _IS_BLOCK):
             hi = min(lo + _IS_BLOCK, m)
-            xb, wb, mb, g = x0[lo:hi], w[lo:hi], mask_buf[:, :hi - lo], g_buf[:hi - lo]
+            xb, wb, mb, g = x0_buf[:hi - lo], w[lo:hi], mask_buf[:, :hi - lo], g_buf[:hi - lo]
             # rng.choice(K, m, p=weights) is cdf.searchsorted(u, side="right"):
             # the component is >= k exactly where cdf[k - 1] <= u
             for k in range(1, model.K):
@@ -583,12 +585,12 @@ def _is_posterior_mean(
             np.negative(wb, out=wb)
             wb /= 2.0 * sigma**2
             np.exp(wb, out=wb)
-        sw += w.sum()
-        swx += w @ x0
-        np.square(w, out=w)
-        sw2 += w.sum()
-        sw2x += w @ x0
-        sw2x2 += w @ np.square(x0, out=x0)
+            sw += wb.sum()
+            swx += wb @ xb
+            np.square(wb, out=wb)
+            sw2 += wb.sum()
+            sw2x += wb @ xb
+            sw2x2 += wb @ np.square(xb, out=xb)
         done += m
     if not (np.isfinite(sw) and sw > 0):
         raise OracleFailureError(f"importance weights vanished or are not finite (sum {sw})")

@@ -806,6 +806,32 @@ def test_ab_bench_rule_on_recorded_pairs():
     assert block["complete_pairs"] == 9 and not block["summary"]["wall_s"]["met"]
 
 
+def test_ab_bench_bootstrap_interval_on_recorded_pairs():
+    """The bootstrap 95% interval of the paired median ratio, on BENCH_30.json's
+    recorded pairs: the same pairs give the same interval, it holds the point
+    ratio, and on the A/A run the wall_s interval holds 1."""
+    ab = _ab_bench()
+    root = Path(__file__).resolve().parents[1]
+    recorded = json.loads((root / "BENCH_30.json").read_text(encoding="utf-8"))
+    directions = ab.metric_directions(root)
+    blocks = [*recorded["trace0"]["workloads"].values(), *recorded["aa"]["workloads"].values()]
+    for block in blocks:
+        for name, better in directions.items():
+            parent, change = block["runs"]["parent"][name], block["runs"]["change"][name]
+            ratio, (lo, hi) = ab.ratio_interval(parent, change)
+            assert ab.ratio_interval(parent, change) == (ratio, [lo, hi])
+            assert lo <= ratio <= hi, (name, ratio, lo, hi)
+            got = ab.compare(parent, change, better)
+            assert got["ratio_median"] == round(ratio, 5)
+            assert got["ratio_ci95"] == [round(lo, 5), round(hi, 5)]
+    aa = recorded["aa"]["workloads"]["fig1_batch"]["runs"]
+    _, (lo, hi) = ab.ratio_interval(aa["parent"]["wall_s"], aa["change"]["wall_s"])
+    assert lo < 1.0 < hi
+    # identical sides pin the ratio at 1; a zero parent value has no ratio
+    assert ab.ratio_interval([2.0, 3.0, 4.0], [2.0, 3.0, 4.0]) == (1.0, [1.0, 1.0])
+    assert ab.ratio_interval([0.0, 3.0], [1.0, 3.0]) == (None, None)
+
+
 def test_traffic_lines_script(tmp_path):
     """Given one config, the traffic trace lists the runners that config never
     reaches and ends on the totals; a failing command is exit 1."""
@@ -931,8 +957,28 @@ def test_verify_manifest_records_phases_and_pool_size(verify_run):
     assert all(math.isfinite(t) and t >= 0.0 for t in phases.values())
     assert sum(phases.values()) <= manifest["wall_time_s"]
     assert manifest["is_workers"] == verification._is_workers(10)
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    assert manifest["blas_threads"] == {v: os.environ.get(v) for v in names}
     report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
     assert set(report) == {"all_passed", "checks"}
+
+
+def test_verify_manifest_records_the_thread_variables_it_ran_under(tmp_path, monkeypatch):
+    def suite(telemetry):
+        telemetry["is_workers"] = 1
+        return [verification.CheckResult("stub", True, "stub row")]
+
+    monkeypatch.setattr(verification, "run_verification_suite", suite)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["verify", "--out", str(tmp_path)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["blas_threads"] == {
+        "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4", "MKL_NUM_THREADS": None,
+    }
+    assert manifest["is_workers"] == 1
 
 
 def test_verify_out_under_a_file_exits_4_before_any_check(tmp_path, capsys, monkeypatch):
