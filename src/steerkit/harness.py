@@ -139,10 +139,12 @@ def _cells(col) -> list:
             for v in col]
 
 
-def write_csv(path: Path, header: Sequence[str], columns) -> None:
+def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     """Write a CSV from its columns, one per header name, all of one length
     (ValueError otherwise); every cell's format is decided here (_cells). Rows
     stream to the file as they are joined."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names but {len(columns)} columns")
     rows = map(",".join, zip(*map(_cells, columns), strict=True))
     atomic_write(path, (line + "\n" for line in itertools.chain([",".join(header)], rows)))
 

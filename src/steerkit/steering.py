@@ -192,8 +192,11 @@ def embedopt_step(
     Returns (x_prev, c_prev, info) where info records the pre-update
     surrogate value F, the embedding gradient grad_c F and its norm, the
     denoiser output x_hat_step that the coordinate step used, and the mask
-    of skipped components (see rms_normalize).
+    of skipped components (see rms_normalize). An unknown norm_mode is a
+    ValueError before any model call.
     """
+    if norm_mode not in _EMBED_NORMS:
+        raise ValueError(f"unknown embed_norm_mode {norm_mode!r}")
     _, x_hat, F, g = _pulled_back(model, reward, x_t, c_t, sigma_t, "vjp_c")
     direction, skipped = rms_normalize(g, rescale=norm_mode == "rms_per_component")
     c_prev = _ascend(c_t, direction, alpha)
@@ -207,6 +210,17 @@ def embedopt_step(
         "skipped": skipped,
     }
     return x_prev, c_prev, info
+
+
+def _check_dps_mode(model, reward, norm_mode: str) -> None:
+    """ValueError, calling neither, unless dps_step can run norm_mode on model and reward."""
+    if norm_mode not in _DPS_NORMS:
+        raise ValueError(f"unknown dps_norm_mode {norm_mode!r}")
+    if norm_mode == "exact_likelihood" and not (
+        isinstance(reward, GaussianMeasurementReward) and hasattr(model, "posterior_variance")
+    ):
+        raise ValueError("exact_likelihood guidance needs a model with a closed-form "
+                         "posterior variance and a GaussianMeasurementReward")
 
 
 def dps_step(
@@ -229,8 +243,10 @@ def dps_step(
     model's posterior variance. The last factor turns sigma_t^2 times the
     DPS likelihood score into sigma_t^2 times grad_{x_t} log N(y; xhat,
     tau^2/w + v_t). x_t is a (B, D) batch; alpha is one value or one per row;
-    info's grad_norm and skipped are arrays, one entry per row.
+    info's grad_norm and skipped are arrays, one entry per row. A mode this
+    model and reward cannot run is a ValueError before any call (_check_dps_mode).
     """
+    _check_dps_mode(model, reward, norm_mode)
     _, x_hat, F, g = _pulled_back(model, reward, x_t, c, sigma_t, "vjp_x")
     gnorm = np.sqrt(np.vecdot(g, g))
     skipped = np.zeros(gnorm.shape, dtype=bool)
@@ -244,20 +260,10 @@ def dps_step(
             skipped[..., None], 0.0,
             step[..., None] * g / np.where(skipped, 1.0, gnorm)[..., None],
         )
-    elif norm_mode == "exact_likelihood":
-        if not (
-            isinstance(reward, GaussianMeasurementReward)
-            and hasattr(model, "posterior_variance")
-        ):
-            raise ValueError(
-                "exact_likelihood guidance needs a model with a closed-form "
-                "posterior variance and a GaussianMeasurementReward"
-            )
+    else:  # exact_likelihood
         tau2 = reward.tau2
         scale = sigma_t**2 * tau2 / (tau2 + reward.w * model.posterior_variance(sigma_t))
         guidance = scale * g
-    else:
-        raise ValueError(f"unknown dps_norm_mode {norm_mode!r}")
     eta = step_fraction(sigma_t, sigma_prev) * eta_scale
     x_prev = x_t + eta * (x_hat - x_t + guidance)
     info = {"F": F, "grad_norm": gnorm, "skipped": skipped}
@@ -326,8 +332,10 @@ def run_steered(
     scaled fraction. For embedopt, on_update(x_t, c_t, sigma_t, c_prev, info)
     is called after every embedding update with the batch's point where it
     was taken and embedopt_step's info; audits use it to evaluate the
-    surrogate there. Raises NonFiniteStateError, after the last step, when
-    any x_0 or logged value is NaN or inf.
+    surrogate there. Inputs it cannot run, exact_likelihood guidance without
+    its closed form among them, are a ValueError before any draw or call.
+    Raises NonFiniteStateError, after the last step, when any x_0 or logged
+    value is NaN or inf.
     """
     if isinstance(rng, np.random.Generator):
         raise ValueError("rng is one generator per row: pass [rng] for one trajectory")
@@ -340,6 +348,8 @@ def run_steered(
         raise ValueError("need one generator and one finite, non-negative alpha per row")
     if c_init.batch not in (None, B):
         raise ValueError("c_init must be one embedding or one row per trajectory")
+    if config.method == "dps":
+        _check_dps_mode(model, reward, config.dps_norm_mode)
     sig = schedule.sigma_values
     T = schedule.num_steps
     x = sig[-1] * standard_normal_rows(rngs, (B, model.D))

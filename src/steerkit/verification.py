@@ -24,22 +24,21 @@ writes them and the suite's telemetry. Failures are reported, not hidden:
 each row states its measured numbers.
 
 Only the two importance-sampling rows run on threads, both through
-`_run_is_probes`. Their probes are independent (each seeds its own
-generator) and each chunk operation is a 200,000-element RNG fill or numpy
-call that releases the interpreter lock, so the probes share the CPUs with
-the same bits. Every other row is many small calls that hold the lock; a
-two-thread prototype of such a loop was no faster and used more CPU. The
-workers call no model method and nothing the benchmark's tracer wraps: the
-models' memo of the last embedding's means and the tracer's span stack are
-not thread-safe, so the mode means are formed, and the denoiser called, on
-the calling thread.
+`_run_is_probes`, which takes only their shapes (K <= 2 modes, D < 8).
+Their probes are independent (each seeds its own generator) and each chunk
+operation is a 200,000-element RNG fill or numpy call that releases the
+interpreter lock, so the probes share the CPUs with the same bits. Every
+other row is many small calls that hold the lock; a two-thread prototype of
+such a loop was no faster and used more CPU. The workers call no model
+method and nothing the benchmark's tracer wraps: the models' memo of the
+last embedding's means and the tracer's span stack are not thread-safe, so
+the mode means are formed, and the denoiser called, on the calling thread.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -60,7 +59,6 @@ from .rewards import (
     GaussianMeasurementReward,
     MapGrid,
     MapMSEReward,
-    _bead_sum,
     map_correlation,
     render_map,
 )
@@ -481,27 +479,22 @@ def _is_workers(n_probes: int) -> int:
 
 
 def _is_buffers(n: int, D: int, K: int) -> tuple:
-    """One importance-sampling buffer set for chunks of up to n draws.
-
-    Only the weights (n), which first hold the chunk's uniforms, span a chunk.
-    With b = min(n, _IS_BLOCK), x0 (b, D), the K - 1 boolean component masks
-    (K - 1, b), a column of b and, for D >= 8 only, (b, D) squares for
-    `_bead_sum` span one block.
+    """One importance-sampling buffer set (x0, weights, masks, column) for
+    chunks of up to n draws. Only the weights (n), which first hold the
+    chunk's uniforms, span a chunk; with b = min(n, _IS_BLOCK), x0 (b, D), the
+    K - 1 boolean component masks (K - 1, b) and the column (b) span one block.
     """
     b = min(n, _IS_BLOCK)
-    sq = np.empty((b, D)) if D >= 8 else None
-    return np.empty((b, D)), np.empty(n), np.empty((K - 1, b), dtype=bool), np.empty(b), sq
+    return np.empty((b, D)), np.empty(n), np.empty((K - 1, b), dtype=bool), np.empty(b)
 
 
 def _select(out: np.ndarray, values: np.ndarray, masks: np.ndarray) -> None:
-    """out = values[component] per draw, where masks[k - 1] marks component >= k."""
+    """out = values[component] per draw, K = values.size <= 2; masks[0] marks component 1."""
     bits, u = values.view(np.uint64), out.view(np.uint64)
     if values.size == 1:
         return u.fill(bits[0])
     np.multiply(masks[0], bits[1] ^ bits[0], out=u)
-    u ^= bits[0]  # bits[0] ^ (bits[1] ^ bits[0]) ^ ... telescopes to bits[component]
-    for k in range(2, values.size):
-        np.bitwise_xor(u, bits[k] ^ bits[k - 1], out=u, where=masks[k - 1])
+    u ^= bits[0]  # bits[0] where masks[0] is off, bits[0] ^ bits[1] ^ bits[0] = bits[1] where on
 
 
 def _is_posterior_mean(
@@ -527,9 +520,9 @@ def _is_posterior_mean(
     `cdf = p.cumsum(); cdf /= cdf[-1]`; here the same uniforms become the
     K - 1 masks `cdf[k - 1] <= u`, and each draw's std and mean coordinates
     are selected through them as bit patterns (`_select`), so no index array
-    is formed. The squared distance is summed over coordinates in
-    numpy's pairwise order: a left fold built one column at a time for
-    D < 8, `_bead_sum` for D >= 8. The five running sums take each block's
+    is formed. The squared distance is summed over coordinates one column at
+    a time, a left fold, which is numpy's pairwise order for the D < 8 that
+    `_run_is_probes` admits. The five running sums take each block's
     terms in block order, so the bits also depend on _IS_BLOCK; the weighted
     terms stay `w @ x0` BLAS products, with x0 squared in place for the last.
 
@@ -539,7 +532,7 @@ def _is_posterior_mean(
     stream across fills), forms its weights in place over the uniforms and adds
     its terms to the sums. Only the weights span the chunk.
     """
-    x0_buf, w_buf, mask_buf, g_buf, sq_buf = bufs
+    x0_buf, w_buf, mask_buf, g_buf = bufs
     D = model.D
     cdf = model.weights.cumsum()  # as Generator.choice forms it
     cdf /= cdf[-1]
@@ -568,9 +561,7 @@ def _is_posterior_mean(
             for j in range(D):
                 _select(g, means[:, j], mb)
                 xb[:, j] += g
-                if sq_buf is not None:
-                    np.subtract(x_t[j], xb[:, j], out=sq_buf[:hi - lo, j])
-                elif j == 0:
+                if j == 0:
                     np.subtract(x_t[0], xb[:, 0], out=wb)
                     np.square(wb, out=wb)
                 else:
@@ -578,8 +569,6 @@ def _is_posterior_mean(
                     np.subtract(x_t[j], xb[:, j], out=g)
                     np.square(g, out=g)
                     wb += g
-            if sq_buf is not None:
-                wb[:] = _bead_sum(np.square(sq_buf[:hi - lo], out=sq_buf[:hi - lo]))
             # logw <= 0 by construction, so exp never overflows; weights from all
             # chunks share the same (unit) scale and can be pooled directly.
             np.negative(wb, out=wb)
@@ -602,33 +591,30 @@ def _is_posterior_mean(
 
 def _run_is_probes(model: MixturePriorModel, means: np.ndarray, probes, n_draws: int):
     """(est, se) for each (x_t, sigma, rng) probe, in probe order, computed on
-    `_is_workers` threads.
+    `_is_workers` threads. K > 2 modes or D >= 8, which `_select` and the
+    left-fold distance sum are not written for, is a ValueError before any
+    buffer or draw.
 
-    The calling thread allocates one buffer set per thread; a probe takes a
-    free set and returns it when done. Tasks run in a copy of the caller's
-    context, so its `np.errstate` holds in them. A worker's exception is
-    re-raised here as it was raised, the earliest probe's first.
+    Each worker runs a contiguous group of the probes in order, in one buffer
+    set that the calling thread allocates and in a copy of the caller's
+    context, so its `np.errstate` holds there. A group stops at its first
+    failure, so the earliest failing probe's exception is re-raised here first.
     """
-    workers = _is_workers(len(probes))
-    free = queue.SimpleQueue()
-    for _ in range(workers):
-        free.put(_is_buffers(min(_IS_CHUNK, n_draws), model.D, model.K))
+    if model.K > 2 or model.D >= 8:
+        raise ValueError(f"the IS oracle takes K <= 2 and D < 8, not K={model.K}, D={model.D}")
+    n, workers = len(probes), _is_workers(len(probes))
+    shape = min(_IS_CHUNK, n_draws), model.D, model.K
 
-    def probe(x_t, sigma, rng):
-        bufs = free.get()
-        try:
-            return _is_posterior_mean(model, means, x_t, sigma, rng, n_draws, bufs)
-        finally:
-            free.put(bufs)
+    def group(lo, hi, bufs):
+        return [_is_posterior_mean(model, means, *p, n_draws, bufs) for p in probes[lo:hi]]
 
-    pool = ThreadPoolExecutor(workers)
-    try:
+    with ThreadPoolExecutor(workers) as pool:
         futures = [
-            pool.submit(contextvars.copy_context().run, probe, *args) for args in probes
+            pool.submit(contextvars.copy_context().run, group,
+                        i * n // workers, (i + 1) * n // workers, _is_buffers(*shape))
+            for i in range(workers)
         ]
-        return [f.result() for f in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+        return [est_se for f in futures for est_se in f.result()]
 
 
 def _mixture_mc_row(n_probes: int, n_draws: int) -> CheckResult:

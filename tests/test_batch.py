@@ -169,7 +169,7 @@ def test_a_bare_generator_is_rejected_before_anything_is_drawn():
 
 @pytest.mark.parametrize("case", [
     "bare_generator", "short_alphas", "long_alphas", "nan_alpha", "negative_alpha",
-    "c_init_rows",
+    "c_init_rows", "exact_likelihood_without_closed_form",
 ])
 def test_a_rejected_run_touches_nothing(case):
     """Every ValueError run_steered raises on its own inputs comes before any
@@ -179,7 +179,8 @@ def test_a_rejected_run_touches_nothing(case):
     model, reward = AttributeLog(), AttributeLog()
     rngs = [np.random.default_rng(s) for s in SEEDS]
     states = [g.bit_generator.state for g in rngs]
-    args = {"rng": rngs, "alphas": list(ALPHAS), "c_init": c_init}
+    args = {"rng": rngs, "alphas": list(ALPHAS), "c_init": c_init,
+            "config": SteeringConfig(method="embedopt", alpha=0.1)}
     args.update({
         "bare_generator": {"rng": rngs[0]},
         "short_alphas": {"alphas": ALPHAS[:-1]},
@@ -187,10 +188,12 @@ def test_a_rejected_run_touches_nothing(case):
         "nan_alpha": {"alphas": [0.1, float("nan"), 0.1, 0.1]},
         "negative_alpha": {"alphas": [0.1, 0.1, -0.1, 0.1]},
         "c_init_rows": {"c_init": stack([c_init] * (len(SEEDS) - 1))},
+        # the spy reward is no GaussianMeasurementReward
+        "exact_likelihood_without_closed_form": {
+            "config": SteeringConfig(method="dps", dps_norm_mode="exact_likelihood")},
     }[case])
     with pytest.raises(ValueError):
-        run_steered(model, reward, args["c_init"], schedule,
-                    SteeringConfig(method="embedopt", alpha=0.1), args["rng"],
+        run_steered(model, reward, args["c_init"], schedule, args["config"], args["rng"],
                     alphas=args["alphas"])
     assert model.used == [] and reward.used == []
     assert [g.bit_generator.state for g in rngs] == states

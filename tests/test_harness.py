@@ -123,6 +123,15 @@ def test_write_csv_cell_bytes(tmp_path):
     assert_no_tmp_leftovers(tmp_path)
 
 
+@pytest.mark.parametrize("n_columns", [2, 4])
+def test_write_csv_takes_one_column_per_header_name(tmp_path, n_columns):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="3 header names"):
+        write_csv(path, ("a", "b", "c"), [[1, 2]] * n_columns)
+    assert not path.exists()
+    assert_no_tmp_leftovers(tmp_path)
+
+
 def test_atomic_write_replaces_existing(tmp_path):
     path = tmp_path / "f.txt"
     atomic_write(path, ["first"])

@@ -243,6 +243,16 @@ def test_dps_exact_likelihood_needs_closed_form_posterior():
                  norm_mode="exact_likelihood")
 
 
+@pytest.mark.parametrize("step, mode", [
+    (embedopt_step, "rms"), (embedopt_step, "sigma2w"), (dps_step, "rms_per_component"),
+])
+def test_a_step_rejects_a_mode_not_its_own_before_any_model_call(step, mode):
+    # model and reward are None, so any call on them would be an AttributeError
+    with pytest.raises(ValueError, match=f"unknown .*norm_mode {mode!r}"):
+        step(None, None, np.ones((1, 1)), Embedding({"loc": [5.0]}), 1.0, 0.5, 0.1,
+             norm_mode=mode)
+
+
 # ---------------------------------------------------------------------------
 # first-order step prediction
 
