@@ -45,7 +45,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -128,21 +128,29 @@ def atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def _cells(col) -> list:
-    """One column's CSV cells: repr of each float (its shortest round-trip form),
-    str of each integer. An array is formatted in one pass; a plain sequence cell
-    by cell, where a string is written as is and None as an empty cell."""
+_CSV_SLICE = 4096  # array cells converted per tolist() call
+
+
+def _cells(col) -> Iterator[str]:
+    """One column's CSV cells, yielded as the rows take them: repr of each float
+    (its shortest round-trip form), str of each integer. An array is formatted
+    a slice at a time, a range by str; any other sequence cell by cell, where a
+    string is written as is and None as an empty cell."""
     if isinstance(col, np.ndarray):
-        return list(map(repr if col.dtype.kind == "f" else str, col.tolist()))
-    return ["" if v is None else v if isinstance(v, str)
+        fmt = repr if col.dtype.kind == "f" else str
+        return itertools.chain.from_iterable(
+            map(fmt, col[lo:lo + _CSV_SLICE].tolist()) for lo in range(0, len(col), _CSV_SLICE))
+    if isinstance(col, range):
+        return map(str, col)
+    return ("" if v is None else v if isinstance(v, str)
             else str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
-            for v in col]
+            for v in col)
 
 
 def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     """Write a CSV from its columns, one per header name, all of one length
-    (ValueError otherwise); every cell's format is decided here (_cells). Rows
-    stream to the file as they are joined."""
+    (ValueError otherwise); every cell's format is decided here (_cells). Cells
+    are formatted and rows joined as they stream to the file."""
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header names but {len(columns)} columns")
     rows = map(",".join, zip(*map(_cells, columns), strict=True))

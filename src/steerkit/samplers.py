@@ -105,6 +105,8 @@ def standard_normal_rows(rngs, shape) -> np.ndarray:
     row b drawn by generator b."""
     if len(shape) != 2 or len(rngs) != shape[0]:
         raise ValueError("need one generator per row of a (B, D) shape")
+    if len(rngs) == 1:  # the one draw as a row, without np.stack's copy
+        return rngs[0].standard_normal(shape[1])[None]
     return np.stack([g.standard_normal(shape[1]) for g in rngs])
 
 
@@ -119,13 +121,18 @@ def af3_noise_inflate(
     The injected std rho * sqrt((gamma+1)^2 - 1) * sigma_t tops the marginal
     variance up to approximately the inflated level when rho is near 1. The
     caller applies the gate (sigma_{t-1} > gamma_min); gamma = 0 injects
-    nothing and leaves the generators untouched. x_t is a (B, D) batch and
-    rngs holds one generator per row (see standard_normal_rows).
+    nothing, returns x_t itself and leaves the generators untouched. x_t is a
+    (B, D) batch, which is only read (a read-only broadcast will do), and rngs
+    holds one generator per row (see standard_normal_rows). The result is a
+    new array, formed in place over the normals: the bits of
+    x_t + noise_std * z, since IEEE * and + commute.
     """
     g = params.gamma
     if g == 0.0:
         return x_t, sigma_t
     noise_std = params.rho_noise * np.sqrt((g + 1.0) ** 2 - 1.0) * sigma_t
-    x = x_t + noise_std * standard_normal_rows(rngs, np.shape(x_t))
+    x = standard_normal_rows(rngs, np.shape(x_t))
+    x *= noise_std
+    x += x_t
     return x, (g + 1.0) * sigma_t
 

@@ -25,8 +25,8 @@ each row states its measured numbers.
 
 Only the two importance-sampling rows run on threads, both through
 `_run_is_probes`, which takes only their shapes (K <= 2 modes, D < 8).
-Their probes are independent (each seeds its own generator) and each chunk
-operation is a 200,000-element RNG fill or numpy call that releases the
+Their probes are independent (each seeds its own generator) and each block
+operation is a 32,768-element RNG fill or numpy call that releases the
 interpreter lock, so the probes share the CPUs with the same bits. Every
 other row is many small calls that hold the lock; a two-thread prototype of
 such a loop was no faster and used more CPU. The workers call no model
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -69,7 +70,14 @@ from .steering import (
     run_steered,
     taylor_predicted_step,
 )
-from .tasks import build_synthetic_task, build_toy_task, conjugate_posterior, summarize_samples
+# summarize_samples is no longer called here, but the benchmark's tracer wraps
+# it under this module's name, so it stays importable from here
+from .tasks import build_synthetic_task, build_toy_task, conjugate_posterior, summarize_samples  # noqa: F401
+
+try:
+    import resource
+except ImportError:  # Windows has no getrusage
+    resource = None
 
 __all__ = [
     "OracleFailureError",
@@ -445,20 +453,28 @@ def _conjugate_rows() -> List[CheckResult]:
 
     rng = np.random.default_rng(4242)
     n = 200000
-    draws = mean1 + np.sqrt(var1) * rng.standard_normal(n)
-    s = summarize_samples(draws)
+    draws = rng.standard_normal(n)
+    draws *= np.sqrt(var1)  # in place: the bits of mean1 + sqrt(var1) * z
+    draws += mean1
+    mean, std = _mean_and_std(draws, ddof=1)
     se_mean = np.sqrt(var1 / n)
     se_std = np.sqrt(var1 / (2.0 * n))
-    ok = (
-        abs(float(s.mean[0]) - mean1) < 4.0 * se_mean
-        and abs(float(s.std[0]) - np.sqrt(var1)) < 4.0 * se_std
-    )
+    ok = abs(mean - mean1) < 4.0 * se_mean and abs(std - np.sqrt(var1)) < 4.0 * se_std
     rows.append(CheckResult(
         "conjugate_sampling_mc", ok,
-        f"direct posterior draws: mean {float(s.mean[0]):.5f} vs {mean1:.5f}, "
-        f"std {float(s.std[0]):.5f} vs {np.sqrt(var1):.5f} (4 SE)",
+        f"direct posterior draws: mean {mean:.5f} vs {mean1:.5f}, "
+        f"std {std:.5f} vs {np.sqrt(var1):.5f} (4 SE)",
     ))
     return rows
+
+
+def _mean_and_std(x: np.ndarray, ddof: int = 0) -> Tuple[float, float]:
+    """(x.mean(), x.std(ddof=ddof)) to the bit, without a temporary of x's size:
+    x is left holding its squared deviations."""
+    mean = x.mean()
+    x -= mean
+    np.square(x, out=x)
+    return float(mean), float(np.sqrt(x.sum() / (x.size - ddof)))
 
 
 _IS_CHUNK = 200000  # draws per importance-sampling chunk; part of the bit contract
@@ -479,13 +495,17 @@ def _is_workers(n_probes: int) -> int:
 
 
 def _is_buffers(n: int, D: int, K: int) -> tuple:
-    """One importance-sampling buffer set (x0, weights, masks, column) for
-    chunks of up to n draws. Only the weights (n), which first hold the
-    chunk's uniforms, span a chunk; with b = min(n, _IS_BLOCK), x0 (b, D), the
-    K - 1 boolean component masks (K - 1, b) and the column (b) span one block.
+    """One importance-sampling buffer set (x0, weights, masks, column, uniforms)
+    for chunks of up to n draws. With b = min(n, _IS_BLOCK), x0 (b, D), the
+    weights (b), the K - 1 boolean component masks (K - 1, b) and the column (b)
+    each span one block. `uniforms` is a PCG64 generator that takes each
+    chunk's state from the probe's own, a PCG64 as `default_rng` makes (see
+    _is_posterior_mean); its seed is fixed so that building it reads no OS
+    entropy.
     """
     b = min(n, _IS_BLOCK)
-    return np.empty((b, D)), np.empty(n), np.empty((K - 1, b), dtype=bool), np.empty(b)
+    return (np.empty((b, D)), np.empty(b), np.empty((K - 1, b), dtype=bool), np.empty(b),
+            np.random.Generator(np.random.PCG64(0)))
 
 
 def _select(out: np.ndarray, values: np.ndarray, masks: np.ndarray) -> None:
@@ -526,13 +546,16 @@ def _is_posterior_mean(
     terms in block order, so the bits also depend on _IS_BLOCK; the weighted
     terms stay `w @ x0` BLAS products, with x0 squared in place for the last.
 
-    Each chunk runs in the one buffer set `bufs` (`_is_buffers`). Its uniforms
-    go into the weights; then each block of _IS_BLOCK rows turns its uniforms
-    into the block's masks, draws its normals into the block-sized x0 (one
-    stream across fills), forms its weights in place over the uniforms and adds
-    its terms to the sums. Only the weights span the chunk.
+    Each chunk runs in the one buffer set `bufs` (`_is_buffers`), whose every
+    array spans one block. A chunk's m uniforms precede its normals in rng's
+    stream, one 64-bit output each, so `uniforms` takes rng's state and rng
+    advances m outputs to its normals. Each block of _IS_BLOCK rows then
+    draws its uniforms from `uniforms` into the weights, turns them into the
+    block's masks, draws its normals from rng into x0, forms its weights in
+    place over the uniforms and adds its terms to the sums. rng ends where
+    `rng.choice` and the normals would leave it.
     """
-    x0_buf, w_buf, mask_buf, g_buf = bufs
+    x0_buf, w_buf, mask_buf, g_buf, uniforms = bufs
     D = model.D
     cdf = model.weights.cumsum()  # as Generator.choice forms it
     cdf /= cdf[-1]
@@ -544,11 +567,12 @@ def _is_posterior_mean(
     done = 0
     while done < n_draws:
         m = min(_IS_CHUNK, n_draws - done)
-        w = w_buf[:m]
-        rng.random(out=w)
+        uniforms.bit_generator.state = rng.bit_generator.state
+        rng.bit_generator.advance(m)
         for lo in range(0, m, _IS_BLOCK):
             hi = min(lo + _IS_BLOCK, m)
-            xb, wb, mb, g = x0_buf[:hi - lo], w[lo:hi], mask_buf[:, :hi - lo], g_buf[:hi - lo]
+            xb, wb, mb, g = x0_buf[:hi - lo], w_buf[:hi - lo], mask_buf[:, :hi - lo], g_buf[:hi - lo]
+            uniforms.random(out=wb)
             # rng.choice(K, m, p=weights) is cdf.searchsorted(u, side="right"):
             # the component is >= k exactly where cdf[k - 1] <= u
             for k in range(1, model.K):
@@ -860,10 +884,9 @@ def _af3_bookkeeping_row() -> CheckResult:
     sigma = 2.0
     n = 200000
     rng = np.random.default_rng(808)
-    x = np.zeros((1, n))
-    x_out, sigma_hat = af3_noise_inflate(x, sigma, params, [rng])
+    x_out, sigma_hat = af3_noise_inflate(np.broadcast_to(0.0, (1, n)), sigma, params, [rng])
     want_std = params.rho_noise * sigma * np.sqrt((params.gamma + 1.0) ** 2 - 1.0)
-    got_std = float(x_out.std())
+    got_std = _mean_and_std(x_out)[1]
     se = want_std / np.sqrt(2.0 * n)
     ok = abs(got_std - want_std) < 4.0 * se and abs(sigma_hat - (params.gamma + 1.0) * sigma) < 1e-12
     return CheckResult(
@@ -873,13 +896,24 @@ def _af3_bookkeeping_row() -> CheckResult:
     )
 
 
+def _peak_rss_mb() -> Optional[float]:
+    """The process's resident-set high-water mark so far, in MB of 2^20 bytes
+    (as the benchmark's peak_rss_mb), or None where the resource module is
+    absent. ru_maxrss counts bytes on macOS and KiB elsewhere."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2.0**20 if sys.platform == "darwin" else 2.0**10)
+
+
 def run_verification_suite(telemetry: Optional[dict] = None) -> List[CheckResult]:
     """Run every oracle-backed self-check; returns (name, passed, detail) rows.
 
     One size, the one `steerkit verify` and the acceptance gate use. A
     `telemetry` dict receives `phases_s`, the wall seconds of each check
-    group, and `is_workers`, the size of the importance-sampling pool (the
-    manifest of `verify --out`).
+    group, `phases_peak_rss_mb`, the process's peak resident set after each
+    group (`_peak_rss_mb`), and `is_workers`, the size of the
+    importance-sampling pool (the manifest of `verify --out`).
     """
     n_fd = 20
     n_mc_probes = 10
@@ -901,12 +935,14 @@ def run_verification_suite(telemetry: Optional[dict] = None) -> List[CheckResult
         ("af3_noise", lambda: [_af3_bookkeeping_row()]),
     )
     rows: List[CheckResult] = []
-    phases = {}
+    phases, peaks = {}, {}
     for group, check in groups:
         t0 = time.perf_counter()
         rows += check()
         phases[group] = time.perf_counter() - t0
+        peaks[group] = _peak_rss_mb()
     if telemetry is not None:
         telemetry["phases_s"] = phases
+        telemetry["phases_peak_rss_mb"] = peaks
         telemetry["is_workers"] = _is_workers(n_mc_probes)
     return rows

@@ -123,6 +123,28 @@ def test_write_csv_cell_bytes(tmp_path):
     assert_no_tmp_leftovers(tmp_path)
 
 
+def test_write_csv_streams_its_cells(tmp_path):
+    """A 100,000-row write holds a slice of each column's cells at a time, not
+    the file: its traced peak stays below a quarter of the file's size."""
+    rng = np.random.default_rng(0)
+    n = 100_000
+    columns = (range(n, 0, -1), rng.standard_normal(n), rng.standard_normal(n),
+               rng.integers(-10**9, 10**9, n), rng.standard_normal(n))
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_csv(path, ("step", "a", "b", "i", "c"), columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 7e6 and peak < size / 4, (peak, size)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == n + 1 and lines[1].startswith(f"{n},{repr(float(columns[1][0]))},")
+    assert lines[-1] == ",".join(["1", repr(float(columns[1][-1])), repr(float(columns[2][-1])),
+                                  str(int(columns[3][-1])), repr(float(columns[4][-1]))])
+
+
 @pytest.mark.parametrize("n_columns", [2, 4])
 def test_write_csv_takes_one_column_per_header_name(tmp_path, n_columns):
     path = tmp_path / "t.csv"
@@ -755,6 +777,16 @@ def test_artifact_diff_script(tmp_path):
     ]
 
 
+def test_artifact_diff_drops_the_verify_manifests_run_time_keys():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_diff.py"
+    spec = importlib.util.spec_from_file_location("artifact_diff", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    manifest = {"all_passed": True, "phases_s": {"taylor": 0.1}, "is_workers": 2,
+                "phases_peak_rss_mb": {"taylor": 41.4}, "blas_threads": {"OMP_NUM_THREADS": "1"}}
+    assert module.strip_runtime(manifest) == {"all_passed": True}
+
+
 def _ab_bench():
     path = Path(__file__).resolve().parents[1] / "scripts" / "ab_bench.py"
     spec = importlib.util.spec_from_file_location("ab_bench", path)
@@ -955,6 +987,14 @@ def test_fig1_manifest_phases_are_finite_and_within_wall_time(tmp_path):
         assert sum(times) <= manifest["wall_time_s"]
 
 
+# the check groups of run_verification_suite, in the order it runs them
+VERIFY_GROUP_ORDER = (
+    "model_fd", "reward_fd", "adjoint", "tweedie", "conjugate", "is_gaussian_limit",
+    "is_mixture_mean", "monotone_scalar", "monotone_distance", "taylor", "reduction",
+    "map_identity", "af3_noise",
+)
+
+
 def test_verify_manifest_records_phases_and_pool_size(verify_run):
     out = verify_run.out
     assert verify_run.code == EXIT_OK
@@ -970,6 +1010,44 @@ def test_verify_manifest_records_phases_and_pool_size(verify_run):
     assert manifest["blas_threads"] == {v: os.environ.get(v) for v in names}
     report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
     assert set(report) == {"all_passed", "checks"}
+    # one high-water mark per group, which can only rise in run order (the
+    # manifest's keys are sorted, so the order is spelled out here)
+    peaks = manifest["phases_peak_rss_mb"]
+    assert set(peaks) == set(phases) == set(VERIFY_GROUP_ORDER)
+    in_order = [peaks[group] for group in VERIFY_GROUP_ORDER]
+    assert all(isinstance(mb, float) and mb > 0.0 for mb in in_order)
+    assert in_order == sorted(in_order) and in_order[-1] <= verification._peak_rss_mb()
+
+
+class _FakeRusage:
+    def __init__(self, maxrss):
+        self.ru_maxrss = maxrss
+
+    RUSAGE_SELF = 0
+
+    def getrusage(self, who):
+        return self
+
+
+@pytest.mark.parametrize("platform, maxrss", [("linux", 3 * 1024), ("darwin", 3 * 2**20)])
+def test_peak_rss_is_read_in_each_platforms_unit(monkeypatch, platform, maxrss):
+    """ru_maxrss counts KiB on Linux and bytes on macOS; both read 3 MB here."""
+    monkeypatch.setattr(verification, "resource", _FakeRusage(maxrss))
+    monkeypatch.setattr(verification.sys, "platform", platform)
+    assert verification._peak_rss_mb() == 3.0
+
+
+def test_peak_rss_is_null_without_the_resource_module(tmp_path, monkeypatch):
+    def suite(telemetry):
+        telemetry["phases_peak_rss_mb"] = {"stub": verification._peak_rss_mb()}
+        return [verification.CheckResult("stub", True, "stub row")]
+
+    monkeypatch.setattr(verification, "resource", None)
+    monkeypatch.setattr(verification, "run_verification_suite", suite)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["verify", "--out", str(tmp_path)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["phases_peak_rss_mb"] == {"stub": None}
 
 
 def test_verify_manifest_records_the_thread_variables_it_ran_under(tmp_path, monkeypatch):

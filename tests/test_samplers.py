@@ -65,6 +65,37 @@ def test_af3_gamma_zero_touches_nothing():
     assert sigma_hat == 3.0
     # the random stream must be exactly where a fresh one would be
     assert rng.standard_normal() == np.random.default_rng(7).standard_normal()
+    assert x_out is x
+
+
+@pytest.mark.parametrize("sigma", [1.7, 0.0])
+@pytest.mark.parametrize("B", [1, 3])
+def test_af3_inflation_in_place_gives_the_out_of_place_bits(B, sigma):
+    """The noised batch is x_t + noise_std * z bit for bit, signed zeros
+    included (at sigma = 0 each noise term is a zero of z's sign); x_t is only
+    read."""
+    params = Af3SamplerParams()
+    x_t = np.tile([-0.0, 0.0, -1e-300, 2.5, -7.0], (B, 3))
+    x_t.flags.writeable = False
+    before = x_t.tobytes()
+    noise_std = params.rho_noise * np.sqrt((params.gamma + 1.0) ** 2 - 1.0) * sigma
+    z = np.stack([np.random.default_rng(b).standard_normal(x_t.shape[1]) for b in range(B)])
+    want = x_t + noise_std * z
+    got, sigma_hat = af3_noise_inflate(x_t, sigma, params, [np.random.default_rng(b) for b in range(B)])
+    assert got.tobytes() == want.tobytes() and sigma_hat == 1.8 * sigma
+    assert x_t.tobytes() == before
+    if sigma == 0.0:  # both signs of zero come out, so the sum's sign is pinned
+        zeros = got[x_t == 0.0]
+        assert not zeros.any() and np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+def test_af3_inflation_takes_a_read_only_broadcast():
+    params = Af3SamplerParams()
+    zeros = np.broadcast_to(0.0, (1, 1000))
+    got, _ = af3_noise_inflate(zeros, 2.0, params, [np.random.default_rng(5)])
+    want, _ = af3_noise_inflate(np.zeros((1, 1000)), 2.0, params, [np.random.default_rng(5)])
+    assert got.tobytes() == want.tobytes() and got.flags.writeable
+    assert not zeros.any()
 
 
 def test_af3_params_validation():

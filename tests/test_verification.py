@@ -296,22 +296,63 @@ def _one_is_probe(model, c, x_t, sigma, rng, n_draws):
 def test_is_posterior_mean_matches_frozen_loop_bit_for_bit(D, K, n_draws):
     # 250,001 draws end in a one-draw chunk after a full one; _IS_BLOCK + 1 ends
     # one draw into a chunk's second block, and the last case one draw short of a
-    # block's end in a second chunk
+    # block's end in a second chunk. The caller's generator must end where the
+    # frozen loop leaves it: the live loop skips it past each chunk's uniforms.
     model, c, x_t = _is_fixture(D, K)
-    want = _frozen_is_posterior_mean(model, c, x_t, 0.9, np.random.default_rng(D + K), n_draws)
-    got = _one_is_probe(model, c, x_t, 0.9, np.random.default_rng(D + K), n_draws)
+    rng_want, rng_got = np.random.default_rng(D + K), np.random.default_rng(D + K)
+    want = _frozen_is_posterior_mean(model, c, x_t, 0.9, rng_want, n_draws)
+    got = _one_is_probe(model, c, x_t, 0.9, rng_got, n_draws)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
-def test_is_x0_and_masks_span_one_block_and_only_the_weights_a_chunk():
-    x0, w, masks, g = verification._is_buffers(verification._IS_CHUNK, 3, 2)
-    assert x0.shape == (verification._IS_BLOCK, 3) and w.shape == (verification._IS_CHUNK,)
-    assert masks.shape == (1, verification._IS_BLOCK) and masks.dtype == bool
-    assert g.shape == (verification._IS_BLOCK,)
-    # a chunk shorter than a block sizes every block buffer to the chunk
-    x0, w, masks, g = verification._is_buffers(17, 6, 2)
-    assert x0.shape == (17, 6) and w.shape == (17,) and masks.shape == (1, 17) and g.shape == (17,)
+@pytest.mark.parametrize("n", [verification._IS_CHUNK, 17])
+def test_every_is_buffer_spans_one_block(n):
+    # a chunk shorter than a block sizes every buffer to the chunk
+    b = min(n, verification._IS_BLOCK)
+    x0, w, masks, g, uniforms = verification._is_buffers(n, 3, 2)
+    assert x0.shape == (b, 3) and w.shape == (b,) and g.shape == (b,)
+    assert masks.shape == (1, b) and masks.dtype == bool
+    assert isinstance(uniforms.bit_generator, np.random.PCG64)
+
+
+def test_is_buffer_sets_draw_no_os_entropy():
+    # each set's uniforms generator has a fixed seed; its state is overwritten per chunk
+    states = [verification._is_buffers(17, 3, 2)[4].bit_generator.state for _ in range(2)]
+    assert states[0] == states[1]
+
+
+# rows, and one 10^6-draw IS probe, whose tracemalloc peak stays under 2 MiB: all
+# they must hold is one 200,000-draw float64 sample (1.53 MiB) or one IS buffer set
+_HEAP_BOUND_ROWS = {
+    "conjugate": verification._conjugate_rows,
+    "af3_noise": verification._af3_bookkeeping_row,
+    "is_gaussian_limit": verification._is_gaussian_limit_row,
+    "is_probe": lambda: _one_is_probe(*_is_fixture(3, 2), 0.9, np.random.default_rng(1), 1000000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HEAP_BOUND_ROWS))
+def test_big_sample_rows_hold_no_second_sample_sized_array(name):
+    _HEAP_BOUND_ROWS[name]()  # warm: imports, the models' memos
+    tracemalloc.start()
+    try:
+        _HEAP_BOUND_ROWS[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+def test_mean_and_std_give_numpys_bits():
+    rng = np.random.default_rng(3)
+    for n in (2, 9, 129, 8193, 200001):
+        z = 40.0 * rng.standard_normal(n) + 7.0
+        for ddof in (0, 1):
+            x = z.copy()
+            assert verification._mean_and_std(x, ddof) == (float(z.mean()), float(z.std(ddof=ddof)))
+        assert verification._mean_and_std(z[None].copy())[1] == float(z[None].std())
 
 
 @pytest.mark.parametrize("K, D", [(3, 3), (2, 8)])
@@ -349,7 +390,8 @@ def test_select_writes_the_fill_copyto_bits(K, values):
 
 @pytest.mark.parametrize("D", [3, 6])
 def test_is_posterior_mean_peaks_below_three_quarters_of_a_chunk_buffer(D):
-    # only the weights are chunk-sized; x0, the masks and the rest are block-sized
+    # every buffer is block-sized (test_big_sample_rows_hold_no_second_sample_sized_array
+    # bounds the D = 3 probe in absolute terms)
     model, c, x_t = _is_fixture(D, 2)
     chunk_bytes = 200000 * D * 8
     _one_is_probe(model, c, x_t, 0.9, np.random.default_rng(0), 1000)
