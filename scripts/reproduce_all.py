@@ -2,9 +2,10 @@
 """Run every shipped experiment config and report where the artifacts went.
 
 Full reproduction takes about 2 s with --jobs 2 on a 2-vCPU machine, most of
-it the map sweep, whose rows run on --jobs worker processes (default: one per
-CPU; the CSVs do not depend on it). --quick shrinks the seed counts for a
-smoke pass.
+it the map sweep, whose rows run on up to --jobs worker processes (default:
+the CPU count), one per CPU the process may use. The pool needs 2 usable
+CPUs; with one, as under `taskset -c 0`, the rows run in this process. The
+CSVs do not depend on it. --quick shrinks the seed counts for a smoke pass.
 Artifact directories keep the basename from each config's out_dir but are
 rooted at --out.
 """

@@ -8,7 +8,9 @@ verification suite's worker threads), the traffic that reproduces the paper:
   prefix of 40 seeds for the histogram figure, 1 otherwise) with one job,
   each through `steerkit run`;
 * `configs/sweep_distance.json` once more with two jobs, so the process-pool
-  branch counts as reached (the rows a worker runs are traced at one job);
+  branch counts as reached (the rows a worker runs are traced at one job).
+  The pool needs 2 usable CPUs; with one the sweep runs in this process and
+  the pool's lines count as never run;
 * `steerkit verify --out`, so the report and manifest writes count too.
 
 Given config paths, it traces only those, each run as written except that its

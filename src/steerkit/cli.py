@@ -15,7 +15,6 @@ by that record. Only verify imports the verification suite.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -33,7 +32,7 @@ from .harness import (
     ConfigParseError,
     ConfigValidationError,
     _base_manifest,
-    atomic_write,
+    _write_json,
     load_config,
     run_from_config,
     write_manifest,
@@ -120,8 +119,7 @@ def _run_verify(out: Optional[str]) -> int:
     print(f"{passed}/{len(results)} checks passed")
     if out is not None:
         report = {"all_passed": passed == len(results), "checks": [vars(r) for r in results]}
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
-        atomic_write(Path(out) / "verify_report.json", itertools.chain(chunks, ["\n"]))
+        _write_json(Path(out) / "verify_report.json", report)
         manifest = _base_manifest("verify", {"experiment": "verify", "out_dir": out}, t0)
         manifest.update(telemetry, artifacts=["verify_report.json"], all_passed=report["all_passed"])
         manifest["blas_threads"] = {v: os.environ.get(v) for v in _THREAD_VARS}

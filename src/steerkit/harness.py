@@ -51,7 +51,7 @@ import numpy as np
 
 from .models import NonFiniteStateError
 from .samplers import Af3SamplerParams
-from .schedules import _require_allocatable
+from .schedules import _pool_size, _require_allocatable
 from .steering import _DPS_NORMS, SKIP_THRESHOLD, SteeringConfig, run_steered
 from .tasks import (
     SYNTH_PRIOR_LOC,
@@ -157,15 +157,18 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence) -> None:
     atomic_write(path, (line + "\n" for line in itertools.chain([",".join(header)], rows)))
 
 
-def write_manifest(out_dir: Path, manifest: dict) -> None:
-    """Write manifest.json as strict JSON, streamed from the encoder; a NaN or
-    inf in it is an error."""
+def _write_json(path: Path, obj) -> None:
+    """Stream `obj` to `path` as strict, key-sorted, 2-space JSON; a NaN or inf in it is an error."""
     encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
     try:
-        atomic_write(Path(out_dir) / "manifest.json",
-                     itertools.chain(encoder.iterencode(manifest), ["\n"]))
+        atomic_write(path, itertools.chain(encoder.iterencode(obj), ["\n"]))
     except ValueError as e:
-        raise NonFiniteStateError(f"manifest holds a non-finite number: {e}") from e
+        raise NonFiniteStateError(f"{path.stem} holds a non-finite number: {e}") from e
+
+
+def write_manifest(out_dir: Path, manifest: dict) -> None:
+    """Write manifest.json (see `_write_json`)."""
+    _write_json(Path(out_dir) / "manifest.json", manifest)
 
 
 @functools.lru_cache(maxsize=1)
@@ -653,15 +656,6 @@ def _batch(desc: dict) -> dict:
     return {"rows": rows, "batch": batch}
 
 
-def _pool_size(jobs: int, rows: int, cpus: int) -> int:
-    """Worker count for a row pool: at most one per row and one per CPU.
-
-    The pool starts all its workers at the first submit, so an uncapped
-    jobs value would start that many processes.
-    """
-    return max(1, min(jobs, rows, cpus))
-
-
 def _chunks(desc: dict, n: int) -> List[dict]:
     """A batch descriptor cut into at most n contiguous, near-equal chunks."""
     size = -(-len(desc["seeds"]) // n)
@@ -678,7 +672,7 @@ def _run_batches(descs: List[dict], jobs: int):
     and each row is bit-identical whatever batch it runs in, so parallelism
     cannot change any artifact.
     """
-    workers = _pool_size(jobs, sum(len(d["seeds"]) for d in descs), os.cpu_count() or 1)
+    workers = _pool_size(jobs, sum(len(d["seeds"]) for d in descs))
     if workers == 1:
         done = [_batch(d) for d in descs]
     else:

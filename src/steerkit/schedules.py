@@ -11,6 +11,7 @@ flow written in terms of the denoiser output:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,17 @@ def _require_allocatable(n: int, what: str) -> None:
         np.empty(n)
     except (ValueError, MemoryError):
         raise MemoryError(f"cannot allocate {what}") from None
+
+
+def _pool_size(wanted: int, items: int) -> int:
+    """Workers for any pool of the program (a sweep's processes, verify's IS threads):
+    at most `wanted`, one per work item and one per usable CPU, and at least one."""
+    return max(1, min(wanted, items, _usable_cpus()))
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process's affinity set, or the CPU count where the OS has no affinity API."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def build_linear_schedule(T: int, sigma_max: float) -> NoiseSchedule:

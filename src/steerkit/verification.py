@@ -38,7 +38,6 @@ the mode means are formed, and the denoiser called, on the calling thread.
 from __future__ import annotations
 
 import contextvars
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -64,6 +63,7 @@ from .rewards import (
     render_map,
 )
 from .samplers import Af3SamplerParams, af3_noise_inflate
+from .schedules import _pool_size
 from .steering import (
     SteeringConfig,
     embedopt_step,
@@ -266,8 +266,16 @@ def taylor_gap_scaling(
     return {
         "ratios": ratios,
         "n_exact": n_exact,
-        "median_ratio": float(np.median(ratios)) if ratios else None,
+        "median_ratio": _median(ratios) if ratios else None,
     }
+
+
+def _median(values: Sequence[float]) -> float:
+    """np.median's bits without its numpy.ma import: the middle sorted value, or
+    the mean of the middle two for an even count; NaN if any value is NaN."""
+    s, h = sorted(values), len(values) // 2
+    mid = s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
+    return float("nan") if any(v != v for v in s) else mid
 
 
 @dataclass(frozen=True)
@@ -481,19 +489,6 @@ _IS_CHUNK = 200000  # draws per importance-sampling chunk; part of the bit contr
 _IS_BLOCK = 32768  # rows per pass over a chunk, each summed as it ends; part of the bit contract
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _is_workers(n_probes: int) -> int:
-    """Size of the importance-sampling pool: a thread per usable CPU, at most
-    one per probe."""
-    return min(n_probes, _usable_cpus())
-
-
 def _is_buffers(n: int, D: int, K: int) -> tuple:
     """One importance-sampling buffer set (x0, weights, masks, column, uniforms)
     for chunks of up to n draws. With b = min(n, _IS_BLOCK), x0 (b, D), the
@@ -615,9 +610,9 @@ def _is_posterior_mean(
 
 def _run_is_probes(model: MixturePriorModel, means: np.ndarray, probes, n_draws: int):
     """(est, se) for each (x_t, sigma, rng) probe, in probe order, computed on
-    `_is_workers` threads. K > 2 modes or D >= 8, which `_select` and the
-    left-fold distance sum are not written for, is a ValueError before any
-    buffer or draw.
+    a thread per usable CPU, at most one per probe. K > 2 modes or D >= 8,
+    which `_select` and the left-fold distance sum are not written for, is a
+    ValueError before any buffer or draw.
 
     Each worker runs a contiguous group of the probes in order, in one buffer
     set that the calling thread allocates and in a copy of the caller's
@@ -626,7 +621,7 @@ def _run_is_probes(model: MixturePriorModel, means: np.ndarray, probes, n_draws:
     """
     if model.K > 2 or model.D >= 8:
         raise ValueError(f"the IS oracle takes K <= 2 and D < 8, not K={model.K}, D={model.D}")
-    n, workers = len(probes), _is_workers(len(probes))
+    n, workers = len(probes), _pool_size(len(probes), len(probes))
     shape = min(_IS_CHUNK, n_draws), model.D, model.K
 
     def group(lo, hi, bufs):
@@ -944,5 +939,5 @@ def run_verification_suite(telemetry: Optional[dict] = None) -> List[CheckResult
     if telemetry is not None:
         telemetry["phases_s"] = phases
         telemetry["phases_peak_rss_mb"] = peaks
-        telemetry["is_workers"] = _is_workers(n_mc_probes)
+        telemetry["is_workers"] = _pool_size(n_mc_probes, n_mc_probes)
     return rows

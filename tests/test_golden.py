@@ -19,7 +19,6 @@ the reference was recorded with, and says so when it skips.
 import hashlib
 import importlib.util
 import json
-import os
 import platform
 import sys
 from pathlib import Path
@@ -28,6 +27,7 @@ import numpy as np
 import pytest
 
 from steerkit.harness import config_from_dict, load_config, run_from_config
+from steerkit.schedules import _usable_cpus
 from conftest import run_script
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -137,7 +137,7 @@ def test_full_size_reproduction_matches_recorded_digests(tmp_path):
     here = {"numpy": np.__version__, "python": platform.python_version()}
     if here != FULL_SIZE_RECORDED_WITH:
         pytest.skip(f"digests recorded with {FULL_SIZE_RECORDED_WITH}, running {here}")
-    if (os.cpu_count() or 1) < 2:  # one worker: one batch_runtimes_s entry per batch, unchunked
+    if _usable_cpus() < 2:  # one worker: one batch_runtimes_s entry per batch, unchunked
         pytest.skip("the manifests' batch_runtimes_s follow a two-worker pool's chunking")
     proc = run_script("reproduce_all.py", "--jobs", "2", "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerkit import NonFiniteStateError, SteeringConfig, build_synthetic_task, run_steered
-from steerkit import harness, verification
+from steerkit import harness, schedules, verification
 from steerkit.cli import main as cli_main
 from steerkit.harness import (
     EXIT_IO,
@@ -45,7 +45,8 @@ from steerkit.harness import (
     write_csv,
     write_manifest,
 )
-from steerkit.harness import _chunks, _pool_size, config_from_dict
+from steerkit.harness import _chunks, config_from_dict
+from steerkit.schedules import _pool_size
 from conftest import run_script
 
 
@@ -378,11 +379,42 @@ def test_config_n_seeds_expansion_and_overrides(tmp_path):
         load_config(single, jobs=1)
 
 
-def test_pool_size_is_capped_by_rows_and_cpus():
-    assert _pool_size(100_000, rows=12, cpus=2) == 2
-    assert _pool_size(100_000, rows=1, cpus=64) == 1
-    assert _pool_size(3, rows=12, cpus=64) == 3
-    assert _pool_size(1, rows=0, cpus=4) == 1
+def test_pool_size_is_capped_by_rows_and_cpus(monkeypatch):
+    for cpus, wanted, items, size in ((2, 100_000, 12, 2), (64, 100_000, 1, 1), (64, 3, 12, 3),
+                                      (4, 1, 0, 1), (1, 2, 12, 1)):
+        monkeypatch.setattr(schedules, "_usable_cpus", lambda n=cpus: n)
+        assert _pool_size(wanted, items) == size
+
+
+def test_usable_cpus_are_the_affinity_set_and_the_cpu_count_only_without_one(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert schedules._usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert schedules._usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+    assert schedules._usable_cpus() == 1
+
+
+def test_sweep_on_one_usable_cpu_starts_no_process_pool(monkeypatch):
+    """jobs = 2 on one usable CPU runs as jobs = 1: no pool, the same batches."""
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started on one usable CPU")
+
+    base = {"task_kind": "distance", "task_seed": 0, "schedule": {"T": 10}}
+    descs = [dict(base, method=m, alphas=[0.0, 0.1], seeds=[0, 1], config=SteeringConfig(method=m))
+             for m in ("embedopt", "dps")]
+    monkeypatch.setattr(schedules, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    runs = [harness._run_batches(descs, jobs) for jobs in (2, 1)]
+    (rows2, batches2), (rows1, batches1) = [
+        ([r["final_reward"] for r in rows], [dict(b, runtime_s=None) for b in batches])
+        for rows, batches in runs
+    ]
+    assert batches2 == batches1 and len(batches1) == len(descs)
+    assert rows2 == rows1
 
 
 @pytest.mark.parametrize("literal", [
@@ -1005,11 +1037,13 @@ def test_verify_manifest_records_phases_and_pool_size(verify_run):
     assert "is_mixture_mean" in phases
     assert all(math.isfinite(t) and t >= 0.0 for t in phases.values())
     assert sum(phases.values()) <= manifest["wall_time_s"]
-    assert manifest["is_workers"] == verification._is_workers(10)
+    assert manifest["is_workers"] == _pool_size(10, 10)
     names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     assert manifest["blas_threads"] == {v: os.environ.get(v) for v in names}
-    report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
+    text = (out / "verify_report.json").read_text(encoding="utf-8")
+    report = json.loads(text)
     assert set(report) == {"all_passed", "checks"}
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"  # the manifest's format
     # one high-water mark per group, which can only rise in run order (the
     # manifest's keys are sorted, so the order is spelled out here)
     peaks = manifest["phases_peak_rss_mb"]

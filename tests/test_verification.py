@@ -10,6 +10,8 @@ import functools
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -18,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from steerkit import cli, steering, verification
+from steerkit import cli, schedules, steering, verification
 from steerkit import (
     AscentAudit,
     CheckResult,
@@ -458,7 +460,7 @@ def test_mixture_mc_row_is_bit_identical_at_any_pool_size(monkeypatch):
     sys.setswitchinterval(1e-5)
     try:
         for workers in (1, 2, 4):
-            monkeypatch.setattr(verification, "_usable_cpus", lambda w=workers: w)
+            monkeypatch.setattr(schedules, "_usable_cpus", lambda w=workers: w)
             calls.clear()
             row = verification._mixture_mc_row(4, 250001)
             per_probe = sorted((sigma, est.tobytes(), se.tobytes()) for _, sigma, (est, se) in calls)
@@ -508,7 +510,7 @@ def test_mixture_mc_row_keeps_models_and_traced_functions_on_the_calling_thread(
             for key, value in list(vars(mod).items()):
                 if value is original:
                     monkeypatch.setattr(mod, key, wrapper)
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(schedules, "_usable_cpus", lambda: 2)
     calls = _record_is_calls(monkeypatch)
     verification._mixture_mc_row(4, 1000)
     caller = threading.get_ident()
@@ -524,7 +526,7 @@ def test_is_pool_workers_see_the_callers_errstate(monkeypatch):
         states.append(np.geterr())
         return np.zeros(model.D), np.ones(model.D)
 
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(schedules, "_usable_cpus", lambda: 2)
     calls = _record_is_calls(monkeypatch, fake)
     with np.errstate(all="ignore"):
         caller_state = np.geterr()
@@ -541,12 +543,42 @@ def test_is_pool_reraises_the_first_probes_oracle_failure(monkeypatch):
         raised[sigma] = OracleFailureError(f"probe at sigma {sigma}")
         raise raised[sigma]
 
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(schedules, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(verification, "_is_posterior_mean", fake)
     with pytest.raises(OracleFailureError) as excinfo:
         verification._mixture_mc_row(4, 1000)
     first_sigma = float(np.random.default_rng(9000).uniform(0.3, 2.0))
     assert excinfo.value is raised[first_sigma]
+
+
+_TAYLOR_MEDIAN_PROBE = """
+import json, sys
+import numpy as np
+from steerkit import verification
+model, c = verification._mixture_fixture(seed=4500)
+reward = verification.GaussianMeasurementReward(y=np.full(model.D, 1.5))
+rng = np.random.default_rng(4700)
+probes = [(2.0 * rng.standard_normal((1, model.D)), c, 1.2, 0.8) for _ in range(int(sys.argv[1]))]
+out = verification.taylor_gap_scaling(model, reward, probes)
+print(json.dumps({"ma": "numpy.ma" in sys.modules, "ratios": [r.hex() for r in out["ratios"]],
+                  "median": out["median_ratio"].hex()}))
+"""
+
+
+@pytest.mark.parametrize("n_probes", [5, 6])
+def test_taylor_gap_median_has_np_medians_bits_without_importing_numpy_ma(n_probes):
+    """np.median imports numpy.ma (about 1 MB of verify's peak), so the Taylor
+    row takes the sorted-middle median; it must give np.median's bits for an
+    odd and an even count of ratios."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", _TAYLOR_MEDIAN_PROBE, str(n_probes)],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    out = json.loads(run.stdout)
+    ratios = [float.fromhex(r) for r in out["ratios"]]
+    assert out["ma"] is False and len(ratios) == n_probes
+    assert float.fromhex(out["median"]) == float(np.median(ratios))
+    assert np.isnan(verification._median([3.0, float("nan"), 1.0]))  # as np.median gives
 
 
 def test_nan_max_propagates_nan():
