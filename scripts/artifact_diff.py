@@ -21,7 +21,7 @@ from pathlib import Path
 # keys whose values say when, where or how fast a run went, not what it computed
 RUNTIME_KEYS = frozenset({
     "created_utc", "wall_time_s", "git_describe", "out_dir", "runtime_s", "phases_s",
-    "is_workers", "blas_threads", "phases_peak_rss_mb",
+    "is_workers", "workers", "blas_threads", "phases_peak_rss_mb",
 })
 _ABSENT = "<absent>"
 

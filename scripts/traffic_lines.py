@@ -4,13 +4,13 @@
 Line-traces, in this process (sys.settrace, and threading.settrace for the
 verification suite's worker threads), the traffic that reproduces the paper:
 
-* the six shipped configs at `reproduce_all.py --quick` seed counts (a
-  prefix of 40 seeds for the histogram figure, 1 otherwise) with one job,
-  each through `steerkit run`;
-* `configs/sweep_distance.json` once more with two jobs, so the process-pool
-  branch counts as reached (the rows a worker runs are traced at one job).
-  The pool needs 2 usable CPUs; with one the sweep runs in this process and
-  the pool's lines count as never run;
+* the `steerkit run` commands of `reproduce_all.py --quick --jobs 1`, which
+  runs every shipped config on a prefix of its seeds;
+* `configs/sweep_distance.json` once more, as `reproduce_all.py --quick
+  --jobs 2` runs it, so the process-pool branch counts as reached (the rows
+  a worker runs are traced at one job). The pool needs 2 usable CPUs; with
+  one the sweep runs in this process and the pool's lines count as never
+  run;
 * `steerkit verify --out`, so the report and manifest writes count too.
 
 Given config paths, it traces only those, each run as written except that its
@@ -36,14 +36,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "steerkit"
-SHIPPED = (
-    "fig1.json",
-    "sweep_distance.json",
-    "sweep_map.json",
-    "scale_distance.json",
-    "single_synthetic.json",
-    "single_distance.json",
-)
 
 
 class Statement:
@@ -113,25 +105,15 @@ class LineTracer:
 
 def traffic(configs, tmp: Path):
     """The argument lists of the steerkit commands to trace, in order."""
-    from steerkit.harness import load_config
-
-    def run(path: Path, out: str, *extra):
-        return ["run", str(path), "--out", str(tmp / out), *extra]
-
     if configs:
-        return [run(path, f"{i}-{path.stem}") for i, path in enumerate(configs)]
-    commands = []
-    for name in SHIPPED:
-        path = ROOT / "configs" / name
-        cfg = load_config(path)
-        keep = 40 if cfg.experiment == "synthetic_fig1" else 1
-        seeds = ["--seeds", ",".join(map(str, cfg.seeds[:keep]))]
-        jobs = ["--jobs", "1"] if cfg.experiment in ("lr_sweep", "step_scaling") else []
-        commands.append(run(path, path.stem, *seeds, *jobs))
-        if name == "sweep_distance.json":
-            commands.append(run(path, f"{path.stem}_jobs2", *seeds, "--jobs", "2"))
-    commands.append(["verify", "--out", str(tmp / "verify")])
-    return commands
+        return [["run", str(path), "--out", str(tmp / f"{i}-{path.stem}")]
+                for i, path in enumerate(configs)]
+    import reproduce_all  # it imports steerkit, which only the trace may do
+
+    jobs2 = [argv for argv in reproduce_all.commands(tmp / "jobs2", 2, quick=True)
+             if Path(argv[1]).name == "sweep_distance.json"]
+    return [*reproduce_all.commands(tmp, 1, quick=True), *jobs2,
+            ["verify", "--out", str(tmp / "verify")]]
 
 
 def main() -> int:

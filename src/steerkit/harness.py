@@ -428,9 +428,6 @@ def _steering_config(cfg: ExperimentConfig) -> SteeringConfig:
 # ---------------------------------------------------------------------------
 # synthetic histogram experiment (vectorized fast path)
 
-_CONJ_W1 = conjugate_posterior(SYNTH_PRIOR_LOC, SYNTH_PRIOR_STD**2, SYNTH_Y, SYNTH_TAU2, 1.0)
-_CONJ_W100 = conjugate_posterior(SYNTH_PRIOR_LOC, SYNTH_PRIOR_STD**2, SYNTH_Y, SYNTH_TAU2, 100.0)
-
 FIG1_PANEL_SPECS = {
     "unguided": {"method": "none", "w": 1.0, "alpha": 0.0},
     "dps_w1": {"method": "dps", "w": 1.0, "alpha": 0.0},
@@ -442,15 +439,15 @@ FIG1_PANEL_SPECS = {
 }
 FIG1_CSV_PANELS = ("unguided", "dps_w1", "dps_w100", "embedopt_a0.1")
 
-FIG1_REFERENCES = {
-    "unguided": (SYNTH_PRIOR_LOC, SYNTH_PRIOR_STD),
-    "dps_w1": (_CONJ_W1[0], float(np.sqrt(_CONJ_W1[1]))),
-    "dps_w100": (_CONJ_W100[0], float(np.sqrt(_CONJ_W100[1]))),
-    "embedopt_a0.1": (SYNTH_Y, None),
-    "embedopt_a0.05": (SYNTH_Y, None),
-    "embedopt_a0.5": (SYNTH_Y, None),
-    "embedopt_a5": (SYNTH_Y, None),
-}
+
+def _fig1_reference(spec: dict) -> tuple:
+    """A panel's reference (mean, std): EmbedOpt's target y, with no width, and
+    otherwise the conjugate posterior at the panel's weight (0 when unguided)."""
+    if spec["method"] == "embedopt":
+        return SYNTH_Y, None
+    w = spec["w"] if spec["method"] == "dps" else 0.0
+    mean, var = conjugate_posterior(SYNTH_PRIOR_LOC, SYNTH_PRIOR_STD**2, SYNTH_Y, SYNTH_TAU2, w)
+    return mean, float(np.sqrt(var))
 
 
 def _seed_states(seeds: np.ndarray) -> np.ndarray:
@@ -578,14 +575,14 @@ def run_synthetic_fig1(cfg: ExperimentConfig) -> dict:
     z = fig1_noise(cfg.seeds)
     phases = {"draw_x_T": time.perf_counter() - t_draw, "integrate": {}}
     panels = {}
-    for panel in FIG1_PANEL_SPECS:
+    for panel, spec in FIG1_PANEL_SPECS.items():
         t_panel = time.perf_counter()
         samples = fig1_panel_samples(panel, z, **schedule)
         phases["integrate"][panel] = time.perf_counter() - t_panel
         if not np.isfinite(samples).all():
             raise NonFiniteStateError(f"panel {panel!r} has non-finite endpoints")
         summary = summarize_samples(samples, bins=cfg.bins)
-        ref_mean, ref_std = FIG1_REFERENCES[panel]
+        ref_mean, ref_std = _fig1_reference(spec)
         entry = {
             "mean": float(summary.mean[0]),
             "std": float(summary.std[0]),
@@ -668,9 +665,9 @@ def _chunks(desc: dict, n: int) -> List[dict]:
 def _run_batches(descs: List[dict], jobs: int):
     """Evaluate batches, on a process pool as contiguous chunks when jobs > 1.
 
-    Returns (rows, per-batch telemetry). Rows come back in descriptor order,
-    and each row is bit-identical whatever batch it runs in, so parallelism
-    cannot change any artifact.
+    Returns (rows, per-batch telemetry), each telemetry entry naming the pool's
+    `workers`. Rows come back in descriptor order, and each row is bit-identical
+    whatever batch it runs in, so parallelism cannot change any artifact.
     """
     workers = _pool_size(jobs, sum(len(d["seeds"]) for d in descs))
     if workers == 1:
@@ -680,7 +677,7 @@ def _run_batches(descs: List[dict], jobs: int):
         chunks = [chunk for d in descs for chunk in _chunks(d, workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_batch, chunks))
-    return [r for out in done for r in out["rows"]], [out["batch"] for out in done]
+    return [r for out in done for r in out["rows"]], [dict(out["batch"], workers=workers) for out in done]
 
 
 def _row_nfe(rows: List[dict], keys: Sequence[str]) -> List[dict]:
@@ -789,8 +786,8 @@ def run_step_scaling(cfg: ExperimentConfig) -> dict:
 
 
 def run_single_run(cfg: ExperimentConfig) -> dict:
-    """One steered trajectory per seed, all seeds as one batch; emits
-    per-step trajectory CSVs."""
+    """One steered trajectory per seed, all seeds as one batch in this process;
+    emits per-step trajectory CSVs."""
     out = Path(cfg.out_dir)
     schedule = _schedule_keys(cfg)
     config = _steering_config(cfg)
@@ -799,7 +796,7 @@ def run_single_run(cfg: ExperimentConfig) -> dict:
         "schedule": schedule, "method": config.method, "config": config,
         "alphas": [config.alpha] * len(cfg.seeds), "seeds": list(cfg.seeds),
     }
-    rows, batches = _run_batches([desc], cfg.jobs)
+    rows, batches = _run_batches([desc], 1)
     runs = {}
     for r in rows:
         rec = r["record"]

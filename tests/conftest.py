@@ -6,6 +6,7 @@ visible even when pytest captures stdout.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -88,3 +89,16 @@ def run_script(name: str, *args) -> subprocess.CompletedProcess:
         [sys.executable, str(root / "scripts" / name), *map(str, args)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
+
+
+def load_module(relpath: str):
+    """The checkout's file at relpath (say, scripts/artifact_diff.py) as a module,
+    loaded once and registered as perfbench_workloads, scripts_artifact_diff..."""
+    path = Path(__file__).resolve().parents[1] / relpath
+    name = relpath.removesuffix(".py").replace("/", "_")
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules[name]

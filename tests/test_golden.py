@@ -17,10 +17,8 @@ the reference was recorded with, and says so when it skips.
 """
 
 import hashlib
-import importlib.util
 import json
 import platform
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +26,7 @@ import pytest
 
 from steerkit.harness import config_from_dict, load_config, run_from_config
 from steerkit.schedules import _usable_cpus
-from conftest import run_script
+from conftest import load_module, run_script
 
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "perfbench" / "reference.json"
@@ -39,16 +37,8 @@ CASES = [
 ]
 
 
-def _load_module(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = _load_module("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-artifact_diff = _load_module("artifact_diff", ROOT / "scripts" / "artifact_diff.py")
+workloads = load_module("perfbench/workloads.py")
+artifact_diff = load_module("scripts/artifact_diff.py")
 COMMANDS = [
     workloads.fig1(0)[0],
     *(workloads.lr_sweep("map", stratum[0], [stratum[0]], workloads.MAP_T)[0]

@@ -6,7 +6,7 @@ process pool, with everything wall-clock flavored confined to the manifest.
 """
 
 import contextlib
-import importlib.util
+import dataclasses
 import io
 import json
 import math
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from steerkit import NonFiniteStateError, SteeringConfig, build_synthetic_task, run_steered
 from steerkit import harness, schedules, verification
+from steerkit.cli import _parse_seeds, build_parser
 from steerkit.cli import main as cli_main
 from steerkit.harness import (
     EXIT_IO,
@@ -47,7 +48,7 @@ from steerkit.harness import (
 )
 from steerkit.harness import _chunks, config_from_dict
 from steerkit.schedules import _pool_size
-from conftest import run_script
+from conftest import load_module, run_script
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -415,6 +416,37 @@ def test_sweep_on_one_usable_cpu_starts_no_process_pool(monkeypatch):
     ]
     assert batches2 == batches1 and len(batches1) == len(descs)
     assert rows2 == rows1
+
+
+def test_single_run_runs_its_batch_in_this_process_whatever_its_jobs(tmp_path, monkeypatch):
+    """A single run never reads jobs: a config that jobs = 2 reaches only by
+    dataclasses.replace starts no pool and records what a jobs = 1 run does."""
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a single run started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    cfg = config_from_dict({"experiment": "single_run", "out_dir": str(tmp_path / "one"),
+                            "seeds": [0, 1], "schedule": {"T": 10},
+                            "steering": {"method": "embedopt", "alpha": 0.1}})
+    two = dataclasses.replace(cfg, jobs=2, out_dir=str(tmp_path / "two"))
+    manifests = [run_from_config(c)["batch_runtimes_s"] for c in (two, cfg)]
+    assert [[dict(b, runtime_s=None) for b in batches] for batches in manifests] == [
+        [{"method": "embedopt", "T": 10, "rows": 2, "runtime_s": None, "workers": 1}]
+    ] * 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_batches_record_the_workers_that_ran(tmp_path, monkeypatch, cpus):
+    """`--jobs 2` runs on min(2, usable CPUs) workers, and every batch entry says so."""
+    monkeypatch.setattr(schedules, "_usable_cpus", lambda: cpus)
+    config = write_config(tmp_path, sweep_payload(tmp_path / "out"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli_main(["sweep", str(config), "--jobs", "2"]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["jobs"] == 2
+    assert {b["workers"] for b in manifest["batch_runtimes_s"]} == {cpus}
 
 
 @pytest.mark.parametrize("literal", [
@@ -810,21 +842,45 @@ def test_artifact_diff_script(tmp_path):
 
 
 def test_artifact_diff_drops_the_verify_manifests_run_time_keys():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "artifact_diff.py"
-    spec = importlib.util.spec_from_file_location("artifact_diff", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
     manifest = {"all_passed": True, "phases_s": {"taylor": 0.1}, "is_workers": 2,
-                "phases_peak_rss_mb": {"taylor": 41.4}, "blas_threads": {"OMP_NUM_THREADS": "1"}}
-    assert module.strip_runtime(manifest) == {"all_passed": True}
+                "phases_peak_rss_mb": {"taylor": 41.4}, "blas_threads": {"OMP_NUM_THREADS": "1"},
+                "batch_runtimes_s": [{"rows": 3, "runtime_s": 0.1, "workers": 2}]}
+    assert load_module("scripts/artifact_diff.py").strip_runtime(manifest) == {
+        "all_passed": True, "batch_runtimes_s": [{"rows": 3}]
+    }
 
 
-def _ab_bench():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "ab_bench.py"
-    spec = importlib.util.spec_from_file_location("ab_bench", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def test_reproduce_all_commands_parse_to_the_configs_it_used_to_build(tmp_path):
+    """Each `steerkit run` argument list of `reproduce_all.py --quick --jobs 1`
+    loads, through load_config's overrides, to the config that replacing
+    out_dir, a seed prefix and (on sweeps only) jobs in the shipped config gives."""
+    reproduce_all = load_module("scripts/reproduce_all.py")
+    argvs = reproduce_all.commands(tmp_path, 1, quick=True)
+    assert len(argvs) == len(list(reproduce_all.CONFIGS.glob("*.json"))) == 6
+    for argv in argvs:
+        args = build_parser().parse_args(argv)
+        seeds = None if args.seeds is None else _parse_seeds(args.seeds)
+        got = load_config(args.config, out_dir=args.out, seeds=seeds, jobs=args.jobs)
+        cfg = load_config(args.config)
+        keep = 40 if cfg.experiment == "synthetic_fig1" else 1
+        jobs = 1 if cfg.experiment in ("lr_sweep", "step_scaling") else cfg.jobs
+        want = dataclasses.replace(cfg, out_dir=str(tmp_path / Path(cfg.out_dir).name),
+                                   seeds=cfg.seeds[:keep], jobs=jobs)
+        assert got == want, argv
+        assert (args.jobs is not None) == (cfg.experiment in ("lr_sweep", "step_scaling"))
+
+
+def test_reproduce_all_returns_a_failing_runs_exit_code(tmp_path, monkeypatch, capsys):
+    """A config that does not load stops the reproduction with `steerkit run`'s
+    exit code and JSON error line, not a traceback."""
+    reproduce_all = load_module("scripts/reproduce_all.py")
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    write_config(configs, {"experiment": "single_run", "out_dir": "x", "bins": 3}, "bad.json")
+    monkeypatch.setattr(reproduce_all, "CONFIGS", configs)
+    assert reproduce_all.main(["--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+    assert json.loads(capsys.readouterr().err)["error"] == "validation"
+    assert not (tmp_path / "out").exists()
 
 
 def test_ab_bench_rule_on_recorded_pairs():
@@ -832,7 +888,7 @@ def test_ab_bench_rule_on_recorded_pairs():
     BENCH_26.json recorded, reproduces their medians, pair counts and verdicts
     (and BENCH_19.json's exclusive-method IQRs) without running the
     benchmark; a tree against itself claims nothing."""
-    ab = _ab_bench()
+    ab = load_module("scripts/ab_bench.py")
     root = Path(__file__).resolve().parents[1]
     directions = ab.metric_directions(root)
     assert directions == {"setup_s": "lower", "wall_s": "lower", "steps_per_s": "higher",
@@ -883,7 +939,7 @@ def test_ab_bench_bootstrap_interval_on_recorded_pairs():
     """The bootstrap 95% interval of the paired median ratio, on BENCH_30.json's
     recorded pairs: the same pairs give the same interval, it holds the point
     ratio, and on the A/A run the wall_s interval holds 1."""
-    ab = _ab_bench()
+    ab = load_module("scripts/ab_bench.py")
     root = Path(__file__).resolve().parents[1]
     recorded = json.loads((root / "BENCH_30.json").read_text(encoding="utf-8"))
     directions = ab.metric_directions(root)

@@ -8,7 +8,6 @@ mean (20 + 2000)/104 = 19.4230769...
 
 import functools
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -42,6 +41,7 @@ from steerkit import (
     summarize_samples,
 )
 from steerkit.steering import embedopt_step
+from conftest import load_module
 
 
 def test_conjugate_posterior_worked_examples():
@@ -473,15 +473,6 @@ def test_mixture_mc_row_is_bit_identical_at_any_pool_size(monkeypatch):
     assert len(runs[1][2]) == 1 and len(runs[2][2]) <= 2
 
 
-def _tracer_targets():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
-
-
 def test_mixture_mc_row_keeps_models_and_traced_functions_on_the_calling_thread(monkeypatch):
     """The models' one-entry memo and the benchmark tracer's span stack are
     not thread-safe, so only the IS draws may run on the pool's threads."""
@@ -495,7 +486,7 @@ def test_mixture_mc_row_keeps_models_and_traced_functions_on_the_calling_thread(
         return wrapper
 
     modules = [m for n, m in sys.modules.items() if n == "steerkit" or n.startswith("steerkit.")]
-    targets = dict(_tracer_targets())
+    targets = dict(load_module("perfbench/tracer.py").TARGETS)
     targets["models.mixture.mode_means"] = ("steerkit.models", "MixturePriorModel.mode_means")
     for name, (mod_name, attr) in targets.items():
         owner = importlib.import_module(mod_name)
@@ -587,6 +578,19 @@ def test_nan_max_propagates_nan():
     assert verification._nan_max(2.0, 1.0) == 2.0
     assert np.isnan(verification._nan_max(0.0, nan))
     assert np.isnan(verification._nan_max(nan, 5.0))
+
+
+def test_verify_table_is_the_same_bytes_with_blas_on_one_thread_or_unpinned():
+    """The IS estimates' last bits may follow the BLAS thread count; the printed
+    table, which rounds them, must not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    unset = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+    tables = [
+        subprocess.run([sys.executable, "-m", "steerkit.cli", "verify"], capture_output=True,
+                       check=True, env={**unset, **pinned, "PYTHONPATH": src}).stdout
+        for pinned in ({v: "1" for v in cli._THREAD_VARS}, {})
+    ]
+    assert tables[0] == tables[1] and tables[0].endswith(b" checks passed\n")
 
 
 @pytest.mark.parametrize("failing", [False, True])
