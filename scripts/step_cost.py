@@ -11,14 +11,16 @@ each panel over its 1000-step schedule at the benchmark's 10,000 seeds,
 timed the same way, and the x_T draw those panels share, `fig1_noise`, per
 seed. Two rows time the engine, `run_steered`, on exact-likelihood DPS at
 w = 1 and w = 100 over 2,000 seeds and 1000 steps, as acceptance criteria 1b
-and 1c integrate them. A last line times one 10^6-draw probe of the importance-sampling
-oracle (`steerkit verify`'s mixture_posterior_mean_mc fixture) on one worker
-thread, the same way, and gives that probe's tracemalloc peak. Run it from a
+and 1c integrate them. Two last lines time, the same way, one 10^5-draw probe
+of the importance-sampling oracle, with its tracemalloc peak, and one call of
+the Gauss-Hermite quadrature oracle, on `steerkit verify`'s mixture-mean
+fixture. Run it from a
 checkout with `PYTHONPATH=src python scripts/step_cost.py`; pin BLAS to one
 thread (OPENBLAS_NUM_THREADS=1) to compare two checkouts.
 """
 
 import argparse
+import itertools
 import statistics
 import time
 import tracemalloc
@@ -29,7 +31,7 @@ from steerkit import SteeringConfig, build_synthetic_task, build_toy_task, run_s
 from steerkit.harness import FIG1_PANEL_SPECS, fig1_noise, fig1_panel_samples
 from steerkit.models import Embedding, make_mixture_model
 from steerkit.tasks import SYNTH_T
-from steerkit.verification import _run_is_probes
+from steerkit.verification import _GH_NODES, _is_posterior_mean, _quadrature_posterior_mean
 
 T = 50  # steps per run
 REPEATS = 5  # timed runs per cell
@@ -37,7 +39,20 @@ TASKS = ("synthetic", "distance", "map")
 METHODS = ("embedopt", "dps", "none")
 FIG1_SEEDS = 10_000  # trajectories per fig1 panel, as in the benchmark's fig1_batch
 EXACT_SEEDS = 2_000  # trajectories per exact-likelihood run, as in criteria 1b and 1c
-IS_DRAWS = 1_000_000  # draws per importance-sampling probe, as in `steerkit verify`
+IS_DRAWS = 100_000  # draws per importance-sampling probe, as in `steerkit verify`
+
+
+def _median_s(run, prepare=lambda: None) -> float:
+    """Median seconds of REPEATS timed calls run(prepare()) after one untimed
+    warm-up call; prepare() runs outside the timed region."""
+    times = []
+    for i in range(REPEATS + 1):
+        arg = prepare()
+        t0 = time.perf_counter()
+        run(arg)
+        if i:
+            times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def _setup(kind: str):
@@ -53,25 +68,15 @@ def step_cost_us(kind: str, method: str, B: int) -> float:
     """Median microseconds per step of one B-row run_steered call."""
     model, reward, c_init, schedule, dps_mode = _setup(kind)
     config = SteeringConfig(method=method, alpha=0.1, dps_norm_mode=dps_mode)
-    times = []
-    for i in range(REPEATS + 1):
-        rngs = [np.random.default_rng(seed) for seed in range(B)]
-        t0 = time.perf_counter()
-        run_steered(model, reward, c_init, schedule, config, rngs)
-        if i:
-            times.append(time.perf_counter() - t0)
-    return statistics.median(times) / T * 1e6
+    return _median_s(
+        lambda rngs: run_steered(model, reward, c_init, schedule, config, rngs),
+        lambda: [np.random.default_rng(seed) for seed in range(B)],
+    ) / T * 1e6
 
 
 def fig1_step_cost_us(panel: str, z: np.ndarray) -> float:
     """Median microseconds per step of one fig1_panel_samples call."""
-    times = []
-    for i in range(REPEATS + 1):
-        t0 = time.perf_counter()
-        fig1_panel_samples(panel, z)
-        if i:
-            times.append(time.perf_counter() - t0)
-    return statistics.median(times) / SYNTH_T * 1e6
+    return _median_s(lambda _: fig1_panel_samples(panel, z)) / SYNTH_T * 1e6
 
 
 def exact_step_cost_us(w: float) -> float:
@@ -79,30 +84,22 @@ def exact_step_cost_us(w: float) -> float:
     exact-likelihood DPS at weight w, one default_rng(s) per seed s < EXACT_SEEDS."""
     task = build_synthetic_task()
     config = SteeringConfig(method="dps", alpha=0.0, dps_norm_mode="exact_likelihood")
-    times = []
-    for i in range(REPEATS + 1):
-        rngs = [np.random.default_rng(seed) for seed in range(EXACT_SEEDS)]
-        t0 = time.perf_counter()
-        run_steered(task.model, task.reward(w=w), task.c_init, task.schedule(), config, rngs)
-        if i:
-            times.append(time.perf_counter() - t0)
-    return statistics.median(times) / SYNTH_T * 1e6
+    return _median_s(
+        lambda rngs: run_steered(task.model, task.reward(w=w), task.c_init, task.schedule(),
+                                 config, rngs),
+        lambda: [np.random.default_rng(seed) for seed in range(EXACT_SEEDS)],
+    ) / SYNTH_T * 1e6
 
 
 def fig1_noise_cost_us() -> float:
     """Median microseconds per seed of one fig1_noise call over FIG1_SEEDS seeds."""
-    times = []
-    for i in range(REPEATS + 1):
-        t0 = time.perf_counter()
-        fig1_noise(range(FIG1_SEEDS))
-        if i:
-            times.append(time.perf_counter() - t0)
-    return statistics.median(times) / FIG1_SEEDS * 1e6
+    return _median_s(lambda _: fig1_noise(range(FIG1_SEEDS))) / FIG1_SEEDS * 1e6
 
 
-def is_probe_cost() -> tuple:
-    """(median milliseconds, tracemalloc peak MiB) of one IS_DRAWS-draw probe of
-    the mixture_posterior_mean_mc fixture (D = 3, K = 2) on one worker thread."""
+def oracle_costs() -> tuple:
+    """(median milliseconds, tracemalloc peak MiB) of one IS_DRAWS-draw IS
+    probe, and the median milliseconds of one quadrature call, at one probe of
+    the mixture-mean fixture (D = 3, K = 2); each IS run seeds its own generator."""
     model = make_mixture_model(
         {"u": 2, "v": 2}, D=3, weights=(0.65, 0.35), stds=(0.5, 0.8), seed=31, mean_scale=1.0,
     )
@@ -111,21 +108,17 @@ def is_probe_cost() -> tuple:
     x_t, sigma = means[0] + 0.5, 0.9
 
     def probe(seed):
-        _run_is_probes(model, means, [(x_t, sigma, np.random.default_rng(seed))], IS_DRAWS)
+        _is_posterior_mean(model, means, x_t, sigma, np.random.default_rng(seed), IS_DRAWS)
 
-    times = []
-    for i in range(REPEATS + 1):
-        t0 = time.perf_counter()
-        probe(i)
-        if i:
-            times.append(time.perf_counter() - t0)
+    is_s = _median_s(probe, itertools.count().__next__)
     tracemalloc.start()
     try:
         probe(0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return statistics.median(times) * 1e3, peak / 2**20
+    quadrature_s = _median_s(lambda _: _quadrature_posterior_mean(model, means, x_t, sigma))
+    return is_s * 1e3, peak / 2**20, quadrature_s * 1e3
 
 
 def main() -> int:
@@ -153,9 +146,11 @@ def main() -> int:
           f"B = {EXACT_SEEDS})")
     for w in (1.0, 100.0):
         print(f"{f'dps_exact_w{w:g}':<16}{exact_step_cost_us(w):>10.1f}")
-    ms, mib = is_probe_cost()
-    print(f"\nIS oracle: {ms:.1f} ms per {IS_DRAWS:,}-draw probe on one worker "
-          f"(median of {REPEATS}), tracemalloc peak {mib:.1f} MiB")
+    is_ms, mib, quadrature_ms = oracle_costs()
+    print(f"\nIS oracle: {is_ms:.1f} ms per {IS_DRAWS:,}-draw probe (median of {REPEATS}), "
+          f"tracemalloc peak {mib:.1f} MiB")
+    print(f"quadrature oracle: {quadrature_ms:.2f} ms per call ({_GH_NODES} nodes per axis, "
+          f"median of {REPEATS})")
     return 0
 
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """List every statement of src/steerkit that the paper's traffic never runs.
 
-Line-traces, in this process (sys.settrace, and threading.settrace for the
-verification suite's worker threads), the traffic that reproduces the paper:
+Line-traces, in this process (sys.settrace), the traffic that reproduces the
+paper:
 
 * the `steerkit run` commands of `reproduce_all.py --quick --jobs 1`, which
   runs every shipped config on a prefix of its seeds;
@@ -30,7 +30,6 @@ import contextlib
 import io
 import sys
 import tempfile
-import threading
 from collections import defaultdict
 from pathlib import Path
 
@@ -94,13 +93,11 @@ class LineTracer:
 
     @contextlib.contextmanager
     def tracing(self):
-        threading.settrace(self._global)
         sys.settrace(self._global)
         try:
             yield
         finally:
             sys.settrace(None)
-            threading.settrace(None)
 
 
 def traffic(configs, tmp: Path):

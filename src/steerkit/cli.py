@@ -40,8 +40,8 @@ from .harness import (
 from .models import NonFiniteStateError
 from .rewards import DegenerateMapError
 
-# the variables that size BLAS's and OpenMP's own thread pools, which run inside
-# each thread of verify's importance-sampling pool
+# the variables that size BLAS's and OpenMP's own thread pools; verify --out
+# records their values as `blas_threads`
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 _KIND_BY_COMMAND = {

@@ -62,8 +62,8 @@ def _require_allocatable(n: int, what: str) -> None:
 
 
 def _pool_size(wanted: int, items: int) -> int:
-    """Workers for any pool of the program (a sweep's processes, verify's IS threads):
-    at most `wanted`, one per work item and one per usable CPU, and at least one."""
+    """Workers for a sweep's process pool: at most `wanted`, one per work item
+    and one per usable CPU, and at least one."""
     return max(1, min(wanted, items, _usable_cpus()))
 
 

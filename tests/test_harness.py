@@ -1093,7 +1093,7 @@ def test_verify_manifest_records_phases_and_pool_size(verify_run):
     assert "is_mixture_mean" in phases
     assert all(math.isfinite(t) and t >= 0.0 for t in phases.values())
     assert sum(phases.values()) <= manifest["wall_time_s"]
-    assert manifest["is_workers"] == _pool_size(10, 10)
+    assert "is_workers" not in manifest  # every row runs on the calling thread
     names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     assert manifest["blas_threads"] == {v: os.environ.get(v) for v in names}
     text = (out / "verify_report.json").read_text(encoding="utf-8")
@@ -1142,7 +1142,6 @@ def test_peak_rss_is_null_without_the_resource_module(tmp_path, monkeypatch):
 
 def test_verify_manifest_records_the_thread_variables_it_ran_under(tmp_path, monkeypatch):
     def suite(telemetry):
-        telemetry["is_workers"] = 1
         return [verification.CheckResult("stub", True, "stub row")]
 
     monkeypatch.setattr(verification, "run_verification_suite", suite)
@@ -1155,7 +1154,6 @@ def test_verify_manifest_records_the_thread_variables_it_ran_under(tmp_path, mon
     assert manifest["blas_threads"] == {
         "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "4", "MKL_NUM_THREADS": None,
     }
-    assert manifest["is_workers"] == 1
 
 
 def test_verify_out_under_a_file_exits_4_before_any_check(tmp_path, capsys, monkeypatch):

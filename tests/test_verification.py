@@ -6,20 +6,19 @@ unit-variance measurement at 20 has posterior precision 1/0.25 + 1 = 5, mean
 mean (20 + 2000)/104 = 19.4230769...
 """
 
-import functools
-import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
-import threading
+import textwrap
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from steerkit import cli, schedules, steering, verification
+from steerkit import cli, models, steering, verification
 from steerkit import (
     AscentAudit,
     CheckResult,
@@ -41,7 +40,6 @@ from steerkit import (
     summarize_samples,
 )
 from steerkit.steering import embedopt_step
-from conftest import load_module
 
 
 def test_conjugate_posterior_worked_examples():
@@ -242,37 +240,6 @@ def test_full_suite_outcomes(verify_run):
     assert len(verify_run.lines) == len(results) + 1
 
 
-def _frozen_is_posterior_mean(model, c, x_t, sigma, rng, n_draws, chunk=200000, block=32768):
-    """The importance-sampling chunk loop as it was written with fresh
-    temporaries and `.sum(axis=1)`, its five sums taken over consecutive
-    `block`-row slices of each chunk; the live one must match it bit for bit."""
-    D = model.D
-    sw = 0.0
-    swx = np.zeros(D)
-    sw2 = 0.0
-    sw2x = np.zeros(D)
-    sw2x2 = np.zeros(D)
-    done = 0
-    while done < n_draws:
-        m = min(chunk, n_draws - done)
-        comps = rng.choice(model.K, size=m, p=model.weights)
-        means = model.mode_means(c)[comps]
-        x0 = means + model.stds[comps, None] * rng.standard_normal((m, D))
-        logw = -((x_t[None, :] - x0) ** 2).sum(axis=1) / (2.0 * sigma**2)
-        w = np.exp(logw)
-        for lo in range(0, m, block):
-            wb, xb = w[lo:lo + block], x0[lo:lo + block]
-            sw += wb.sum()
-            swx += wb @ xb
-            sw2 += (wb**2).sum()
-            sw2x += (wb**2) @ xb
-            sw2x2 += (wb**2) @ xb**2
-        done += m
-    est = swx / sw
-    var_terms = sw2x2 - 2.0 * est * sw2x + est**2 * sw2
-    return est, np.sqrt(np.maximum(var_terms, 0.0)) / sw
-
-
 def _is_fixture(D, K):
     weights = np.arange(1.0, K + 1.0) / (K * (K + 1) / 2)
     model = make_mixture_model(
@@ -285,53 +252,17 @@ def _is_fixture(D, K):
     return model, c, x_t
 
 
-def _one_is_probe(model, c, x_t, sigma, rng, n_draws):
-    """One probe through the suite's IS path: the thread pool, one buffer set."""
-    return verification._run_is_probes(model, model.mode_means(c), [(x_t, sigma, rng)], n_draws)[0]
+def _is_probe(model, c, x_t, sigma, rng, n_draws):
+    return verification._is_posterior_mean(model, model.mode_means(c), x_t, sigma, rng, n_draws)
 
 
-@pytest.mark.parametrize("n_draws", [
-    17, 250001, verification._IS_BLOCK + 1, verification._IS_CHUNK + verification._IS_BLOCK - 1,
-])
-@pytest.mark.parametrize("K", [1, 2])
-@pytest.mark.parametrize("D", [1, 3, 6])
-def test_is_posterior_mean_matches_frozen_loop_bit_for_bit(D, K, n_draws):
-    # 250,001 draws end in a one-draw chunk after a full one; _IS_BLOCK + 1 ends
-    # one draw into a chunk's second block, and the last case one draw short of a
-    # block's end in a second chunk. The caller's generator must end where the
-    # frozen loop leaves it: the live loop skips it past each chunk's uniforms.
-    model, c, x_t = _is_fixture(D, K)
-    rng_want, rng_got = np.random.default_rng(D + K), np.random.default_rng(D + K)
-    want = _frozen_is_posterior_mean(model, c, x_t, 0.9, rng_want, n_draws)
-    got = _one_is_probe(model, c, x_t, 0.9, rng_got, n_draws)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
-    assert rng_got.bit_generator.state == rng_want.bit_generator.state
-
-
-@pytest.mark.parametrize("n", [verification._IS_CHUNK, 17])
-def test_every_is_buffer_spans_one_block(n):
-    # a chunk shorter than a block sizes every buffer to the chunk
-    b = min(n, verification._IS_BLOCK)
-    x0, w, masks, g, uniforms = verification._is_buffers(n, 3, 2)
-    assert x0.shape == (b, 3) and w.shape == (b,) and g.shape == (b,)
-    assert masks.shape == (1, b) and masks.dtype == bool
-    assert isinstance(uniforms.bit_generator, np.random.PCG64)
-
-
-def test_is_buffer_sets_draw_no_os_entropy():
-    # each set's uniforms generator has a fixed seed; its state is overwritten per chunk
-    states = [verification._is_buffers(17, 3, 2)[4].bit_generator.state for _ in range(2)]
-    assert states[0] == states[1]
-
-
-# rows, and one 10^6-draw IS probe, whose tracemalloc peak stays under 2 MiB: all
-# they must hold is one 200,000-draw float64 sample (1.53 MiB) or one IS buffer set
+# rows, and one 10^5-draw IS probe, whose tracemalloc peak stays under 2 MiB: all
+# they must hold is one 200,000-draw float64 sample (1.53 MiB) or one IS block
 _HEAP_BOUND_ROWS = {
     "conjugate": verification._conjugate_rows,
     "af3_noise": verification._af3_bookkeeping_row,
     "is_gaussian_limit": verification._is_gaussian_limit_row,
-    "is_probe": lambda: _one_is_probe(*_is_fixture(3, 2), 0.9, np.random.default_rng(1), 1000000),
+    "is_probe": lambda: _is_probe(*_is_fixture(3, 2), 0.9, np.random.default_rng(1), 100000),
 }
 
 
@@ -357,60 +288,79 @@ def test_mean_and_std_give_numpys_bits():
         assert verification._mean_and_std(z[None].copy())[1] == float(z[None].std())
 
 
-@pytest.mark.parametrize("K, D", [(3, 3), (2, 8)])
-def test_is_probes_reject_shapes_they_are_not_written_for(monkeypatch, K, D):
-    """K > 2 modes or D >= 8 is a ValueError before any buffer or draw."""
-    model = make_mixture_model({"u": 2}, D=D, weights=np.full(K, 1.0 / K),
-                               stds=np.full(K, 0.5), seed=1)
-    means = model.mode_means(Embedding({"u": np.array([0.3, -0.7])}))
-    rng = np.random.default_rng(5)
-    state = rng.bit_generator.state
-    allocated = []
-    monkeypatch.setattr(verification, "_is_buffers", lambda *a: allocated.append(a))
-    with pytest.raises(ValueError, match="K <= 2 and D < 8"):
-        verification._run_is_probes(model, means, [(np.zeros(D), 0.9, rng)], 1000)
-    assert allocated == [] and rng.bit_generator.state == state
-
-
-@pytest.mark.parametrize("values", [
-    [-0.0, np.inf, np.nan], [np.nan, 5e-324, -0.0], [5e-324, -1.5, -np.inf],
-])
-@pytest.mark.parametrize("K", [1, 2])
-def test_select_writes_the_fill_copyto_bits(K, values):
-    # a strided column, as each coordinate's means reach _select; 5e-324 is subnormal
-    values = np.stack([values, values], axis=1)[:K, 0]
-    u = np.random.default_rng(K).random(1001)
-    masks = np.array([u >= k / K for k in range(1, K)], dtype=bool).reshape(K - 1, u.size)
-    want = np.empty(u.size)
-    want.fill(values[0])
-    for k in range(1, K):
-        np.copyto(want, values[k], where=masks[k - 1])
-    got = np.full(u.size, 7.0)
-    verification._select(got, values, masks)
-    assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("D", [3, 6])
-def test_is_posterior_mean_peaks_below_three_quarters_of_a_chunk_buffer(D):
-    # every buffer is block-sized (test_big_sample_rows_hold_no_second_sample_sized_array
-    # bounds the D = 3 probe in absolute terms)
-    model, c, x_t = _is_fixture(D, 2)
-    chunk_bytes = 200000 * D * 8
-    _one_is_probe(model, c, x_t, 0.9, np.random.default_rng(0), 1000)
-    tracemalloc.start()
-    try:
-        _one_is_probe(model, c, x_t, 0.9, np.random.default_rng(1), 1000000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.75 * chunk_bytes, f"{peak / chunk_bytes:.2f} chunk buffers"
-
-
 @pytest.mark.parametrize("x_t", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
 def test_is_posterior_mean_raises_on_unusable_weights(x_t):
     model, c, _ = _is_fixture(3, 2)
     with pytest.raises(OracleFailureError):
-        _one_is_probe(model, c, np.array(x_t), 0.9, np.random.default_rng(0), 1000)
+        _is_probe(model, c, np.array(x_t), 0.9, np.random.default_rng(0), 1000)
+
+
+def _mixture_row_probes():
+    """(model, c, means, [(x_t, sigma)]) of verify's two mixture-mean rows."""
+    model = make_mixture_model({"u": 2, "v": 2}, D=3, weights=(0.65, 0.35), stds=(0.5, 0.8),
+                               seed=31, mean_scale=1.0)
+    rng_c = np.random.default_rng(32)
+    c = Embedding({"u": rng_c.standard_normal(2), "v": rng_c.standard_normal(2)})
+    means = model.mode_means(c)
+    probes = []
+    for p in range(10):
+        rng = np.random.default_rng(9000 + p)
+        sigma = float(rng.uniform(0.3, 2.0))
+        probes.append((means[p % model.K] + sigma * rng.standard_normal(model.D), sigma))
+    return model, c, means, probes
+
+
+def test_quadrature_matches_the_denoiser_on_the_mixture_rows_probes():
+    model, c, means, probes = _mixture_row_probes()
+    for x_t, sigma in probes:
+        want = model.denoise(x_t[None], c, sigma)[0]
+        got = verification._quadrature_posterior_mean(model, means, x_t, sigma)
+        assert verification.rel_error(got, want) < 1e-10
+
+
+@pytest.mark.parametrize("D", [1, 3])
+def test_single_mode_quadrature_is_the_shrinkage_formula(D):
+    """At K = 1 the posterior mean is m + s^2 / (s^2 + sigma^2) (x_t - m), with
+    no responsibilities; where the likelihood is not much narrower than the
+    prior (sigma / s >= 1.4 here) the rule must give it to rounding."""
+    model = make_mixture_model({"u": 1}, D=D, weights=(1.0,), stds=(0.5,), seed=77)
+    means = model.mode_means(Embedding({"u": np.array([2.0])}))
+    rng = np.random.default_rng(D)
+    for sigma in (0.7, 1.3, 2.0):
+        x_t = means[0] + 1.7 * rng.standard_normal(D)
+        want = means[0] + 0.25 / (0.25 + sigma**2) * (x_t - means[0])
+        got = verification._quadrature_posterior_mean(model, means, x_t, sigma)
+        assert verification.rel_error(got, want) < 1e-14
+
+
+def _planted_parts(old, new):
+    """MixturePriorModel.parts with `old` replaced by `new` in its source."""
+    source = textwrap.dedent(inspect.getsource(MixturePriorModel.parts))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), vars(models), namespace)
+    return namespace["parts"]
+
+
+# (old text, new text, whether the 3-SE IS row catches it); the quadrature row
+# must catch every one
+_PARTS_MUTANTS = {
+    "a_scaled": ("a = self._s2 + sigma**2", "a = (self._s2 + sigma**2) * (1 + 1e-4)", False),
+    "weights_swapped": ("self._log_w", "self._log_w[::-1]", True),
+    "no_log_normaliser": (" - 0.5 * self.D * np.log(2 * np.pi * a)", "", True),
+    "mean_shifted": ("m = self.mode_means(c)",
+                     "m = self.mode_means(c) + 1e-5 * np.outer(np.arange(self.K) == 0, "
+                     "np.arange(self.D) == 0)", False),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_PARTS_MUTANTS))
+def test_quadrature_row_kills_every_planted_parts_mutant(monkeypatch, mutant):
+    old, new, is_kills = _PARTS_MUTANTS[mutant]
+    monkeypatch.setattr(MixturePriorModel, "parts", _planted_parts(old, new))
+    mc, quadrature = verification._mixture_mean_rows(10, 100000)
+    assert not quadrature.passed, quadrature.detail
+    assert mc.passed is not is_kills, mc.detail
 
 
 def test_nan_measurement_fails_model_fd_row(monkeypatch):
@@ -430,116 +380,11 @@ def test_nan_denoiser_fails_mixture_mc_row(monkeypatch):
     monkeypatch.setattr(
         MixturePriorModel, "denoise", lambda self, x, c, sigma: np.full(self.D, np.nan),
     )
-    row = verification._mixture_mc_row(2, 1000)
-    assert row.name == "mixture_posterior_mean_mc"
-    assert not row.passed
-    assert "nan standard errors" in row.detail
-
-
-def _record_is_calls(monkeypatch, fake=None):
-    """Wrap the pool's per-probe IS call; returns the list it appends
-    (thread id, sigma, result) to."""
-    calls = []
-    real = verification._is_posterior_mean
-
-    def recorded(model, means, x_t, sigma, rng, n_draws, bufs):
-        out = (fake or real)(model, means, x_t, sigma, rng, n_draws, bufs)
-        calls.append((threading.get_ident(), sigma, out))
-        return out
-
-    monkeypatch.setattr(verification, "_is_posterior_mean", recorded)
-    return calls
-
-
-def test_mixture_mc_row_is_bit_identical_at_any_pool_size(monkeypatch):
-    """1, 2 and 4 workers (more than most hosts' cores, with a short switch
-    interval) give the same per-probe bits: no two probes share a buffer set."""
-    calls = _record_is_calls(monkeypatch)
-    runs = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for workers in (1, 2, 4):
-            monkeypatch.setattr(schedules, "_usable_cpus", lambda w=workers: w)
-            calls.clear()
-            row = verification._mixture_mc_row(4, 250001)
-            per_probe = sorted((sigma, est.tobytes(), se.tobytes()) for _, sigma, (est, se) in calls)
-            runs[workers] = (row, per_probe, {tid for tid, _, _ in calls})
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(runs[1][1]) == 4
-    assert runs[1][1] == runs[2][1] == runs[4][1]
-    assert runs[1][0] == runs[2][0] == runs[4][0]
-    assert len(runs[1][2]) == 1 and len(runs[2][2]) <= 2
-
-
-def test_mixture_mc_row_keeps_models_and_traced_functions_on_the_calling_thread(monkeypatch):
-    """The models' one-entry memo and the benchmark tracer's span stack are
-    not thread-safe, so only the IS draws may run on the pool's threads."""
-    seen = {}
-
-    def record(name, fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            seen.setdefault(name, set()).add(threading.get_ident())
-            return fn(*args, **kwargs)
-        return wrapper
-
-    modules = [m for n, m in sys.modules.items() if n == "steerkit" or n.startswith("steerkit.")]
-    targets = dict(load_module("perfbench/tracer.py").TARGETS)
-    targets["models.mixture.mode_means"] = ("steerkit.models", "MixturePriorModel.mode_means")
-    for name, (mod_name, attr) in targets.items():
-        owner = importlib.import_module(mod_name)
-        if "." in attr:
-            cls_name, meth = attr.split(".")
-            cls = getattr(owner, cls_name)
-            monkeypatch.setattr(cls, meth, record(name, cls.__dict__[meth]))
-            continue
-        original = getattr(owner, attr)
-        wrapper = record(name, original)
-        for mod in modules:
-            for key, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, key, wrapper)
-    monkeypatch.setattr(schedules, "_usable_cpus", lambda: 2)
-    calls = _record_is_calls(monkeypatch)
-    verification._mixture_mc_row(4, 1000)
-    caller = threading.get_ident()
-    assert {"models.mixture.denoise", "models.mixture.mode_means"} <= set(seen)
-    assert all(threads == {caller} for threads in seen.values()), seen
-    assert len(calls) == 4 and caller not in {tid for tid, _, _ in calls}
-
-
-def test_is_pool_workers_see_the_callers_errstate(monkeypatch):
-    states = []
-
-    def fake(model, means, x_t, sigma, rng, n_draws, bufs):
-        states.append(np.geterr())
-        return np.zeros(model.D), np.ones(model.D)
-
-    monkeypatch.setattr(schedules, "_usable_cpus", lambda: 2)
-    calls = _record_is_calls(monkeypatch, fake)
-    with np.errstate(all="ignore"):
-        caller_state = np.geterr()
-        verification._mixture_mc_row(4, 1000)
-    assert caller_state != np.geterr()
-    assert len(calls) == 4 and all(tid != threading.get_ident() for tid, _, _ in calls)
-    assert states == [caller_state] * 4
-
-
-def test_is_pool_reraises_the_first_probes_oracle_failure(monkeypatch):
-    raised = {}
-
-    def fake(model, means, x_t, sigma, rng, n_draws, bufs):
-        raised[sigma] = OracleFailureError(f"probe at sigma {sigma}")
-        raise raised[sigma]
-
-    monkeypatch.setattr(schedules, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(verification, "_is_posterior_mean", fake)
-    with pytest.raises(OracleFailureError) as excinfo:
-        verification._mixture_mc_row(4, 1000)
-    first_sigma = float(np.random.default_rng(9000).uniform(0.3, 2.0))
-    assert excinfo.value is raised[first_sigma]
+    mc, quadrature = verification._mixture_mean_rows(2, 1000)
+    assert mc.name == "mixture_posterior_mean_mc"
+    assert quadrature.name == "mixture_posterior_mean_quadrature"
+    assert not mc.passed and not quadrature.passed
+    assert "nan standard errors" in mc.detail and "max rel err nan" in quadrature.detail
 
 
 _TAYLOR_MEDIAN_PROBE = """
@@ -580,17 +425,39 @@ def test_nan_max_propagates_nan():
     assert np.isnan(verification._nan_max(nan, 5.0))
 
 
+_VERIFY_PROBE = """
+import hashlib, json, sys
+from steerkit import cli, verification
+digest = hashlib.sha256()
+for name in ("_is_posterior_mean", "_quadrature_posterior_mean"):
+    def recorded(*args, _real=getattr(verification, name)):
+        out = _real(*args)
+        for array in out if isinstance(out, tuple) else (out,):
+            digest.update(array.tobytes())
+        return out
+    setattr(verification, name, recorded)
+code = cli.main(["verify"])
+print(json.dumps({"code": code, "oracles": digest.hexdigest(),
+                  "modules": [m for m in ("numpy.ma", "numpy.polynomial") if m in sys.modules]}),
+      file=sys.stderr)
+"""
+
+
 def test_verify_table_is_the_same_bytes_with_blas_on_one_thread_or_unpinned():
-    """The IS estimates' last bits may follow the BLAS thread count; the printed
-    table, which rounds them, must not."""
+    """The IS and quadrature results, and so the printed table, are the same
+    bytes with the BLAS and OpenMP thread variables at 1 or unset; and verify
+    imports neither numpy.ma nor numpy.polynomial (1.2 and 0.6 MB of peak RSS)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     unset = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
-    tables = [
-        subprocess.run([sys.executable, "-m", "steerkit.cli", "verify"], capture_output=True,
-                       check=True, env={**unset, **pinned, "PYTHONPATH": src}).stdout
+    runs = [
+        subprocess.run([sys.executable, "-c", _VERIFY_PROBE], capture_output=True, check=True,
+                       env={**unset, **pinned, "PYTHONPATH": src})
         for pinned in ({v: "1" for v in cli._THREAD_VARS}, {})
     ]
-    assert tables[0] == tables[1] and tables[0].endswith(b" checks passed\n")
+    assert runs[0].stdout == runs[1].stdout and runs[0].stdout.endswith(b" checks passed\n")
+    probes = [json.loads(run.stderr) for run in runs]
+    assert probes[0] == probes[1]
+    assert probes[0]["code"] == 0 and probes[0]["modules"] == []
 
 
 @pytest.mark.parametrize("failing", [False, True])
