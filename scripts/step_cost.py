@@ -14,9 +14,15 @@ w = 1 and w = 100 over 2,000 seeds and 1000 steps, as acceptance criteria 1b
 and 1c integrate them. Two last lines time, the same way, one 10^5-draw probe
 of the importance-sampling oracle, with its tracemalloc peak, and one call of
 the Gauss-Hermite quadrature oracle, on `steerkit verify`'s mixture-mean
-fixture. Run it from a
-checkout with `PYTHONPATH=src python scripts/step_cost.py`; pin BLAS to one
-thread (OPENBLAS_NUM_THREADS=1) to compare two checkouts.
+fixture. A per-layer table gives microseconds per call of each task's
+reward (`value_and_grad`, `value`) and of its model's four derivative
+products (`denoise`, `vjp_x`, `vjp_c`, `jvp_c`; the Gaussian model on the
+synthetic task, the two-mode mixture on the bead-chain toys) at B = 1 and 5:
+the median of 5 timed runs of LAYER_CALLS calls each, at a state drawn near
+the prior at sigma = LAYER_SIGMA, with one embedding shared by the rows (the
+models' memoised mode means stay warm, as in unguided and dps steps). Run it
+from a checkout with `PYTHONPATH=src python scripts/step_cost.py`; pin BLAS
+to one thread (OPENBLAS_NUM_THREADS=1) to compare two checkouts.
 """
 
 import argparse
@@ -40,6 +46,9 @@ METHODS = ("embedopt", "dps", "none")
 FIG1_SEEDS = 10_000  # trajectories per fig1 panel, as in the benchmark's fig1_batch
 EXACT_SEEDS = 2_000  # trajectories per exact-likelihood run, as in criteria 1b and 1c
 IS_DRAWS = 100_000  # draws per importance-sampling probe, as in `steerkit verify`
+LAYER_BATCHES = (1, 5)  # batch sizes of the per-layer table
+LAYER_CALLS = 100  # calls per timed run of the per-layer table
+LAYER_SIGMA = 1.0  # noise level of the per-layer table's states
 
 
 def _median_s(run, prepare=lambda: None) -> float:
@@ -96,6 +105,32 @@ def fig1_noise_cost_us() -> float:
     return _median_s(lambda _: fig1_noise(range(FIG1_SEEDS))) / FIG1_SEEDS * 1e6
 
 
+def layer_costs_us(kind: str, B: int) -> dict:
+    """{layer: median microseconds per call} of the task's reward and model
+    products at one B-row batch (see the module docstring)."""
+    model, reward, c, _, _ = _setup(kind)
+    rng = np.random.default_rng(0)
+    x_t = model.denoise(np.zeros((B, model.D)), c, LAYER_SIGMA)
+    x_t += LAYER_SIGMA * rng.standard_normal(x_t.shape)
+    x_hat = model.denoise(x_t, c, LAYER_SIGMA)
+    v, u = rng.standard_normal(x_t.shape), c.from_flat(rng.standard_normal(c.dim))
+    family = "gaussian" if kind == "synthetic" else "mixture"
+    calls = {
+        "reward.value_and_grad": lambda: reward.value_and_grad(x_hat),
+        "reward.value": lambda: reward.value(x_hat),
+        f"{family}.denoise": lambda: model.denoise(x_t, c, LAYER_SIGMA),
+        f"{family}.vjp_x": lambda: model.vjp_x(x_t, c, LAYER_SIGMA, v),
+        f"{family}.vjp_c": lambda: model.vjp_c(x_t, c, LAYER_SIGMA, v),
+        f"{family}.jvp_c": lambda: model.jvp_c(x_t, c, LAYER_SIGMA, u),
+    }
+
+    def repeat(call):
+        for _ in range(LAYER_CALLS):
+            call()
+
+    return {name: _median_s(lambda _: repeat(call)) / LAYER_CALLS * 1e6 for name, call in calls.items()}
+
+
 def oracle_costs() -> tuple:
     """(median milliseconds, tracemalloc peak MiB) of one IS_DRAWS-draw IS
     probe, and the median milliseconds of one quadrature call, at one probe of
@@ -137,6 +172,13 @@ def main() -> int:
         for method in args.methods.split(","):
             cells = [step_cost_us(kind, method, B) for B in batches]
             print(f"{kind:<10} {method:<9}" + "".join(f"{c:>10.1f}" for c in cells))
+    print(f"\nper layer: us per call (median of {REPEATS} runs of {LAYER_CALLS} calls, "
+          f"sigma = {LAYER_SIGMA:g})")
+    print(f"{'task':<10} {'layer':<22}" + "".join(f"{f'B={B}':>10}" for B in LAYER_BATCHES))
+    for kind in args.tasks.split(","):
+        cells = [layer_costs_us(kind, B) for B in LAYER_BATCHES]
+        for name in cells[0]:
+            print(f"{kind:<10} {name:<22}" + "".join(f"{c[name]:>10.1f}" for c in cells))
     z = fig1_noise(range(FIG1_SEEDS))
     print(f"\nfig1 fast path: us per step (median of {REPEATS}, T = {SYNTH_T}, B = {FIG1_SEEDS})")
     for panel in FIG1_PANEL_SPECS:

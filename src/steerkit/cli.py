@@ -44,6 +44,10 @@ from .rewards import DegenerateMapError
 # records their values as `blas_threads`
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
+# verify's fixed name column, the longest name's (mixture_posterior_mean_quadrature):
+# a longer new name moves only its own line's detail
+_NAME_WIDTH = 33
+
 _KIND_BY_COMMAND = {
     "run": None,  # any experiment kind
     "fig1": "synthetic_fig1",
@@ -112,9 +116,8 @@ def _run_verify(out: Optional[str]) -> int:
     t0 = time.perf_counter()
     telemetry = {}
     results = run_verification_suite(telemetry=telemetry)
-    width = max(len(r.name) for r in results)
     for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{_NAME_WIDTH}}  {r.detail}")
     passed = sum(r.passed for r in results)
     print(f"{passed}/{len(results)} checks passed")
     if out is not None:

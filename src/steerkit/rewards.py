@@ -233,11 +233,11 @@ def _render_rows(X: np.ndarray, grid: MapGrid, atom_width: float):
     shape (n_voxels, n_beads), computed from the per-axis tables
     d_a = axis_a[:, None] - pts[None, :, a] of shape (n_a, n_beads).
     v_raws[r] is the `_bead_sum` of row r's block of columns: bit for bit
-    `render_map_raw` of the row alone. The squared distance is broadcast as
-    (x^2 + y^2) + z^2, the order in which the brute-force form reduces its
-    length-3 axis; x^2 + (y^2 + z^2) rounds differently. Negation, division
-    and exp run in the brute-force order, in place. A chunk holds at most
-    _SPLAT_CHUNK_BYTES (or one row), in one buffer that the next chunk
+    `render_map_raw` of the row alone. The buffer takes -z^2, then x^2 + y^2
+    is subtracted in place: rounding is sign-symmetric, so these are the bits
+    of -((x^2 + y^2) + z^2), the brute-force form's order; x^2 + (y^2 + z^2)
+    rounds differently. Division and exp follow, in place. A chunk holds at
+    most _SPLAT_CHUNK_BYTES (or one row), in one buffer that the next chunk
     reuses, so a call holds about two chunk-sized buffers at most.
     """
     n = X.shape[1] // 3
@@ -248,8 +248,9 @@ def _render_rows(X: np.ndarray, grid: MapGrid, atom_width: float):
         offsets = [axis[:, None] - pts[None, :, a] for a, axis in enumerate(axes)]
         sx, sy, sz = (d * d for d in offsets)
         d2 = buf[: grid.n_voxels * len(pts)].reshape(*grid.shape, -1)
-        np.add(sx[:, None, None, :] + sy[None, :, None, :], sz[None, None, :, :], out=d2)
-        splat = np.negative(d2, out=d2).reshape(grid.n_voxels, -1)
+        np.negative(sz, out=d2)
+        d2 -= sx[:, None, None, :] + sy[None, :, None, :]
+        splat = d2.reshape(grid.n_voxels, -1)
         splat /= 2.0 * atom_width**2
         np.exp(splat, out=splat)
         yield lo, splat, offsets, [_bead_sum(splat[:, j : j + n]) for j in range(0, len(pts), n)]

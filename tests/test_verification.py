@@ -9,6 +9,7 @@ mean (20 + 2000)/104 = 19.4230769...
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -256,36 +257,77 @@ def _is_probe(model, c, x_t, sigma, rng, n_draws):
     return verification._is_posterior_mean(model, model.mode_means(c), x_t, sigma, rng, n_draws)
 
 
-# rows, and one 10^5-draw IS probe, whose tracemalloc peak stays under 2 MiB: all
-# they must hold is one 200,000-draw float64 sample (1.53 MiB) or one IS block
+# rows, and one 10^5-draw IS probe, with their tracemalloc bounds: the two
+# 200,000-draw rows stream eight 25,000-draw leaves (0.19 MiB each) and hold
+# one at a time; the IS rows hold one block
 _HEAP_BOUND_ROWS = {
-    "conjugate": verification._conjugate_rows,
-    "af3_noise": verification._af3_bookkeeping_row,
-    "is_gaussian_limit": verification._is_gaussian_limit_row,
-    "is_probe": lambda: _is_probe(*_is_fixture(3, 2), 0.9, np.random.default_rng(1), 100000),
+    "conjugate": (verification._conjugate_rows, 2**19),
+    "af3_noise": (verification._af3_bookkeeping_row, 2**19),
+    "is_gaussian_limit": (verification._is_gaussian_limit_row, 2 * 2**20),
+    "is_probe": (lambda: _is_probe(*_is_fixture(3, 2), 0.9, np.random.default_rng(1), 100000),
+                 2 * 2**20),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_HEAP_BOUND_ROWS))
 def test_big_sample_rows_hold_no_second_sample_sized_array(name):
-    _HEAP_BOUND_ROWS[name]()  # warm: imports, the models' memos
+    row, bound = _HEAP_BOUND_ROWS[name]
+    row()  # warm: imports, the models' memos
     tracemalloc.start()
     try:
-        _HEAP_BOUND_ROWS[name]()
+        row()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20, f"{peak / 2**20:.2f} MiB"
+    assert peak < bound, f"{peak / 2**20:.2f} MiB"
 
 
-def test_mean_and_std_give_numpys_bits():
-    rng = np.random.default_rng(3)
-    for n in (2, 9, 129, 8193, 200001):
-        z = 40.0 * rng.standard_normal(n) + 7.0
-        for ddof in (0, 1):
-            x = z.copy()
-            assert verification._mean_and_std(x, ddof) == (float(z.mean()), float(z.std(ddof=ddof)))
-        assert verification._mean_and_std(z[None].copy())[1] == float(z[None].std())
+def test_monotonicity_rows_hold_one_batch_of_logs_at_a_time():
+    """The rms batch's SteeringResult is gone before the raw batch integrates:
+    the peak stays under one batch's three (B, T) float64 logs (F, grad_norms,
+    embed_drifts) plus 0.25 MiB; holding both batches' logs reads about 2.2
+    times the one."""
+    n_seeds, T = 20, 1000
+    bound = 3 * n_seeds * T * 8 + 2**18
+    verification._monotonicity_rows(1)  # warm
+    tracemalloc.start()
+    try:
+        verification._monotonicity_rows(n_seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"{peak / 2**20:.3f} MiB against {bound / 2**20:.3f}"
+
+
+_MEAN1, _VAR1 = conjugate_posterior(5.0, 0.25, 20.0, 1.0, 1.0)
+# the conjugate and af3 rows' leaf draws with their seeds, and two other samples
+_LEAF_DRAWS = {
+    "conjugate": (lambda rng, m: np.sqrt(_VAR1) * rng.standard_normal(m) + _MEAN1, 4242),
+    "af3_noise": (lambda rng, m: verification.af3_noise_inflate(
+        np.broadcast_to(0.0, (1, m)), 2.0, verification.Af3SamplerParams(), [rng])[0], 808),
+    "scaled_normal": (lambda rng, m: 40.0 * rng.standard_normal(m) + 7.0, 3),
+    "lognormal": (lambda rng, m: rng.lognormal(0.0, 2.0, m), 5),
+}
+
+
+@pytest.mark.parametrize("n", [200000, 160000, 80000, 576])
+@pytest.mark.parametrize("leaves", sorted(_LEAF_DRAWS))
+def test_streamed_mean_and_std_give_numpys_bits(leaves, n):
+    """The streamed moments equal x.mean() and x.std(ddof) of the whole
+    sample, bit for bit, at ddof 0 and 1."""
+    draw, seed = _LEAF_DRAWS[leaves]
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([np.ravel(draw(rng, n // 8)) for _ in range(8)])
+    for ddof in (0, 1):
+        got = verification._streamed_mean_and_std(draw, seed, n, ddof)
+        assert got == (float(x.mean()), float(x.std(ddof=ddof)))
+
+
+@pytest.mark.parametrize("n", [200001, 512, 200032])
+def test_streamed_mean_and_std_need_three_exact_halvings(n):
+    draw, seed = _LEAF_DRAWS["scaled_normal"]
+    with pytest.raises(ValueError, match="multiple of 64 above 512"):
+        verification._streamed_mean_and_std(draw, seed, n)
 
 
 @pytest.mark.parametrize("x_t", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]])
@@ -475,12 +517,37 @@ def test_verify_cli_prints_one_line_per_check(monkeypatch, capsys, tmp_path, fai
         code = cli.main(argv)
         runs.append((code, capsys.readouterr().out.splitlines()))
     status = "FAIL" if failing else "PASS"
-    lines = [
-        "PASS  fd_gaussian_vjp_x  max rel err 1.000e-09 over 2 probes (tol 1e-05)",
-        f"{status}  tweedie_mixture    max rel err 2.000e-15 over 2 probes (tol 1e-10)",
+    lines = [  # every name padded to cli._NAME_WIDTH (33)
+        "PASS  fd_gaussian_vjp_x                  max rel err 1.000e-09 over 2 probes (tol 1e-05)",
+        f"{status}  tweedie_mixture                    max rel err 2.000e-15 over 2 probes (tol 1e-10)",
         f"{1 if failing else 2}/2 checks passed",
     ]
     assert runs == [(1 if failing else 0, lines)] * 2
     report = json.loads((out / "verify_report.json").read_text(encoding="utf-8"))
     assert report["all_passed"] is not failing
     assert [c["passed"] for c in report["checks"]] == [r.passed for r in rows]
+
+
+def test_verify_table_keeps_every_line_when_a_longer_name_joins(monkeypatch, capsys):
+    """Names pad to one fixed width, so a 40-character name added to the suite
+    changes only its own line and the total; the benchmark's verdict pattern
+    still reads every name."""
+    rows = [
+        CheckResult("fd_gaussian_vjp_x", True, "max rel err 1.000e-09 over 2 probes (tol 1e-05)"),
+        CheckResult("mixture_posterior_mean_quadrature", True, "max rel err 1.650e-14"),
+        CheckResult("tweedie_mixture", True, "max rel err 2.000e-15 over 2 probes (tol 1e-10)"),
+    ]
+    longer = CheckResult("a_check_with_a_name_of_forty_characters_", True, "detail")
+    assert len(longer.name) == 40
+    tables = []
+    for suite in (rows, rows[:2] + [longer] + rows[2:]):
+        monkeypatch.setattr(verification, "run_verification_suite", lambda telemetry, suite=suite: suite)
+        assert cli.main(["verify"]) == 0
+        tables.append(capsys.readouterr().out.splitlines())
+    before, after = tables
+    assert after[:2] + after[3:-1] == before[:-1]
+    assert after[2] == f"PASS  {longer.name}  detail"
+    assert before[1] == "PASS  mixture_posterior_mean_quadrature  max rel err 1.650e-14"
+    verdict = re.compile(r"^(PASS|FAIL)\s+(\S+)")
+    assert [verdict.match(line).group(2) for line in after[:-1]] == [
+        r.name for r in rows[:2] + [longer] + rows[2:]]
