@@ -19,7 +19,8 @@ syntax tree: a compound statement counts as run when its header line runs,
 and docstrings and bare constants, which compile to nothing, are not counted.
 Each statement that never ran is printed under its module and function, with
 `[error]` on a raise and on any line of an except clause, followed by the
-totals. Exits 1 when a traced command fails, and 0 otherwise.
+totals and the number of lines in src/. Exits 1 when a traced command fails,
+and 0 otherwise.
 
     PYTHONPATH=src python scripts/traffic_lines.py [CONFIG ...]
 """
@@ -149,8 +150,9 @@ def main() -> int:
                 print(f"    {st.line:5d}  {source[st.line - 1].strip()}{tag}")
         missed += count
         errors += sum(st.error for sts in by_function.values() for st in sts)
+    src_lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in files)
     print(f"{missed} of {total} statements never ran: {errors} raise or handle an error, "
-          f"{missed - errors} do not")
+          f"{missed - errors} do not; src/ holds {src_lines} lines")
     for argv, code in failed:
         print(f"FAILED (exit {code}): steerkit {' '.join(argv)}", file=sys.stderr)
     return 1 if failed else 0

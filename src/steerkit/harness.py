@@ -313,6 +313,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigParseError("config root must be a JSON object")
     out_dir = _get(raw, "out_dir", str)
+    if not out_dir or "\0" in out_dir:  # "" is the working directory; a NUL fails at mkdir
+        raise ConfigValidationError("out_dir must be a non-empty path with no NUL character")
     experiment = _get(raw, "experiment", str, among=_EXPERIMENTS)
     unread = {key for key in raw if key not in _KEYS or experiment not in _KEYS[key][0]}
     if unread:
@@ -404,10 +406,11 @@ def load_config(path, out_dir=None, seeds=None, jobs=None) -> ExperimentConfig:
     A given out_dir, seeds (a list of integers) or jobs replaces that key of
     the file first, exactly as if it were written there; seeds drops n_seeds.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    try:
+    try:  # an OSError (a missing or unreadable file) is not caught: exit 4
+        text = Path(path).read_text(encoding="utf-8")
         raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
-    except ValueError as e:  # a JSONDecodeError, or an integer literal too long for int()
+    except (ValueError, RecursionError) as e:  # bytes that are not UTF-8, a JSONDecodeError,
+        # an integer literal too long for int(), or nesting past the recursion limit
         raise ConfigParseError(f"invalid JSON: {e}") from e
     if isinstance(raw, dict):  # config_from_dict rejects any other root
         if seeds is not None:

@@ -467,32 +467,20 @@ def _conjugate_rows() -> List[CheckResult]:
 
 def _streamed_mean_and_std(draw: Callable[[np.random.Generator, int], np.ndarray], seed: int,
                            n: int, ddof: int = 0) -> Tuple[float, float]:
-    """(x.mean(), x.std(ddof=ddof)) to the bit, x being the eight n // 8 leaves
-    that draw(rng, n // 8) gives from rng = default_rng(seed), held one at a time.
-
-    numpy sums pairwise, splitting above 128 terms at a multiple of 8 near the
-    middle (see rewards._bead_sum). For n a multiple of 64 above 512 the first
-    three splits halve exactly, so x.sum() is ((s0+s1)+(s2+s3))+((s4+s5)+(s6+s7))
-    over the leaf sums, which is numpy's sum of those eight values. Pass 1 takes
-    the mean so; pass 2 re-draws the leaves from a fresh default_rng(seed) and
-    sums their squared deviations so, as x.std() does.
-    """
-    if n % 64 or n <= 512:
-        raise ValueError(f"n = {n} is not a multiple of 64 above 512")
-
-    def total(shift):
-        rng, sums = np.random.default_rng(seed), []
-        for _ in range(8):
-            leaf = draw(rng, n // 8)
-            if shift is not None:  # the squared deviations, in place
-                leaf -= shift
-                np.square(leaf, out=leaf)
-            sums.append(leaf.sum())
-            del leaf  # so the next draw is the only leaf alive
-        return np.sum(sums)
-
-    mean = total(None) / n
-    return float(mean), float(np.sqrt(total(mean) / (n - ddof)))
+    """(mean, std(ddof)) of the n draws that draw(rng, m) gives from default_rng(seed)
+    as eight leaves, in one pass holding one leaf at a time: each leaf is centred in
+    place on its own mean and merged into the running count, mean and sum of squared
+    deviations M2 (Chan, Golub and LeVeque, The American Statistician, 1983)."""
+    rng, count, mean, m2 = np.random.default_rng(seed), 0, 0.0, 0.0
+    for i in range(8):
+        leaf = draw(rng, (i + 1) * n // 8 - i * n // 8)
+        leaf_mean, k = leaf.mean(), leaf.size
+        leaf -= leaf_mean
+        delta, count = leaf_mean - mean, count + k
+        mean += delta * k / count
+        m2 += np.square(leaf, out=leaf).sum() + delta * delta * k * (count - k) / count
+        del leaf  # so the next draw is the only leaf alive
+    return float(mean), float(np.sqrt(m2 / (count - ddof)))
 
 
 _IS_BLOCK = 4096  # draws per importance-sampling block
@@ -832,7 +820,7 @@ def _af3_bookkeeping_row() -> CheckResult:
         return x_out
 
     got_std = _streamed_mean_and_std(draw, 808, n)[1]
-    # the first of the 16 calls' sigma_hat that is off (NaN included), else the last
+    # the first of the 8 calls' sigma_hat that is off (NaN included), else the last
     sigma_hat = next((s for s in hats if not abs(s - want_hat) < 1e-12), hats[-1])
     want_std = params.rho_noise * sigma * np.sqrt((params.gamma + 1.0) ** 2 - 1.0)
     se = want_std / np.sqrt(2.0 * n)

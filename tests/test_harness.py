@@ -549,6 +549,35 @@ def test_cli_missing_config_is_io_error(tmp_path, capsys):
     assert cli_main(["run", str(tmp_path / "absent.json")]) == EXIT_IO
 
 
+@pytest.mark.parametrize(
+    "text, flags, code, kind",
+    [
+        (b'{"experiment": "single_run", "out_dir": "o\xff"}', [], EXIT_PARSE, "parse"),
+        (b"[" * 100000, [], EXIT_PARSE, "parse"),
+        (b'{"experiment": "single_run", "out_dir": "a\\u0000b"}', [], EXIT_VALIDATION,
+         "validation"),
+        (b'{"experiment": "single_run", "out_dir": "o"}', ["--out", ""], EXIT_VALIDATION,
+         "validation"),
+    ],
+    ids=["non_utf8_bytes", "nesting_past_the_recursion_limit", "nul_in_out_dir", "empty_out"],
+)
+def test_undecodable_configs_and_unusable_out_dirs_exit_with_one_error_line(
+    tmp_path, capsys, monkeypatch, text, flags, code, kind
+):
+    """Each exits 2 or 3 with one JSON line on stderr and no traceback, and
+    writes nothing into the working directory (where an empty out_dir points)."""
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert cli_main(["run", str(path)] + flags) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == kind
+    assert "Traceback" not in err[0]
+    assert list(work.iterdir()) == []
+
+
 def test_cli_kind_guard(tmp_path, capsys):
     path = write_config(tmp_path, sweep_payload(tmp_path / "out"))
     assert cli_main(["fig1", str(path)]) == EXIT_VALIDATION
@@ -963,7 +992,8 @@ def test_ab_bench_bootstrap_interval_on_recorded_pairs():
 
 def test_traffic_lines_script(tmp_path):
     """Given one config, the traffic trace lists the runners that config never
-    reaches and ends on the totals; a failing command is exit 1."""
+    reaches and ends on the totals and src/'s line count; a failing command is
+    exit 1."""
     config = tmp_path / "single.json"
     config.write_text(json.dumps({
         "experiment": "single_run", "out_dir": "unused", "schedule": {"T": 5},
@@ -973,8 +1003,12 @@ def test_traffic_lines_script(tmp_path):
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert "  run_lr_sweep" in lines
-    assert re.fullmatch(r"\d+ of \d+ statements never ran: \d+ raise or handle an error, "
-                        r"\d+ do not", lines[-1])
+    totals = re.fullmatch(r"\d+ of \d+ statements never ran: \d+ raise or handle an error, "
+                          r"\d+ do not; src/ holds (\d+) lines", lines[-1])
+    assert totals, lines[-1]
+    src_lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                    for path in (Path(__file__).resolve().parents[1] / "src").rglob("*.py"))
+    assert int(totals[1]) == src_lines
 
     config.write_text(json.dumps({"experiment": "single_run", "out_dir": "x", "bins": 3}),
                       encoding="utf-8")
